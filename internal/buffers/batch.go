@@ -44,11 +44,7 @@ func (bp *BatchPool[T]) Put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	var zero T
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = zero
-	}
+	clear(b[:cap(b)])
 	b = b[:0]
 	bp.pool.Put(&b)
 }

@@ -306,8 +306,8 @@ func (h *Host) process(work <-chan hostJob, done chan<- struct{}) {
 // at a time, containing per-packet panics, then acks with exact delivered/
 // failed counts. Per-packet delivery (rather than handing the component
 // the whole batch) is what keeps the counts exact under a mid-batch crash:
-// the wire crossing is already amortised, and host-side per-packet push
-// costs what the in-proc baseline costs.
+// the wire crossing is already amortised, and the hosted component is
+// entered through the same PushBatch the in-proc path uses.
 func (h *Host) deliverBatch(job hostJob) {
 	delivered, failed := 0, 0
 	contained := false
@@ -320,20 +320,21 @@ func (h *Host) deliverBatch(job hostJob) {
 		failed = len(job.batch)
 		firstErr = err.Error()
 	} else {
-		for _, p := range job.batch {
-			perr, panicked := pushContained(dst, p)
-			if perr != nil {
-				failed++
-				if panicked {
-					contained = true
-					h.containedFrames.Add(1)
-				}
-				if firstErr == "" {
-					firstErr = perr.Error()
-				}
-			} else {
-				delivered++
+		for rest := job.batch; len(rest) > 0; {
+			n, perr, panicked := pushContained(dst, rest)
+			delivered += n
+			if n == len(rest) {
+				break
 			}
+			failed++
+			if panicked {
+				contained = true
+				h.containedFrames.Add(1)
+			}
+			if firstErr == "" {
+				firstErr = perr.Error()
+			}
+			rest = rest[n+1:]
 		}
 	}
 	router.PutBatch(job.batch)
@@ -344,16 +345,35 @@ func (h *Host) deliverBatch(job hostJob) {
 	putFrame(ack)
 }
 
-// pushContained delivers one packet, absorbing a panic from hosted code.
-func pushContained(dst router.IPacketPush, p *router.Packet) (err error, panicked bool) {
+// pushContained delivers batch one packet at a time until one fails,
+// absorbing a panic from hosted code. n packets went in; when n is short
+// of the batch, err is about packet n.
+func pushContained(dst router.IPacketPush, batch []*router.Packet) (n int, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 			panicked = true
-			p.Release() // idempotent; the component may have died holding it
+			batch[n].Release() // idempotent; the component may have died holding it
 		}
 	}()
-	return dst.Push(p), false
+	// router.ForwardBatch's dispatch, decided once per job: a batch-aware
+	// component takes each packet as a one-packet sub-slice of the decoded
+	// batch (so it never pays the per-packet adapter), any other its Push.
+	bp, _ := dst.(router.IPacketPushBatch)
+	for ; n < len(batch); n++ {
+		if bp != nil {
+			err = bp.PushBatch(batch[n : n+1])
+		} else {
+			err = dst.Push(batch[n])
+		}
+		if err != nil {
+			if be, ok := err.(*router.BatchError); ok {
+				err = be.Err // the ack carries the component's own error text
+			}
+			return n, err, false
+		}
+	}
+	return n, nil, false
 }
 
 // pushTarget resolves (and caches) a hosted component's IPacketPush.

@@ -3,14 +3,16 @@ package router
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"netkit/core"
 	"netkit/internal/buffers"
 )
 
-// This file is the hub of the batched fast path (DESIGN.md §4): the
-// IPacketPushBatch capability interface, the ForwardBatch fallback shim,
-// and the pooled []*Packet scratch batches that keep the steady state
+// This file is the hub of the batched data path (DESIGN.md §4): the
+// IPacketPushBatch capability interface, the two edge adapters between it
+// and per-packet code (pushOne inbound, ForwardBatch outbound), and the
+// pooled []*Packet scratch batches that keep the steady state
 // allocation-free.
 //
 // Ownership contract: a PushBatch callee takes ownership of every Packet
@@ -21,12 +23,12 @@ import (
 // the call. This is what lets callers recycle batches through GetBatch/
 // PutBatch without handshaking.
 
-// IPacketPushBatch is the batched fast-path variant of IPacketPush. It is
-// a capability, not a separate binding contract: bindings are still made
-// on IPacketPushID, and each hop discovers its downstream's batch support
-// with a type assertion (use ForwardBatch, which does exactly that). A
-// component that implements PushBatch must process packets in slice order
-// and must also accept single packets via Push.
+// IPacketPushBatch is the data-plane contract. It is not a separate
+// binding identity: bindings are still made on IPacketPushID, and a hop
+// finds out whether its downstream is a per-packet-only plug-in with a
+// type assertion (use ForwardBatch, which does exactly that). A component
+// that implements PushBatch must process packets in slice order and must
+// also accept single packets via Push.
 type IPacketPushBatch interface {
 	IPacketPush
 	// PushBatch delivers the packets in order. The callee takes ownership
@@ -72,14 +74,12 @@ func FailedPackets(err error, n int) int {
 	return n
 }
 
-// ForwardBatch delivers batch to dst, using the batched fast path when dst
-// implements IPacketPushBatch and falling back to one Push per packet
-// otherwise. It is the generic adoption shim: a pipeline may mix batch-
-// aware and per-packet components freely, and ForwardBatch re-forms the
-// fast path wherever both sides support it. Later packets are still
-// delivered after a failure (the absorb-and-continue discipline of the
-// data path); failures are reported as a BatchError so upstream accounting
-// stays per-packet-exact.
+// ForwardBatch delivers batch to dst: whole when dst implements
+// IPacketPushBatch, one Push per packet when dst is a per-packet-only
+// plug-in. It is the batch → per-packet edge adapter. Later packets are
+// still delivered after a failure (the absorb-and-continue discipline of
+// the data path); failures are reported as a BatchError so upstream
+// accounting stays per-packet-exact.
 func ForwardBatch(dst IPacketPush, batch []*Packet) error {
 	if bp, ok := dst.(IPacketPushBatch); ok {
 		return bp.PushBatch(batch)
@@ -98,6 +98,25 @@ func ForwardBatch(dst IPacketPush, batch []*Packet) error {
 		return nil
 	}
 	return &BatchError{Failed: failed, Err: firstErr}
+}
+
+// oneBatches recycles the one-packet batches pushOne hands out, so a
+// per-packet Push allocates nothing in the steady state.
+var oneBatches = sync.Pool{New: func() any { return new([1]*Packet) }}
+
+// pushOne is the per-packet → batch adapter: every standard element's Push
+// is PushBatch of a batch of one. A BatchError about that one packet is
+// unwrapped, so per-packet callers see the underlying error.
+func pushOne(dst IPacketPushBatch, p *Packet) error {
+	one := oneBatches.Get().(*[1]*Packet)
+	one[0] = p
+	err := dst.PushBatch(one[:])
+	one[0] = nil
+	oneBatches.Put(one)
+	if be, ok := err.(*BatchError); ok {
+		return be.Err
+	}
+	return err
 }
 
 // PacketCount reports how many packets an intercepted operation carries:
@@ -128,16 +147,14 @@ func GetBatch() []*Packet { return packetBatches.Get() }
 // pool never pins packet memory.
 func PutBatch(b []*Packet) { packetBatches.Put(b) }
 
-// forwardBatch pushes batch to the receptacle target, accounting the
-// outcome exactly as forward does per packet; an unbound receptacle drops
-// (and releases) the whole batch. Errors are per-packet-exact: the failed
+// forwardBatch pushes batch to the receptacle target and accounts the
+// outcome; an unbound receptacle drops (and releases) the whole batch. Errors are per-packet-exact: the failed
 // count is read from the downstream's BatchError (whole batch for a plain
 // error), errs counts every failing packet, out counts the rest, and the
 // returned error is normalised to a BatchError so the next hop up accounts
 // the same count. Downstream errors are structural — absent from the
 // standard components, which absorb and count problems locally — so this
-// path only fires for misbehaving plug-ins, but when it fires the batched
-// and per-packet paths now agree counter for counter.
+// path only fires for misbehaving plug-ins.
 func (e *elementCounters) forwardBatch(out *core.Receptacle[IPacketPush], batch []*Packet) error {
 	if len(batch) == 0 {
 		return nil
@@ -162,26 +179,6 @@ func (e *elementCounters) forwardBatch(out *core.Receptacle[IPacketPush], batch 
 		err = &BatchError{Failed: failed, Err: err}
 	}
 	return err
-}
-
-// forwardRuns is the shared drop-or-forward scan of the batched header
-// processors and the shaper: packets rejected by keep are dropped (counted
-// and released), and maximal surviving runs — sub-slices of batch, so no
-// copying — are forwarded. keep may mutate the packet (TTL decrement) and
-// is responsible for its own specialised drop counters.
-func (e *elementCounters) forwardRuns(out *core.Receptacle[IPacketPush], batch []*Packet, keep func(*Packet) bool) error {
-	var agg batchErrAgg
-	run := 0
-	for i, p := range batch {
-		if !keep(p) {
-			agg.note(e.forwardBatch(out, batch[run:i]), i-run)
-			e.dropped.Add(1)
-			p.Release()
-			run = i + 1
-		}
-	}
-	agg.note(e.forwardBatch(out, batch[run:]), len(batch)-run)
-	return agg.err()
 }
 
 // batchErrAgg folds the per-run errors of a split batch crossing into one
@@ -216,7 +213,7 @@ func (a *batchErrAgg) err() error {
 // splitRuns is the shared demultiplexing scan of the batched classifier
 // and protocol recogniser: each packet resolves to a target receptacle
 // (nil = drop), and maximal same-target runs are forwarded as sub-slices
-// of batch. Per-output order is exactly the per-packet path's.
+// of batch. Per-output order is arrival order.
 func (e *elementCounters) splitRuns(batch []*Packet, target func(*Packet) *core.Receptacle[IPacketPush]) error {
 	if len(batch) == 0 {
 		return nil

@@ -397,10 +397,10 @@ func TestREDQueueBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestSchedulerRunOnceBatchOrdering: RunOnceBatch emits the same packets
-// in the same order as RunOnce under the same discipline, delivering them
-// downstream as one batch.
-func TestSchedulerRunOnceBatchOrdering(t *testing.T) {
+// TestSchedulerRunOnceOneBatch: a service round reaches a batch-aware
+// downstream as ONE batch, and reaches a per-packet-only downstream
+// (through the ForwardBatch shim) as the same packets in the same order.
+func TestSchedulerRunOnceOneBatch(t *testing.T) {
 	build := func(dst core.Component) (*LinkScheduler, []*FIFOQueue, error) {
 		c := newCap()
 		s, err := NewLinkScheduler(PolicyDRR)
@@ -469,7 +469,7 @@ func TestSchedulerRunOnceBatchOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, qsBat)
-	servedBat := sBat.RunOnceBatch(24)
+	servedBat := sBat.RunOnce(24)
 
 	if servedPer != servedBat {
 		t.Fatalf("served %d vs %d", servedPer, servedBat)

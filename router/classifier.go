@@ -138,16 +138,7 @@ func (c *Classifier) FilterOutputs() []string {
 func (c *Classifier) Rules() []filter.Rule { return c.table.Rules() }
 
 // Push implements IPacketPush.
-func (c *Classifier) Push(p *Packet) error {
-	c.in.Add(1)
-	target := c.resolve(c.snap.Load(), c.table.Snapshot(), c.cache.Load(), p)
-	if target == nil {
-		c.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return c.forward(target, p)
-}
+func (c *Classifier) Push(p *Packet) error { return pushOne(c, p) }
 
 // pick maps a classification verdict to the output receptacle (nil = drop)
 // against this output-set snapshot. Cached verdicts carry the output NAME,
@@ -183,8 +174,8 @@ func (c *Classifier) resolve(snap *clsOutputs, ts *filter.Snapshot, fc *FlowCach
 // PushBatch implements IPacketPushBatch: each packet is classified
 // individually, then maximal runs routed to the same output are forwarded
 // as sub-batches of the incoming slice (no per-output copying), so
-// per-output arrival order equals the per-packet path's exactly.
-// Unmatched packets with no default output are dropped, as per packet.
+// per-output order is arrival order. Unmatched packets with no default
+// output are dropped.
 // The output-set snapshot, compiled-table snapshot, and cache reference
 // are all loaded once for the whole batch, so every packet in the batch
 // is classified against one frozen rule generation.

@@ -75,23 +75,6 @@ type StatsReporter interface {
 	ElemStats() ElementStats
 }
 
-// forward pushes p to the receptacle target, accounting the outcome; a
-// missing binding counts as a drop (the CF's rules normally prevent this).
-func (e *elementCounters) forward(out *core.Receptacle[IPacketPush], p *Packet) error {
-	next, ok := out.Get()
-	if !ok {
-		e.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	if err := next.Push(p); err != nil {
-		e.errs.Add(1)
-		return err
-	}
-	e.out.Add(1)
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Counter
 
@@ -101,6 +84,7 @@ type Counter struct {
 	elementCounters
 	bytes atomic.Uint64
 	out   *core.Receptacle[IPacketPush]
+	plan  *fusedPlan
 }
 
 // NewCounter returns a counting pass-through element.
@@ -109,27 +93,16 @@ func NewCounter() *Counter {
 	c.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	c.AddReceptacle("out", c.out)
 	c.Provide(IPacketPushID, c)
+	c.plan = onePlan(c.fuseStep())
 	return c
 }
 
 // Push implements IPacketPush.
-func (c *Counter) Push(p *Packet) error {
-	c.in.Add(1)
-	c.bytes.Add(uint64(len(p.Data)))
-	return c.forward(c.out, p)
-}
+func (c *Counter) Push(p *Packet) error { return pushOne(c, p) }
 
 // PushBatch implements IPacketPushBatch: counters are updated once per
 // batch and the batch is forwarded whole.
-func (c *Counter) PushBatch(batch []*Packet) error {
-	c.in.Add(uint64(len(batch)))
-	var bytes uint64
-	for _, p := range batch {
-		bytes += uint64(len(p.Data))
-	}
-	c.bytes.Add(bytes)
-	return c.forwardBatch(c.out, batch)
-}
+func (c *Counter) PushBatch(batch []*Packet) error { return c.plan.run(batch) }
 
 // Stats implements core.IStats, adding the byte count.
 func (c *Counter) Stats() []core.Stat {
@@ -146,32 +119,22 @@ func (c *Counter) Bytes() uint64 { return c.bytes.Load() }
 type Dropper struct {
 	*core.Base
 	elementCounters
+	plan *fusedPlan
 }
 
 // NewDropper returns a packet sink.
 func NewDropper() *Dropper {
 	d := &Dropper{Base: core.NewBase(TypeDropper)}
 	d.Provide(IPacketPushID, d)
+	d.plan = onePlan(d.fuseStep())
 	return d
 }
 
 // Push implements IPacketPush.
-func (d *Dropper) Push(p *Packet) error {
-	d.in.Add(1)
-	d.dropped.Add(1)
-	p.Release()
-	return nil
-}
+func (d *Dropper) Push(p *Packet) error { return pushOne(d, p) }
 
 // PushBatch implements IPacketPushBatch.
-func (d *Dropper) PushBatch(batch []*Packet) error {
-	d.in.Add(uint64(len(batch)))
-	d.dropped.Add(uint64(len(batch)))
-	for _, p := range batch {
-		p.Release()
-	}
-	return nil
-}
+func (d *Dropper) PushBatch(batch []*Packet) error { return d.plan.run(batch) }
 
 // ---------------------------------------------------------------------------
 // Tee
@@ -265,17 +228,7 @@ func NewProtoRecogn() *ProtoRecogn {
 }
 
 // Push implements IPacketPush.
-func (r *ProtoRecogn) Push(p *Packet) error {
-	r.in.Add(1)
-	switch packet.Version(p.Data) {
-	case 4:
-		return r.forward(r.v4, p)
-	case 6:
-		return r.forward(r.v6, p)
-	default:
-		return r.forward(r.other, p)
-	}
-}
+func (r *ProtoRecogn) Push(p *Packet) error { return pushOne(r, p) }
 
 // output returns the receptacle serving p's IP version.
 func (r *ProtoRecogn) output(p *Packet) *core.Receptacle[IPacketPush] {
@@ -308,6 +261,7 @@ type IPv4Proc struct {
 	elementCounters
 	validate bool
 	out      *core.Receptacle[IPacketPush]
+	plan     *fusedPlan
 	ttlDrops atomic.Uint64
 	csDrops  atomic.Uint64
 }
@@ -319,49 +273,16 @@ func NewIPv4Proc(validate bool) *IPv4Proc {
 	h.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	h.AddReceptacle("out", h.out)
 	h.Provide(IPacketPushID, h)
+	h.plan = onePlan(h.fuseStep())
 	return h
 }
 
 // Push implements IPacketPush.
-func (h *IPv4Proc) Push(p *Packet) error {
-	h.in.Add(1)
-	if h.validate {
-		if err := packet.ValidateIPv4Checksum(p.Data); err != nil {
-			h.csDrops.Add(1)
-			h.dropped.Add(1)
-			p.Release()
-			return nil
-		}
-	}
-	if err := packet.DecrementTTL(p.Data); err != nil {
-		h.ttlDrops.Add(1)
-		h.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return h.forward(h.out, p)
-}
+func (h *IPv4Proc) Push(p *Packet) error { return pushOne(h, p) }
 
 // PushBatch implements IPacketPushBatch: per-packet header work is done in
-// place and surviving runs are forwarded as sub-batches, so the downstream
-// hand-off cost is paid once per run (once per batch when nothing drops,
-// the common case).
-func (h *IPv4Proc) PushBatch(batch []*Packet) error {
-	h.in.Add(uint64(len(batch)))
-	return h.forwardRuns(h.out, batch, func(p *Packet) bool {
-		if h.validate {
-			if err := packet.ValidateIPv4Checksum(p.Data); err != nil {
-				h.csDrops.Add(1)
-				return false
-			}
-		}
-		if err := packet.DecrementTTL(p.Data); err != nil {
-			h.ttlDrops.Add(1)
-			return false
-		}
-		return true
-	})
-}
+// place and the survivors are forwarded as one batch.
+func (h *IPv4Proc) PushBatch(batch []*Packet) error { return h.plan.run(batch) }
 
 // Stats implements core.IStats, adding the specialised drop causes.
 func (h *IPv4Proc) Stats() []core.Stat {
@@ -384,6 +305,7 @@ type IPv6Proc struct {
 	*core.Base
 	elementCounters
 	out      *core.Receptacle[IPacketPush]
+	plan     *fusedPlan
 	hopDrops atomic.Uint64
 }
 
@@ -393,32 +315,15 @@ func NewIPv6Proc() *IPv6Proc {
 	h.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	h.AddReceptacle("out", h.out)
 	h.Provide(IPacketPushID, h)
+	h.plan = onePlan(h.fuseStep())
 	return h
 }
 
 // Push implements IPacketPush.
-func (h *IPv6Proc) Push(p *Packet) error {
-	h.in.Add(1)
-	if err := packet.DecrementHopLimit(p.Data); err != nil {
-		h.hopDrops.Add(1)
-		h.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return h.forward(h.out, p)
-}
+func (h *IPv6Proc) Push(p *Packet) error { return pushOne(h, p) }
 
 // PushBatch implements IPacketPushBatch (see IPv4Proc.PushBatch).
-func (h *IPv6Proc) PushBatch(batch []*Packet) error {
-	h.in.Add(uint64(len(batch)))
-	return h.forwardRuns(h.out, batch, func(p *Packet) bool {
-		if err := packet.DecrementHopLimit(p.Data); err != nil {
-			h.hopDrops.Add(1)
-			return false
-		}
-		return true
-	})
-}
+func (h *IPv6Proc) PushBatch(batch []*Packet) error { return h.plan.run(batch) }
 
 // Stats implements core.IStats, adding the specialised drop cause.
 func (h *IPv6Proc) Stats() []core.Stat {
@@ -436,7 +341,8 @@ func (h *IPv6Proc) HopDrops() uint64 { return h.hopDrops.Load() }
 type ChecksumValidator struct {
 	*core.Base
 	elementCounters
-	out *core.Receptacle[IPacketPush]
+	out  *core.Receptacle[IPacketPush]
+	plan *fusedPlan
 }
 
 // NewChecksumValidator returns a validator element.
@@ -445,29 +351,15 @@ func NewChecksumValidator() *ChecksumValidator {
 	v.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	v.AddReceptacle("out", v.out)
 	v.Provide(IPacketPushID, v)
+	v.plan = onePlan(v.fuseStep())
 	return v
 }
 
 // Push implements IPacketPush.
-func (v *ChecksumValidator) Push(p *Packet) error {
-	v.in.Add(1)
-	if packet.Version(p.Data) == 4 {
-		if err := packet.ValidateIPv4Checksum(p.Data); err != nil {
-			v.dropped.Add(1)
-			p.Release()
-			return nil
-		}
-	}
-	return v.forward(v.out, p)
-}
+func (v *ChecksumValidator) Push(p *Packet) error { return pushOne(v, p) }
 
 // PushBatch implements IPacketPushBatch.
-func (v *ChecksumValidator) PushBatch(batch []*Packet) error {
-	v.in.Add(uint64(len(batch)))
-	return v.forwardRuns(v.out, batch, func(p *Packet) bool {
-		return packet.Version(p.Data) != 4 || packet.ValidateIPv4Checksum(p.Data) == nil
-	})
-}
+func (v *ChecksumValidator) PushBatch(batch []*Packet) error { return v.plan.run(batch) }
 
 // ---------------------------------------------------------------------------
 // Factories

@@ -9,29 +9,30 @@ import (
 	"netkit/packet"
 )
 
-// This file is the bind-time chain fusion engine (DESIGN.md §8): when the
-// binding chain downstream of a source is interceptor-free and every hop
-// is batch-aware, the planner compiles the whole chain into one flattened
-// run-to-completion function — no receptacle loads, no interface dispatch,
-// no sub-batch hand-offs between hops — while keeping reflection one
-// meta-call away. Installing an interceptor (or any structural mutation:
-// bind, rebind, unbind, hot-swap, insert/remove) invalidates the plan
-// through a generation fence; traffic falls back to the exact hop-by-hop
-// path and re-fuses lazily once the chain is clean again. The paper's
-// central tension — reflective flexibility vs raw forwarding speed —
-// resolved the way the programmable-data-plane literature does it:
-// specialise the common case, de-specialise on meta-level activity.
+// This file is the data path's one execution model (DESIGN.md §8): a plan
+// is a list of per-element steps plus the receptacle the survivors leave
+// through, and one runner executes it. Every linear element's PushBatch
+// runs the one-hop plan made of its own step — that IS the hop-by-hop
+// path. When the binding chain downstream of a FastPath or shard ingress
+// is interceptor-free, the planner compiles the whole chain into one
+// longer plan — no receptacle loads, no interface dispatch, no sub-batch
+// hand-offs between hops — while keeping reflection one meta-call away.
+// Installing an interceptor (or any structural mutation: bind, rebind,
+// unbind, hot-swap, insert/remove) invalidates the long plan through a
+// generation fence; traffic runs the head's one-hop plan and re-fuses
+// lazily once the chain is clean again. The paper's central tension —
+// reflective flexibility vs raw forwarding speed — resolved the way the
+// programmable-data-plane literature does it: specialise the common case,
+// de-specialise on meta-level activity.
 
-// maxFuseDepth bounds how many hops one fused plan may flatten; it also
-// sizes the runner's stack-local accounting arrays, so a fused run
+// maxFuseDepth bounds how many hops (head included) one plan may flatten;
+// it also sizes the stack-local tally of a compiled run, so a run
 // allocates nothing.
 const maxFuseDepth = 32
 
-// stepKind classifies a fused hop for the runner. The generic form is a
-// per-packet closure; the two specialised kinds let the runner skip the
-// indirect call entirely for the most common hop shapes, which is where
-// the fused path's margin over the (already batched) hop-by-hop path
-// comes from.
+// stepKind classifies a hop for the runner. The generic form is a
+// per-packet closure; the specialised kinds let the runner skip the
+// indirect call entirely for the most common hop shapes.
 type stepKind uint8
 
 const (
@@ -49,23 +50,22 @@ const (
 	stepDrop
 )
 
-// fuseStep is one component's contribution to a fused chain: the hop's
-// per-packet work, decoupled from its forwarding.
+// fuseStep is the single definition of a linear element's per-packet
+// behaviour, decoupled from its forwarding: the element's own PushBatch
+// runs it as a one-hop plan, a fuser runs it inside a longer one.
 type fuseStep struct {
 	// kind selects the runner strategy for this hop.
 	kind stepKind
 	// proc performs a stepProc hop's per-packet work (header mutation,
-	// conformance) and reports whether the packet survives. acc is
-	// accumulated in a runner-local and handed to flush once per batch.
-	// proc must maintain the hop's SPECIALISED counters (ttl_drops,
-	// cs_drops) itself; the shared in/out/dropped/errs block is replayed
-	// by the runner. nil for the other kinds.
-	proc func(p *Packet) (keep bool, acc int64)
-	// flush folds the accumulated acc into the hop once per batch (the
-	// Counter's byte total). nil when the hop accumulates nothing.
-	flush func(acc int64)
-	// counters is the hop's element counter block; the runner reproduces
-	// exactly the accounting the hop-by-hop path would have written.
+	// conformance) and reports whether the packet survives. It maintains
+	// the hop's SPECIALISED counters (ttl_drops, cs_drops) itself; the
+	// shared in/out/dropped/errs block is the runner's. nil for the other
+	// kinds.
+	proc func(p *Packet) bool
+	// meter receives a stepCount hop's byte total once per chunk.
+	meter *atomic.Uint64
+	// counters is the hop's element counter block, settled by the runner
+	// once per chunk.
 	counters *elementCounters
 	// out is the hop's egress receptacle. nil marks a terminal hop (the
 	// Dropper) that consumes every packet.
@@ -73,28 +73,38 @@ type fuseStep struct {
 }
 
 // chainFusible is the capability interface of the fusion planner,
-// discovered by type assertion like the batch capability. A component
-// returns its fuseStep, or ok=false when its current configuration cannot
-// be flattened. Components that buffer (queues), split (Tee, recognisers,
-// classifiers) or block are simply not fusible: the planner stops at them
-// and the fused prefix hands off to the remainder through the ordinary
-// receptacle crossing.
+// discovered by type assertion like the batch capability. Components that
+// buffer (queues), split (Tee, recognisers, classifiers) or block are
+// simply not fusible: the planner stops at them and the fused prefix hands
+// off to the remainder through the ordinary receptacle crossing.
 type chainFusible interface {
-	fuseStep() (fuseStep, bool)
+	fuseStep() fuseStep
 }
 
-// fusedPlan is one immutable compiled chain. gen pins the structural
-// generation it was compiled under; a plan whose gen no longer matches the
-// fuser's is dead and is never run again.
+// fusedPlan is one immutable chain of steps; hops[0] is the element whose
+// PushBatch runs it. gen pins the structural generation a fuser compiled
+// it under; a compiled plan whose gen no longer matches the fuser's is
+// dead and is never run again. One-hop plans cross every binding through
+// its receptacle, so they never go stale.
 type fusedPlan struct {
 	gen  uint64
 	hops []fuseStep
 	tail *core.Receptacle[IPacketPush] // last hop's egress; nil if terminal
 }
 
-// ChainFuser owns the fused plan for the chain downstream of one source
-// receptacle and the fence machinery that keeps it honest:
+// onePlan is the hop-by-hop form of an element: its own step, handing the
+// survivors to whatever its receptacle is bound to.
+func onePlan(step fuseStep) *fusedPlan {
+	return &fusedPlan{hops: []fuseStep{step}, tail: step.out}
+}
+
+// ChainFuser owns the compiled plan for the chain downstream of one head
+// element (a FastPath or a shard ingress) and the fence machinery that
+// keeps it honest:
 //
+//   - head is the owner's one-hop plan, run whenever no compiled plan is
+//     valid. It crosses the owner's binding through the receptacle, so it
+//     needs no fence.
 //   - gen counts structural mutations of the owning capsule (bumped by a
 //     synchronous core.WatchStructure observer, so an interceptor install
 //     can never be missed the way a lossy event stream could miss it).
@@ -103,8 +113,8 @@ type fusedPlan struct {
 //   - builtGen is the negative cache: the last generation a compile was
 //     attempted for, so an unfusable chain costs one map walk per
 //     mutation, not one per batch.
-//   - active counts in-flight fused runs; WaitIdle spins on it. A runner
-//     raises active BEFORE re-validating gen (both sequentially
+//   - active counts in-flight compiled runs; WaitIdle spins on it. A
+//     runner raises active BEFORE re-validating gen (both sequentially
 //     consistent), and an invalidator bumps gen BEFORE polling active —
 //     so either the runner observes the new generation and backs off, or
 //     the invalidator observes the runner and waits. After
@@ -112,12 +122,11 @@ type fusedPlan struct {
 //     exactness fence ShardedCF.Intercept uses so an audit observes every
 //     packet pushed after the install returns.
 //
-// Forward/ForwardOne degrade to the ordinary hop-by-hop crossing whenever
-// no valid plan exists, so fusion is invisible to semantics: same
-// delivery, same order, same counters, same errors.
+// Both plans go through the same runner, so fusion is invisible to
+// semantics: same delivery, same order, same counters, same errors.
 type ChainFuser struct {
 	capsule *core.Capsule
-	src     core.GenReceptacle
+	head    *fusedPlan
 
 	gen      atomic.Uint64
 	plan     atomic.Pointer[fusedPlan]
@@ -131,12 +140,11 @@ type ChainFuser struct {
 	cancel func()
 }
 
-// NewChainFuser attaches a fuser to the chain rooted at src (a receptacle
-// owned by the source component) in capsule c and compiles eagerly. The
-// fuser re-specialises lazily on the data path after every structural
-// mutation.
-func NewChainFuser(c *core.Capsule, src core.GenReceptacle) *ChainFuser {
-	f := &ChainFuser{capsule: c, src: src}
+// newChainFuser attaches a fuser to the chain rooted at head's egress
+// receptacle in capsule c and compiles eagerly. The fuser re-specialises
+// lazily on the data path after every structural mutation.
+func newChainFuser(c *core.Capsule, head fuseStep) *ChainFuser {
+	f := &ChainFuser{capsule: c, head: onePlan(head)}
 	f.cancel = c.WatchStructure(func(core.Event) {
 		// Any structural mutation may have changed the chain: count it,
 		// advance the generation, drop the plan. Atomics only — this runs
@@ -158,34 +166,20 @@ func (f *ChainFuser) Close() {
 	}
 }
 
-// Forward delivers batch downstream of the source exactly as
-// e.forwardBatch(out, batch) would — via the fused plan when one is valid,
-// hop by hop otherwise.
-func (f *ChainFuser) Forward(e *elementCounters, out *core.Receptacle[IPacketPush], batch []*Packet) error {
-	if len(batch) == 0 {
-		return nil
-	}
+// Forward runs batch through the head and its downstream chain: the
+// compiled plan when one is valid, the head's one-hop plan otherwise.
+func (f *ChainFuser) Forward(batch []*Packet) error {
 	if pl := f.enter(); pl != nil {
-		err := f.runBatch(e, pl, batch)
+		var t [maxFuseDepth]hopTally
+		err := pl.exec(batch, t[:len(pl.hops)])
 		f.active.Add(-1)
 		return err
 	}
-	return e.forwardBatch(out, batch)
+	return f.head.run(batch)
 }
 
-// ForwardOne is Forward for a single packet (the per-packet Push path),
-// with no batch bookkeeping and no allocation.
-func (f *ChainFuser) ForwardOne(e *elementCounters, out *core.Receptacle[IPacketPush], p *Packet) error {
-	if pl := f.enter(); pl != nil {
-		err := f.runOne(e, pl, p)
-		f.active.Add(-1)
-		return err
-	}
-	return e.forward(out, p)
-}
-
-// enter returns a validated plan with the active guard raised, or nil
-// (guard not raised). The raise-then-revalidate order is the fence's
+// enter returns a validated compiled plan with the active guard raised, or
+// nil (guard not raised). The raise-then-revalidate order is the fence's
 // correctness argument; see the ChainFuser doc comment.
 func (f *ChainFuser) enter() *fusedPlan {
 	g := f.gen.Load()
@@ -209,10 +203,10 @@ func (f *ChainFuser) enter() *fusedPlan {
 	return pl
 }
 
-// WaitIdle blocks until no fused run is in flight (or timeout expires,
+// WaitIdle blocks until no compiled run is in flight (or timeout expires,
 // returning false). Called after a generation bump, it guarantees every
 // subsequent packet crosses under the new structure — the exact-audit
-// fence. Callers must not hold locks a fused run's downstream could need.
+// fence. Callers must not hold locks a run's downstream could need.
 func (f *ChainFuser) WaitIdle(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for f.active.Load() != 0 {
@@ -225,7 +219,7 @@ func (f *ChainFuser) WaitIdle(timeout time.Duration) bool {
 }
 
 // rebuild compiles a plan for generation g (at most one compiler at a
-// time; losers simply fall back hop-by-hop for one batch). Publishing
+// time; losers simply run the one-hop plan for one batch). Publishing
 // builtGen last makes the negative cache safe: a nil plan with
 // builtGen == g means "g is unfusable", never "not yet tried".
 func (f *ChainFuser) rebuild(g uint64) {
@@ -240,24 +234,22 @@ func (f *ChainFuser) rebuild(g uint64) {
 	f.builtGen.Store(g)
 }
 
-// compile walks the binding graph from the source receptacle, collecting
+// compile walks the binding graph from the head's receptacle, collecting
 // consecutive fusible hops whose inbound bindings carry no interceptor
 // chain. The walk stops — leaving the remainder to the ordinary receptacle
 // crossing — at the first intercepted binding, unbound receptacle,
-// non-fusible component, cycle, or maxFuseDepth. A plan shorter than two
-// hops buys nothing over forwardBatch and compiles to nil.
+// non-fusible component, cycle, or maxFuseDepth. Fewer than two hops
+// behind the head is not worth a fence and compiles to nil.
 func (f *ChainFuser) compile(g uint64) *fusedPlan {
 	byRecp := make(map[core.GenReceptacle]*core.Binding)
 	for _, b := range f.capsule.Bindings() {
 		byRecp[b.Receptacle()] = b
 	}
-	hops := make([]fuseStep, 0, 8)
+	hops := append(make([]fuseStep, 0, 8), f.head.hops[0])
 	seen := make(map[core.Component]bool, 8)
-	var tail *core.Receptacle[IPacketPush]
-	lead := f.src
-	terminal := false
-	for len(hops) < maxFuseDepth {
-		b, ok := byRecp[lead]
+	tail := f.head.tail
+	for len(hops) < maxFuseDepth && tail != nil {
+		b, ok := byRecp[tail]
 		if !ok || len(b.Interceptors()) > 0 {
 			break
 		}
@@ -270,275 +262,179 @@ func (f *ChainFuser) compile(g uint64) *fusedPlan {
 		if !ok {
 			break
 		}
-		step, ok := fz.fuseStep()
-		if !ok {
-			break
-		}
 		seen[comp] = true
+		step := fz.fuseStep()
 		hops = append(hops, step)
-		if step.out == nil {
-			terminal = true
-			break
-		}
-		tail = step.out
-		lead = step.out
+		tail = step.out // nil after a terminal hop
 	}
-	if len(hops) < 2 {
+	if len(hops) < 3 {
 		return nil
-	}
-	if terminal {
-		tail = nil
 	}
 	return &fusedPlan{gen: g, hops: hops, tail: tail}
 }
 
-// runBatch executes one batch through the fused plan, chunked to the
-// pooled-batch capacity so the runner's live set fits a stack array.
-func (f *ChainFuser) runBatch(e *elementCounters, pl *fusedPlan, batch []*Packet) error {
+// hopTally is the runner's per-hop account of one chunk.
+type hopTally struct {
+	enter, drops int32
+	bytes        uint64
+}
+
+// run executes batch through a one-hop plan: every linear element's
+// PushBatch. It is exec with a one-entry tally, so a long hop-by-hop chain
+// nests small frames.
+func (pl *fusedPlan) run(batch []*Packet) error {
+	var t [1]hopTally
+	return pl.exec(batch, t[:])
+}
+
+// exec is the runner. It executes batch through the plan in chunks of at
+// most batchCap (so the scratch never outgrows a pooled batch), each chunk
+// hop-major: every processing hop compacts the surviving ("live") set,
+// pass-through byte meters (stepCount) collapse into a single traversal
+// shared by every consecutive meter, and the compacted survivors leave to
+// the tail as ONE batch. The caller's slice is never mutated (callers reuse
+// their batches): survivors move into a pooled scratch batch lazily, at the
+// first hop that both drops and keeps — the no-drop and drop-everything
+// paths never copy. The shared counters of every hop are settled after each
+// chunk, with per-packet-exact error accounting via BatchError: a packet
+// the tail refused counts errs, not out, at every hop it crossed. tally has
+// one entry per hop.
+func (pl *fusedPlan) exec(batch []*Packet, tally []hopTally) error {
+	n := len(pl.hops)
 	var agg batchErrAgg
+	var scratch []*Packet // pooled; live aliases it once a hop compacts into it
 	for len(batch) > 0 {
-		chunk := batch
-		if len(chunk) > batchCap {
-			chunk = chunk[:batchCap]
+		live := batch
+		if len(live) > batchCap {
+			live = live[:batchCap]
 		}
-		batch = batch[len(chunk):]
-		f.runChunk(e, pl, chunk, &agg)
+		batch = batch[len(live):]
+		inScratch := false
+
+		for h := 0; h < n && len(live) > 0; {
+			hp := &pl.hops[h]
+			tally[h].enter = int32(len(live))
+			switch hp.kind {
+			case stepPass:
+				h++
+			case stepCount:
+				// One byte-sum traversal serves every consecutive meter:
+				// they never drop, so they all see the same live set.
+				var bytes uint64
+				for _, p := range live {
+					bytes += uint64(len(p.Data))
+				}
+				for h < n && pl.hops[h].kind == stepCount {
+					tally[h] = hopTally{enter: int32(len(live)), bytes: bytes}
+					h++
+				}
+			case stepDrop:
+				tally[h].drops = int32(len(live))
+				for _, p := range live {
+					p.Release()
+				}
+				live = live[:0]
+				h++
+			default: // stepProc
+				// proc stays in a register across the closure calls: the
+				// compiler would otherwise reload the hop field every
+				// iteration, since a closure call could alias it.
+				proc := hp.proc
+				i := 0
+				for i < len(live) && proc(live[i]) {
+					i++
+				}
+				if i == len(live) {
+					h++
+					continue
+				}
+				// First drop at i. Survivors before it stay a read-only
+				// view; the first subsequent keeper forces them into
+				// scratch (an in-place no-op once live already is scratch,
+				// since the write index never passes the read index).
+				d := int32(1)
+				live[i].Release()
+				kept := live[:i]
+				for _, p := range live[i+1:] {
+					if !proc(p) {
+						d++
+						p.Release()
+						continue
+					}
+					if !inScratch {
+						if scratch == nil {
+							scratch = GetBatch()
+						}
+						kept = append(scratch[:0], kept...)
+						inScratch = true
+					}
+					kept = append(kept, p)
+				}
+				tally[h].drops = d
+				live = kept
+				h++
+			}
+		}
+
+		failed := 0
+		if len(live) > 0 {
+			var tail IPacketPush
+			if pl.tail != nil {
+				tail, _ = pl.tail.Get()
+			}
+			if tail == nil {
+				// Unbound tail (or a terminal hop that unexpectedly kept a
+				// packet): the last hop drops.
+				tally[n-1].drops += int32(len(live))
+				for _, p := range live {
+					p.Release()
+				}
+			} else if err := ForwardBatch(tail, live); err != nil {
+				before := agg.failed
+				agg.note(err, len(live))
+				failed = agg.failed - before
+			}
+		}
+
+		for h := range pl.hops {
+			c, t := pl.hops[h].counters, &tally[h]
+			if t.enter == 0 {
+				break // never reached: an earlier hop consumed everything
+			}
+			c.in.Add(uint64(t.enter))
+			if t.drops > 0 {
+				c.dropped.Add(uint64(t.drops))
+			}
+			if out := int(t.enter-t.drops) - failed; out > 0 {
+				c.out.Add(uint64(out))
+			}
+			if failed > 0 {
+				c.errs.Add(uint64(failed))
+			}
+			if t.bytes != 0 {
+				pl.hops[h].meter.Add(t.bytes)
+			}
+		}
+		if len(batch) > 0 {
+			clear(tally) // for the next chunk; the caller handed it in zeroed
+		}
+	}
+	if scratch != nil {
+		PutBatch(scratch) // every packet in it was delivered or released
 	}
 	return agg.err()
 }
 
-// runChunk executes one ≤batchCap chunk hop-major: each processing hop
-// compacts the surviving ("live") set, pass-through byte meters
-// (stepCount) collapse into a single traversal shared by every consecutive
-// meter, and the compacted survivors leave to the tail as ONE batch. The
-// caller's slice is never mutated (callers reuse their batches): survivors
-// move into a pooled scratch batch lazily, at the first hop that both
-// drops and keeps — the no-drop and drop-everything paths never copy. The
-// shared counters of every hop — and of the source e — are replayed
-// afterwards to precisely the values the hop-by-hop path would have
-// produced, including per-packet-exact error accounting via BatchError.
-func (f *ChainFuser) runChunk(e *elementCounters, pl *fusedPlan, chunk []*Packet, agg *batchErrAgg) {
-	n := len(pl.hops)
-	var enters [maxFuseDepth]int32
-	var drops [maxFuseDepth]int32
-	var accs [maxFuseDepth]int64
-
-	live := chunk
-	var scratch []*Packet // pooled; live aliases it once inScratch
-	inScratch := false
-	prevFailed := agg.failed
-
-	for h := 0; h < n && len(live) > 0; {
-		hp := &pl.hops[h]
-		switch hp.kind {
-		case stepPass:
-			enters[h] = int32(len(live))
-			h++
-		case stepCount:
-			// One byte-sum traversal serves every consecutive meter: they
-			// never drop, so they all see the same live set.
-			var acc int64
-			for _, p := range live {
-				acc += int64(len(p.Data))
-			}
-			for h < n && pl.hops[h].kind == stepCount {
-				enters[h] = int32(len(live))
-				accs[h] = acc
-				h++
-			}
-		case stepDrop:
-			enters[h] = int32(len(live))
-			drops[h] = int32(len(live))
-			for _, p := range live {
-				p.Release()
-			}
-			live = live[:0]
-			h++
-		default: // stepProc
-			enters[h] = int32(len(live))
-			// proc and the accumulators stay in registers across the
-			// closure calls: the compiler would otherwise reload the hop
-			// fields and spill accs[h] every iteration, since a closure
-			// call could alias them.
-			proc := hp.proc
-			var acc int64
-			i := 0
-			for ; i < len(live); i++ {
-				keep, a := proc(live[i])
-				acc += a
-				if !keep {
-					break
-				}
-			}
-			if i == len(live) {
-				accs[h] = acc
-				h++
-				continue
-			}
-			// First drop at i. Survivors before it stay a read-only view;
-			// the first subsequent keeper forces them into scratch (an
-			// in-place no-op once live already is scratch, since the write
-			// index never passes the read index).
-			d := int32(1)
-			live[i].Release()
-			kept := live[:i]
-			for j := i + 1; j < len(live); j++ {
-				keep, a := proc(live[j])
-				acc += a
-				if !keep {
-					d++
-					live[j].Release()
-					continue
-				}
-				if !inScratch {
-					if scratch == nil {
-						scratch = GetBatch()
-					}
-					kept = append(scratch[:0], kept...)
-					inScratch = true
-				}
-				kept = append(kept, live[j])
-			}
-			accs[h] = acc
-			drops[h] = d
-			live = kept
-			h++
-		}
-	}
-
-	tailDrops := 0
-	if len(live) > 0 {
-		delivered := false
-		if pl.tail != nil {
-			if tail, ok := pl.tail.Get(); ok {
-				agg.note(ForwardBatch(tail, live), len(live))
-				delivered = true
-			}
-		}
-		if !delivered {
-			// Unbound tail (or a terminal hop that unexpectedly kept a
-			// packet): the last hop drops, as its forwardBatch would.
-			tailDrops = len(live)
-			for _, p := range live {
-				p.Release()
-			}
-		}
-	}
-	if scratch != nil {
-		PutBatch(scratch) // packets already delivered or released
-	}
-
-	failed := agg.failed - prevFailed
-	// Source accounting, as its forwardBatch: out for everything the first
-	// hop accepted minus downstream failures, errs per failed packet.
-	e.out.Add(uint64(len(chunk) - failed))
-	if failed > 0 {
-		e.errs.Add(uint64(failed))
-	}
-	for h := 0; h < n; h++ {
-		hp := &pl.hops[h]
-		enter := int(enters[h])
-		if enter == 0 {
-			// Never reached: the hop-by-hop path short-circuits empty
-			// batches before any counter touch.
-			continue
-		}
-		hp.counters.in.Add(uint64(enter))
-		d := int(drops[h])
-		if h == n-1 {
-			d += tailDrops
-		}
-		if d > 0 {
-			hp.counters.dropped.Add(uint64(d))
-		}
-		if out := enter - d - failed; out > 0 {
-			hp.counters.out.Add(uint64(out))
-		}
-		if failed > 0 {
-			hp.counters.errs.Add(uint64(failed))
-		}
-		if hp.flush != nil && accs[h] != 0 {
-			hp.flush(accs[h])
-		}
-	}
-}
-
-// runOne executes one packet through the fused plan, replaying the exact
-// per-packet accounting: hops upstream of a drop count the packet out
-// (their downstream absorbed it and returned nil), a tail error charges
-// errs at every hop, and hops past a drop never see it at all.
-func (f *ChainFuser) runOne(e *elementCounters, pl *fusedPlan, p *Packet) error {
-	n := len(pl.hops)
-	dropAt := -1
-	for h := 0; h < n; h++ {
-		hp := &pl.hops[h]
-		switch hp.kind {
-		case stepPass:
-		case stepCount:
-			hp.flush(int64(len(p.Data)))
-		case stepDrop:
-			dropAt = h
-		default: // stepProc
-			keep, a := hp.proc(p)
-			if a != 0 && hp.flush != nil {
-				hp.flush(a)
-			}
-			if !keep {
-				dropAt = h
-			}
-		}
-		if dropAt >= 0 {
-			break
-		}
-	}
-	var err error
-	if dropAt < 0 {
-		if pl.tail != nil {
-			if tail, ok := pl.tail.Get(); ok {
-				err = tail.Push(p)
-			} else {
-				dropAt = n - 1 // unbound tail: last hop drops
-			}
-		} else {
-			dropAt = n - 1 // terminal hop kept it: consume defensively
-		}
-	}
-	if dropAt >= 0 {
-		p.Release()
-	}
-	last := n - 1
-	if dropAt >= 0 {
-		last = dropAt
-	}
-	for h := 0; h <= last; h++ {
-		c := pl.hops[h].counters
-		c.in.Add(1)
-		switch {
-		case h == dropAt:
-			c.dropped.Add(1)
-		case err != nil:
-			c.errs.Add(1)
-		default:
-			c.out.Add(1)
-		}
-	}
-	if err != nil {
-		e.errs.Add(1)
-		return err
-	}
-	e.out.Add(1)
-	return nil
-}
-
-// FusedHops reports the current plan's depth, 0 while de-specialised.
-// This is the `fused` gauge's value: the reflective loop watches it drop
-// to 0 on interceptor install and return on re-fusion.
+// FusedHops reports how many hops behind the head the current compiled
+// plan flattens, 0 while de-specialised. This is the `fused` gauge's
+// value: the reflective loop watches it drop to 0 on interceptor install
+// and return on re-fusion.
 func (f *ChainFuser) FusedHops() int {
 	pl := f.plan.Load()
 	if pl == nil || pl.gen != f.gen.Load() {
 		return 0
 	}
-	return len(pl.hops)
+	return len(pl.hops) - 1
 }
 
 // Fusions reports how many plans have been compiled.
@@ -558,81 +454,80 @@ func (f *ChainFuser) statList() []core.Stat {
 }
 
 // ---------------------------------------------------------------------------
-// Fusible steps of the standard components
+// Steps of the standard linear elements
 //
-// Each step's proc mirrors its component's PushBatch keep-closure exactly
-// (same specialised counters, same mutation order); the shared counter
-// block and forwarding are replayed by the runner.
+// A proc maintains its element's specialised counters; the shared counter
+// block and forwarding belong to the runner.
 
-func (c *Counter) fuseStep() (fuseStep, bool) {
+func (c *Counter) fuseStep() fuseStep {
 	return fuseStep{
 		kind:     stepCount,
-		flush:    func(acc int64) { c.bytes.Add(uint64(acc)) },
+		meter:    &c.bytes,
 		counters: &c.elementCounters,
 		out:      c.out,
-	}, true
+	}
 }
 
-func (h *IPv4Proc) fuseStep() (fuseStep, bool) {
+func (h *IPv4Proc) fuseStep() fuseStep {
 	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
+		proc: func(p *Packet) bool {
 			if h.validate {
 				if packet.ValidateIPv4Checksum(p.Data) != nil {
 					h.csDrops.Add(1)
-					return false, 0
+					return false
 				}
 			}
 			if packet.DecrementTTL(p.Data) != nil {
 				h.ttlDrops.Add(1)
-				return false, 0
+				return false
 			}
-			return true, 0
+			return true
 		},
 		counters: &h.elementCounters,
 		out:      h.out,
-	}, true
+	}
 }
 
-func (h *IPv6Proc) fuseStep() (fuseStep, bool) {
+func (h *IPv6Proc) fuseStep() fuseStep {
 	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
+		proc: func(p *Packet) bool {
 			if packet.DecrementHopLimit(p.Data) != nil {
 				h.hopDrops.Add(1)
-				return false, 0
+				return false
 			}
-			return true, 0
+			return true
 		},
 		counters: &h.elementCounters,
 		out:      h.out,
-	}, true
+	}
 }
 
-func (v *ChecksumValidator) fuseStep() (fuseStep, bool) {
+func (v *ChecksumValidator) fuseStep() fuseStep {
 	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
-			return packet.Version(p.Data) != 4 || packet.ValidateIPv4Checksum(p.Data) == nil, 0
+		proc: func(p *Packet) bool {
+			return packet.Version(p.Data) != 4 || packet.ValidateIPv4Checksum(p.Data) == nil
 		},
 		counters: &v.elementCounters,
 		out:      v.out,
-	}, true
+	}
 }
 
-func (s *TokenShaper) fuseStep() (fuseStep, bool) {
+func (s *TokenShaper) fuseStep() fuseStep {
 	return fuseStep{
-		proc: func(p *Packet) (bool, int64) {
-			return s.bucket.Allow(len(p.Data)), 0
+		proc: func(p *Packet) bool {
+			return s.bucket.Allow(len(p.Data))
 		},
 		counters: &s.elementCounters,
 		out:      s.out,
-	}, true
+	}
 }
 
-func (d *Dropper) fuseStep() (fuseStep, bool) {
+func (d *Dropper) fuseStep() fuseStep {
 	return fuseStep{
 		kind:     stepDrop,
 		counters: &d.elementCounters,
 		out:      nil, // terminal: consumes everything
-	}, true
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -664,22 +559,16 @@ func NewFastPath(c *core.Capsule) *FastPath {
 	f.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	f.AddReceptacle("out", f.out)
 	f.Provide(IPacketPushID, f)
-	f.fuse = NewChainFuser(c, f.out)
+	f.fuse = newChainFuser(c, f.fuseStep())
 	return f
 }
 
-// Push implements IPacketPush through the fused plan when one is valid.
-func (f *FastPath) Push(p *Packet) error {
-	f.in.Add(1)
-	return f.fuse.ForwardOne(&f.elementCounters, f.out, p)
-}
+// Push implements IPacketPush.
+func (f *FastPath) Push(p *Packet) error { return pushOne(f, p) }
 
-// PushBatch implements IPacketPushBatch through the fused plan when one is
-// valid.
-func (f *FastPath) PushBatch(batch []*Packet) error {
-	f.in.Add(uint64(len(batch)))
-	return f.fuse.Forward(&f.elementCounters, f.out, batch)
-}
+// PushBatch implements IPacketPushBatch through the compiled plan when one
+// is valid, the FastPath's own one-hop plan otherwise.
+func (f *FastPath) PushBatch(batch []*Packet) error { return f.fuse.Forward(batch) }
 
 // Fuser exposes the fuser for fence control and introspection.
 func (f *FastPath) Fuser() *ChainFuser { return f.fuse }
@@ -690,8 +579,8 @@ func (f *FastPath) Stats() []core.Stat {
 	return append(f.statList(), f.fuse.statList()...)
 }
 
-func (f *FastPath) fuseStep() (fuseStep, bool) {
-	return fuseStep{kind: stepPass, counters: &f.elementCounters, out: f.out}, true
+func (f *FastPath) fuseStep() fuseStep {
+	return fuseStep{kind: stepPass, counters: &f.elementCounters, out: f.out}
 }
 
 var (

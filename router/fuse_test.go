@@ -11,11 +11,10 @@ import (
 	"netkit/packet"
 )
 
-// Tests for bind-time chain fusion (DESIGN.md §8): the fused fast path
-// must be observationally indistinguishable from the hop-by-hop path —
-// same deliveries, same per-flow order, same counters, same errors — and
-// must de-specialise losslessly the instant the meta-level touches the
-// chain.
+// Tests for bind-time chain fusion (DESIGN.md §8): one N-hop plan must be
+// observationally indistinguishable from N chained one-hop plans — same
+// deliveries, same per-flow order, same counters, same errors — and must
+// de-specialise losslessly the instant the meta-level touches the chain.
 
 // statMap projects a component's flat stats into name -> value, the shape
 // the equivalence assertions compare hop by hop.
@@ -261,9 +260,12 @@ func TestFusedTerminalChain(t *testing.T) {
 // FuzzFusedEquivalence is the fusion correctness contract as a fuzz
 // property: for ANY chain drawn from the fusible palette, ANY packet
 // stream (mixed TTLs, corrupted checksums), ANY batch segmentation, and
-// both entry paths (Push and PushBatch), the fused chain and an identical
-// unfused chain deliver the same packets in the same per-flow order and
-// finish with identical counters on every hop — shared and specialised.
+// both entry forms (Push and PushBatch), one N-hop plan and an identical
+// chain of N one-hop plans deliver the same packets in the same per-flow
+// order and finish with identical counters on every hop — shared and
+// specialised. Both sides run the same runner, so for shaper-free chains
+// the delivery count is also checked against a model that knows only the
+// stream: which packets expire, which fail their checksum.
 func FuzzFusedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(7), []byte{4, 9, 2}, false)
 	f.Add(uint64(99), uint8(0), uint8(0), []byte{1}, true)
@@ -280,18 +282,35 @@ func FuzzFusedEquivalence(f *testing.F) {
 		// — is a pure function of the packet sequence.
 		frozen := time.Now()
 		clock := func() time.Time { return frozen }
+		// survives is the stream-side model of one hop: does a packet with
+		// this TTL and checksum state come out the other end? nil for the
+		// shaper, whose verdict depends on what came before.
+		type survives func(ttl *uint8, corrupt bool) bool
+		var model []survives
 		mkChain := func() []core.Component {
 			r := xorshift(seed) // same draw sequence for both chains
 			comps := make([]core.Component, hops)
+			model = model[:0]
 			for i := range comps {
 				switch r.next() % 4 {
 				case 0:
 					comps[i] = NewCounter()
+					model = append(model, func(*uint8, bool) bool { return true })
 				case 1:
-					comps[i] = NewIPv4Proc(r.next()%2 == 0)
+					validate := r.next()%2 == 0
+					comps[i] = NewIPv4Proc(validate)
+					model = append(model, func(ttl *uint8, corrupt bool) bool {
+						if validate && corrupt {
+							return false
+						}
+						*ttl--
+						return *ttl > 0
+					})
 				case 2:
 					comps[i] = NewChecksumValidator()
+					model = append(model, func(_ *uint8, corrupt bool) bool { return !corrupt })
 				default:
+					model = append(model, nil)
 					sh, err := NewTokenShaper(1e-6, 256+float64(r.next()%8192), clock)
 					if err != nil {
 						t.Fatal(err)
@@ -357,7 +376,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 		refHead := refComps[0].(IPacketPush)
 
 		// Drive both with the same segmentation. The reference head is hit
-		// directly (no FastPath), so it runs the ordinary hop-by-hop path.
+		// directly (no FastPath), so every hop runs its own one-hop plan.
 		k := 0
 		limit := func() int {
 			if len(splits) == 0 {
@@ -404,6 +423,25 @@ func FuzzFusedEquivalence(f *testing.F) {
 		// otherwise.
 		if got := fp.Fuser().FusedHops(); got != hops {
 			t.Fatalf("fused %d of %d hops", got, hops)
+		}
+
+		// The deliveries the stream itself predicts.
+		want, modelled := 0, true
+		for _, u := range stream {
+			ttl, alive := u.ttl, true
+			for _, hop := range model {
+				if hop == nil {
+					modelled = false
+				} else if alive {
+					alive = hop(&ttl, u.corrupt)
+				}
+			}
+			if alive {
+				want++
+			}
+		}
+		if modelled && refSink.total() != want {
+			t.Fatalf("one-hop chain delivered %d, the stream predicts %d", refSink.total(), want)
 		}
 
 		// Same deliveries, same per-flow order.

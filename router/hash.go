@@ -35,10 +35,24 @@ func fnv1aBytes(h uint32, bs []byte) uint32 {
 	return h
 }
 
+// avalanche is the murmur3 finaliser. FNV-1a multiplies by an odd prime,
+// so bit 0 of its state is only ever the XOR of the input bytes' bit 0:
+// without a final mix, flows whose port counts in step with their address
+// would all land on one of two lanes.
+func avalanche(h uint32) uint32 {
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return h
+}
+
 // FlowHash returns the RSS-style flow hash of p: FNV-1a over the packet's
 // source and destination addresses, protocol and — for TCP/UDP — transport
-// ports, read directly from the raw bytes so hashing costs no header-view
-// extraction. Same 5-tuple ⇒ same hash; unparseable packets return 0.
+// ports, then an avalanche mix so every bit (FlowShard takes the low ones)
+// depends on every input bit. It reads the raw bytes directly, so hashing
+// costs no header-view extraction. Same 5-tuple ⇒ same hash; unparseable packets return 0.
 func FlowHash(p *Packet) uint32 { return FlowHashRaw(p.Data) }
 
 // FlowHashRaw is FlowHash over raw IP packet bytes.
@@ -59,7 +73,7 @@ func FlowHashRaw(b []byte) uint32 {
 			ihl >= 20 && len(b) >= ihl+4 {
 			h = fnv1aBytes(h, b[ihl:ihl+4]) // src+dst port
 		}
-		return h
+		return avalanche(h)
 	case 6:
 		if len(b) < packet.IPv6HeaderLen {
 			return 0
@@ -71,7 +85,7 @@ func FlowHashRaw(b []byte) uint32 {
 			len(b) >= packet.IPv6HeaderLen+4 {
 			h = fnv1aBytes(h, b[40:44])
 		}
-		return h
+		return avalanche(h)
 	default:
 		return 0
 	}

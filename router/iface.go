@@ -6,14 +6,16 @@
 // wrappers, classifiers, protocol recognisers, IPv4/IPv6 header
 // processors, queues, link schedulers, shapers and counters.
 //
-// # The batched fast path
+// # The data path
 //
-// Alongside the per-packet IPacketPush contract, components may implement
-// IPacketPushBatch to amortise the cross-component indirect call over a
-// whole []*Packet batch (DESIGN.md §4). Adoption is incremental: callers
-// hand batches to ForwardBatch, which takes the batch path when the
-// downstream supports it and degrades to per-packet Push otherwise, so
-// batch-aware and per-packet components compose freely on one pipeline.
+// PushBatch (IPacketPushBatch) is the data-plane contract: every standard
+// component states its behaviour once, for a []*Packet batch, amortising
+// the cross-component indirect call over the whole batch (DESIGN.md §4).
+// Push (IPacketPush, the interface bindings are made on) is its
+// batch-of-one form — on every standard component a one-line call to one
+// allocation-free adapter. In the other direction ForwardBatch hands a
+// batch to a plug-in that implements only Push, one call per packet, so
+// per-packet third-party components still compose on one pipeline.
 //
 // Ownership on the batch path follows two rules:
 //
@@ -186,9 +188,9 @@ func (p *pushProxy) Push(pkt *Packet) error {
 // PushBatch keeps the batch path alive across an intercepted binding: the
 // whole batch crosses the chain as ONE "PushBatch" operation (args[0] is
 // the []*Packet), so interceptors pay per batch, not per packet. When the
-// proxied target has no batch path the proxy degrades to per-packet "Push"
-// operations, so every packet is observed by the chain exactly once either
-// way.
+// proxied target is per-packet only the proxy presents one "Push"
+// operation per packet, so every packet is observed by the chain exactly
+// once either way.
 func (p *pushProxy) PushBatch(batch []*Packet) error {
 	bt, ok := p.target.(IPacketPushBatch)
 	if !ok {

@@ -325,18 +325,7 @@ func NewNICSink(dev osabs.Device) (*NICSink, error) {
 func (s *NICSink) Device() osabs.Device { return s.dev }
 
 // Push implements IPacketPush.
-func (s *NICSink) Push(p *Packet) error {
-	s.in.Add(1)
-	one := [][]byte{p.Data}
-	sent, _ := s.dev.SendBatch(one)
-	p.Release()
-	if sent == 1 {
-		s.out.Add(1)
-	} else {
-		s.dropped.Add(1)
-	}
-	return nil
-}
+func (s *NICSink) Push(p *Packet) error { return pushOne(s, p) }
 
 // PushBatch implements IPacketPushBatch: the whole batch's frames are
 // gathered into one pooled [][]byte and handed to the device in a single
@@ -421,7 +410,7 @@ func (k *KernelSource) Start(context.Context) error {
 		// Pooled scratch makes the steady-state poll loop allocation-free:
 		// frames land in a recycled [][]byte, are wrapped into a recycled
 		// []*Packet, and the whole batch crosses the pipeline in one
-		// PushBatch (or degrades per packet downstream — see ForwardBatch).
+		// PushBatch.
 		frames := buffers.Batches.Get()
 		pkts := GetBatch()
 		// Deferred closures, not bound arguments: both slices are

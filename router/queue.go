@@ -9,18 +9,101 @@ import (
 	"netkit/core"
 )
 
+// queueCore is what the queue disciplines share: the element counters, a
+// locked packet ring, its pull side, and the seal that hot-swap closes the
+// ring with. Admission (drop-tail, RED) is each discipline's own.
+type queueCore struct {
+	elementCounters
+
+	mu     sync.Mutex
+	ring   []*Packet
+	head   int
+	size   int
+	sealed bool        // ExportState ran: the ring admits nothing more
+	heir   IPacketPush // takes what reaches a sealed queue; nil = drop
+}
+
+// putLocked appends p to the ring, which must have room. Caller holds mu.
+func (c *queueCore) putLocked(p *Packet) {
+	c.ring[(c.head+c.size)%len(c.ring)] = p
+	c.size++
+}
+
+// late disposes of a batch that reached the queue after ExportState sealed
+// it — a push that loaded its binding target just before HotSwap diverted
+// the binding. The packets go to the replacement HotSwap recorded, or are
+// counted and dropped: never left in a ring nobody pulls from.
+func (c *queueCore) late(batch []*Packet) error {
+	if c.heir != nil {
+		return ForwardBatch(c.heir, batch)
+	}
+	c.in.Add(uint64(len(batch)))
+	c.dropped.Add(uint64(len(batch)))
+	for _, p := range batch {
+		p.Release()
+	}
+	return nil
+}
+
+// Pull implements IPacketPull.
+func (c *queueCore) Pull() (*Packet, error) {
+	c.mu.Lock()
+	if c.size == 0 {
+		c.mu.Unlock()
+		return nil, ErrNoPacket
+	}
+	p := c.ring[c.head]
+	c.ring[c.head] = nil
+	c.head = (c.head + 1) % len(c.ring)
+	c.size--
+	c.mu.Unlock()
+	c.out.Add(1)
+	return p, nil
+}
+
+// drainLocked pops up to max packets into dst (appending, clearing the
+// vacated slots). Caller holds mu.
+func (c *queueCore) drainLocked(dst []*Packet, max int) []*Packet {
+	for n := min(c.size, max); n > 0; n-- {
+		dst = append(dst, c.ring[c.head])
+		c.ring[c.head] = nil
+		c.head = (c.head + 1) % len(c.ring)
+		c.size--
+	}
+	return dst
+}
+
+// PullBatch moves up to max queued packets into dst (appending) under one
+// lock acquisition and returns the extended slice: the batch-granular way
+// to drain the push/pull boundary for callers that own their service loop.
+// (The LinkScheduler still pulls per packet — its disciplines account
+// bytes per packet — and batches on its egress side.)
+func (c *queueCore) PullBatch(dst []*Packet, max int) []*Packet {
+	before := len(dst)
+	c.mu.Lock()
+	dst = c.drainLocked(dst, max)
+	c.mu.Unlock()
+	c.out.Add(uint64(len(dst) - before))
+	return dst
+}
+
+// Len reports the queued packet count.
+func (c *queueCore) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
+}
+
+// Capacity reports the configured limit.
+func (c *queueCore) Capacity() int { return len(c.ring) }
+
 // FIFOQueue is the standard store-and-forward element: IPacketPush on the
 // input side, IPacketPull on the output side (the push/pull boundary in
 // Figure 3 between the queueing and forwarding Gateway-CF instances).
 // Overflow is drop-tail.
 type FIFOQueue struct {
 	*core.Base
-	elementCounters
-
-	mu   sync.Mutex
-	ring []*Packet
-	head int
-	size int
+	queueCore
 }
 
 // NewFIFOQueue creates a queue with the given capacity.
@@ -28,50 +111,33 @@ func NewFIFOQueue(capacity int) (*FIFOQueue, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("router: queue capacity %d", capacity)
 	}
-	q := &FIFOQueue{
-		Base: core.NewBase(TypeFIFOQueue),
-		ring: make([]*Packet, capacity),
-	}
+	q := &FIFOQueue{Base: core.NewBase(TypeFIFOQueue)}
+	q.ring = make([]*Packet, capacity)
 	q.Provide(IPacketPushID, q)
 	q.Provide(IPacketPullID, q)
 	return q, nil
 }
 
-// Push implements IPacketPush (drop-tail on overflow; the drop is counted
-// and absorbed, not propagated, so upstream elements keep forwarding).
-func (q *FIFOQueue) Push(p *Packet) error {
-	q.in.Add(1)
-	q.mu.Lock()
-	if q.size == len(q.ring) {
-		q.mu.Unlock()
-		q.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	q.ring[(q.head+q.size)%len(q.ring)] = p
-	q.size++
-	q.mu.Unlock()
-	return nil
-}
+// Push implements IPacketPush.
+func (q *FIFOQueue) Push(p *Packet) error { return pushOne(q, p) }
 
 // PushBatch implements IPacketPushBatch: the whole batch is admitted under
 // one lock acquisition. Packets beyond the remaining capacity are dropped
-// (drop-tail, exactly as the per-packet path would have dropped them). The
-// packet pointers are copied into the ring — the batch slice itself is not
-// retained.
+// (drop-tail; the drop is counted and absorbed, not propagated, so
+// upstream elements keep forwarding). The packet pointers are copied into
+// the ring — the batch slice itself is not retained.
 func (q *FIFOQueue) PushBatch(batch []*Packet) error {
-	q.in.Add(uint64(len(batch)))
 	q.mu.Lock()
-	free := len(q.ring) - q.size
-	take := len(batch)
-	if take > free {
-		take = free
+	if q.sealed {
+		q.mu.Unlock()
+		return q.late(batch)
 	}
+	take := min(len(batch), len(q.ring)-q.size)
 	for _, p := range batch[:take] {
-		q.ring[(q.head+q.size)%len(q.ring)] = p
-		q.size++
+		q.putLocked(p)
 	}
 	q.mu.Unlock()
+	q.in.Add(uint64(len(batch)))
 	if over := batch[take:]; len(over) > 0 {
 		q.dropped.Add(uint64(len(over)))
 		for _, p := range over {
@@ -80,65 +146,6 @@ func (q *FIFOQueue) PushBatch(batch []*Packet) error {
 	}
 	return nil
 }
-
-// Pull implements IPacketPull.
-func (q *FIFOQueue) Pull() (*Packet, error) {
-	q.mu.Lock()
-	if q.size == 0 {
-		q.mu.Unlock()
-		return nil, ErrNoPacket
-	}
-	p := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) % len(q.ring)
-	q.size--
-	q.mu.Unlock()
-	q.out.Add(1)
-	return p, nil
-}
-
-// ringDrain pops up to max packets from a ring buffer into dst (appending,
-// clearing vacated slots) and returns the extended slice plus the updated
-// head, remaining size and count moved. Caller holds the queue lock.
-func ringDrain(ring []*Packet, head, size, max int, dst []*Packet) ([]*Packet, int, int, int) {
-	n := size
-	if n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, ring[head])
-		ring[head] = nil
-		head = (head + 1) % len(ring)
-	}
-	return dst, head, size - n, n
-}
-
-// PullBatch moves up to max queued packets into dst (appending) under one
-// lock acquisition and returns the extended slice: the batch-granular way
-// to drain the push/pull boundary for callers that own their service loop.
-// (The LinkScheduler still pulls per packet — its disciplines account
-// bytes per packet — and batches on its egress side via RunOnceBatch.)
-func (q *FIFOQueue) PullBatch(dst []*Packet, max int) []*Packet {
-	if max <= 0 {
-		return dst
-	}
-	q.mu.Lock()
-	var n int
-	dst, q.head, q.size, n = ringDrain(q.ring, q.head, q.size, max, dst)
-	q.mu.Unlock()
-	q.out.Add(uint64(n))
-	return dst
-}
-
-// Len reports the queued packet count.
-func (q *FIFOQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
-// Capacity reports the configured limit.
-func (q *FIFOQueue) Capacity() int { return len(q.ring) }
 
 // Stats implements core.IStats, adding the depth and occupancy gauges the
 // adaptation engine's queue rules watch.
@@ -160,12 +167,8 @@ func (q *FIFOQueue) Stats() []core.Stat {
 // paper's example in-band functions ("diffserv schedulers, shapers" class).
 type REDQueue struct {
 	*core.Base
-	elementCounters
+	queueCore
 
-	mu     sync.Mutex
-	ring   []*Packet
-	head   int
-	size   int
 	avg    float64
 	count  int // packets since last early drop
 	weight float64
@@ -215,13 +218,13 @@ func NewREDQueue(cfg REDConfig) (*REDQueue, error) {
 	}
 	q := &REDQueue{
 		Base:   core.NewBase(TypeREDQueue),
-		ring:   make([]*Packet, cfg.Capacity),
 		weight: cfg.Weight,
 		minTh:  cfg.MinTh,
 		maxTh:  cfg.MaxTh,
 		maxP:   cfg.MaxP,
 		rng:    cfg.Rand,
 	}
+	q.ring = make([]*Packet, cfg.Capacity)
 	q.Provide(IPacketPushID, q)
 	q.Provide(IPacketPullID, q)
 	return q, nil
@@ -250,40 +253,26 @@ func (q *REDQueue) admitLocked(p *Packet) (drop, forced bool) {
 		q.count = 0
 	}
 	if !drop {
-		q.ring[(q.head+q.size)%len(q.ring)] = p
-		q.size++
+		q.putLocked(p)
 	}
 	return drop, forced
 }
 
-// Push implements IPacketPush with RED admission.
-func (q *REDQueue) Push(p *Packet) error {
-	q.in.Add(1)
-	q.mu.Lock()
-	drop, forced := q.admitLocked(p)
-	q.mu.Unlock()
-	if drop {
-		if forced {
-			q.forcedDrops.Add(1)
-		} else {
-			q.earlyDrops.Add(1)
-		}
-		q.dropped.Add(1)
-		p.Release()
-	}
-	return nil
-}
+// Push implements IPacketPush.
+func (q *REDQueue) Push(p *Packet) error { return pushOne(q, p) }
 
 // PushBatch implements IPacketPushBatch: the RED decision stays strictly
-// per-packet (the EWMA evolves arrival by arrival, so admission behaviour
-// is identical to the per-packet path), but the whole batch is admitted
-// under one lock acquisition. Dropped packets are released outside the
-// lock.
+// per-packet (the EWMA evolves arrival by arrival), but the whole batch is
+// admitted under one lock acquisition. Dropped packets are released
+// outside the lock.
 func (q *REDQueue) PushBatch(batch []*Packet) error {
-	q.in.Add(uint64(len(batch)))
 	var drops []*Packet
 	var early, forcedN uint64
 	q.mu.Lock()
+	if q.sealed {
+		q.mu.Unlock()
+		return q.late(batch)
+	}
 	for _, p := range batch {
 		if drop, forced := q.admitLocked(p); drop {
 			if forced {
@@ -295,6 +284,7 @@ func (q *REDQueue) PushBatch(batch []*Packet) error {
 		}
 	}
 	q.mu.Unlock()
+	q.in.Add(uint64(len(batch)))
 	if len(drops) > 0 {
 		q.earlyDrops.Add(early)
 		q.forcedDrops.Add(forcedN)
@@ -304,44 +294,6 @@ func (q *REDQueue) PushBatch(batch []*Packet) error {
 		}
 	}
 	return nil
-}
-
-// Pull implements IPacketPull.
-func (q *REDQueue) Pull() (*Packet, error) {
-	q.mu.Lock()
-	if q.size == 0 {
-		q.mu.Unlock()
-		return nil, ErrNoPacket
-	}
-	p := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) % len(q.ring)
-	q.size--
-	q.mu.Unlock()
-	q.out.Add(1)
-	return p, nil
-}
-
-// PullBatch moves up to max queued packets into dst (appending) under one
-// lock acquisition and returns the extended slice (see
-// FIFOQueue.PullBatch).
-func (q *REDQueue) PullBatch(dst []*Packet, max int) []*Packet {
-	if max <= 0 {
-		return dst
-	}
-	q.mu.Lock()
-	var n int
-	dst, q.head, q.size, n = ringDrain(q.ring, q.head, q.size, max, dst)
-	q.mu.Unlock()
-	q.out.Add(uint64(n))
-	return dst
-}
-
-// Len reports the instantaneous queue length.
-func (q *REDQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
 }
 
 // AvgLen reports the EWMA queue length RED decides on.

@@ -58,15 +58,24 @@ func (g *Gate) Do(fn func()) {
 }
 
 // HotSwap replaces component oldName with newComp (inserted as newName)
-// without dropping packets:
+// without losing packets:
 //
 //  1. newComp is inserted and its receptacles are bound to the same
 //     targets as oldName's (the downstream wiring is duplicated);
 //  2. every binding INTO oldName is atomically retargeted to newName via
 //     the capsule's Rebind primitive (single atomic pointer swap per
 //     binding — concurrent pushes see old or new, never a gap);
-//  3. if both components implement Exportable, state is migrated;
+//  3. if both components implement Exportable, state is migrated. The
+//     standard queues seal on export: a push that loaded the old target
+//     just before step 2 and arrives after the drain is handed on to
+//     newComp, so it is not stranded in a removed queue;
 //  4. oldName's bindings are dismantled and the component is removed.
+//
+// Conservation holds with pushers running; per-flow order across the swap
+// does not. Packets pushed between steps 2 and 3 enter newComp ahead of
+// the migrated backlog, and a handed-on late push may too. A caller that
+// needs order quiesces the pushers around the swap, as ShardedCF.HotSwap
+// does with its lane gates.
 //
 // The old component must not be a composite boundary re-exporting shared
 // receptacles. On failure the capsule may be left with newName inserted
@@ -82,7 +91,6 @@ func HotSwap(c *core.Capsule, oldName, newName string, newComp core.Component) e
 
 	// Duplicate the outgoing wiring: for each of old's bound receptacles,
 	// bind new's same-named receptacle to the same server.
-	var outBindings []*core.Binding
 	for _, b := range c.BindingsOf(oldName) {
 		from, recp := b.From()
 		if from != oldName {
@@ -93,13 +101,10 @@ func HotSwap(c *core.Capsule, oldName, newName string, newComp core.Component) e
 			return fmt.Errorf("router: hotswap: replacement lacks receptacle %q: %w",
 				recp, core.ErrNotFound)
 		}
-		nb, err := c.Bind(newName, recp, to, iface)
-		if err != nil {
+		if _, err := c.Bind(newName, recp, to, iface); err != nil {
 			return fmt.Errorf("router: hotswap: rewiring %s.%s: %w", newName, recp, err)
 		}
-		outBindings = append(outBindings, nb)
 	}
-	_ = outBindings
 
 	// Match the old component's lifecycle state before diverting traffic,
 	// so active replacements (pumps, schedulers) are already running when
@@ -121,9 +126,15 @@ func HotSwap(c *core.Capsule, oldName, newName string, newComp core.Component) e
 		}
 	}
 
-	// Migrate state after diversion so the exporter sees no new input.
+	// Migrate state after diversion, so the exporter sees no new input
+	// beyond the late pushes its seal hands to the replacement.
 	if exp, ok := oldComp.(Exportable); ok {
 		if imp, ok := newComp.(Exportable); ok {
+			if s, ok := oldComp.(interface{ setHeir(IPacketPush) }); ok {
+				if next, ok := newComp.Provided(IPacketPushID); ok {
+					s.setHeir(next.(IPacketPush))
+				}
+			}
 			if err := imp.ImportState(exp.ExportState()); err != nil {
 				return fmt.Errorf("router: hotswap: state migration: %w", err)
 			}
@@ -157,16 +168,21 @@ type fifoState struct {
 	packets []*Packet
 }
 
-// ExportState implements Exportable: it drains the queue.
-func (q *FIFOQueue) ExportState() any {
-	var ps []*Packet
-	for {
-		p, err := q.Pull()
-		if err != nil {
-			break
-		}
-		ps = append(ps, p)
-	}
+// setHeir records where packets reaching the queue after ExportState go.
+func (c *queueCore) setHeir(next IPacketPush) {
+	c.mu.Lock()
+	c.heir = next
+	c.mu.Unlock()
+}
+
+// ExportState implements Exportable: it seals the queue and drains it, in
+// one critical section, so no push can land behind the drain.
+func (c *queueCore) ExportState() any {
+	c.mu.Lock()
+	c.sealed = true
+	ps := c.drainLocked(nil, c.size)
+	c.mu.Unlock()
+	c.out.Add(uint64(len(ps)))
 	return &fifoState{packets: ps}
 }
 
@@ -176,60 +192,39 @@ func (q *FIFOQueue) ImportState(state any) error {
 	if !ok {
 		return fmt.Errorf("router: fifo import: bad state %T", state)
 	}
-	for _, p := range st.packets {
-		if err := q.Push(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return q.PushBatch(st.packets)
 }
 
 var _ Exportable = (*FIFOQueue)(nil)
 
-// ExportState implements Exportable: it drains the RED queue.
-func (q *REDQueue) ExportState() any {
-	var ps []*Packet
-	for {
-		p, err := q.Pull()
-		if err != nil {
-			break
-		}
-		ps = append(ps, p)
-	}
-	return &fifoState{packets: ps}
-}
-
 // ImportState implements Exportable. Migrated packets were already
 // admitted by the predecessor queue, so they bypass RED's admission test
 // and enqueue directly; only a genuinely full ring drops (counted as a
-// forced drop), exactly as the per-packet path would at capacity. The
-// EWMA is seeded to the imported backlog, so a queue swapped in *because*
-// of congestion starts early-dropping immediately instead of spending
-// ~1/weight arrivals warming up from zero.
+// forced drop). The EWMA is seeded to the imported backlog, so a queue
+// swapped in *because* of congestion starts early-dropping immediately
+// instead of spending ~1/weight arrivals warming up from zero.
 func (q *REDQueue) ImportState(state any) error {
 	st, ok := state.(*fifoState)
 	if !ok {
 		return fmt.Errorf("router: red import: bad state %T", state)
 	}
-	for _, p := range st.packets {
-		q.in.Add(1)
-		q.mu.Lock()
-		if q.size == len(q.ring) {
-			q.mu.Unlock()
-			q.forcedDrops.Add(1)
-			q.dropped.Add(1)
-			p.Release()
-			continue
-		}
-		q.ring[(q.head+q.size)%len(q.ring)] = p
-		q.size++
-		q.mu.Unlock()
-	}
 	q.mu.Lock()
+	take := min(len(st.packets), len(q.ring)-q.size)
+	for _, p := range st.packets[:take] {
+		q.putLocked(p)
+	}
 	if avg := float64(q.size); q.avg < avg {
 		q.avg = avg
 	}
 	q.mu.Unlock()
+	q.in.Add(uint64(len(st.packets)))
+	if over := st.packets[take:]; len(over) > 0 {
+		q.forcedDrops.Add(uint64(len(over)))
+		q.dropped.Add(uint64(len(over)))
+		for _, p := range over {
+			p.Release()
+		}
+	}
 	return nil
 }
 

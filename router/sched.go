@@ -34,6 +34,8 @@ type schedInput struct {
 // from its input queues according to the configured discipline and pushes
 // to its output (typically a NIC sink). It runs either as a pump (Start/
 // Stop) or synchronously via RunOnce for deterministic tests and benches.
+// Each service round leaves as one PushBatch, so the egress binding is
+// crossed once per round, not once per packet.
 type LinkScheduler struct {
 	*core.Base
 	elementCounters
@@ -43,8 +45,7 @@ type LinkScheduler struct {
 	mu      sync.Mutex
 	inputs  []*schedInput
 	next    int
-	collect bool      // emit() appends to scratch instead of pushing
-	scratch []*Packet // pending batch, reused across RunOnceBatch calls
+	scratch []*Packet // the round's departure batch, reused across RunOnce calls
 
 	pumpMu sync.Mutex
 	quit   chan struct{}
@@ -134,22 +135,31 @@ func (s *LinkScheduler) Inputs() []string {
 	return out
 }
 
-// RunOnce serves up to maxPkts packets per the discipline and returns the
-// number actually forwarded.
+// RunOnce serves up to maxPkts packets per the discipline, pushes them
+// downstream in emission order as one batch, and returns how many it
+// served.
 func (s *LinkScheduler) RunOnce(maxPkts int) int {
 	if maxPkts <= 0 {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.scratch = s.scratch[:0]
+	var served int
 	switch s.policy {
 	case PolicyStrict:
-		return s.runStrict(maxPkts)
+		served = s.runStrict(maxPkts)
 	case PolicyRR:
-		return s.runRR(maxPkts)
+		served = s.runRR(maxPkts)
 	default:
-		return s.runDRR(maxPkts)
+		served = s.runDRR(maxPkts)
 	}
+	s.in.Add(uint64(served))
+	_ = s.forwardBatch(s.out, s.scratch)
+	for i := range s.scratch {
+		s.scratch[i] = nil // no stale packet refs pinned by the scratch
+	}
+	return served
 }
 
 // pullFrom fetches the next packet from an input, nil when empty/unbound.
@@ -165,49 +175,6 @@ func pullFrom(in *schedInput) *Packet {
 	return p
 }
 
-// emit forwards one packet — or, in collect mode, stages it for the
-// RunOnceBatch departure batch; caller holds s.mu.
-func (s *LinkScheduler) emit(p *Packet) bool {
-	s.in.Add(1)
-	if s.collect {
-		s.scratch = append(s.scratch, p)
-		return true
-	}
-	return s.forward(s.out, p) == nil
-}
-
-// RunOnceBatch serves up to maxPkts packets exactly as RunOnce would —
-// same discipline, same emission order — but stages them in a reusable
-// scratch batch and pushes them downstream as one PushBatch, so the
-// egress binding is crossed once per service round instead of once per
-// packet.
-func (s *LinkScheduler) RunOnceBatch(maxPkts int) int {
-	if maxPkts <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.collect = true
-	s.scratch = s.scratch[:0]
-	var served int
-	switch s.policy {
-	case PolicyStrict:
-		served = s.runStrict(maxPkts)
-	case PolicyRR:
-		served = s.runRR(maxPkts)
-	default:
-		served = s.runDRR(maxPkts)
-	}
-	s.collect = false
-	if len(s.scratch) > 0 {
-		_ = s.forwardBatch(s.out, s.scratch)
-		for i := range s.scratch {
-			s.scratch[i] = nil // no stale packet refs pinned by the scratch
-		}
-	}
-	return served
-}
-
 func (s *LinkScheduler) runStrict(budget int) int {
 	order := make([]*schedInput, len(s.inputs))
 	copy(order, s.inputs)
@@ -219,7 +186,7 @@ func (s *LinkScheduler) runStrict(budget int) int {
 			if p == nil {
 				break
 			}
-			s.emit(p)
+			s.scratch = append(s.scratch, p)
 			served++
 		}
 	}
@@ -241,7 +208,7 @@ func (s *LinkScheduler) runRR(budget int) int {
 			continue
 		}
 		idleRounds = 0
-		s.emit(p)
+		s.scratch = append(s.scratch, p)
 		served++
 	}
 	return served
@@ -272,7 +239,7 @@ func (s *LinkScheduler) runDRR(budget int) int {
 			}
 			any = true
 			in.deficit -= len(p.Data)
-			s.emit(p)
+			s.scratch = append(s.scratch, p)
 			served++
 		}
 		if any {
@@ -301,7 +268,7 @@ func (s *LinkScheduler) Start(context.Context) error {
 				return
 			default:
 			}
-			if s.RunOnceBatch(64) == 0 {
+			if s.RunOnce(64) == 0 {
 				select {
 				case <-quit:
 					return

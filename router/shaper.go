@@ -18,6 +18,7 @@ type TokenShaper struct {
 	elementCounters
 	bucket *resources.TokenBucket
 	out    *core.Receptacle[IPacketPush]
+	plan   *fusedPlan
 }
 
 // NewTokenShaper creates a shaper with rate bytes/sec and burst bytes. A
@@ -31,30 +32,17 @@ func NewTokenShaper(rate, burst float64, clock func() time.Time) (*TokenShaper, 
 	s.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	s.AddReceptacle("out", s.out)
 	s.Provide(IPacketPushID, s)
+	s.plan = onePlan(s.fuseStep())
 	return s, nil
 }
 
 // Push implements IPacketPush.
-func (s *TokenShaper) Push(p *Packet) error {
-	s.in.Add(1)
-	if !s.bucket.Allow(len(p.Data)) {
-		s.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	return s.forward(s.out, p)
-}
+func (s *TokenShaper) Push(p *Packet) error { return pushOne(s, p) }
 
 // PushBatch implements IPacketPushBatch: conformance stays per-packet
-// (token buckets meter bytes), but conforming runs leave as sub-batches so
-// the downstream hand-off is amortised. Under no congestion the whole
-// batch departs in one push.
-func (s *TokenShaper) PushBatch(batch []*Packet) error {
-	s.in.Add(uint64(len(batch)))
-	return s.forwardRuns(s.out, batch, func(p *Packet) bool {
-		return s.bucket.Allow(len(p.Data))
-	})
-}
+// (token buckets meter bytes), and the conforming packets leave as one
+// batch.
+func (s *TokenShaper) PushBatch(batch []*Packet) error { return s.plan.run(batch) }
 
 // Stats implements core.IStats, adding the bucket's decision counters and
 // the configured rate/burst gauges (the knobs the resources meta-model —

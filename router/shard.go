@@ -162,7 +162,7 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 	for i := range s.shards {
 		sh := &shard{
 			ring:    newSPSCRing(cfg.RingDepth),
-			ingress: newShardIngress(),
+			ingress: newShardIngress(comp.Inner()),
 		}
 		if cfg.LatencyHistogram {
 			sh.lat = core.NewHistogram()
@@ -182,14 +182,6 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 	// every replica) and then re-checks the Router CF rules recursively.
 	if err := s.Configure(); err != nil {
 		return nil, err
-	}
-	// With the replicas wired, attach a chain fuser to every lane head so
-	// each worker runs its replica as one flattened closure when the chain
-	// is interceptor-free (no worker has started yet, so plain stores are
-	// safe). Structural mutations of the inner capsule de-specialise the
-	// lane automatically.
-	for _, sh := range s.shards {
-		sh.ingress.fuse = NewChainFuser(s.Inner(), sh.ingress.out)
 	}
 	return s, nil
 }
@@ -352,7 +344,7 @@ func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
 	defer close(sh.done)
 	process := func(b []*Packet) {
 		sh.gate.Do(func() {
-			_ = sh.ingress.pushBatch(b)
+			_ = sh.ingress.fuse.Forward(b)
 		})
 		sh.inflight.Add(-int64(len(b)))
 		PutBatch(b)
@@ -382,31 +374,9 @@ func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
 // ---------------------------------------------------------------------------
 // Dispatch (the RSS fast path)
 
-// Push implements IPacketPush: the packet is flow-hashed onto its shard and
-// crosses as a batch of one. Sustained traffic should arrive via PushBatch.
-func (s *ShardedCF) Push(p *Packet) error {
-	if s.stamp && p.Born == 0 {
-		p.Born = Nanotime()
-	}
-	for {
-		a := s.active.Load()
-		sh := s.shards[int(s.hash(p)%uint32(a))]
-		b := GetBatch()
-		b = append(b, p)
-		switch s.dispatch(sh, b, a) {
-		case dispOK:
-			s.in.Add(1)
-			return nil
-		case dispStale:
-			// Rescaled between the snapshot and the lane lock; nothing
-			// was enqueued — retry under the new modulus.
-			PutBatch(b)
-		default:
-			s.dropStopped(b)
-			return ErrStopped
-		}
-	}
-}
+// Push implements IPacketPush. Sustained traffic should arrive via
+// PushBatch.
+func (s *ShardedCF) Push(p *Packet) error { return pushOne(s, p) }
 
 // PushBatch implements IPacketPushBatch: the batch is split by flow hash
 // into per-shard sub-batches (drawn from the batch pool) which enter each
@@ -634,9 +604,7 @@ func (s *ShardedCF) Intercept(component, receptacle, name string, around core.Ar
 	// hop-by-hop batch in flight during Unintercept crosses the chain at
 	// the binding, the ordinary batch-boundary semantics.
 	for _, sh := range s.shards {
-		if f := sh.ingress.fuse; f != nil {
-			f.WaitIdle(5 * time.Second)
-		}
+		sh.ingress.fuse.WaitIdle(5 * time.Second)
 	}
 	return nil
 }
@@ -810,14 +778,11 @@ func (s *ShardedCF) laneStats(i int) []core.Stat {
 	if sh.lat != nil {
 		out = append(out, core.H(StatLatency, "ns", sh.lat.Snapshot()))
 	}
-	if f := sh.ingress.fuse; f != nil {
-		// The fused gauge (hops in the lane's compiled plan, 0 while
-		// de-specialised) plus specialisation churn — the reflective
-		// loop's view of whether this lane is running flat-out or hop by
-		// hop under meta-level activity.
-		out = append(out, f.statList()...)
-	}
-	return out
+	// The fused gauge (hops in the lane's compiled plan, 0 while
+	// de-specialised) plus specialisation churn — the reflective loop's
+	// view of whether this lane is running flat-out or hop by hop under
+	// meta-level activity.
+	return append(out, sh.ingress.fuse.statList()...)
 }
 
 // StatsTree implements core.IStatsTree: the CF's own merged stats at the
@@ -857,29 +822,21 @@ type shardIngress struct {
 	*core.Base
 	elementCounters
 	out *core.Receptacle[IPacketPush]
-	// fuse flattens the interceptor-free prefix of the replica chain into
-	// one compiled closure (DESIGN.md §8). Set once in NewShardedCF after
-	// Configure wires the replica, before any worker starts; nil only in
-	// unit tests that build the endpoint directly.
+	// fuse runs each ring batch into the replica: through one compiled
+	// plan while the chain is interceptor-free (DESIGN.md §8), through the
+	// ingress's own one-hop plan while it is intercepted or mid-mutation.
 	fuse *ChainFuser
 }
 
-func newShardIngress() *shardIngress {
+// newShardIngress builds the head of a replica that inner will hold. The
+// fuser attaches before the replica is wired; wiring it is a structural
+// mutation like any other, so the lane fuses on first traffic.
+func newShardIngress(inner *core.Capsule) *shardIngress {
 	g := &shardIngress{Base: core.NewBase(TypeShardIngress)}
 	g.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	g.AddReceptacle("out", g.out)
+	g.fuse = newChainFuser(inner, fuseStep{kind: stepPass, counters: &g.elementCounters, out: g.out})
 	return g
-}
-
-// pushBatch forwards one ring batch into the replica — through the fused
-// plan when the chain is clean, hop by hop while it is intercepted or
-// mid-mutation.
-func (g *shardIngress) pushBatch(b []*Packet) error {
-	g.in.Add(uint64(len(b)))
-	if g.fuse != nil {
-		return g.fuse.Forward(&g.elementCounters, g.out, b)
-	}
-	return g.forwardBatch(g.out, b)
 }
 
 // shardEgress is the tail of one replica: replicas bind their last
@@ -900,12 +857,9 @@ func newShardEgress(parent *ShardedCF, lat *core.Histogram) *shardEgress {
 	return e
 }
 
-// latencySample is the single residence-latency predicate for both egress
-// paths: unstamped packets (Born <= 0) and clock regressions (now < born)
-// yield no sample; a zero duration IS a sample. Push and PushBatch must
-// agree on this, or the histogram's population depends on which path a
-// packet took (the bug this helper fixes: Push counted d == 0, PushBatch
-// silently dropped it).
+// latencySample is the residence-latency predicate: unstamped packets
+// (Born <= 0) and clock regressions (now < born) yield no sample; a zero
+// duration IS a sample.
 func latencySample(now, born int64) (uint64, bool) {
 	if born <= 0 || now < born {
 		return 0, false
@@ -914,15 +868,7 @@ func latencySample(now, born int64) (uint64, bool) {
 }
 
 // Push implements IPacketPush.
-func (e *shardEgress) Push(p *Packet) error {
-	e.in.Add(1)
-	if e.lat != nil {
-		if d, ok := latencySample(Nanotime(), p.Born); ok {
-			e.lat.Record(d)
-		}
-	}
-	return e.forward(e.parent.out, p)
-}
+func (e *shardEgress) Push(p *Packet) error { return pushOne(e, p) }
 
 // PushBatch implements IPacketPushBatch. Latency is recorded against one
 // clock read for the whole batch, before the downstream hand-off, so the
