@@ -171,8 +171,12 @@ func TestClosedLoopQueueSwap(t *testing.T) {
 	if err := w.Connect("src", "rtr", netsim.LinkConfig{Queue: 4096}); err != nil {
 		t.Fatal(err)
 	}
+	var crossedAt atomic.Int64 // UnixNano of the push that took q past the trigger level
 	rtr.Register(7, func(_ string, payload []byte) {
 		_ = in.Push(router.NewPacket(payload))
+		if crossedAt.Load() == 0 && q.Len() > qCap/2 {
+			crossedAt.Store(time.Now().UnixNano())
+		}
 	})
 	defer w.Stop()
 
@@ -196,7 +200,9 @@ func TestClosedLoopQueueSwap(t *testing.T) {
 		time.Sleep(300 * time.Microsecond) // paced, so the swap runs under traffic
 	}
 
-	waitFiring(t, fired, "fifo-to-red", 10*time.Second)
+	f := waitFiring(t, fired, "fifo-to-red", 10*time.Second)
+	t.Logf("E13 reaction: fifo-to-red fired %v after occupancy crossed 0.5 (1 ms tick, Sustain 2)",
+		f.At.Sub(time.Unix(0, crossedAt.Load())))
 
 	// The link must not have dropped (zero loss starts at the wire).
 	if _, drops, err := w.LinkStats("src", "rtr"); err != nil || drops != 0 {

@@ -1,8 +1,9 @@
 package netkit
 
-// Benchmark suite: one Benchmark family per experiment in DESIGN.md §3.
-// Run with:  go test -bench=. -benchmem
-// cmd/nkbench prints the same series as formatted tables.
+// The experiment suite: one BenchmarkE<n>_* family per row of DESIGN.md §3,
+// implemented here and nowhere else. Go's benchmark runner is the registry
+// and the CLI (go test -run '^$' -bench 'E4_|E11_' -benchmem .); §3 says how
+// sweeps, machine-readable output and A/B runs map onto its flags.
 
 import (
 	"context"
@@ -39,6 +40,11 @@ func benchPacketRaw(b testing.TB) []byte {
 		b.Fatal(err)
 	}
 	return raw
+}
+
+// reportKpps adds throughput to the line of a one-packet-per-op benchmark.
+func reportKpps(b *testing.B) {
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e3, "kpps")
 }
 
 // ---------------------------------------------------------------------------
@@ -105,23 +111,43 @@ func BenchmarkE1_Interceptors(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E2 — configuration footprint (allocation volume per build)
+// E2 — configuration footprint: what one built configuration keeps live
+// (KiB) beside what building it allocates (B/op)
+
+// e2Footprint builds b.N configurations, holding the last 64 so the heap
+// read either side of a collection prices what one of them retains.
+func e2Footprint(b *testing.B, build func() any) {
+	b.ReportAllocs()
+	held := make([]any, min(b.N, 64))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		held[i%len(held)] = build()
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	b.ReportMetric(live/1024/float64(len(held)), "KiB")
+	runtime.KeepAlive(held)
+}
 
 func BenchmarkE2_FootprintMinimalForwarder(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	e2Footprint(b, func() any {
 		c := core.NewCapsule("min")
 		_ = c.Insert("cnt", router.NewCounter())
 		_ = c.Insert("v4", router.NewIPv4Proc(false))
 		_ = c.Insert("drop", router.NewDropper())
 		_, _ = router.ConnectPush(c, "cnt", "out", "v4")
 		_, _ = router.ConnectPush(c, "v4", "out", "drop")
-	}
+		return c
+	})
 }
 
 func BenchmarkE2_FootprintFigure3(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	e2Footprint(b, func() any {
 		c := core.NewCapsule("f3")
 		comp, err := router.NewFigure3Composite(c, router.Figure3Config{})
 		if err != nil {
@@ -130,7 +156,8 @@ func BenchmarkE2_FootprintFigure3(b *testing.B) {
 		if err := c.Insert("gw", comp); err != nil {
 			b.Fatal(err)
 		}
-	}
+		return c
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -175,6 +202,7 @@ func BenchmarkE3_NetkitChain(b *testing.B) {
 				raw[8] = ttl // rearm TTL so the packet never expires
 				_ = first.Push(p)
 			}
+			reportKpps(b)
 		})
 	}
 }
@@ -202,6 +230,7 @@ func BenchmarkE3_ClickChain(b *testing.B) {
 				raw[8] = ttl
 				_, _ = click.Run(raw)
 			}
+			reportKpps(b)
 		})
 	}
 }
@@ -215,6 +244,7 @@ func BenchmarkE3_Monolith(b *testing.B) {
 		raw[8] = ttl
 		_ = mono.Run(raw)
 	}
+	reportKpps(b)
 }
 
 // ---------------------------------------------------------------------------
@@ -497,15 +527,29 @@ func BenchmarkE18_OutOfProcPushBatchGob(b *testing.B) {
 // ---------------------------------------------------------------------------
 // E7 — placement evaluation and rebalancing
 
+// BenchmarkE7_EvaluatePlacement times one evaluation of the analytic chip
+// model per placement strategy; model-kpps is the throughput it predicts.
 func BenchmarkE7_EvaluatePlacement(b *testing.B) {
 	chip := ixp.DefaultIXP1200()
 	pipe := ixp.StandardPipeline()
-	asg := ixp.PlaceGreedy(chip, pipe)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ixp.Evaluate(chip, pipe, asg); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range []struct {
+		name string
+		asg  ixp.Assignment
+	}{
+		{"all-on-strongarm", ixp.PlaceAllControl(pipe)},
+		{"round-robin", ixp.PlaceRoundRobin(chip, pipe)},
+		{"greedy", ixp.PlaceGreedy(chip, pipe)},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			var rep *ixp.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = ixp.Evaluate(chip, pipe, s.asg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(rep.ThroughputPPS/1e3, "model-kpps")
+		})
 	}
 }
 
@@ -645,14 +689,16 @@ func BenchmarkE10_Schedulers(b *testing.B) {
 		}
 		tasks[i] = t
 	}
-	scheds := map[string]func() resources.Scheduler{
-		"fifo":     func() resources.Scheduler { return resources.NewFIFOScheduler() },
-		"priority": func() resources.Scheduler { return resources.NewPriorityScheduler() },
-		"wfq":      func() resources.Scheduler { return resources.NewWFQScheduler() },
-	}
-	for name, mk := range scheds {
-		b.Run(name, func(b *testing.B) {
-			s := mk()
+	for _, sc := range []struct {
+		name string
+		mk   func() resources.Scheduler
+	}{
+		{"fifo", func() resources.Scheduler { return resources.NewFIFOScheduler() }},
+		{"priority", func() resources.Scheduler { return resources.NewPriorityScheduler() }},
+		{"wfq", func() resources.Scheduler { return resources.NewWFQScheduler() }},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			s := sc.mk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Push(&resources.WorkItem{Task: tasks[i%4], Run: func() {}})
@@ -663,6 +709,37 @@ func BenchmarkE10_Schedulers(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkE10_WFQShare: one op queues 4000 items each for a weight-3 and
+// a weight-1 task and serves half the backlog; heavy/light is the service
+// ratio the weights bought.
+func BenchmarkE10_WFQShare(b *testing.B) {
+	mgr := resources.NewManager()
+	heavy, err := mgr.CreateTask(resources.TaskSpec{Name: "heavy", Weight: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	light, err := mgr.CreateTask(resources.TaskSpec{Name: "light", Weight: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 4000
+	served := 0
+	for i := 0; i < b.N; i++ {
+		s := resources.NewWFQScheduler()
+		for j := 0; j < n; j++ {
+			s.Push(&resources.WorkItem{Task: heavy, Run: func() {}})
+			s.Push(&resources.WorkItem{Task: light, Run: func() {}})
+		}
+		served = 0
+		for j := 0; j < n; j++ {
+			if s.Pop().Task == heavy {
+				served++
+			}
+		}
+	}
+	b.ReportMetric(float64(served)/float64(n-served), "heavy/light")
 }
 
 // ---------------------------------------------------------------------------
@@ -702,6 +779,7 @@ func BenchmarkE11_PerPacket(b *testing.B) {
 		raws[0][8] = ttls[0]
 		_ = first.Push(pkts[0])
 	}
+	reportKpps(b)
 }
 
 func BenchmarkE11_Batched(b *testing.B) {
@@ -721,6 +799,7 @@ func BenchmarkE11_Batched(b *testing.B) {
 				}
 				_ = router.ForwardBatch(first, pkts[:n])
 			}
+			reportKpps(b)
 		})
 	}
 }
@@ -942,7 +1021,11 @@ func BenchmarkE12_Sharded(b *testing.B) {
 			s := e12Build(b, n)
 			pkts := e12Packets(b, 1024)
 			b.ResetTimer()
-			e12Drive(b, s, pkts, b.N)
+			secs := e12Drive(b, s, pkts, b.N).Seconds()
+			b.ReportMetric(float64(b.N)/secs/1e3, "kpps")
+			for i := 0; i < n; i++ { // how evenly RSS spread the flows
+				b.ReportMetric(float64(s.ShardStats(i).In)/secs/1e3, fmt.Sprintf("lane%d-kpps", i))
+			}
 		})
 	}
 }
@@ -1219,6 +1302,7 @@ func BenchmarkE16_FusedChain(b *testing.B) {
 				raw[8] = ttl // rearm TTL so the packet never expires
 				_ = fp.Push(p)
 			}
+			reportKpps(b)
 		})
 	}
 }
@@ -1244,6 +1328,7 @@ func BenchmarkE16_FusedChainBatched(b *testing.B) {
 				}
 				_ = fp.PushBatch(pkts[:n])
 			}
+			reportKpps(b)
 		})
 	}
 }
@@ -1269,6 +1354,7 @@ func BenchmarkE16_UnfusedChainBatched(b *testing.B) {
 				}
 				_ = router.ForwardBatch(first, pkts[:n])
 			}
+			reportKpps(b)
 		})
 	}
 }
@@ -1310,16 +1396,22 @@ func BenchmarkE16_DespecializeRefuse(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E17 — real-socket syscall amortisation (DESIGN.md §9). The measurement
-// mirrors cmd/nkbench exp_udp.go: windowed send-then-drain rounds over
-// loopback, the drain clock starting at the first productive poll, so the
-// rx number is the per-frame cost of moving queued datagrams across the
-// syscall boundary.
+// E17 — real-socket syscall amortisation (DESIGN.md §9): windowed
+// send-then-drain rounds over loopback, the drain clock starting at the
+// first productive poll, so the rx number is the per-frame cost of moving
+// queued datagrams across the syscall boundary. Nothing the scheduler does
+// may reach the reading: both bursts are timed on the driving thread's CPU
+// clock (threadCPU), which waiting for a core does not advance, and the
+// thread does not park between burst and drain — loopback delivers inside
+// the send syscall, so the window is queued when SendBatch returns, and a
+// settle sleep only hands the drain a halted core's cold caches (+130 ns
+// per frame on both strategies, measured).
 
-// e17DrainNs drives rounds x window frames through a fresh loopback
-// device pair and returns the per-frame receive-drain cost in
-// nanoseconds. portable selects the per-datagram fallback strategy.
-func e17DrainNs(tb testing.TB, batch, window, rounds int, portable bool) float64 {
+// e17Round drives rounds x window frames through a fresh loopback device
+// pair and returns the per-frame receive-drain and transmit costs in
+// nanoseconds and the receive frames per syscall. portable selects the
+// per-datagram fallback strategy.
+func e17Round(tb testing.TB, batch, window, rounds int, portable bool) (rxNs, txNs, fps float64) {
 	tb.Helper()
 	arena, err := osabs.NewFrameArena(osabs.DefaultUDPFrameSize, batch, 8)
 	if err != nil {
@@ -1345,21 +1437,25 @@ func e17DrainNs(tb testing.TB, batch, window, rounds int, portable bool) float64
 		out[i] = payload
 	}
 	scratch := make([][]byte, 0, batch)
-	var rxTotal int64
+	runtime.LockOSThread() // threadCPU reads this thread's clock
+	defer runtime.UnlockOSThread()
+	var rxTotal, txTotal time.Duration
 	for r := 0; r < rounds; r++ {
+		start := threadCPU()
 		for sent := 0; sent < window; sent += batch {
 			n, err := tx.SendBatch(out)
 			if err != nil || n != batch {
 				tb.Fatalf("tx %d/%d: %v", n, batch, err)
 			}
 		}
-		time.Sleep(200 * time.Microsecond)
-		got := 0
-		var start time.Time
+		txTotal += threadCPU() - start
+		got, started := 0, false
 		for got < window {
+			if !started {
+				start = threadCPU()
+			}
 			var slab *buffers.Buffer
 			var err error
-			tCall := time.Now()
 			scratch, slab, err = rx.RecvBatchInto(scratch[:0], batch)
 			if err != nil {
 				tb.Fatal(err)
@@ -1368,9 +1464,7 @@ func e17DrainNs(tb testing.TB, batch, window, rounds int, portable bool) float64
 				runtime.Gosched()
 				continue
 			}
-			if start.IsZero() {
-				start = tCall
-			}
+			started = true
 			if slab != nil {
 				for range scratch {
 					_ = slab.Release()
@@ -1378,12 +1472,14 @@ func e17DrainNs(tb testing.TB, batch, window, rounds int, portable bool) float64
 			}
 			got += len(scratch)
 		}
-		rxTotal += time.Since(start).Nanoseconds()
+		rxTotal += threadCPU() - start
 	}
-	if st := rx.Stats(); st.SockDrops > 0 {
+	st := rx.Stats()
+	if st.SockDrops > 0 {
 		tb.Fatalf("lossy round: %d socket drops", st.SockDrops)
 	}
-	return float64(rxTotal) / float64(window*rounds)
+	frames := float64(window * rounds)
+	return float64(rxTotal) / frames, float64(txTotal) / frames, float64(st.RxFrames) / float64(st.RxSyscalls)
 }
 
 // TestE17SyscallAmortization is the acceptance gate for the batched UDP
@@ -1406,8 +1502,8 @@ func TestE17SyscallAmortization(t *testing.T) {
 	const want = 3.0
 	best := 0.0
 	for attempt := 0; attempt < 5; attempt++ {
-		perDatagram := e17DrainNs(t, 1, 1024, 16, true)
-		batched := e17DrainNs(t, 32, 1024, 16, false)
+		perDatagram, _, _ := e17Round(t, 1, 1024, 16, true)
+		batched, _, _ := e17Round(t, 32, 1024, 16, false)
 		if ratio := perDatagram / batched; ratio > best {
 			best = ratio
 		}
@@ -1420,13 +1516,21 @@ func TestE17SyscallAmortization(t *testing.T) {
 	}
 }
 
-// BenchmarkE17_RxDrain reports the per-frame receive-drain cost per
-// batch size; one iteration is one 1024-frame send-then-drain round.
+// BenchmarkE17_RxDrain reports the per-frame receive-drain and transmit
+// costs and the receive frames per syscall by batch size; one iteration
+// is one 1024-frame send-then-drain round. The portable row is the
+// per-datagram baseline the gate above divides by.
 func BenchmarkE17_RxDrain(b *testing.B) {
-	for _, k := range []int{1, 8, 32, 128} {
-		b.Run(fmt.Sprintf("batch=%d", k), func(b *testing.B) {
-			ns := e17DrainNs(b, k, 1024, b.N, !osabs.MmsgSupported())
-			b.ReportMetric(ns, "rx-ns/frame")
+	row := func(name string, batch int, portable bool) {
+		b.Run(name, func(b *testing.B) {
+			rxNs, txNs, fps := e17Round(b, batch, 1024, b.N, portable)
+			b.ReportMetric(rxNs, "rx-ns/frame")
+			b.ReportMetric(txNs, "tx-ns/frame")
+			b.ReportMetric(fps, "rx-frames/syscall")
 		})
+	}
+	row("portable", 1, true)
+	for _, k := range []int{1, 8, 32, 128} {
+		row(fmt.Sprintf("batch=%d", k), k, !osabs.MmsgSupported())
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,16 +40,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nkctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", "127.0.0.1:7341", "netkitd control address")
-	flag.Parse()
-	args := flag.Args()
+// run executes one nkctl invocation: args are the command line after the
+// program name, out receives everything a successful command prints.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:7341", "netkitd control address")
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
+	args = fs.Args()
 	if len(args) == 0 {
 		return fmt.Errorf("no command; see -h")
 	}
@@ -64,14 +68,14 @@ func run() error {
 		if err := client.Do(&control.Request{Op: "ping"}, &pong); err != nil {
 			return err
 		}
-		fmt.Println(pong)
+		fmt.Fprintln(out, pong)
 		return nil
 	case "graph":
 		var g core.Graph
 		if err := client.Do(&control.Request{Op: "graph"}, &g); err != nil {
 			return err
 		}
-		printGraph(&g)
+		printGraph(out, &g)
 		return nil
 	case "members", "types", "constraints", "ifaces":
 		var list []string
@@ -79,7 +83,7 @@ func run() error {
 			return err
 		}
 		for _, m := range list {
-			fmt.Println(m)
+			fmt.Fprintln(out, m)
 		}
 		return nil
 	case "validate":
@@ -87,14 +91,14 @@ func run() error {
 		if err := client.Do(&control.Request{Op: "validate"}, &verdict); err != nil {
 			return err
 		}
-		fmt.Println(verdict)
+		fmt.Fprintln(out, verdict)
 		return nil
 	case "dropped":
 		var n uint64
 		if err := client.Do(&control.Request{Op: "dropped"}, &n); err != nil {
 			return err
 		}
-		fmt.Printf("dropped events: %d\n", n)
+		fmt.Fprintf(out, "dropped events: %d\n", n)
 		return nil
 	case "iface":
 		if len(args) != 2 {
@@ -104,9 +108,9 @@ func run() error {
 		if err := client.Do(&control.Request{Op: "iface", Iface: args[1]}, &d); err != nil {
 			return err
 		}
-		fmt.Printf("%s — %s\n", d.ID, d.Doc)
+		fmt.Fprintf(out, "%s — %s\n", d.ID, d.Doc)
 		for _, op := range d.Ops {
-			fmt.Printf("  %s(%d) -> %d  %s\n", op.Name, op.NumIn, op.NumOut, op.Doc)
+			fmt.Fprintf(out, "  %s(%d) -> %d  %s\n", op.Name, op.NumIn, op.NumOut, op.Doc)
 		}
 		return nil
 	case "provided":
@@ -118,7 +122,7 @@ func run() error {
 			return err
 		}
 		for _, id := range ids {
-			fmt.Println(id)
+			fmt.Fprintln(out, id)
 		}
 		return nil
 	case "intercept", "chain":
@@ -131,7 +135,7 @@ func run() error {
 			if err := client.Do(req, &ack); err != nil {
 				return err
 			}
-			fmt.Printf("%s %s.%s\n", ack, args[1], args[2])
+			fmt.Fprintf(out, "%s %s.%s\n", ack, args[1], args[2])
 			return nil
 		}
 		var names []string
@@ -139,7 +143,7 @@ func run() error {
 			return err
 		}
 		for _, n := range names {
-			fmt.Println(n)
+			fmt.Fprintln(out, n)
 		}
 		return nil
 	case "audit", "unintercept":
@@ -152,7 +156,7 @@ func run() error {
 		}, &ad); err != nil {
 			return err
 		}
-		fmt.Printf("%s.%s: %d calls\n", ad.Component, ad.Receptacle, ad.Calls)
+		fmt.Fprintf(out, "%s.%s: %d calls\n", ad.Component, ad.Receptacle, ad.Calls)
 		return nil
 	case "tasks":
 		var stats []resources.TaskStats
@@ -160,7 +164,7 @@ func run() error {
 			return err
 		}
 		for _, t := range stats {
-			fmt.Printf("%-16s jobs=%d busy=%v mem=%d peak=%d rejected=%d\n",
+			fmt.Fprintf(out, "%-16s jobs=%d busy=%v mem=%d peak=%d rejected=%d\n",
 				t.Name, t.Jobs, time.Duration(t.BusyNanos), t.MemUsed, t.MemPeak, t.Rejected)
 		}
 		return nil
@@ -176,7 +180,7 @@ func run() error {
 		if err := client.Do(req, &sd); err != nil {
 			return err
 		}
-		return printJSON(sd.Tree)
+		return printJSON(out, sd.Tree)
 	case "watch":
 		// nkctl watch [component] [samples] [interval-ms]: server-side
 		// sampled series of the stats tree, printed as one JSON array.
@@ -207,7 +211,7 @@ func run() error {
 		if err := client.Do(req, &samples); err != nil {
 			return err
 		}
-		return printJSON(samples)
+		return printJSON(out, samples)
 	case "filter":
 		if len(args) < 4 || len(args) > 5 {
 			return fmt.Errorf("usage: nkctl filter <classifier> <spec> <output> [priority]")
@@ -226,7 +230,7 @@ func run() error {
 		if err := client.Do(req, &id); err != nil {
 			return err
 		}
-		fmt.Printf("filter %d installed\n", id)
+		fmt.Fprintf(out, "filter %d installed\n", id)
 		return nil
 	case "unfilter":
 		if len(args) != 3 {
@@ -255,35 +259,35 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("swapped %s -> %s (%s)\n", args[1], args[2], args[3])
+		fmt.Fprintf(out, "swapped %s -> %s (%s)\n", args[1], args[2], args[3])
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q", args[0])
 	}
 }
 
-// printJSON writes v to stdout as indented JSON: the machine-readable
+// printJSON writes v to out as indented JSON: the machine-readable
 // mirror of the stats meta-view, consumable by dashboards and scripts.
-func printJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func printJSON(out io.Writer, v any) error {
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
 
-func printGraph(g *core.Graph) {
-	fmt.Printf("capsule %s: %d components, %d bindings\n", g.Capsule, len(g.Nodes), len(g.Edges))
+func printGraph(out io.Writer, g *core.Graph) {
+	fmt.Fprintf(out, "capsule %s: %d components, %d bindings\n", g.Capsule, len(g.Nodes), len(g.Edges))
 	for _, n := range g.Nodes {
 		state := "stopped"
 		if n.Started {
 			state = "started"
 		}
-		fmt.Printf("  %-16s %-36s %s\n", n.Name, n.Type, state)
+		fmt.Fprintf(out, "  %-16s %-36s %s\n", n.Name, n.Type, state)
 		for _, r := range n.Receptacles {
 			bound := "unbound"
 			if r.Bound {
 				bound = "bound"
 			}
-			fmt.Printf("    .%-14s %-28s %s\n", r.Name, r.Iface, bound)
+			fmt.Fprintf(out, "    .%-14s %-28s %s\n", r.Name, r.Iface, bound)
 		}
 	}
 	for _, e := range g.Edges {
@@ -291,6 +295,6 @@ func printGraph(g *core.Graph) {
 		if len(e.Interceptors) > 0 {
 			ic = fmt.Sprintf("  [interceptors: %s]", strings.Join(e.Interceptors, ","))
 		}
-		fmt.Printf("  #%d %s.%s -> %s (%s)%s\n", e.ID, e.From, e.Receptacle, e.To, e.Iface, ic)
+		fmt.Fprintf(out, "  #%d %s.%s -> %s (%s)%s\n", e.ID, e.From, e.Receptacle, e.To, e.Iface, ic)
 	}
 }

@@ -92,7 +92,10 @@ func (a *FrameArena) Batch() int { return a.batch }
 // Stats exposes the slab pool counters (diagnostic).
 func (a *FrameArena) Stats() buffers.Stats { return a.pool.Stats() }
 
-var _ Device = (*NIC)(nil)
+var (
+	_ Device = (*NIC)(nil)
+	_ Device = (*KernelChannel)(nil)
+)
 
 // MmsgSupported reports whether the batched recvmmsg/sendmmsg syscall
 // backend is compiled into this binary (Linux on the architectures the

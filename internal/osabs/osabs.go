@@ -399,15 +399,36 @@ func (k *KernelChannel) GetBatchInto(dst [][]byte, max int) [][]byte {
 	return dst
 }
 
-// Close shuts the channel.
-func (k *KernelChannel) Close() {
+// Close shuts the channel; frames already queued remain drainable.
+func (k *KernelChannel) Close() error {
 	k.once.Do(func() {
 		k.closed.Store(true)
 		k.opMu.Lock()
 		close(k.q)
 		k.opMu.Unlock()
 	})
+	return nil
 }
+
+// Name implements Device; kernel channels are anonymous, so every one
+// answers to the prefix its stats carry.
+func (k *KernelChannel) Name() string { return "kchan" }
+
+// RecvBatchInto implements Device over GetBatchInto. The slab result is
+// always nil — channel frames are independently owned. Once the channel
+// is closed and drained an empty poll reports ErrClosed.
+func (k *KernelChannel) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buffer, error) {
+	n := len(dst)
+	dst = k.GetBatchInto(dst, max)
+	if len(dst) == n && k.closed.Load() && len(k.q) == 0 {
+		return dst, nil, ErrClosed
+	}
+	return dst, nil, nil
+}
+
+// SendBatch implements Device over PutBatch: the refused tail of a full
+// queue was dropped and counted, and ErrOverflow says so.
+func (k *KernelChannel) SendBatch(frames [][]byte) (int, error) { return k.PutBatch(frames) }
 
 // Stats reports (passed, dropped) frames.
 func (k *KernelChannel) Stats() (passed, dropped uint64) {

@@ -358,37 +358,57 @@ func TestNICRecvAfterClose(t *testing.T) {
 	}
 }
 
-// TestNICRecvBatchInto: the Device receive path drains non-blocking and
-// reports closure only when dry.
-func TestNICRecvBatchInto(t *testing.T) {
+// TestRecvBatchInto: the Device receive path of both channel-backed
+// devices drains non-blocking and reports closure only when dry — a frame
+// queued before Close is still delivered after it.
+func TestRecvBatchInto(t *testing.T) {
 	n, err := NewNIC("eth0", 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := n.Inject([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+	k, err := NewKernelChannel(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dst, slab, err := n.RecvBatchInto(nil, 3)
-	if err != nil || slab != nil || len(dst) != 3 {
-		t.Fatalf("first drain: %d frames slab=%v err=%v", len(dst), slab, err)
-	}
-	dst, _, err = n.RecvBatchInto(dst, 8)
-	if err != nil || len(dst) != 5 {
-		t.Fatalf("second drain: %d frames err=%v", len(dst), err)
-	}
-	for i, f := range dst {
-		if f[0] != byte(i) {
-			t.Fatalf("order: frame %d = %d", i, f[0])
-		}
-	}
-	if dst, _, err := n.RecvBatchInto(nil, 8); err != nil || len(dst) != 0 {
-		t.Fatalf("idle drain: %d frames err=%v", len(dst), err)
-	}
-	_ = n.Close()
-	if _, _, err := n.RecvBatchInto(nil, 8); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed drain: %v", err)
+	for _, tc := range []struct {
+		dev    Device
+		inject func([]byte) error
+	}{{n, n.Inject}, {k, k.Put}} {
+		t.Run(tc.dev.Name(), func(t *testing.T) {
+			for i := 0; i < 5; i++ {
+				if err := tc.inject([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst, slab, err := tc.dev.RecvBatchInto(nil, 3)
+			if err != nil || slab != nil || len(dst) != 3 {
+				t.Fatalf("first drain: %d frames slab=%v err=%v", len(dst), slab, err)
+			}
+			dst, _, err = tc.dev.RecvBatchInto(dst, 8)
+			if err != nil || len(dst) != 5 {
+				t.Fatalf("second drain: %d frames err=%v", len(dst), err)
+			}
+			for i, f := range dst {
+				if f[0] != byte(i) {
+					t.Fatalf("order: frame %d = %d", i, f[0])
+				}
+			}
+			if dst, _, err := tc.dev.RecvBatchInto(nil, 8); err != nil || len(dst) != 0 {
+				t.Fatalf("idle drain: %d frames err=%v", len(dst), err)
+			}
+			if err := tc.inject([]byte{5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.dev.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if dst, _, err := tc.dev.RecvBatchInto(nil, 8); err != nil || len(dst) != 1 {
+				t.Fatalf("drain after close: %d frames err=%v", len(dst), err)
+			}
+			if _, _, err := tc.dev.RecvBatchInto(nil, 8); !errors.Is(err, ErrClosed) {
+				t.Fatalf("closed drain: %v", err)
+			}
+		})
 	}
 }
 

@@ -65,7 +65,9 @@ func (s *portableSocket) recvInto(slab []byte, fs int, lens []int) (int, int, ui
 		m, _, err := s.conn.ReadFromUDP(slab[n*fs : (n+1)*fs])
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				return n, n + 1, 0, nil
+				// The read that timed out moved no frame: an empty poll
+				// when it was the first, else only the end of the drain.
+				return n, max(n, 1), 0, nil
 			}
 			return n, n + 1, 0, err
 		}

@@ -69,10 +69,10 @@ func (r *Result) Metric(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Document is one suite run: the on-disk baseline format and the -json
-// output format, shared by nkload and nkbench.
+// Document is one suite run: nkload's on-disk baseline format and its
+// -json output format.
 type Document struct {
-	// Suite names the producer ("nkload", "nkbench").
+	// Suite names the producer ("nkload").
 	Suite string `json:"suite"`
 	// Config echoes run-wide parameters (duration, batch, shards, seed).
 	Config map[string]string `json:"config,omitempty"`

@@ -492,7 +492,7 @@ func TestKernelSourceBatchedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	src, err := NewKernelSource(ch, 16)
+	src, err := NewNICSource(ch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -488,7 +488,7 @@ func TestKernelSourceBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks, err := NewKernelSource(ch, 8)
+	ks, err := NewNICSource(ch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,9 +524,6 @@ func TestKernelSourceBatches(t *testing.T) {
 }
 
 func TestKernelSourceValidation(t *testing.T) {
-	if _, err := NewKernelSource(nil, 8); err == nil {
-		t.Fatal("want error")
-	}
 	if _, err := NewNICSource(nil, nil); err == nil {
 		t.Fatal("want error")
 	}

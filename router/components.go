@@ -11,21 +11,20 @@ import (
 
 // Component type names registered with the loader.
 const (
-	TypeCounter      = "netkit.router.Counter"
-	TypeDropper      = "netkit.router.Dropper"
-	TypeTee          = "netkit.router.Tee"
-	TypeProtoRecogn  = "netkit.router.ProtoRecogn"
-	TypeIPv4Proc     = "netkit.router.IPv4Proc"
-	TypeIPv6Proc     = "netkit.router.IPv6Proc"
-	TypeChecksumVal  = "netkit.router.ChecksumValidator"
-	TypeClassifier   = "netkit.router.Classifier"
-	TypeFIFOQueue    = "netkit.router.FIFOQueue"
-	TypeREDQueue     = "netkit.router.REDQueue"
-	TypeLinkSched    = "netkit.router.LinkScheduler"
-	TypeTokenShaper  = "netkit.router.TokenShaper"
-	TypeNICSource    = "netkit.router.NICSource"
-	TypeNICSink      = "netkit.router.NICSink"
-	TypeKernelSource = "netkit.router.KernelSource"
+	TypeCounter     = "netkit.router.Counter"
+	TypeDropper     = "netkit.router.Dropper"
+	TypeTee         = "netkit.router.Tee"
+	TypeProtoRecogn = "netkit.router.ProtoRecogn"
+	TypeIPv4Proc    = "netkit.router.IPv4Proc"
+	TypeIPv6Proc    = "netkit.router.IPv6Proc"
+	TypeChecksumVal = "netkit.router.ChecksumValidator"
+	TypeClassifier  = "netkit.router.Classifier"
+	TypeFIFOQueue   = "netkit.router.FIFOQueue"
+	TypeREDQueue    = "netkit.router.REDQueue"
+	TypeLinkSched   = "netkit.router.LinkScheduler"
+	TypeTokenShaper = "netkit.router.TokenShaper"
+	TypeNICSource   = "netkit.router.NICSource"
+	TypeNICSink     = "netkit.router.NICSink"
 )
 
 // ElementStats is the common per-element counter set.

@@ -42,7 +42,8 @@ type PumpConfig struct {
 // pump turns frames into packets — optionally copied into pooled buffers —
 // and pushes them downstream. Any osabs.Device works: the channel-backed
 // simulated NIC takes a blocking channel pump, everything else (UDP
-// sockets) takes a polling pump with a spin-then-park idle policy.
+// sockets, the kernel channel) takes a polling pump with a spin-then-park
+// idle policy.
 type NICSource struct {
 	*core.Base
 	elementCounters
@@ -360,123 +361,9 @@ func (s *NICSink) Stats() []core.Stat {
 	return append(s.statList(), s.dev.StatList()...)
 }
 
-// ---------------------------------------------------------------------------
-// KernelSource
-
-// KernelSource wraps a stratum-1 kernel/user packet channel, batch-reading
-// frames to amortise the crossing (§5: "wrap efficient kernel-user space
-// communication mechanisms").
-type KernelSource struct {
-	*core.Base
-	elementCounters
-	ch    *osabs.KernelChannel
-	batch int
-	out   *core.Receptacle[IPacketPush]
-
-	mu   sync.Mutex
-	quit chan struct{}
-	done chan struct{}
-	idle time.Duration
-}
-
-// NewKernelSource wraps a kernel channel with the given batch size.
-func NewKernelSource(ch *osabs.KernelChannel, batch int) (*KernelSource, error) {
-	if ch == nil {
-		return nil, fmt.Errorf("router: nil kernel channel")
-	}
-	if batch <= 0 {
-		batch = 32
-	}
-	k := &KernelSource{
-		Base: core.NewBase(TypeKernelSource), ch: ch, batch: batch,
-		idle: 50 * time.Microsecond,
-	}
-	k.out = core.NewReceptacle[IPacketPush](IPacketPushID)
-	k.AddReceptacle("out", k.out)
-	return k, nil
-}
-
-// Start implements core.Starter.
-func (k *KernelSource) Start(context.Context) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.quit != nil {
-		return nil
-	}
-	k.quit = make(chan struct{})
-	k.done = make(chan struct{})
-	go func(quit, done chan struct{}) {
-		defer close(done)
-		// Pooled scratch makes the steady-state poll loop allocation-free:
-		// frames land in a recycled [][]byte, are wrapped into a recycled
-		// []*Packet, and the whole batch crosses the pipeline in one
-		// PushBatch.
-		frames := buffers.Batches.Get()
-		pkts := GetBatch()
-		// Deferred closures, not bound arguments: both slices are
-		// reassigned when a batch outgrows the pooled capacity, and the
-		// grown slices are the ones to recycle.
-		defer func() {
-			buffers.Batches.Put(frames)
-			PutBatch(pkts)
-		}()
-		for {
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			frames = k.ch.GetBatchInto(frames[:0], k.batch)
-			if len(frames) == 0 {
-				select {
-				case <-quit:
-					return
-				case <-time.After(k.idle):
-				}
-				continue
-			}
-			k.in.Add(uint64(len(frames)))
-			pkts = pkts[:0]
-			for _, f := range frames {
-				pkts = append(pkts, NewPacket(f))
-			}
-			_ = k.forwardBatch(k.out, pkts)
-			// Clear both scratches so an idle source pins neither the
-			// handed-off packets nor their frame bytes between polls.
-			for i := range pkts {
-				pkts[i] = nil
-			}
-			for i := range frames {
-				frames[i] = nil
-			}
-		}
-	}(k.quit, k.done)
-	return nil
-}
-
-// Stop implements core.Stopper.
-func (k *KernelSource) Stop(context.Context) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.quit == nil {
-		return nil
-	}
-	close(k.quit)
-	<-k.done
-	k.quit, k.done = nil, nil
-	return nil
-}
-
-// Stats implements core.IStats, folding in the kernel channel's counters.
-func (k *KernelSource) Stats() []core.Stat {
-	return append(k.statList(), k.ch.StatList()...)
-}
-
 var (
 	_ core.Starter = (*NICSource)(nil)
 	_ core.Stopper = (*NICSource)(nil)
-	_ core.Starter = (*KernelSource)(nil)
-	_ core.Stopper = (*KernelSource)(nil)
 )
 
 func init() {
