@@ -209,7 +209,9 @@ func TestBlueprintIntercept(t *testing.T) {
 // TestBlueprintShards: the Shards verb declares a sharded data plane that
 // composes with Pipe like any single-lane component — Build starts its
 // workers, traffic flows through the replicas to the downstream sink, and
-// the replicas are enumerable through the composite.
+// the replicas are enumerable through the composite. ShardsCfg with
+// LatencyHistogram adds per-lane and merged StatLatency histograms to the
+// stats tree that nkctl stats renders.
 func TestBlueprintShards(t *testing.T) {
 	ctx := context.Background()
 	replica := func(shard int, fw *cf.Framework) (string, error) {
@@ -223,39 +225,98 @@ func TestBlueprintShards(t *testing.T) {
 		}
 		return name, nil
 	}
-	sys, err := netkit.NewBlueprint("sharded-bp").
-		Shards("fwd", 2, replica).
-		Add("sink", router.TypeCounter, nil).
-		Pipe("fwd", "sink").
-		Build(ctx)
-	if err != nil {
-		t.Fatal(err)
+	quiesce := func(t *testing.T, sys *netkit.System, name string) *router.ShardedCF {
+		t.Helper()
+		comp, ok := sys.Capsule().Component(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		sc := comp.(*router.ShardedCF)
+		qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		if err := sc.Quiesce(qctx); err != nil {
+			t.Fatal(err)
+		}
+		return sc
 	}
-	defer func() { _ = sys.Close(ctx) }()
 
-	sharded, ok := sys.Capsule().Component("fwd")
-	if !ok {
-		t.Fatal("fwd missing")
-	}
-	sc := sharded.(*router.ShardedCF)
-	if sc.Shards() != 2 || len(sc.Replicas()) != 2 {
-		t.Fatalf("shards %d, replicas %v", sc.Shards(), sc.Replicas())
-	}
-	if err := pump(sys.Capsule(), "fwd", 40); err != nil {
-		t.Fatal(err)
-	}
-	qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := sc.Quiesce(qctx); err != nil {
-		t.Fatal(err)
-	}
-	sink, err := netkit.Service[*router.Counter](sys.Capsule(), "sink", router.IPacketPushID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.ElemStats().In; got != 40 {
-		t.Fatalf("sink saw %d of 40", got)
-	}
+	t.Run("Shards", func(t *testing.T) {
+		sys, err := netkit.NewBlueprint("sharded-bp").
+			Shards("fwd", 2, replica).
+			Add("sink", router.TypeCounter, nil).
+			Pipe("fwd", "sink").
+			Build(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = sys.Close(ctx) }()
+		if err := pump(sys.Capsule(), "fwd", 40); err != nil {
+			t.Fatal(err)
+		}
+		sc := quiesce(t, sys, "fwd")
+		if sc.Shards() != 2 || len(sc.Replicas()) != 2 {
+			t.Fatalf("shards %d, replicas %v", sc.Shards(), sc.Replicas())
+		}
+		sink, err := netkit.Service[*router.Counter](sys.Capsule(), "sink", router.IPacketPushID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.ElemStats().In; got != 40 {
+			t.Fatalf("sink saw %d of 40", got)
+		}
+	})
+
+	t.Run("ShardsCfg_latency", func(t *testing.T) {
+		const lanes, total = 2, 96
+		sys, err := netkit.NewBlueprint("sharded-latency").
+			ShardsCfg("plane", router.ShardConfig{Shards: lanes, LatencyHistogram: true}, replica).
+			Insert("sink", router.NewDropper()).
+			Pipe("plane", "sink").
+			Build(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = sys.Close(ctx) }()
+		push, err := netkit.Service[router.IPacketPush](sys.Capsule(), "plane", router.IPacketPushID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < total; i++ {
+			b, err := packet.BuildUDP4(netip.MustParseAddr("10.0.0.7"),
+				netip.MustParseAddr("10.8.0.9"), uint16(1000+i%8), 99, 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := push.Push(router.NewPacket(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiesce(t, sys, "plane")
+
+		tree := netkit.Meta(sys.Capsule()).Stats().Tree()
+		var laneSum uint64
+		for i := 0; i < lanes; i++ {
+			lane, ok := tree.Find(fmt.Sprintf("plane/shard%d", i))
+			if !ok {
+				t.Fatalf("lane %d missing", i)
+			}
+			st, ok := lane.Stat(router.StatLatency)
+			if !ok || st.Kind != core.KindHistogram || st.Hist == nil {
+				t.Fatalf("lane %d latency stat %+v, want a histogram", i, st)
+			}
+			laneSum += st.Hist.Count
+		}
+		if laneSum != total {
+			t.Fatalf("lane histograms count %d, want %d", laneSum, total)
+		}
+		plane, ok := tree.Find("plane")
+		if !ok {
+			t.Fatal("plane missing from the stats tree")
+		}
+		if st, ok := plane.Stat(router.StatLatency); !ok || st.Hist == nil || st.Hist.Count != total {
+			t.Fatalf("merged latency stat %+v, want a histogram of %d", st, total)
+		}
+	})
 }
 
 // TestBlueprintShardsFailureNamesStep: a failing replica factory surfaces

@@ -599,49 +599,3 @@ func TestQuickTokenBucketBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestShardedBufferPoolValidation(t *testing.T) {
-	if _, err := NewShardedBufferPool(0, []int{128}, 4, 0); err == nil {
-		t.Fatal("zero shards accepted")
-	}
-	if _, err := NewShardedBufferPool(2, nil, 4, 0); err == nil {
-		t.Fatal("empty classes accepted")
-	}
-	if _, err := NewShardedBufferPool(4, []int{128}, 4, 2); err == nil {
-		t.Fatal("ceiling below one per shard accepted")
-	}
-}
-
-// TestShardedBufferPoolPartitioning proves shard independence and exact
-// ceiling partitioning: each shard enforces its share of maxLive, and the
-// aggregate Stats read like one pool's.
-func TestShardedBufferPoolPartitioning(t *testing.T) {
-	s, err := NewShardedBufferPool(3, []int{128}, 4, 7) // shares 3,2,2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() != 3 {
-		t.Fatalf("shards = %d", s.Shards())
-	}
-	wantShare := []int{3, 2, 2}
-	for i, want := range wantShare {
-		p := s.Shard(i)
-		for j := 0; j < want; j++ {
-			if _, err := p.Get(64); err != nil {
-				t.Fatalf("shard %d get %d: %v", i, j, err)
-			}
-		}
-		if _, err := p.Get(64); err == nil {
-			t.Fatalf("shard %d exceeded its share of the ceiling", i)
-		}
-	}
-	st := s.Stats()
-	if st.Live != 7 || st.Gets != 7 || st.Failures != 3 {
-		t.Fatalf("aggregate stats %+v", st)
-	}
-	// One shard's exhaustion never borrows from another: shard 0's
-	// failure count is its own.
-	if s.Shard(0).Stats().Failures != 1 {
-		t.Fatalf("shard 0 stats %+v", s.Shard(0).Stats())
-	}
-}

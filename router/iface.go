@@ -64,9 +64,9 @@ type Packet struct {
 	InPort string
 
 	// Born is the packet's ingress timestamp on the Nanotime clock, or 0
-	// when unstamped. Load drivers and latency-aware ingress points stamp
-	// it once; latency sinks (shard egress histograms, the nkload Sink)
-	// record Nanotime()-Born. It rides Clone like the rest of the header.
+	// when unstamped. Load generators and latency-aware ingress points
+	// stamp it once; latency sinks (the shard egress histograms) record
+	// Nanotime()-Born. It rides Clone like the rest of the header.
 	Born int64
 
 	view   filter.View
@@ -87,8 +87,8 @@ var nanotimeEpoch = time.Now()
 func Nanotime() int64 { return int64(time.Since(nanotimeEpoch)) }
 
 // StatLatency is the uniform name of the latency histogram stat (unit
-// "ns"): the shard-lane residence histograms, the nkload Sink, and the
-// adapt SLO conditions (P99Above) all key on it.
+// "ns"): the shard-lane residence histograms and the adapt SLO
+// conditions (P99Above) key on it.
 const StatLatency = "latency"
 
 // NewPooledPacket copies data into a buffer drawn from pool.

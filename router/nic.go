@@ -30,11 +30,6 @@ type PumpConfig struct {
 	// (default 50µs). Wakeup latency after an idle period is bounded by
 	// this plus scheduler noise.
 	Park time.Duration
-	// StampBorn makes the pump stamp each minted packet's Born timestamp
-	// (router.Nanotime), so downstream latency histograms — a sharded
-	// plane's per-lane recorders, an nkload sink — measure from device
-	// ingress. Off by default: the stamp is a clock read per frame.
-	StampBorn bool
 }
 
 // NICSource is a standard component wrapping a stratum-1 device's receive
@@ -252,9 +247,6 @@ func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
 		p = NewPacket(f)
 	}
 	p.InPort = s.dev.Name()
-	if s.cfg.StampBorn {
-		p.Born = Nanotime()
-	}
 	return p
 }
 
@@ -283,9 +275,6 @@ func (s *NICSource) wrap(batch []*Packet, frame []byte) []*Packet {
 		p = NewPacket(frame)
 	}
 	p.InPort = s.dev.Name()
-	if s.cfg.StampBorn {
-		p.Born = Nanotime()
-	}
 	return append(batch, p)
 }
 
