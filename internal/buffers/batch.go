@@ -13,9 +13,14 @@ import "sync"
 // whoever Got it; the elements inside follow their own lifetime (callee
 // takes ownership on hand-off). Put clears the slice so the pool never
 // pins element memory.
+//
+// A sync.Pool holds pointers, so a batch is parked in a *[]T box. Get
+// hands the emptied box to a second pool and Put takes it back from
+// there, so a Get/Put round trip allocates nothing in the steady state.
 type BatchPool[T any] struct {
-	size int
-	pool sync.Pool
+	size  int
+	pool  sync.Pool // boxes holding a recycled batch
+	boxes sync.Pool // empty boxes, for Put to reuse
 }
 
 // NewBatchPool creates a pool of batches with the given capacity
@@ -36,7 +41,11 @@ func NewBatchPool[T any](size int) *BatchPool[T] {
 // Get returns a zero-length batch with at least the pool's configured
 // capacity.
 func (bp *BatchPool[T]) Get() []T {
-	return (*bp.pool.Get().(*[]T))[:0]
+	box := bp.pool.Get().(*[]T)
+	b := (*box)[:0]
+	*box = nil
+	bp.boxes.Put(box)
+	return b
 }
 
 // Put recycles a batch obtained from Get, clearing element references.
@@ -45,8 +54,12 @@ func (bp *BatchPool[T]) Put(b []T) {
 		return
 	}
 	clear(b[:cap(b)])
-	b = b[:0]
-	bp.pool.Put(&b)
+	box, _ := bp.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = b[:0]
+	bp.pool.Put(box)
 }
 
 // Size returns the configured elements-per-batch capacity.

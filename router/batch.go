@@ -10,9 +10,10 @@ import (
 )
 
 // This file is the hub of the batched data path (DESIGN.md §4): the
-// IPacketPushBatch capability interface, the two edge adapters between it
-// and per-packet code (pushOne inbound, ForwardBatch outbound), and the
-// pooled []*Packet scratch batches that keep the steady state
+// IPacketPushBatch capability interface, the edge adapters between it and
+// per-packet code (pushOne inbound, ForwardBatch outbound, pullBatch on
+// the pull side), the demultiplexing step of the splitting elements, and
+// the pooled []*Packet scratch batches that keep the steady state
 // allocation-free.
 //
 // Ownership contract: a PushBatch callee takes ownership of every Packet
@@ -147,8 +148,42 @@ func GetBatch() []*Packet { return packetBatches.Get() }
 // pool never pins packet memory.
 func PutBatch(b []*Packet) { packetBatches.Put(b) }
 
+// batchPuller is the pull side's batch capability: the queues implement
+// it (queueCore.PullBatch), and pullBatch finds it by type assertion.
+type batchPuller interface {
+	PullBatch(dst []*Packet, max, credit int) []*Packet
+}
+
+// pullBatch appends to dst up to max packets from src while byte credit
+// remains, and returns the extended slice and the credit left (each packet
+// costs len(p.Data); the one that exhausts the credit is still taken). It
+// is the pull-side mirror of ForwardBatch: one PullBatch — one lock — when
+// src drains in batches, one Pull per packet when src is a per-packet-only
+// plug-in or an intercepted binding. Both stop at the first empty pull, so
+// the caller cannot tell which path ran.
+func pullBatch(src IPacketPull, dst []*Packet, max, credit int) ([]*Packet, int) {
+	if bp, ok := src.(batchPuller); ok {
+		n := len(dst)
+		dst = bp.PullBatch(dst, max, credit)
+		for _, p := range dst[n:] {
+			credit -= len(p.Data)
+		}
+		return dst, credit
+	}
+	for ; max > 0 && credit > 0; max-- {
+		p, err := src.Pull()
+		if err != nil || p == nil {
+			break
+		}
+		dst = append(dst, p)
+		credit -= len(p.Data)
+	}
+	return dst, credit
+}
+
 // forwardBatch pushes batch to the receptacle target and accounts the
-// outcome; an unbound receptacle drops (and releases) the whole batch. Errors are per-packet-exact: the failed
+// outcome; a nil or unbound receptacle drops (and releases) the whole
+// batch. Errors are per-packet-exact: the failed
 // count is read from the downstream's BatchError (whole batch for a plain
 // error), errs counts every failing packet, out counts the rest, and the
 // returned error is normalised to a BatchError so the next hop up accounts
@@ -159,7 +194,11 @@ func (e *elementCounters) forwardBatch(out *core.Receptacle[IPacketPush], batch 
 	if len(batch) == 0 {
 		return nil
 	}
-	next, ok := out.Get()
+	var next IPacketPush
+	ok := false
+	if out != nil {
+		next, ok = out.Get()
+	}
 	if !ok {
 		e.dropped.Add(uint64(len(batch)))
 		for _, p := range batch {
@@ -181,9 +220,9 @@ func (e *elementCounters) forwardBatch(out *core.Receptacle[IPacketPush], batch 
 	return err
 }
 
-// batchErrAgg folds the per-run errors of a split batch crossing into one
+// batchErrAgg folds the per-crossing errors of a split batch into one
 // BatchError whose Failed is the total failing-packet count, so callers
-// see the same cardinality whether the batch crossed whole or in runs.
+// see the same cardinality whether the batch crossed whole or in parts.
 type batchErrAgg struct {
 	failed   int
 	firstErr error
@@ -210,35 +249,40 @@ func (a *batchErrAgg) err() error {
 	return &BatchError{Failed: a.failed, Err: a.firstErr}
 }
 
-// splitRuns is the shared demultiplexing scan of the batched classifier
-// and protocol recogniser: each packet resolves to a target receptacle
-// (nil = drop), and maximal same-target runs are forwarded as sub-slices
-// of batch. Per-output order is arrival order.
-func (e *elementCounters) splitRuns(batch []*Packet, target func(*Packet) *core.Receptacle[IPacketPush]) error {
-	if len(batch) == 0 {
-		return nil
+// demuxChunk bounds how many packets a splitting element routes at a time,
+// and so the size of its stack-resident routing tables.
+const demuxChunk = 64
+
+// scatter is the forwarding step the batched classifier and protocol
+// recogniser share. They route a batch in chunks of at most demuxChunk:
+// slot[i] is chunk[i]'s output slot and to[s] the receptacle slot s stands
+// for (nil = drop); distinct slots must be distinct receptacles. A stable
+// counting sort into one pooled scratch then sends each slot's packets as
+// ONE sub-batch in arrival order — one binding crossing, and one queue
+// lock behind it, per output rather than per run of equal outputs.
+// Packets of different outputs are not interleaved. A chunk with a single
+// output is forwarded as it is, without the copy. Failures fold into agg.
+func (e *elementCounters) scatter(chunk []*Packet, slot []uint8, to []*core.Receptacle[IPacketPush], agg *batchErrAgg) {
+	var start [demuxChunk + 1]int // start[s]: where slot s begins in the sorted batch
+	for _, s := range slot {
+		start[s+1]++
 	}
-	var agg batchErrAgg
-	flush := func(t *core.Receptacle[IPacketPush], seg []*Packet) {
-		if len(seg) == 0 {
+	for s := range to {
+		if start[s+1] == len(chunk) {
+			agg.note(e.forwardBatch(to[s], chunk), len(chunk))
 			return
 		}
-		if t == nil {
-			e.dropped.Add(uint64(len(seg)))
-			for _, p := range seg {
-				p.Release()
-			}
-			return
-		}
-		agg.note(e.forwardBatch(t, seg), len(seg))
+		start[s+1] += start[s]
 	}
-	run, cur := 0, target(batch[0])
-	for i := 1; i < len(batch); i++ {
-		if t := target(batch[i]); t != cur {
-			flush(cur, batch[run:i])
-			run, cur = i, t
-		}
+	sorted := append(GetBatch(), chunk...) // sized; every slot is overwritten
+	next := start
+	for i, p := range chunk {
+		sorted[next[slot[i]]] = p
+		next[slot[i]]++
 	}
-	flush(cur, batch[run:])
-	return agg.err()
+	for s, r := range to {
+		sub := sorted[start[s]:start[s+1]]
+		agg.note(e.forwardBatch(r, sub), len(sub))
+	}
+	PutBatch(sorted)
 }

@@ -3,6 +3,8 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -329,7 +331,7 @@ func TestFIFOQueueBatchOverflow(t *testing.T) {
 	if st := q.ElemStats(); st.Dropped != 2 || st.In != 6 {
 		t.Fatalf("stats = %+v, want 2 dropped of 6", st)
 	}
-	got := q.PullBatch(nil, 10)
+	got := q.PullBatch(nil, 10, math.MaxInt)
 	if len(got) != 4 {
 		t.Fatalf("pulled %d, want 4", len(got))
 	}
@@ -390,8 +392,8 @@ func TestREDQueueBatchEquivalence(t *testing.T) {
 			qPer.EarlyDrops(), qBat.EarlyDrops(), qPer.ForcedDrops(), qBat.ForcedDrops())
 	}
 	var perOut, batOut []*Packet
-	perOut = qPer.PullBatch(perOut, n)
-	batOut = qBat.PullBatch(batOut, n)
+	perOut = qPer.PullBatch(perOut, n, math.MaxInt)
+	batOut = qBat.PullBatch(batOut, n, math.MaxInt)
 	if !equalPorts(dstPorts(perOut), dstPorts(batOut)) {
 		t.Fatal("admitted packet sequences diverged")
 	}
@@ -668,4 +670,324 @@ func TestForwardBatchErrorAccounting(t *testing.T) {
 		head, err := drive(t, newErrBatchTarget(nil), 8)
 		check(t, head, err, 8, 0)
 	})
+}
+
+// ---------------------------------------------------------------------------
+// Split by output: the demux contract of the splitting elements
+
+// TestBatchPoolAllocatesNothing: a GetBatch/PutBatch round trip reuses the
+// batch and the pool's box for it.
+func TestBatchPoolAllocatesNothing(t *testing.T) {
+	p := udpPkt(t, 1, 64)
+	if n := testing.AllocsPerRun(1000, func() {
+		b := append(GetBatch(), p)
+		PutBatch(b)
+	}); n != 0 {
+		t.Fatalf("GetBatch+PutBatch allocates %v times per round trip", n)
+	}
+}
+
+// countingSink counts crossings and packets without keeping them, so a
+// push into it allocates nothing.
+type countingSink struct {
+	*core.Base
+	calls, pkts int
+}
+
+func newCountingSink() *countingSink {
+	s := &countingSink{Base: core.NewBase("test.CountingSink")}
+	s.Provide(IPacketPushID, s)
+	return s
+}
+
+func (s *countingSink) Push(p *Packet) error { return s.PushBatch([]*Packet{p}) }
+
+func (s *countingSink) PushBatch(batch []*Packet) error {
+	s.calls++
+	s.pkts += len(batch)
+	return nil
+}
+
+// scatterFixture is a splitting element with a sink component bound to
+// each of the named outputs; outputs missing from sinks stay unbound.
+func scatterFixture(t *testing.T, elem core.Component, sinks map[string]core.Component) {
+	t.Helper()
+	c := newCap()
+	if err := c.Insert("elem", elem); err != nil {
+		t.Fatal(err)
+	}
+	for out, s := range sinks {
+		if err := c.Insert("sink_"+out, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ConnectPush(c, "elem", out, "sink_"+out); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// eightWayClassifier is a warm-cacheable classifier over outputs o0..o7:
+// dst port 2000+i routes to o(i%8), for i < 16.
+func eightWayClassifier(t *testing.T) (*Classifier, []string) {
+	t.Helper()
+	outs := make([]string, 8)
+	for k := range outs {
+		outs[k] = fmt.Sprintf("o%d", k)
+	}
+	cls, err := NewClassifier(outs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := cls.RegisterFilter(fmt.Sprintf("udp and dst port %d", 2000+i), 1, outs[i%8]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cls, outs
+}
+
+// mixedPorts is a 32-packet arrival order over dst ports 2000..2015 in
+// which every output of eightWayClassifier recurs and no two neighbours
+// share an output: a run-splitting element would cross 32 times.
+func mixedPorts() []uint16 {
+	ports := make([]uint16, 32)
+	for i := range ports {
+		ports[i] = uint16(2000 + (i*5)%16)
+	}
+	return ports
+}
+
+func portsBatch(t *testing.T, ports []uint16) []*Packet {
+	t.Helper()
+	batch := make([]*Packet, len(ports))
+	for i, port := range ports {
+		batch[i] = udpPkt(t, port, 64)
+	}
+	return batch
+}
+
+// TestScatterClassifierOneCrossingPerOutput: a warm-cache batch of 32
+// packets over 8 outputs crosses each output's binding once, every output
+// receives the arrival-order subsequence of its packets, and the whole
+// push allocates nothing.
+func TestScatterClassifierOneCrossingPerOutput(t *testing.T) {
+	ports := mixedPorts()
+
+	cls, outs := eightWayClassifier(t)
+	rec := map[string]*batchSink{}
+	sinks := map[string]core.Component{}
+	for _, o := range outs {
+		rec[o] = newBatchSink()
+		sinks[o] = rec[o]
+	}
+	scatterFixture(t, cls, sinks)
+	if err := cls.PushBatch(portsBatch(t, ports)); err != nil {
+		t.Fatal(err)
+	}
+	for k, o := range outs {
+		var want []uint16
+		for _, port := range ports {
+			if int(port-2000)%8 == k {
+				want = append(want, port)
+			}
+		}
+		got, pushes, batches := rec[o].snapshot()
+		if pushes != 0 || batches != 1 {
+			t.Fatalf("output %s: %d pushes + %d batches, want one batch", o, pushes, batches)
+		}
+		if !equalPorts(dstPorts(got), want) {
+			t.Fatalf("output %s got %v, want arrival order %v", o, dstPorts(got), want)
+		}
+	}
+
+	cls, outs = eightWayClassifier(t)
+	counters := map[string]*countingSink{}
+	sinks = map[string]core.Component{}
+	for _, o := range outs {
+		counters[o] = newCountingSink()
+		sinks[o] = counters[o]
+	}
+	scatterFixture(t, cls, sinks)
+	batch := portsBatch(t, ports)
+	if err := cls.PushBatch(batch); err != nil { // warms the verdict cache
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = cls.PushBatch(batch) }); n != 0 {
+		t.Fatalf("warm-cache PushBatch allocates %v times per batch", n)
+	}
+	calls, pkts := 0, 0
+	for _, s := range counters {
+		calls, pkts = calls+s.calls, pkts+s.pkts
+	}
+	runs := 1 + 200 + 1 // warm-up, AllocsPerRun's own warm-up, the measured runs
+	if calls > 8*runs || pkts != 32*runs {
+		t.Fatalf("%d crossings for %d packets over %d batches, want <= 8 per batch", calls, pkts, runs)
+	}
+	if hits, _, _ := cls.FlowCache().Counters(); hits == 0 {
+		t.Fatal("the measured batches never hit the verdict cache")
+	}
+}
+
+// TestScatterBatchErrorsSum: a batch whose outputs fail differently
+// reports the sum of every output's failures, and the classifier books
+// that many errs.
+func TestScatterBatchErrorsSum(t *testing.T) {
+	cls, err := NewClassifier("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scatterFixture(t, cls, map[string]core.Component{
+		"a": newErrBatchTarget(&BatchError{Failed: 1, Err: errFlaky}),
+		"b": newErrBatchTarget(errFlaky), // plain error: the whole crossing failed
+	})
+	if _, err := cls.RegisterFilter("udp and dst port 1", 1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cls.RegisterFilter("udp and dst port 2", 1, "b"); err != nil {
+		t.Fatal(err)
+	}
+	err = cls.PushBatch(portsBatch(t, []uint16{1, 2, 1, 1, 2, 1, 2, 1})) // a: 5, b: 3
+	if got := FailedPackets(err, 8); got != 1+3 {
+		t.Fatalf("surfaced %d failed (%v), want 4", got, err)
+	}
+	if !errors.Is(err, errFlaky) {
+		t.Fatalf("underlying error lost: %v", err)
+	}
+	if st := cls.ElemStats(); st.In != 8 || st.Errors != 4 || st.Out != 4 || st.Dropped != 0 {
+		t.Fatalf("classifier books %+v, want in 8 errs 4 out 4", st)
+	}
+}
+
+// TestScatterUnboundOutputsDrop: packets for an unbound output, and
+// unmatched packets without a default output, are dropped and counted;
+// the bound output still gets its own packets in order.
+func TestScatterUnboundOutputsDrop(t *testing.T) {
+	cls, err := NewClassifier("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := newBatchSink()
+	scatterFixture(t, cls, map[string]core.Component{"a": sa})
+	if _, err := cls.RegisterFilter("udp and dst port 1", 1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cls.RegisterFilter("udp and dst port 2", 1, "b"); err != nil {
+		t.Fatal(err)
+	}
+	ports := []uint16{1, 2, 9, 1, 9, 2, 1} // a: 3, b (unbound): 2, unmatched: 2
+	if err := cls.PushBatch(portsBatch(t, ports)); err != nil {
+		t.Fatal(err)
+	}
+	got, _, batches := sa.snapshot()
+	if batches != 1 || !equalPorts(dstPorts(got), []uint16{1, 1, 1}) {
+		t.Fatalf("output a got %v in %d batches", dstPorts(got), batches)
+	}
+	if st := cls.ElemStats(); st.In != 7 || st.Out != 3 || st.Dropped != 4 || st.Errors != 0 {
+		t.Fatalf("classifier books %+v, want in 7 out 3 dropped 4", st)
+	}
+}
+
+// TestScatterProtoRecogn: the protocol recogniser keeps the same contract
+// — one crossing per version, arrival order within it, failures summed,
+// unbound outputs dropped and counted, nothing allocated.
+func TestScatterProtoRecogn(t *testing.T) {
+	junk := func() *Packet { return NewPacket([]byte{0xff, 0, 1}) }
+	mixed := func() []*Packet {
+		var b []*Packet
+		for i := 0; i < 32; i++ {
+			switch i % 4 {
+			case 0, 2:
+				b = append(b, udpPkt(t, uint16(i), 64))
+			case 1:
+				b = append(b, udp6Pkt(t, uint8(i)))
+			default:
+				b = append(b, junk())
+			}
+		}
+		return b
+	}
+
+	r := NewProtoRecogn()
+	s4, s6 := newBatchSink(), newBatchSink()
+	scatterFixture(t, r, map[string]core.Component{"ipv4": s4, "ipv6": s6}) // "other" unbound
+	batch := mixed()
+	if err := r.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s    *batchSink
+		pick int
+	}{{s4, 0}, {s6, 1}} {
+		var want []*Packet
+		for i, p := range batch {
+			if i%4 == tc.pick || (tc.pick == 0 && i%4 == 2) {
+				want = append(want, p)
+			}
+		}
+		got, pushes, batches := tc.s.snapshot()
+		if pushes != 0 || batches != 1 || len(got) != len(want) {
+			t.Fatalf("%d packets in %d pushes + %d batches, want %d in one batch", len(got), pushes, batches, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("packet %d out of arrival order", i)
+			}
+		}
+	}
+	if st := r.ElemStats(); st.In != 32 || st.Out != 24 || st.Dropped != 8 {
+		t.Fatalf("recogniser books %+v, want in 32 out 24 dropped 8", st)
+	}
+
+	r = NewProtoRecogn()
+	scatterFixture(t, r, map[string]core.Component{
+		"ipv4": newErrBatchTarget(&BatchError{Failed: 2, Err: errFlaky}),
+		"ipv6": newErrBatchTarget(errFlaky),
+	})
+	if got := FailedPackets(r.PushBatch(mixed()), 32); got != 2+8 {
+		t.Fatalf("surfaced %d failed, want 10", got)
+	}
+
+	r = NewProtoRecogn()
+	c4, c6, co := newCountingSink(), newCountingSink(), newCountingSink()
+	scatterFixture(t, r, map[string]core.Component{"ipv4": c4, "ipv6": c6, "other": co})
+	batch = mixed()
+	if n := testing.AllocsPerRun(200, func() { _ = r.PushBatch(batch) }); n != 0 {
+		t.Fatalf("PushBatch allocates %v times per batch", n)
+	}
+	if runs := 201; c4.calls != runs || c6.calls != runs || co.calls != runs {
+		t.Fatalf("crossings per output %d/%d/%d over %d batches, want one each per batch",
+			c4.calls, c6.calls, co.calls, runs)
+	}
+}
+
+// TestScatterFlowCacheCountsEveryLookup: hits + misses equals the cached
+// lookups exactly, with the counters settled once per batch — the
+// adapt plane's HitRateBelow and the benchmark's refill probe read them.
+// Batches longer than one demux chunk are included.
+func TestScatterFlowCacheCountsEveryLookup(t *testing.T) {
+	cls, outs := eightWayClassifier(t)
+	scatterFixture(t, cls, map[string]core.Component{outs[0]: newCountingSink()})
+	rng := xorshift(3)
+	var total, h0, m0 uint64
+	for _, n := range []int{1, 32, demuxChunk, demuxChunk + 1, 3*demuxChunk + 7} {
+		ports := make([]uint16, n)
+		for i := range ports {
+			ports[i] = uint16(2000 + rng.next()%24) // 16 ruled ports, 8 unmatched
+		}
+		if err := cls.PushBatch(portsBatch(t, ports)); err != nil {
+			t.Fatal(err)
+		}
+		total += uint64(n)
+		hits, misses, _ := cls.FlowCache().Counters()
+		if hits+misses != total {
+			t.Fatalf("after %d lookups: hits %d + misses %d", total, hits, misses)
+		}
+		if misses < m0 || hits < h0 {
+			t.Fatal("counters went backwards")
+		}
+		h0, m0 = hits, misses
+	}
+	if m0 > 24 {
+		t.Fatalf("%d misses for 24 distinct flows in a cache that holds them all", m0)
+	}
 }

@@ -143,9 +143,9 @@ func (c *Classifier) Push(p *Packet) error { return pushOne(c, p) }
 // pick maps a classification verdict to the output receptacle (nil = drop)
 // against this output-set snapshot. Cached verdicts carry the output NAME,
 // not the receptacle, so output-topology changes need no invalidation.
-func (s *clsOutputs) pick(name string, matched bool) *core.Receptacle[IPacketPush] {
-	if matched {
-		return s.outs[name]
+func (s *clsOutputs) pick(v flowVerdict) *core.Receptacle[IPacketPush] {
+	if v.matched {
+		return s.outs[v.out]
 	}
 	return s.deflt
 }
@@ -153,40 +153,91 @@ func (s *clsOutputs) pick(name string, matched bool) *core.Receptacle[IPacketPus
 // resolve classifies p with the megaflow fast path: probe the verdict
 // cache on the packet's flow hash (exact-key, generation-fenced — see
 // flowcache.go), fall back to the compiled table on a miss, and install
-// the computed verdict for the flow's successors. The cache engages only
-// when the table snapshot is flow-safe and big enough to beat a probe;
-// otherwise this is exactly the uncached compiled lookup.
-func (c *Classifier) resolve(snap *clsOutputs, ts *filter.Snapshot, fc *FlowCache, p *Packet) *core.Receptacle[IPacketPush] {
-	if fc != nil && ts.CacheWorthwhile() {
-		key := flowKeyOf(p.View())
-		h := FlowHash(p)
-		if v, ok := fc.probe(h, key, ts.Gen()); ok {
-			return snap.pick(v.out, v.matched)
-		}
+// the computed verdict for the flow's successors. fv is nil when the cache
+// is off for this batch: then this is exactly the uncached compiled lookup.
+func resolve(ts *filter.Snapshot, fv *cacheVisit, p *Packet) flowVerdict {
+	if fv == nil {
 		out, matched := ts.Lookup(p.View())
-		fc.insert(h, key, ts.Gen(), flowVerdict{out: out, matched: matched})
-		return snap.pick(out, matched)
+		return flowVerdict{out: out, matched: matched}
+	}
+	key := flowKeyOf(p.View())
+	h := FlowHash(p)
+	if v, ok := fv.probe(h, key); ok {
+		return v
 	}
 	out, matched := ts.Lookup(p.View())
-	return snap.pick(out, matched)
+	v := flowVerdict{out: out, matched: matched}
+	fv.insert(h, key, v)
+	return v
 }
 
-// PushBatch implements IPacketPushBatch: each packet is classified
-// individually, then maximal runs routed to the same output are forwarded
-// as sub-batches of the incoming slice (no per-output copying), so
-// per-output order is arrival order. Unmatched packets with no default
-// output are dropped.
+// outputSlots maps one chunk's verdicts to scatter slots. Each distinct
+// verdict is resolved to its receptacle once, and verdicts that reach the
+// same receptacle (a rule routed to "default" and the unmatched path, or
+// two unknown outputs dropping) share a slot, so every output keeps
+// arrival order.
+type outputSlots struct {
+	verdicts [demuxChunk]flowVerdict
+	slots    [demuxChunk]uint8
+	nv       int
+	to       [demuxChunk]*core.Receptacle[IPacketPush]
+	n        int
+}
+
+func (m *outputSlots) slot(snap *clsOutputs, v flowVerdict) uint8 {
+	for i := 0; i < m.nv; i++ {
+		if m.verdicts[i] == v {
+			return m.slots[i]
+		}
+	}
+	r := snap.pick(v)
+	s := 0
+	for s < m.n && m.to[s] != r {
+		s++
+	}
+	if s == m.n {
+		m.to[s] = r
+		m.n++
+	}
+	m.verdicts[m.nv], m.slots[m.nv] = v, uint8(s)
+	m.nv++
+	return uint8(s)
+}
+
+// PushBatch implements IPacketPushBatch: each packet is classified once,
+// then every output's packets leave as ONE sub-batch (scatter). Order is
+// arrival order per output; packets of different outputs are no longer
+// interleaved with each other. Unmatched packets with no default output
+// are dropped.
 // The output-set snapshot, compiled-table snapshot, and cache reference
 // are all loaded once for the whole batch, so every packet in the batch
-// is classified against one frozen rule generation.
+// is classified against one frozen rule generation; the cache's hit/miss
+// counters and LRU clock are advanced once per batch (cacheVisit).
 func (c *Classifier) PushBatch(batch []*Packet) error {
 	c.in.Add(uint64(len(batch)))
 	snap := c.snap.Load()
 	ts := c.table.Snapshot()
-	fc := c.cache.Load()
-	return c.splitRuns(batch, func(p *Packet) *core.Receptacle[IPacketPush] {
-		return c.resolve(snap, ts, fc, p)
-	})
+	var fv *cacheVisit
+	if fc := c.cache.Load(); fc != nil && ts.CacheWorthwhile() {
+		v := fc.visit(ts.Gen(), len(batch))
+		fv = &v
+	}
+	var agg batchErrAgg
+	var m outputSlots
+	var slot [demuxChunk]uint8
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), demuxChunk)]
+		batch = batch[len(chunk):]
+		m.nv, m.n = 0, 0
+		for i, p := range chunk {
+			slot[i] = m.slot(snap, resolve(ts, fv, p))
+		}
+		c.scatter(chunk, slot[:len(chunk)], m.to[:m.n], &agg)
+	}
+	if fv != nil {
+		fv.settle()
+	}
+	return agg.err()
 }
 
 // FlowCache returns the live verdict cache (nil when disabled).

@@ -229,24 +229,30 @@ func NewProtoRecogn() *ProtoRecogn {
 // Push implements IPacketPush.
 func (r *ProtoRecogn) Push(p *Packet) error { return pushOne(r, p) }
 
-// output returns the receptacle serving p's IP version.
-func (r *ProtoRecogn) output(p *Packet) *core.Receptacle[IPacketPush] {
-	switch packet.Version(p.Data) {
-	case 4:
-		return r.v4
-	case 6:
-		return r.v6
-	default:
-		return r.other
-	}
-}
-
-// PushBatch implements IPacketPushBatch: maximal runs of same-version
-// packets are forwarded as sub-batches (slices of the incoming batch, so
-// splitting allocates nothing), preserving arrival order on every output.
+// PushBatch implements IPacketPushBatch: each output's packets leave as
+// one sub-batch in arrival order (scatter), so a mixed batch crosses each
+// output's binding once.
 func (r *ProtoRecogn) PushBatch(batch []*Packet) error {
 	r.in.Add(uint64(len(batch)))
-	return r.splitRuns(batch, r.output)
+	to := [...]*core.Receptacle[IPacketPush]{r.v4, r.v6, r.other}
+	var agg batchErrAgg
+	var slot [demuxChunk]uint8
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), demuxChunk)]
+		batch = batch[len(chunk):]
+		for i, p := range chunk {
+			switch packet.Version(p.Data) {
+			case 4:
+				slot[i] = 0
+			case 6:
+				slot[i] = 1
+			default:
+				slot[i] = 2
+			}
+		}
+		r.scatter(chunk, slot[:len(chunk)], to[:], &agg)
+	}
+	return agg.err()
 }
 
 // ---------------------------------------------------------------------------

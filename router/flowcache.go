@@ -125,32 +125,64 @@ func (fc *FlowCache) Counters() (hits, misses, evicts uint64) {
 	return fc.hits.Load(), fc.misses.Load(), fc.evicts.Load()
 }
 
-// probe looks up the verdict for (key, gen), selecting the set by hash.
-// A generation mismatch is a miss: the entry was computed under retired
+// cacheVisit is one batch's pass over a FlowCache under one rule
+// generation. It reserves one pseudo-LRU stamp per lookup from the shared
+// clock in a single add, so entries keep their exact per-packet recency
+// order, and it settles the hit/miss counts once: a batch pays the tick
+// and counter atomics once rather than per packet.
+type cacheVisit struct {
+	fc           *FlowCache
+	gen, stamp   uint64 // stamp: the next reserved stamp
+	hits, misses uint64
+}
+
+// visit opens a pass of at most n lookups under rule generation gen.
+func (fc *FlowCache) visit(gen uint64, n int) cacheVisit {
+	end := fc.tick.Add(uint64(n))
+	return cacheVisit{fc: fc, gen: gen, stamp: end - uint64(n) + 1}
+}
+
+// settle publishes the pass's hit and miss counts.
+func (v *cacheVisit) settle() {
+	if v.hits > 0 {
+		v.fc.hits.Add(v.hits)
+	}
+	if v.misses > 0 {
+		v.fc.misses.Add(v.misses)
+	}
+}
+
+// probe looks up the verdict for key, selecting the set by hash. A
+// generation mismatch is a miss: the entry was computed under retired
 // rules and must not be served.
-func (fc *FlowCache) probe(hash uint32, key flowKey, gen uint64) (flowVerdict, bool) {
+func (v *cacheVisit) probe(hash uint32, key flowKey) (flowVerdict, bool) {
+	fc := v.fc
 	si := hash & fc.mask
 	mu := &fc.stripes[si&fc.smask]
 	mu.Lock()
 	set := &fc.sets[si]
 	for w := range set.ways {
 		e := &set.ways[w]
-		if e.live && e.gen == gen && e.key == key {
-			e.stamp = fc.tick.Add(1)
-			v := e.verdict
+		if e.live && e.gen == v.gen && e.key == key {
+			e.stamp = v.stamp
+			v.stamp++
+			verdict := e.verdict
 			mu.Unlock()
-			fc.hits.Add(1)
-			return v, true
+			v.hits++
+			return verdict, true
 		}
 	}
 	mu.Unlock()
-	fc.misses.Add(1)
+	v.misses++
 	return flowVerdict{}, false
 }
 
-// insert records a verdict computed under gen. Replacement prefers dead or
-// generation-stale ways, then the least-recently-touched one.
-func (fc *FlowCache) insert(hash uint32, key flowKey, gen uint64, v flowVerdict) {
+// insert records a verdict computed under the pass's generation.
+// Replacement prefers dead or generation-stale ways, then the
+// least-recently-touched one.
+func (v *cacheVisit) insert(hash uint32, key flowKey, verdict flowVerdict) {
+	fc, gen, stamp := v.fc, v.gen, v.stamp
+	v.stamp++
 	si := hash & fc.mask
 	mu := &fc.stripes[si&fc.smask]
 	mu.Lock()
@@ -161,8 +193,8 @@ func (fc *FlowCache) insert(hash uint32, key flowKey, gen uint64, v flowVerdict)
 		e := &set.ways[w]
 		if e.live && e.key == key {
 			// Same flow: refresh in place (the gen may have advanced).
-			e.gen, e.verdict = gen, v
-			e.stamp = fc.tick.Add(1)
+			e.gen, e.verdict = gen, verdict
+			e.stamp = stamp
 			return
 		}
 		switch {
@@ -182,7 +214,21 @@ func (fc *FlowCache) insert(hash uint32, key flowKey, gen uint64, v flowVerdict)
 	} else {
 		fc.evicts.Add(1)
 	}
-	*e = flowEntry{key: key, verdict: v, gen: gen, stamp: fc.tick.Add(1), live: true}
+	*e = flowEntry{key: key, verdict: verdict, gen: gen, stamp: stamp, live: true}
+}
+
+// probe is a one-lookup pass: visit, probe, settle.
+func (fc *FlowCache) probe(hash uint32, key flowKey, gen uint64) (flowVerdict, bool) {
+	v := fc.visit(gen, 1)
+	verdict, ok := v.probe(hash, key)
+	v.settle()
+	return verdict, ok
+}
+
+// insert is a one-insert pass.
+func (fc *FlowCache) insert(hash uint32, key flowKey, gen uint64, verdict flowVerdict) {
+	v := fc.visit(gen, 1)
+	v.insert(hash, key, verdict)
 }
 
 // ProbeView is the exported probe, keyed on an extracted View — the form

@@ -191,6 +191,28 @@ func TestFlowCacheEviction(t *testing.T) {
 	}
 }
 
+// TestFlowCacheRecencyWithinBatch: one batch's pass takes one clock add
+// yet keeps per-lookup recency, so the flow the batch touched first is the
+// one evicted next — not whichever way a tie would pick.
+func TestFlowCacheRecencyWithinBatch(t *testing.T) {
+	fc := NewFlowCache(flowWays) // single set
+	const gen = 1
+	key := func(i int) flowKey { return flowKey{srcPort: uint16(i), version: 4} }
+	v := fc.visit(gen, flowWays)
+	for i := 0; i < flowWays; i++ {
+		v.insert(0, key(i), flowVerdict{})
+	}
+	fc.insert(0, key(999), gen, flowVerdict{})
+	if _, ok := fc.probe(0, key(0), gen); ok {
+		t.Fatal("the batch's first flow survived the next eviction")
+	}
+	for i := 1; i < flowWays; i++ {
+		if _, ok := fc.probe(0, key(i), gen); !ok {
+			t.Fatalf("flow %d, touched later in the batch, was evicted", i)
+		}
+	}
+}
+
 // TestFlowCacheStatsSurface: the classifier's Stats() carries the cache
 // counters and gauges the adapt plane and nkctl read.
 func TestFlowCacheStatsSurface(t *testing.T) {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,8 +11,9 @@ import (
 )
 
 // queueCore is what the queue disciplines share: the element counters, a
-// locked packet ring, its pull side, and the seal that hot-swap closes the
-// ring with. Admission (drop-tail, RED) is each discipline's own.
+// locked packet ring, its pull side, the doorbell its puller sleeps on,
+// and the seal that hot-swap closes the ring with. Admission (drop-tail,
+// RED) is each discipline's own.
 type queueCore struct {
 	elementCounters
 
@@ -19,14 +21,43 @@ type queueCore struct {
 	ring   []*Packet
 	head   int
 	size   int
-	sealed bool        // ExportState ran: the ring admits nothing more
-	heir   IPacketPush // takes what reaches a sealed queue; nil = drop
+	bell   chan struct{} // rung when the ring turns non-empty; nil = nobody waits
+	sealed bool          // ExportState ran: the ring admits nothing more
+	heir   IPacketPush   // takes what reaches a sealed queue; nil = drop
 }
 
 // putLocked appends p to the ring, which must have room. Caller holds mu.
 func (c *queueCore) putLocked(p *Packet) {
 	c.ring[(c.head+c.size)%len(c.ring)] = p
 	c.size++
+}
+
+// unlockRing releases mu after an admission and rings the doorbell if the
+// ring went from empty (wasEmpty: size was 0 when the caller took mu) to
+// non-empty. Ringing only on that edge keeps the pusher's cost to one
+// non-blocking send per drain of the queue, not one per batch. The send
+// never blocks: a token already waiting in the capacity-1 bell covers
+// this one too, and a nil bell takes the default branch.
+func (c *queueCore) unlockRing(wasEmpty bool) {
+	bell := c.bell
+	rings := wasEmpty && c.size > 0
+	c.mu.Unlock()
+	if rings {
+		select {
+		case bell <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// setBell registers the doorbell the queue rings when it turns non-empty
+// (LinkScheduler registers its own on every input). A queue that already
+// holds packets rings at once, so a puller that registers and then waits
+// cannot miss a packet that arrived before it registered.
+func (c *queueCore) setBell(bell chan struct{}) {
+	c.mu.Lock()
+	c.bell = bell
+	c.unlockRing(true)
 }
 
 // late disposes of a batch that reached the queue after ExportState sealed
@@ -45,27 +76,23 @@ func (c *queueCore) late(batch []*Packet) error {
 	return nil
 }
 
-// Pull implements IPacketPull.
+// Pull implements IPacketPull: PullBatch of one packet.
 func (c *queueCore) Pull() (*Packet, error) {
-	c.mu.Lock()
-	if c.size == 0 {
-		c.mu.Unlock()
-		return nil, ErrNoPacket
+	var one [1]*Packet
+	if got := c.PullBatch(one[:0], 1, math.MaxInt); len(got) == 1 {
+		return got[0], nil
 	}
-	p := c.ring[c.head]
-	c.ring[c.head] = nil
-	c.head = (c.head + 1) % len(c.ring)
-	c.size--
-	c.mu.Unlock()
-	c.out.Add(1)
-	return p, nil
+	return nil, ErrNoPacket
 }
 
-// drainLocked pops up to max packets into dst (appending, clearing the
-// vacated slots). Caller holds mu.
-func (c *queueCore) drainLocked(dst []*Packet, max int) []*Packet {
-	for n := min(c.size, max); n > 0; n-- {
-		dst = append(dst, c.ring[c.head])
+// drainLocked pops packets into dst (appending, clearing the vacated
+// slots) while fewer than max have moved and credit is positive; each
+// packet costs its length. Caller holds mu.
+func (c *queueCore) drainLocked(dst []*Packet, max, credit int) []*Packet {
+	for ; max > 0 && credit > 0 && c.size > 0; max-- {
+		p := c.ring[c.head]
+		dst = append(dst, p)
+		credit -= len(p.Data)
 		c.ring[c.head] = nil
 		c.head = (c.head + 1) % len(c.ring)
 		c.size--
@@ -73,17 +100,20 @@ func (c *queueCore) drainLocked(dst []*Packet, max int) []*Packet {
 	return dst
 }
 
-// PullBatch moves up to max queued packets into dst (appending) under one
-// lock acquisition and returns the extended slice: the batch-granular way
-// to drain the push/pull boundary for callers that own their service loop.
-// (The LinkScheduler still pulls per packet — its disciplines account
-// bytes per packet — and batches on its egress side.)
-func (c *queueCore) PullBatch(dst []*Packet, max int) []*Packet {
+// PullBatch moves queued packets into dst (appending) under one lock
+// acquisition while fewer than max have moved and byte credit remains,
+// and returns the extended slice. Each packet costs len(p.Data) of the
+// credit, and the packet that exhausts it is still taken — DRR's debt
+// carrying. It is the batch form of Pull, and what LinkScheduler's
+// disciplines drain a queue with: one lock per queue visit.
+func (c *queueCore) PullBatch(dst []*Packet, max, credit int) []*Packet {
 	before := len(dst)
 	c.mu.Lock()
-	dst = c.drainLocked(dst, max)
+	dst = c.drainLocked(dst, max, credit)
 	c.mu.Unlock()
-	c.out.Add(uint64(len(dst) - before))
+	if n := len(dst) - before; n > 0 {
+		c.out.Add(uint64(n))
+	}
 	return dst
 }
 
@@ -132,11 +162,12 @@ func (q *FIFOQueue) PushBatch(batch []*Packet) error {
 		q.mu.Unlock()
 		return q.late(batch)
 	}
+	wasEmpty := q.size == 0
 	take := min(len(batch), len(q.ring)-q.size)
 	for _, p := range batch[:take] {
 		q.putLocked(p)
 	}
-	q.mu.Unlock()
+	q.unlockRing(wasEmpty)
 	q.in.Add(uint64(len(batch)))
 	if over := batch[take:]; len(over) > 0 {
 		q.dropped.Add(uint64(len(over)))
@@ -273,6 +304,7 @@ func (q *REDQueue) PushBatch(batch []*Packet) error {
 		q.mu.Unlock()
 		return q.late(batch)
 	}
+	wasEmpty := q.size == 0
 	for _, p := range batch {
 		if drop, forced := q.admitLocked(p); drop {
 			if forced {
@@ -283,7 +315,7 @@ func (q *REDQueue) PushBatch(batch []*Packet) error {
 			drops = append(drops, p)
 		}
 	}
-	q.mu.Unlock()
+	q.unlockRing(wasEmpty)
 	q.in.Add(uint64(len(batch)))
 	if len(drops) > 0 {
 		q.earlyDrops.Add(early)

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"netkit/core"
@@ -164,8 +165,18 @@ func HotSwap(c *core.Capsule, oldName, newName string, newComp core.Component) e
 // and REDQueue both speak it, so hot-swap migrates state in either
 // direction — the FIFO↔RED substitution the adaptation engine performs
 // when sustained occupancy calls for (or no longer needs) early dropping.
+// The doorbell moves too: the puller whose binding HotSwap retargeted may
+// be asleep on it, and the replacement must be the one to wake it.
 type fifoState struct {
 	packets []*Packet
+	bell    chan struct{}
+}
+
+// adoptBell takes over the predecessor's doorbell, if it had one.
+func (c *queueCore) adoptBell(st *fifoState) {
+	if st.bell != nil {
+		c.setBell(st.bell)
+	}
 }
 
 // setHeir records where packets reaching the queue after ExportState go.
@@ -180,10 +191,11 @@ func (c *queueCore) setHeir(next IPacketPush) {
 func (c *queueCore) ExportState() any {
 	c.mu.Lock()
 	c.sealed = true
-	ps := c.drainLocked(nil, c.size)
+	ps := c.drainLocked(nil, c.size, math.MaxInt)
+	bell := c.bell
 	c.mu.Unlock()
 	c.out.Add(uint64(len(ps)))
-	return &fifoState{packets: ps}
+	return &fifoState{packets: ps, bell: bell}
 }
 
 // ImportState implements Exportable.
@@ -192,6 +204,7 @@ func (q *FIFOQueue) ImportState(state any) error {
 	if !ok {
 		return fmt.Errorf("router: fifo import: bad state %T", state)
 	}
+	q.adoptBell(st)
 	return q.PushBatch(st.packets)
 }
 
@@ -208,7 +221,9 @@ func (q *REDQueue) ImportState(state any) error {
 	if !ok {
 		return fmt.Errorf("router: red import: bad state %T", state)
 	}
+	q.adoptBell(st)
 	q.mu.Lock()
+	wasEmpty := q.size == 0
 	take := min(len(st.packets), len(q.ring)-q.size)
 	for _, p := range st.packets[:take] {
 		q.putLocked(p)
@@ -216,7 +231,7 @@ func (q *REDQueue) ImportState(state any) error {
 	if avg := float64(q.size); q.avg < avg {
 		q.avg = avg
 	}
-	q.mu.Unlock()
+	q.unlockRing(wasEmpty)
 	q.in.Add(uint64(len(st.packets)))
 	if over := st.packets[take:]; len(over) > 0 {
 		q.forcedDrops.Add(uint64(len(over)))

@@ -3,9 +3,11 @@ package router
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netkit/core"
@@ -28,14 +30,31 @@ type schedInput struct {
 	quantum int // bytes per DRR round
 	prio    int // strict-priority rank (higher first)
 	deficit int // DRR running deficit (may go negative: debt carrying)
+	// belled is the source last offered the doorbell, so an idle pump
+	// re-registers only with sources it has not seen.
+	belled IPacketPull
+}
+
+// doorbell is implemented by pull sources that can wake a sleeping puller:
+// the standard queues ring the registered channel when they turn
+// non-empty, and ring at once if they already hold packets.
+type doorbell interface {
+	setBell(bell chan struct{})
 }
 
 // LinkScheduler is the active element at the egress of Figure 3: it pulls
 // from its input queues according to the configured discipline and pushes
 // to its output (typically a NIC sink). It runs either as a pump (Start/
 // Stop) or synchronously via RunOnce for deterministic tests and benches.
-// Each service round leaves as one PushBatch, so the egress binding is
-// crossed once per round, not once per packet.
+// Every discipline drains an input through one pull adapter (pullBatch):
+// one PullBatch — one queue lock — per input visit, and each service round
+// leaves as one PushBatch, so the egress binding is crossed once per
+// round, not once per packet.
+//
+// An idle pump sleeps on a doorbell its input queues ring when they turn
+// non-empty, so queueing delay is not set by a timer. A timer at the
+// fallback interval still bounds the sleep, for sources that cannot ring
+// (per-packet-only plug-ins, intercepted pull bindings).
 type LinkScheduler struct {
 	*core.Base
 	elementCounters
@@ -47,10 +66,14 @@ type LinkScheduler struct {
 	next    int
 	scratch []*Packet // the round's departure batch, reused across RunOnce calls
 
-	pumpMu sync.Mutex
-	quit   chan struct{}
-	done   chan struct{}
-	idle   time.Duration
+	pumpMu   sync.Mutex
+	quit     chan struct{}
+	done     chan struct{}
+	bell     chan struct{} // capacity 1, rung by the inputs
+	fallback time.Duration // longest idle sleep
+
+	doorbellWakes atomic.Uint64
+	timerWakes    atomic.Uint64
 }
 
 // NewLinkScheduler creates a scheduler with the given policy.
@@ -61,9 +84,10 @@ func NewLinkScheduler(policy SchedPolicy) (*LinkScheduler, error) {
 		return nil, fmt.Errorf("router: unknown scheduling policy %q", policy)
 	}
 	s := &LinkScheduler{
-		Base:   core.NewBase(TypeLinkSched),
-		policy: policy,
-		idle:   50 * time.Microsecond,
+		Base:     core.NewBase(TypeLinkSched),
+		policy:   policy,
+		bell:     make(chan struct{}, 1),
+		fallback: 50 * time.Microsecond,
 	}
 	s.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	s.AddReceptacle("out", s.out)
@@ -162,17 +186,18 @@ func (s *LinkScheduler) RunOnce(maxPkts int) int {
 	return served
 }
 
-// pullFrom fetches the next packet from an input, nil when empty/unbound.
-func pullFrom(in *schedInput) *Packet {
+// pull is the disciplines' one way to take packets: up to max from in
+// while credit bytes remain, appended to the round's scratch through
+// pullBatch. It returns how many it took and the credit left; an unbound
+// input yields nothing.
+func (s *LinkScheduler) pull(in *schedInput, max, credit int) (int, int) {
 	src, ok := in.recp.Get()
 	if !ok {
-		return nil
+		return 0, credit
 	}
-	p, err := src.Pull()
-	if err != nil {
-		return nil
-	}
-	return p
+	n := len(s.scratch)
+	s.scratch, credit = pullBatch(src, s.scratch, max, credit)
+	return len(s.scratch) - n, credit
 }
 
 func (s *LinkScheduler) runStrict(budget int) int {
@@ -181,14 +206,11 @@ func (s *LinkScheduler) runStrict(budget int) int {
 	sort.SliceStable(order, func(i, j int) bool { return order[i].prio > order[j].prio })
 	served := 0
 	for _, in := range order {
-		for served < budget {
-			p := pullFrom(in)
-			if p == nil {
-				break
-			}
-			s.scratch = append(s.scratch, p)
-			served++
+		if served == budget {
+			break
 		}
+		n, _ := s.pull(in, budget-served, math.MaxInt)
+		served += n
 	}
 	return served
 }
@@ -202,13 +224,11 @@ func (s *LinkScheduler) runRR(budget int) int {
 	for served < budget && idleRounds < len(s.inputs) {
 		in := s.inputs[s.next]
 		s.next = (s.next + 1) % len(s.inputs)
-		p := pullFrom(in)
-		if p == nil {
+		if n, _ := s.pull(in, 1, math.MaxInt); n == 0 {
 			idleRounds++
 			continue
 		}
 		idleRounds = 0
-		s.scratch = append(s.scratch, p)
 		served++
 	}
 	return served
@@ -227,22 +247,18 @@ func (s *LinkScheduler) runDRR(budget int) int {
 		if in.deficit <= 0 {
 			// Debt carrying: a queue that overdrew (packet larger than its
 			// quantum) accumulates credit across rounds. It is not idle —
-			// progress is guaranteed because the deficit grows every visit.
+			// its deficit grows every visit — so the round goes on until
+			// it is served, rather than ending with its packets waiting.
+			idleRounds = 0
 			continue
 		}
-		any := false
-		for served < budget && in.deficit > 0 {
-			p := pullFrom(in)
-			if p == nil {
-				in.deficit = 0 // classic DRR: reset when queue empties
-				break
-			}
-			any = true
-			in.deficit -= len(p.Data)
-			s.scratch = append(s.scratch, p)
-			served++
+		n, left := s.pull(in, budget-served, in.deficit)
+		served += n
+		in.deficit = left
+		if left > 0 && served < budget {
+			in.deficit = 0 // credit and budget left: the queue ran dry (classic DRR reset)
 		}
-		if any {
+		if n > 0 {
 			idleRounds = 0
 		} else {
 			idleRounds++
@@ -260,24 +276,61 @@ func (s *LinkScheduler) Start(context.Context) error {
 	}
 	s.quit = make(chan struct{})
 	s.done = make(chan struct{})
-	go func(quit, done chan struct{}) {
-		defer close(done)
-		for {
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			if s.RunOnce(64) == 0 {
-				select {
-				case <-quit:
-					return
-				case <-time.After(s.idle):
+	go s.pump(s.quit, s.done, s.fallback)
+	return nil
+}
+
+// pump serves rounds until quit closes. When a round finds nothing it
+// offers the doorbell to every input and sleeps until one rings or the
+// fallback timer fires; the timer is reused, so idling allocates nothing.
+func (s *LinkScheduler) pump(quit, done chan struct{}, fallback time.Duration) {
+	defer close(done)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	for {
+		select {
+		case <-quit:
+			return
+		default:
+		}
+		if s.RunOnce(64) > 0 {
+			continue
+		}
+		s.armBells()
+		timer.Reset(fallback)
+		select {
+		case <-quit:
+			return
+		case <-s.bell:
+			s.doorbellWakes.Add(1)
+			if !timer.Stop() {
+				select { // a timer that fired before Stop may have left a tick
+				case <-timer.C:
+				default:
 				}
 			}
+		case <-timer.C:
+			s.timerWakes.Add(1)
 		}
-	}(s.quit, s.done)
-	return nil
+	}
+}
+
+// armBells registers the doorbell with every bound input source not yet
+// offered it. A source that already holds packets rings at once, so the
+// sleep that follows cannot miss them.
+func (s *LinkScheduler) armBells() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, in := range s.inputs {
+		src, ok := in.recp.Get()
+		if !ok || src == in.belled {
+			continue
+		}
+		if d, ok := src.(doorbell); ok {
+			d.setBell(s.bell)
+		}
+		in.belled = src
+	}
 }
 
 // Stop implements core.Stopper: terminates and joins the pump.
@@ -293,12 +346,16 @@ func (s *LinkScheduler) Stop(context.Context) error {
 	return nil
 }
 
-// Stats implements core.IStats, adding the input-set size.
+// Stats implements core.IStats, adding the input-set size and how the
+// pump's idle sleeps ended: rung by an input queue, or timed out.
 func (s *LinkScheduler) Stats() []core.Stat {
 	s.mu.Lock()
 	inputs := len(s.inputs)
 	s.mu.Unlock()
-	return append(s.statList(), core.G("sched_inputs", "inputs", float64(inputs)))
+	return append(s.statList(),
+		core.G("sched_inputs", "inputs", float64(inputs)),
+		core.C("sched_doorbell_wakes", "wakes", s.doorbellWakes.Load()),
+		core.C("sched_timer_wakes", "wakes", s.timerWakes.Load()))
 }
 
 var (
