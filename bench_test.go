@@ -382,13 +382,13 @@ func BenchmarkE6_OutOfProcPush(b *testing.B) {
 
 // e18Remote builds a one-component isolated capsule (a Counter behind an
 // ipc.HostPair) and returns its stand-in plus a teardown.
-func e18Remote(tb testing.TB, cfg ipc.Config) (*ipc.RemoteComponent, func()) {
+func e18Remote(tb testing.TB) (*ipc.RemoteComponent, func()) {
 	tb.Helper()
 	reg := core.NewComponentRegistry()
 	reg.MustRegister(router.TypeCounter, func(map[string]string) (core.Component, error) {
 		return router.NewCounter(), nil
 	})
-	client, _, cleanup := ipc.HostPairCfg(reg, cfg)
+	client, _, cleanup := ipc.HostPair(reg)
 	rc, err := client.Instantiate("cnt", router.TypeCounter, nil)
 	if err != nil {
 		cleanup()
@@ -401,9 +401,9 @@ func e18Remote(tb testing.TB, cfg ipc.Config) (*ipc.RemoteComponent, func()) {
 // iters PushBatch calls of the same batch-sized packet slice stream into
 // the credit window, one Flush settles the tail, and the elapsed wall
 // time is divided by the packets moved.
-func e18PushBatchNs(tb testing.TB, cfg ipc.Config, batch, iters int) float64 {
+func e18PushBatchNs(tb testing.TB, batch, iters int) float64 {
 	tb.Helper()
-	rc, cleanup := e18Remote(tb, cfg)
+	rc, cleanup := e18Remote(tb)
 	defer cleanup()
 	raw := benchPacketRaw(tb)
 	pkts := make([]*router.Packet, batch)
@@ -446,8 +446,8 @@ func e18InProcNs(tb testing.TB, iters int) float64 {
 
 // TestE18BatchAmortization is the acceptance gate for the batched ipc
 // transport: pushing batch-32 through the pipelined binary framing must
-// land within 25x of the in-proc call — against the ~372x the per-packet
-// gob round-trip costs (E6). Best of five attempts is gated: the
+// land within 25x of the in-proc call — against the ~190x a synchronous
+// per-packet crossing costs (E6). Best of five attempts is gated: the
 // capability is what is asserted, and shared-runner noise only ever
 // degrades a measurement, never flatters it.
 func TestE18BatchAmortization(t *testing.T) {
@@ -464,7 +464,7 @@ func TestE18BatchAmortization(t *testing.T) {
 	best := 0.0
 	for attempt := 0; attempt < 5; attempt++ {
 		inProc := e18InProcNs(t, 200_000)
-		outOfProc := e18PushBatchNs(t, ipc.Config{}, batch, 5_000)
+		outOfProc := e18PushBatchNs(t, batch, 5_000)
 		if ratio := outOfProc / inProc; best == 0 || ratio < best {
 			best = ratio
 		}
@@ -479,12 +479,12 @@ func TestE18BatchAmortization(t *testing.T) {
 
 // BenchmarkE18_OutOfProcPushBatch reports the pipelined out-of-proc cost
 // per packet by batch size. One op is one packet; compare against
-// BenchmarkE6_OutOfProcPush (the per-packet gob round-trip) and
+// BenchmarkE6_OutOfProcPush (one synchronous crossing per packet) and
 // BenchmarkE6_InProcPush (the floor).
 func BenchmarkE18_OutOfProcPushBatch(b *testing.B) {
 	for _, k := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("batch=%d", k), func(b *testing.B) {
-			rc, cleanup := e18Remote(b, ipc.Config{})
+			rc, cleanup := e18Remote(b)
 			defer cleanup()
 			raw := benchPacketRaw(b)
 			pkts := make([]*router.Packet, k)
@@ -501,26 +501,6 @@ func BenchmarkE18_OutOfProcPushBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-	}
-}
-
-// BenchmarkE18_OutOfProcPushBatchGob is the despecialised reference: the
-// same PushBatch surface forced down the per-packet gob path (the
-// cross-version fallback), batch 32.
-func BenchmarkE18_OutOfProcPushBatchGob(b *testing.B) {
-	const k = 32
-	rc, cleanup := e18Remote(b, ipc.Config{ForceGob: true})
-	defer cleanup()
-	raw := benchPacketRaw(b)
-	pkts := make([]*router.Packet, k)
-	for i := range pkts {
-		pkts[i] = router.NewPacket(raw)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i += k {
-		if err := rc.PushBatch(pkts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

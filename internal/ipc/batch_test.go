@@ -171,37 +171,40 @@ func TestPushBatchPipelinedDelivery(t *testing.T) {
 	}
 }
 
-// TestPushBatchGobFallback pins the despecialised path: with ForceGob the
-// same calls run one gob round-trip per packet and deliver identically.
-func TestPushBatchGobFallback(t *testing.T) {
-	client, _, cleanup := HostPairCfg(batchRegistry(t), Config{ForceGob: true})
+// TestPushCrossesAsBinaryFrame pins the one packet protocol: every
+// per-packet Push crosses as a one-packet binary batch frame and is acked
+// before it returns; none takes a gob control call.
+func TestPushCrossesAsBinaryFrame(t *testing.T) {
+	client, _, cleanup := HostPair(batchRegistry(t))
 	defer cleanup()
 	rc, err := client.Instantiate("cnt", router.TypeCounter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := bindSeqSink(t, rc)
-	batch := make([]*router.Packet, 9)
-	for i := range batch {
-		batch[i] = seqPkt(uint64(i))
+	const n = 9
+	for i := 0; i < n; i++ {
+		if err := rc.Push(seqPkt(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if acked := rc.AckedFrames(); acked != uint64(i+1) {
+			t.Fatalf("push %d returned before its ack: acked = %d", i, acked)
+		}
 	}
-	if err := rc.PushBatch(batch); err != nil {
-		t.Fatal(err)
+	if tx, acked := rc.TxFrames(), rc.AckedFrames(); tx != n || acked != n {
+		t.Fatalf("tx=%d acked=%d, want %d", tx, acked, n)
+	}
+	if g := rc.gobCalls.Load(); g != 0 {
+		t.Fatalf("gob calls = %d, want 0", g)
 	}
 	got := sink.snapshot()
-	if len(got) != len(batch) {
-		t.Fatalf("delivered %d of %d", len(got), len(batch))
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d", len(got), n)
 	}
 	for i, s := range got {
 		if s != uint64(i) {
 			t.Fatalf("order broken at %d: seq %d", i, s)
 		}
-	}
-	if rc.gobCalls.Load() == 0 {
-		t.Fatal("fallback did not use gob calls")
-	}
-	if rc.TxFrames() != 0 {
-		t.Fatal("fallback leaked onto the binary path")
 	}
 }
 
@@ -260,12 +263,20 @@ func TestBatchCrashContainmentMidBatch(t *testing.T) {
 	}
 }
 
+// hostPairWindow is HostPair with a client window of the given depth.
+func hostPairWindow(reg *core.ComponentRegistry, window int) (*Client, *Host) {
+	a, b := net.Pipe()
+	h := NewHost(b, reg)
+	go func() { _ = h.Serve() }()
+	return dial(a, window), h
+}
+
 // TestHostDeathMidWindow kills the host while a window of batches is in
 // flight against a slow component: every waiter must wake, ErrClosed must
 // surface, and the frame accounting must balance exactly —
 // pushed == acked + dropped, with no frame counted twice or lost.
 func TestHostDeathMidWindow(t *testing.T) {
-	client, host, _ := HostPairCfg(batchRegistry(t), Config{Window: 4})
+	client, host := hostPairWindow(batchRegistry(t), 4)
 	defer func() { _ = client.Close() }()
 	rc, err := client.Instantiate("slow", "test.Slow", nil)
 	if err != nil {
@@ -319,8 +330,8 @@ func TestHostDeathMidWindow(t *testing.T) {
 // TestClientCloseSweepsWindow closes the client (not the host) with
 // batches in flight: Close must not hang and accounting must balance.
 func TestClientCloseSweepsWindow(t *testing.T) {
-	client, _, cleanup := HostPairCfg(batchRegistry(t), Config{Window: 2})
-	defer cleanup()
+	client, host := hostPairWindow(batchRegistry(t), 2)
+	defer func() { _ = client.Close(); _ = host.Close() }()
 	rc, err := client.Instantiate("slow", "test.Slow", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -465,15 +476,19 @@ func TestIsolateAtTCP(t *testing.T) {
 func TestCallSlotReuse(t *testing.T) {
 	client, _, cleanup := HostPair(batchRegistry(t))
 	defer cleanup()
-	rc, err := client.Instantiate("cnt", router.TypeCounter, nil)
+	rc, err := client.Instantiate("cls", router.TypeClassifier, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := rc.gobCalls.Load()
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := rc.Push(seqPkt(1)); err != nil {
-			t.Fatal(err)
+		if outs := rc.FilterOutputs(); len(outs) != 2 {
+			t.Fatalf("outputs = %v", outs)
 		}
 	})
+	if calls := rc.gobCalls.Load() - before; calls < 200 {
+		t.Fatalf("gob calls = %d, want one per FilterOutputs", calls)
+	}
 	// A gob round-trip still allocates in encoding/gob, but the 2-alloc
 	// channel+map-entry churn per call must be gone from the steady state:
 	// amortised allocations stay well under the old floor.

@@ -15,29 +15,16 @@ import (
 	"netkit/router"
 )
 
-// Config tunes one client transport.
-type Config struct {
-	// Window is the number of batches kept in flight before PushBatch
-	// blocks on credit (0 = DefaultWindow).
-	Window int
-	// ForceGob despecialises the batch path to one synchronous gob call
-	// per packet — the cross-version fallback a peer that predates binary
-	// framing gets, and the reference behaviour the equivalence fuzz test
-	// pins the binary path against.
-	ForceGob bool
-}
-
 // Client is the parent-composite side of an isolation boundary: it
 // instantiates components in the remote host and manufactures local
 // stand-ins whose bindings transparently cross the wire. Control calls are
-// synchronous gob round-trips; packet pushes are pipelined binary batch
-// frames under a credit window (see frame.go).
+// synchronous gob round-trips; packets only ever cross as pipelined
+// binary batch frames under a credit window (see frame.go).
 type Client struct {
-	w        *wire
-	nextID   atomic.Uint64
-	closed   atomic.Bool
-	window   int
-	forceGob bool
+	w      *wire
+	nextID atomic.Uint64
+	closed atomic.Bool
+	window int
 
 	mu      sync.Mutex
 	pending map[uint64]chan *message
@@ -60,15 +47,12 @@ type Client struct {
 	credits chan *txSlot
 	flushMu sync.Mutex
 
-	// Completion ring: batch outcomes land here as acks (or teardown
-	// sweeps) retire slots; harvest folds the pending failures into the
-	// error the NEXT PushBatch/Flush returns. Bounded — overflow folds
-	// into the aggregate counters, losing detail but never counts.
-	compMu       sync.Mutex
-	ring         []completion
-	aggFailed    uint64
-	aggContained uint64
-	aggErr       error
+	// Completion aggregate: acks (and teardown sweeps) that retire failed
+	// slots fold their packet count and the first error in here; harvest
+	// turns it into the error the NEXT PushBatch/Flush returns.
+	compMu    sync.Mutex
+	aggFailed uint64
+	aggErr    error
 
 	ackScratch [600]byte
 }
@@ -87,10 +71,8 @@ type txSlot struct {
 	owner  atomic.Pointer[RemoteComponent]
 }
 
-// completion records one retired batch for the completion ring.
+// completion is the outcome of one retired batch with failures.
 type completion struct {
-	rc        *RemoteComponent
-	delivered uint32
 	failed    uint32
 	contained bool
 	closed    bool
@@ -99,23 +81,18 @@ type completion struct {
 
 // Dial wraps an established connection (the host must be serving the other
 // end) and starts the demultiplexing reader.
-func Dial(conn net.Conn) *Client { return DialCfg(conn, Config{}) }
+func Dial(conn net.Conn) *Client { return dial(conn, DefaultWindow) }
 
-// DialCfg is Dial with transport tuning.
-func DialCfg(conn net.Conn, cfg Config) *Client {
-	window := cfg.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
+// dial is Dial with an explicit pipeline depth (tests shrink it to keep a
+// window full).
+func dial(conn net.Conn, window int) *Client {
 	c := &Client{
-		w:        newWire(conn),
-		window:   window,
-		forceGob: cfg.ForceGob,
-		pending:  make(map[uint64]chan *message),
-		remotes:  make(map[string]*RemoteComponent),
-		done:     make(chan struct{}),
-		credits:  make(chan *txSlot, window),
-		ring:     make([]completion, 0, 2*window),
+		w:       newWire(conn),
+		window:  window,
+		pending: make(map[uint64]chan *message),
+		remotes: make(map[string]*RemoteComponent),
+		done:    make(chan struct{}),
+		credits: make(chan *txSlot, window),
 	}
 	c.callPool.New = func() any { return make(chan *message, 1) }
 	c.slots = make([]*txSlot, window)
@@ -139,7 +116,7 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Window reports the configured pipeline depth.
+// Window reports the pipeline depth.
 func (c *Client) Window() int { return c.window }
 
 // InFlight reports how many batches currently hold a window credit.
@@ -159,7 +136,7 @@ func (c *Client) readLoop() {
 				c.fail(err)
 				return
 			}
-			c.handleGob(m)
+			c.handleResp(m)
 		case frameAck:
 			payload, slab, err := c.w.readPayload(c.ackScratch[:0])
 			if err != nil {
@@ -217,7 +194,7 @@ func (c *Client) fail(err error) {
 			if rc != nil {
 				rc.dropped.Add(uint64(f))
 			}
-			c.retire(completion{rc: rc, failed: f, closed: true})
+			c.retire(completion{failed: f, closed: true})
 			select {
 			case c.credits <- s:
 			default:
@@ -227,27 +204,17 @@ func (c *Client) fail(err error) {
 	close(c.done)
 }
 
-func (c *Client) handleGob(m *message) {
-	switch m.Kind {
-	case "resp":
-		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
-		if ok {
-			delete(c.pending, m.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- m
-		}
-	case "emit":
-		// Cross-version fallback: a host that predates batched emission
-		// frames sends one gob emit per packet.
-		c.mu.Lock()
-		rc := c.remotes[m.Name]
-		c.mu.Unlock()
-		if rc != nil {
-			rc.deliver(m.Port, m.Payload)
-		}
+// handleResp wakes the control call parked on m's correlation ID. The
+// host sends gob only in answer to a request.
+func (c *Client) handleResp(m *message) {
+	c.mu.Lock()
+	ch, ok := c.pending[m.ID]
+	if ok {
+		delete(c.pending, m.ID)
+	}
+	c.mu.Unlock()
+	if ok {
+		ch <- m
 	}
 }
 
@@ -255,7 +222,7 @@ func (c *Client) handleGob(m *message) {
 func (c *Client) handleAck(payload []byte) bool {
 	r := binReader{b: payload}
 	slotID := r.u32()
-	delivered := r.u32()
+	r.u32() // delivered: the slot's frames less failed
 	failed := r.u32()
 	flags := r.u8()
 	errMsg := r.str()
@@ -281,8 +248,7 @@ func (c *Client) handleAck(payload []byte) bool {
 	}
 	if failed > 0 {
 		c.retire(completion{
-			rc: rc, delivered: delivered, failed: failed,
-			contained: flags&ackFlagContained != 0, errMsg: errMsg,
+			failed: failed, contained: flags&ackFlagContained != 0, errMsg: errMsg,
 		})
 	}
 	c.credits <- s
@@ -345,17 +311,10 @@ func (c *Client) handleEmit(payload []byte, slab *buffers.Buffer) bool {
 	return true
 }
 
-// retire appends one completion to the bounded ring and folds it into the
-// harvest aggregates.
+// retire folds one completion into the harvest aggregate.
 func (c *Client) retire(comp completion) {
 	c.compMu.Lock()
-	if len(c.ring) < cap(c.ring) {
-		c.ring = append(c.ring, comp)
-	}
 	c.aggFailed += uint64(comp.failed)
-	if comp.contained {
-		c.aggContained += uint64(comp.failed)
-	}
 	if c.aggErr == nil && comp.failed > 0 {
 		switch {
 		case comp.contained:
@@ -371,14 +330,13 @@ func (c *Client) retire(comp completion) {
 	c.compMu.Unlock()
 }
 
-// harvest drains the completion ring: with pipelined pushes, failures
+// harvest drains the completion aggregate: with pipelined pushes, failures
 // surface on the NEXT PushBatch (or Flush) as a BatchError whose Failed
 // is per-packet-exact across every batch retired since the last harvest.
 func (c *Client) harvest() error {
 	c.compMu.Lock()
 	failed, err := c.aggFailed, c.aggErr
-	c.aggFailed, c.aggContained, c.aggErr = 0, 0, nil
-	c.ring = c.ring[:0]
+	c.aggFailed, c.aggErr = 0, nil
 	c.compMu.Unlock()
 	if failed == 0 {
 		return nil
@@ -395,11 +353,11 @@ func (c *Client) harvest() error {
 func (c *Client) Flush() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
-	taken := make([]*txSlot, 0, c.window)
-	for len(taken) < c.window {
-		taken = append(taken, <-c.credits)
+	for range c.slots {
+		<-c.credits
 	}
-	for _, s := range taken {
+	// Holding the whole window means holding every slot.
+	for _, s := range c.slots {
 		c.credits <- s
 	}
 	return c.harvest()
@@ -412,7 +370,6 @@ func (c *Client) call(m *message) (*message, error) {
 	}
 	id := c.nextID.Add(1)
 	m.ID = id
-	m.Kind = "req"
 	ch := c.callPool.Get().(chan *message)
 	c.mu.Lock()
 	if c.readErr != nil {
@@ -534,14 +491,16 @@ var (
 	_ core.IStats             = (*RemoteComponent)(nil)
 )
 
-// Push implements IPacketPush by marshalling the packet across the wire as
-// one synchronous gob call — the despecialised per-packet path E6 measures.
-// Use PushBatch for the pipelined binary lane.
+// Push implements IPacketPush as a one-packet batch frame followed by a
+// Flush, so it is synchronous: it returns once the host has acked, and a
+// contained panic in the hosted component comes back as ErrContained.
+// Like Flush, it harvests the outcome client-wide: failures of batches
+// any stand-in on this client pipelined earlier surface here too.
 func (rc *RemoteComponent) Push(p *Packet) error {
-	data := p.Data
-	rc.gobCalls.Add(1)
-	_, err := rc.client.call(&message{Op: "push", Name: rc.remote, Payload: data})
-	p.Release()
+	err := rc.send([]*router.Packet{p})
+	if ferr := rc.client.Flush(); ferr != nil {
+		return ferr
+	}
 	return err
 }
 
@@ -551,25 +510,30 @@ func (rc *RemoteComponent) Push(p *Packet) error {
 // the window is full; outcomes of earlier batches surface on later calls
 // (or Flush) as a per-packet-exact BatchError.
 func (rc *RemoteComponent) PushBatch(batch []*router.Packet) error {
+	err := rc.send(batch)
+	if herr := rc.client.harvest(); herr != nil {
+		return herr
+	}
+	return err
+}
+
+// send commits batch to the wire under one window credit, taking
+// ownership of its packets. A batch that cannot be left in flight is
+// retired as dropped before send returns ErrClosed or the write error, so
+// the next harvest counts it.
+func (rc *RemoteComponent) send(batch []*router.Packet) error {
 	c := rc.client
-	if len(batch) == 0 {
-		return c.harvest()
-	}
-	if c.forceGob {
-		return rc.pushBatchGob(batch)
-	}
 	n := uint32(len(batch))
+	if n == 0 {
+		return nil
+	}
 	if c.closed.Load() || c.dead.Load() {
 		for _, p := range batch {
 			p.Release()
 		}
 		rc.dropped.Add(uint64(n))
-		c.retire(completion{rc: rc, failed: n, closed: true})
-		err := c.harvest()
-		if err == nil {
-			err = ErrClosed
-		}
-		return err
+		c.retire(completion{failed: n, closed: true})
+		return ErrClosed
 	}
 
 	// Serialise first (so packets can be released before blocking on
@@ -596,12 +560,8 @@ func (rc *RemoteComponent) PushBatch(batch []*router.Packet) error {
 	case <-c.done:
 		putFrame(buf)
 		rc.dropped.Add(uint64(n))
-		c.retire(completion{rc: rc, failed: n, closed: true})
-		err := c.harvest()
-		if err == nil {
-			err = ErrClosed
-		}
-		return err
+		c.retire(completion{failed: n, closed: true})
+		return ErrClosed
 	}
 	binary.LittleEndian.PutUint32(buf[slotOff:], slot.id)
 	slot.owner.Store(rc)
@@ -614,26 +574,18 @@ func (rc *RemoteComponent) PushBatch(batch []*router.Packet) error {
 	if c.dead.Load() {
 		putFrame(buf)
 		rc.selfSweep(slot)
-		err := c.harvest()
-		if err == nil {
-			err = ErrClosed
-		}
-		return err
+		return ErrClosed
 	}
 	err := c.w.sendRaw(buf)
 	putFrame(buf)
 	if err != nil {
 		rc.selfSweep(slot)
-		herr := c.harvest()
-		if herr == nil {
-			herr = fmt.Errorf("ipc: send: %w", err)
-		}
-		return herr
+		return fmt.Errorf("ipc: send: %w", err)
 	}
 	rc.txBatches.Add(1)
 	rc.txFrames.Add(uint64(n))
 	rc.txBytes.Add(uint64(total))
-	return c.harvest()
+	return nil
 }
 
 // selfSweep retires a slot this sender committed but could not (or should
@@ -648,28 +600,9 @@ func (rc *RemoteComponent) selfSweep(slot *txSlot) {
 			owner = rc
 		}
 		owner.dropped.Add(uint64(f))
-		c.retire(completion{rc: owner, failed: f, closed: true})
+		c.retire(completion{failed: f, closed: true})
 		c.credits <- slot
 	}
-}
-
-// pushBatchGob is the despecialised batch path: one gob call per packet,
-// aggregated into the same per-packet-exact BatchError shape.
-func (rc *RemoteComponent) pushBatchGob(batch []*router.Packet) error {
-	failed := 0
-	var firstErr error
-	for _, p := range batch {
-		if err := rc.Push(p); err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if failed == 0 {
-		return nil
-	}
-	return &router.BatchError{Failed: failed, Err: firstErr}
 }
 
 // Flush quiesces this stand-in's transport: it blocks until every
@@ -707,25 +640,6 @@ func (rc *RemoteComponent) FilterOutputs() []string {
 		return nil
 	}
 	return resp.Outputs
-}
-
-// deliver hands one emitted packet to the local continuation of the named
-// receptacle (gob fallback emission path).
-func (rc *RemoteComponent) deliver(port string, payload []byte) {
-	rc.mu.RLock()
-	r := rc.outs[port]
-	rc.mu.RUnlock()
-	if r == nil {
-		rc.lost.Add(1)
-		return
-	}
-	next, ok := r.Get()
-	if !ok {
-		rc.lost.Add(1)
-		return
-	}
-	rc.emitted.Add(1)
-	_ = next.Push(router.NewPacket(payload))
 }
 
 // deliverBatch hands a batched emission to the local continuation. The
@@ -825,15 +739,10 @@ func (rc *RemoteComponent) Stop(ctx context.Context) error {
 // benchmark configuration standing in for a real two-process deployment
 // (the protocol is identical over TCP).
 func HostPair(reg *core.ComponentRegistry) (*Client, *Host, func()) {
-	return HostPairCfg(reg, Config{})
-}
-
-// HostPairCfg is HostPair with client transport tuning.
-func HostPairCfg(reg *core.ComponentRegistry, cfg Config) (*Client, *Host, func()) {
 	a, b := net.Pipe()
 	h := NewHost(b, reg)
 	go func() { _ = h.Serve() }()
-	c := DialCfg(a, cfg)
+	c := Dial(a)
 	cleanup := func() {
 		_ = c.Close()
 		_ = h.Close()

@@ -14,11 +14,10 @@ import (
 )
 
 // The wire carries two interleaved encodings on one stream. Control ops
-// (instantiate, bindout, filter management) and the cross-version fallback
-// path stay gob — self-describing, tolerant of skew between the two
-// processes. The packet hot path is a length-prefixed binary frame that
-// carries a whole batch in one buffer, so a window of batches costs a
-// handful of writes instead of a gob round-trip per packet.
+// (instantiate, bindout, filter management) are gob — self-describing,
+// and rare enough that its cost does not matter. Packets only ever travel
+// as length-prefixed binary frames that carry a whole batch in one
+// buffer, so a window of batches costs a handful of writes.
 //
 // Every frame starts with a one-byte kind:
 //
@@ -38,7 +37,7 @@ const (
 	frameAck   = 'A'
 )
 
-// DefaultWindow is the default number of batches a client keeps in flight
+// DefaultWindow is the number of batches a client keeps in flight
 // before PushBatch blocks on credit — deep enough to hide a round-trip,
 // shallow enough to bound buffering on host death.
 const DefaultWindow = 32

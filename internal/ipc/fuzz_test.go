@@ -61,14 +61,15 @@ func carvePayloads(data []byte) [][]byte {
 	return out
 }
 
-// fuzzRun drives the payloads through one isolated markerBomb in batches
-// of batchSize and reports what the other side observed: forwarded
+// fuzzRun drives the payloads through one isolated markerBomb — in
+// PushBatch calls of batchSize, or one synchronous Push per packet when
+// batchSize is 0 — and reports what the other side observed: forwarded
 // payloads in order, total failed-packet count, whether a containment
 // error surfaced, the client's emission counter, and the hosted
 // component's own delivery count.
-func fuzzRun(t *testing.T, payloads [][]byte, batchSize int, cfg Config) (fwd [][]byte, failed int, contained bool, emitted, delivered uint64) {
+func fuzzRun(t *testing.T, payloads [][]byte, batchSize int) (fwd [][]byte, failed int, contained bool, emitted, delivered uint64) {
 	t.Helper()
-	client, host, cleanup := HostPairCfg(fuzzRegistry(), cfg)
+	client, host, cleanup := HostPair(fuzzRegistry())
 	defer cleanup()
 	rc, err := client.Instantiate("mb", "test.MarkerBomb", nil)
 	if err != nil {
@@ -86,28 +87,31 @@ func fuzzRun(t *testing.T, payloads [][]byte, batchSize int, cfg Config) (fwd []
 	if _, err := cap.Bind("remote", "out", "sink", router.IPacketPushID); err != nil {
 		t.Fatal(err)
 	}
-	for start := 0; start < len(payloads); start += batchSize {
-		end := start + batchSize
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		batch := make([]*router.Packet, 0, end-start)
-		for _, pl := range payloads[start:end] {
-			batch = append(batch, router.NewPacket(append([]byte(nil), pl...)))
-		}
+	tally := func(err error) {
 		// A pipelined PushBatch reports failures of EARLIER batches too, so
 		// its count is bounded by the stream, not by this batch.
-		err := rc.PushBatch(batch)
 		failed += router.FailedPackets(err, len(payloads))
 		if errors.Is(err, ErrContained) {
 			contained = true
 		}
 	}
-	ferr := rc.Flush()
-	failed += router.FailedPackets(ferr, len(payloads))
-	if errors.Is(ferr, ErrContained) {
-		contained = true
+	step := batchSize
+	if step == 0 {
+		step = 1
 	}
+	for start := 0; start < len(payloads); start += step {
+		end := min(start+step, len(payloads))
+		batch := make([]*router.Packet, 0, end-start)
+		for _, pl := range payloads[start:end] {
+			batch = append(batch, router.NewPacket(append([]byte(nil), pl...)))
+		}
+		if batchSize == 0 {
+			tally(rc.Push(batch[0]))
+		} else {
+			tally(rc.PushBatch(batch))
+		}
+	}
+	tally(rc.Flush())
 	comp, ok := host.capsule.Component("mb")
 	if !ok {
 		t.Fatal("hosted component vanished")
@@ -117,13 +121,16 @@ func fuzzRun(t *testing.T, payloads [][]byte, batchSize int, cfg Config) (fwd []
 	return sink.snapshot(), failed, contained, rc.Emitted(), delivered
 }
 
-// FuzzIPCEquivalence pins the tentpole's semantic contract: the batched,
-// pipelined binary transport delivers exactly what the synchronous
-// per-packet gob path delivers — same forwarded payloads in the same
-// order, same per-packet failure cardinality, same containment signal,
-// same per-component counters — for arbitrary payloads, batch geometries
-// and mid-batch panics (payloads starting with 0xFF detonate the hosted
-// component).
+// FuzzIPCEquivalence pins the isolation boundary to the component model:
+// for arbitrary payloads and batch geometries, what crosses is exactly
+// what markerBomb would do in-proc. Payloads starting with 0xFF detonate
+// the hosted component; every other payload is forwarded. So the
+// forwarded payloads are the non-0xFF ones in order, each 0xFF payload is
+// one failed packet, containment surfaces iff any failed, and the
+// client's emission counter and the hosted delivery count both equal the
+// forwarded count. Each input runs twice — pipelined PushBatch with the
+// fuzzed batch size, and one synchronous Push per packet — and both must
+// equal the model.
 func FuzzIPCEquivalence(f *testing.F) {
 	f.Add([]byte("hello world this is a packet stream"), uint8(3))
 	f.Add([]byte{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1))
@@ -132,30 +139,35 @@ func FuzzIPCEquivalence(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 16), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, batchSel uint8) {
 		payloads := carvePayloads(data)
-		batchSize := 1 + int(batchSel)%9
-		bFwd, bFailed, bContained, bEmitted, bDelivered :=
-			fuzzRun(t, payloads, batchSize, Config{})
-		gFwd, gFailed, gContained, gEmitted, gDelivered :=
-			fuzzRun(t, payloads, batchSize, Config{ForceGob: true})
-		if len(bFwd) != len(gFwd) {
-			t.Fatalf("forwarded count: binary %d, gob %d", len(bFwd), len(gFwd))
-		}
-		for i := range bFwd {
-			if !bytes.Equal(bFwd[i], gFwd[i]) {
-				t.Fatalf("payload %d diverges: binary %x, gob %x", i, bFwd[i], gFwd[i])
+		var want [][]byte
+		wantFailed := 0
+		for _, pl := range payloads {
+			if pl[0] == 0xFF {
+				wantFailed++
+			} else {
+				want = append(want, pl)
 			}
 		}
-		if bFailed != gFailed {
-			t.Fatalf("failed count: binary %d, gob %d", bFailed, gFailed)
-		}
-		if bContained != gContained {
-			t.Fatalf("containment: binary %v, gob %v", bContained, gContained)
-		}
-		if bEmitted != gEmitted {
-			t.Fatalf("emitted: binary %d, gob %d", bEmitted, gEmitted)
-		}
-		if bDelivered != gDelivered {
-			t.Fatalf("delivered: binary %d, gob %d", bDelivered, gDelivered)
+		for _, batchSize := range []int{1 + int(batchSel)%9, 0} {
+			fwd, failed, contained, emitted, delivered := fuzzRun(t, payloads, batchSize)
+			if len(fwd) != len(want) {
+				t.Fatalf("batch %d: forwarded %d, model %d", batchSize, len(fwd), len(want))
+			}
+			for i := range fwd {
+				if !bytes.Equal(fwd[i], want[i]) {
+					t.Fatalf("batch %d: payload %d is %x, model %x", batchSize, i, fwd[i], want[i])
+				}
+			}
+			if failed != wantFailed {
+				t.Fatalf("batch %d: failed %d, model %d", batchSize, failed, wantFailed)
+			}
+			if contained != (wantFailed > 0) {
+				t.Fatalf("batch %d: contained %v, model %v", batchSize, contained, wantFailed > 0)
+			}
+			if emitted != uint64(len(want)) || delivered != uint64(len(want)) {
+				t.Fatalf("batch %d: emitted %d, delivered %d, model %d",
+					batchSize, emitted, delivered, len(want))
+			}
 		}
 	})
 }

@@ -6,15 +6,15 @@
 //
 // A Host owns a private capsule in the isolated domain and serves a wire
 // protocol over any net.Conn (net.Pipe in tests, TCP between real
-// processes). Control operations — instantiate, bind, filter management —
-// travel as gob messages; the packet hot path travels as length-prefixed
-// binary batch frames pipelined under a credit window (frame.go), which is
-// what turns the E6 per-packet crossing cost of ~372× in-proc into the
-// bounded amortised cost E18 measures. The parent side holds a
-// RemoteComponent — an ordinary core.Component stand-in whose
+// processes). gob carries control only — instantiate, bind, filter
+// management. Packets have one protocol in each direction: length-prefixed
+// binary batch frames pipelined under a credit window (frame.go), and the
+// emission frames that stream a hosted component's output back. A
+// per-packet Push is a one-packet batch plus a flush (E6); batching
+// amortises the crossing (E18). The parent side holds a RemoteComponent —
+// an ordinary core.Component stand-in whose
 // IPacketPush/IPacketPushBatch/IClassifier calls cross the wire, and whose
-// receptacles deliver packets the remote side emits (batched the same
-// way). A panic inside a hosted component is contained by the host and
+// receptacles deliver packets the remote side emits. A panic inside a hosted component is contained by the host and
 // surfaces to the caller as an error (crash containment), which E6 checks
 // alongside the in-proc/out-of-proc cost gap.
 package ipc
@@ -42,18 +42,17 @@ var (
 	ErrContained = errors.New("ipc: hosted component crashed (contained)")
 )
 
-// message is the gob control frame (requests, responses and fallback
-// emissions). Packet batches do not pass through it — see frame.go.
+// message is the gob control frame: a request from the client, or the
+// host's response carrying the same ID. Packets never pass through it —
+// see frame.go.
 type message struct {
-	ID   uint64 // correlation; 0 on emissions
-	Kind string // "req", "resp", "emit"
-	Op   string // req: instantiate|push|bindout|regfilter|unregfilter|outputs
+	ID uint64 // correlation
+	Op string // request: instantiate|bindout|regfilter|unregfilter|outputs
 
-	Name    string // component instance name
-	Type    string
-	Cfg     map[string]string
-	Port    string // receptacle name (bindout, emit)
-	Payload []byte
+	Name string // component instance name
+	Type string
+	Cfg  map[string]string
+	Port string // receptacle name (bindout)
 
 	Spec     string
 	Priority int
@@ -291,7 +290,6 @@ func (h *Host) process(work <-chan hostJob, done chan<- struct{}) {
 			h.gobOps.Add(1)
 			resp := h.handle(job.gob)
 			resp.ID = job.gob.ID
-			resp.Kind = "resp"
 			h.processing.Store(false)
 			h.flushEmit()
 			_ = h.w.send(resp)
@@ -517,16 +515,6 @@ func (h *Host) handle(m *message) (resp *message) {
 		if _, err := h.capsule.Bind(m.Name, m.Port, rname, router.IPacketPushID); err != nil {
 			resp.Err = err.Error()
 			return resp
-		}
-		return resp
-	case "push":
-		dst, err := h.pushTarget(m.Name)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		if err := dst.Push(router.NewPacket(m.Payload)); err != nil {
-			resp.Err = err.Error()
 		}
 		return resp
 	case "regfilter":
