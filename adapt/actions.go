@@ -32,7 +32,7 @@ func Swap(old, new string, mk func() (core.Component, error)) Action {
 }
 
 // ShardSwap hot-swaps the component known (unscoped) as old in EVERY
-// replica of the named sharded CF, pausing all shard workers at a batch
+// replica of the named sharded CF, parking all shard workers at a batch
 // boundary (ShardedCF.HotSwap) so the fleet-wide swap is lossless.
 func ShardSwap(cf, old, new string, mk func(shard int) (core.Component, error)) Action {
 	return func(_ context.Context, c *core.Capsule, _ View) error {

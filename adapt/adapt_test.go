@@ -775,7 +775,9 @@ func TestClosedLoopP99HotSwap(t *testing.T) {
 		frames[f] = mkUDP(t, uint16(f), 0)
 	}
 	var sent atomic.Uint64
+	var pumping sync.WaitGroup
 	pump := func(stop <-chan struct{}) {
+		defer pumping.Done()
 		i := 0
 		for {
 			select {
@@ -790,9 +792,13 @@ func TestClosedLoopP99HotSwap(t *testing.T) {
 		}
 	}
 	stopSlow := make(chan struct{})
+	pumping.Add(1)
 	go pump(stopSlow)
 	waitFiring(t, fired, "p99-slo", 15*time.Second)
 	close(stopSlow)
+	// A push blocked while the swap parked the lanes carries a slow-era
+	// Born stamp: join the pump so it cannot land after the base below.
+	pumping.Wait()
 
 	// The architecture changed in every replica: stage -> stage2.
 	inner := sharded.Inner()
@@ -823,9 +829,11 @@ func TestClosedLoopP99HotSwap(t *testing.T) {
 	}
 	base := latHist()
 	stopFast := make(chan struct{})
+	pumping.Add(1)
 	go pump(stopFast)
 	time.Sleep(100 * time.Millisecond)
 	close(stopFast)
+	pumping.Wait()
 	if err := sharded.Quiesce(qctx); err != nil {
 		t.Fatal(err)
 	}

@@ -1340,9 +1340,9 @@ func BenchmarkE16_UnfusedChainBatched(b *testing.B) {
 }
 
 // BenchmarkE16_DespecializeRefuse prices one full meta-level round trip on
-// the fused path: install an interceptor (synchronous invalidation + idle
-// fence), remove it, and re-fuse on the next crossing. This is the cost
-// the adaptation engine pays to look inside a fused chain.
+// the fused path: install an interceptor (synchronous invalidation), cross
+// the chain hop by hop, remove it, and re-fuse on the next crossing. This
+// is the cost the adaptation engine pays to look inside a fused chain.
 func BenchmarkE16_DespecializeRefuse(b *testing.B) {
 	fp, capsule := e16Chain(b, 8)
 	var mid *core.Binding
@@ -1361,7 +1361,6 @@ func BenchmarkE16_DespecializeRefuse(b *testing.B) {
 		if err := mid.AddInterceptor(core.Interceptor{Name: "probe", Wrap: noop}); err != nil {
 			b.Fatal(err)
 		}
-		fp.Fuser().WaitIdle(time.Second)
 		raw[8] = ttl
 		_ = fp.Push(p) // hop-by-hop while intercepted
 		if err := mid.RemoveInterceptor("probe"); err != nil {

@@ -349,19 +349,6 @@ func TestTableBadSpecRejected(t *testing.T) {
 	}
 }
 
-func TestTableStats(t *testing.T) {
-	tbl := NewTable()
-	if _, err := tbl.Add("udp", 1, "u"); err != nil {
-		t.Fatal(err)
-	}
-	tbl.Lookup(udp4(t, 1, 1, 64)) // match
-	tbl.Lookup(tcp4(t, 1, 2))     // miss
-	m, mi := tbl.Stats()
-	if m != 1 || mi != 1 {
-		t.Fatalf("stats = %d/%d", m, mi)
-	}
-}
-
 func TestTableConcurrentLookupDuringMutation(t *testing.T) {
 	tbl := NewTable()
 	if _, err := tbl.Add("udp", 100, "base"); err != nil {

@@ -49,9 +49,6 @@ type Table struct {
 
 	compileMu sync.Mutex // serialises lazy compilation
 	compiled  atomic.Pointer[Snapshot]
-
-	matches atomic.Uint64
-	misses  atomic.Uint64
 }
 
 // NewTable returns an empty table.
@@ -124,7 +121,6 @@ func (t *Table) Gen() uint64 { return t.rules.Load().gen }
 // batch lookups take one snapshot per batch, exactly like the classifier's
 // output-set snapshot discipline.
 type Snapshot struct {
-	t   *Table
 	ct  *CompiledTable
 	gen uint64
 }
@@ -148,17 +144,8 @@ func (s *Snapshot) CacheWorthwhile() bool {
 	return s.ct.FlowSafe() && s.ct.spaces != nil
 }
 
-// Lookup classifies a view against this snapshot, counting the verdict on
-// the owning table.
-func (s *Snapshot) Lookup(v *View) (string, bool) {
-	out, ok := s.ct.Lookup(v)
-	if ok {
-		s.t.matches.Add(1)
-	} else {
-		s.t.misses.Add(1)
-	}
-	return out, ok
-}
+// Lookup classifies a view against this snapshot.
+func (s *Snapshot) Lookup(v *View) (string, bool) { return s.ct.Lookup(v) }
 
 // Snapshot returns the compiled form of the current rule set, building it
 // (once per generation, under compileMu) if this generation has not been
@@ -174,7 +161,7 @@ func (t *Table) Snapshot() *Snapshot {
 	if cs := t.compiled.Load(); cs != nil && cs.gen == rs.gen {
 		return cs
 	}
-	cs := &Snapshot{t: t, ct: CompileTable(rs.rules), gen: rs.gen}
+	cs := &Snapshot{ct: CompileTable(rs.rules), gen: rs.gen}
 	t.compiled.Store(cs)
 	return cs
 }
@@ -193,8 +180,7 @@ func (t *Table) LookupView(v *View) (string, bool) {
 
 // LookupViewVM classifies through the linear walk of per-rule VM programs
 // — the reference oracle the compiled backend is fuzz-checked against
-// (FuzzCompiledEquivalence), kept as the independent semantics. It does
-// not touch the match/miss counters.
+// (FuzzCompiledEquivalence), kept as the independent semantics.
 func (t *Table) LookupViewVM(v *View) (string, bool) {
 	for _, r := range t.rules.Load().rules {
 		if r.prog.Match(v) {
@@ -216,8 +202,3 @@ func (t *Table) Rules() []Rule {
 
 // Len returns the installed rule count.
 func (t *Table) Len() int { return len(t.rules.Load().rules) }
-
-// Stats returns (matches, misses) counters.
-func (t *Table) Stats() (matches, misses uint64) {
-	return t.matches.Load(), t.misses.Load()
-}

@@ -336,46 +336,6 @@ func TestHotSwapUnknownOld(t *testing.T) {
 	}
 }
 
-func TestGatePausesTraffic(t *testing.T) {
-	c := newCap()
-	head := NewCounter()
-	tail := newSink()
-	if err := c.Insert("head", head); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert("tail", tail); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ConnectPush(c, "head", "out", "tail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gate Gate
-	if err := b.AddInterceptor(gate.Interceptor("gate")); err != nil {
-		t.Fatal(err)
-	}
-	gate.Pause()
-	delivered := make(chan struct{})
-	go func() {
-		_ = head.Push(udpPkt(t, 1, 64))
-		close(delivered)
-	}()
-	select {
-	case <-delivered:
-		t.Fatal("push completed through paused gate")
-	case <-time.After(20 * time.Millisecond):
-	}
-	gate.Resume()
-	select {
-	case <-delivered:
-	case <-time.After(time.Second):
-		t.Fatal("push never completed after resume")
-	}
-	if tail.count() != 1 {
-		t.Fatalf("delivered = %d", tail.count())
-	}
-}
-
 // ---- NIC wrappers and shaper ------------------------------------------------
 
 func TestNICSourceToSinkPipeline(t *testing.T) {

@@ -271,7 +271,7 @@ func (c *Classifier) Stats() []core.Stat {
 	snap := c.snap.Load()
 	stats := append(c.statList(),
 		core.G("classifier_outputs", "outputs", float64(len(snap.outs))),
-		core.G("classifier_filters", "filters", float64(len(c.table.Rules()))))
+		core.G("classifier_filters", "filters", float64(c.table.Len())))
 	fc := c.cache.Load()
 	if fc == nil {
 		return append(stats, core.G("flowcache_capacity", "entries", 0))

@@ -1,9 +1,7 @@
 package router
 
 import (
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"netkit/core"
 	"netkit/packet"
@@ -18,8 +16,8 @@ import (
 // longer plan — no receptacle loads, no interface dispatch, no sub-batch
 // hand-offs between hops — while keeping reflection one meta-call away.
 // Installing an interceptor (or any structural mutation: bind, rebind,
-// unbind, hot-swap, insert/remove) invalidates the long plan through a
-// generation fence; traffic runs the head's one-hop plan and re-fuses
+// unbind, hot-swap, insert/remove) retires the long plan by advancing a
+// generation stamp; traffic runs the head's one-hop plan and re-fuses
 // lazily once the chain is clean again. The paper's central tension —
 // reflective flexibility vs raw forwarding speed — resolved the way the
 // programmable-data-plane literature does it: specialise the common case,
@@ -82,10 +80,9 @@ type chainFusible interface {
 }
 
 // fusedPlan is one immutable chain of steps; hops[0] is the element whose
-// PushBatch runs it. gen pins the structural generation a fuser compiled
-// it under; a compiled plan whose gen no longer matches the fuser's is
-// dead and is never run again. One-hop plans cross every binding through
-// its receptacle, so they never go stale.
+// PushBatch runs it. gen is the structural generation a fuser compiled it
+// for. An element's own one-hop plan leaves gen zero: it crosses every
+// binding through its receptacle, so it never goes stale.
 type fusedPlan struct {
 	gen  uint64
 	hops []fuseStep
@@ -98,43 +95,34 @@ func onePlan(step fuseStep) *fusedPlan {
 	return &fusedPlan{hops: []fuseStep{step}, tail: step.out}
 }
 
-// ChainFuser owns the compiled plan for the chain downstream of one head
-// element (a FastPath or a shard ingress) and the fence machinery that
-// keeps it honest:
+// ChainFuser owns the plan for the chain downstream of one head element (a
+// FastPath or a shard ingress):
 //
-//   - head is the owner's one-hop plan, run whenever no compiled plan is
-//     valid. It crosses the owner's binding through the receptacle, so it
-//     needs no fence.
 //   - gen counts structural mutations of the owning capsule (bumped by a
 //     synchronous core.WatchStructure observer, so an interceptor install
 //     can never be missed the way a lossy event stream could miss it).
-//   - plan holds the current compiled chain; it is valid only while
-//     plan.gen == gen (the filter.Table atomic-snapshot pattern).
-//   - builtGen is the negative cache: the last generation a compile was
-//     attempted for, so an unfusable chain costs one map walk per
-//     mutation, not one per batch.
-//   - active counts in-flight compiled runs; WaitIdle spins on it. A
-//     runner raises active BEFORE re-validating gen (both sequentially
-//     consistent), and an invalidator bumps gen BEFORE polling active —
-//     so either the runner observes the new generation and backs off, or
-//     the invalidator observes the runner and waits. After
-//     gen-bump + WaitIdle, no stale-plan batch is running: that is the
-//     exactness fence ShardedCF.Intercept uses so an audit observes every
-//     packet pushed after the install returns.
+//   - plan is the plan compiled for the generation it is stamped with. A
+//     batch that finds plan.gen == gen runs it; otherwise it compiles the
+//     plan for the current generation first. An unfusable chain compiles
+//     to the head's one-hop plan stamped with its generation, so the
+//     stamp doubles as the negative cache: one graph walk per mutation,
+//     not one per batch.
 //
-// Both plans go through the same runner, so fusion is invisible to
+// A batch already running a plan when the chain mutates finishes on it:
+// the ordinary batch-boundary semantics. Where a caller needs an exact cut
+// — an audit that sees every packet after its install returns — the
+// owner's worker provides it (ShardedCF parks its lanes around Intercept).
+//
+// Both plan forms go through the same runner, so fusion is invisible to
 // semantics: same delivery, same order, same counters, same errors.
 type ChainFuser struct {
 	capsule *core.Capsule
-	head    *fusedPlan
+	head    fuseStep
 
-	gen      atomic.Uint64
-	plan     atomic.Pointer[fusedPlan]
-	builtGen atomic.Uint64
-	building atomic.Bool
-	active   atomic.Int64
+	gen  atomic.Uint64
+	plan atomic.Pointer[fusedPlan]
 
-	fusions       atomic.Uint64 // plans compiled
+	fusions       atomic.Uint64 // published plans fusing >= 2 hops
 	invalidations atomic.Uint64 // structural events observed
 
 	cancel func()
@@ -144,16 +132,15 @@ type ChainFuser struct {
 // receptacle in capsule c and compiles eagerly. The fuser re-specialises
 // lazily on the data path after every structural mutation.
 func newChainFuser(c *core.Capsule, head fuseStep) *ChainFuser {
-	f := &ChainFuser{capsule: c, head: onePlan(head)}
+	f := &ChainFuser{capsule: c, head: head}
 	f.cancel = c.WatchStructure(func(core.Event) {
-		// Any structural mutation may have changed the chain: count it,
-		// advance the generation, drop the plan. Atomics only — this runs
-		// synchronously under capsule/binding locks.
+		// Any structural mutation may have changed the chain: count it and
+		// advance the generation, which retires the plan. Atomics only —
+		// this runs synchronously under capsule/binding locks.
 		f.invalidations.Add(1)
 		f.gen.Add(1)
-		f.plan.Store(nil)
 	})
-	f.rebuild(f.gen.Load())
+	f.replan(nil, f.gen.Load())
 	return f
 }
 
@@ -166,72 +153,27 @@ func (f *ChainFuser) Close() {
 	}
 }
 
-// Forward runs batch through the head and its downstream chain: the
-// compiled plan when one is valid, the head's one-hop plan otherwise.
+// Forward runs batch through the head and its downstream chain under the
+// plan of the current generation.
 func (f *ChainFuser) Forward(batch []*Packet) error {
-	if pl := f.enter(); pl != nil {
-		var t [maxFuseDepth]hopTally
-		err := pl.exec(batch, t[:len(pl.hops)])
-		f.active.Add(-1)
-		return err
+	pl := f.plan.Load()
+	if g := f.gen.Load(); pl.gen != g {
+		pl = f.replan(pl, g)
 	}
-	return f.head.run(batch)
+	var t [maxFuseDepth]hopTally
+	return pl.exec(batch, t[:len(pl.hops)])
 }
 
-// enter returns a validated compiled plan with the active guard raised, or
-// nil (guard not raised). The raise-then-revalidate order is the fence's
-// correctness argument; see the ChainFuser doc comment.
-func (f *ChainFuser) enter() *fusedPlan {
-	g := f.gen.Load()
-	pl := f.plan.Load()
-	if pl == nil || pl.gen != g {
-		if f.builtGen.Load() == g {
-			return nil // negative cache: generation g known unfusable
-		}
-		f.rebuild(g)
-		pl = f.plan.Load()
-		if pl == nil || pl.gen != g {
-			return nil
-		}
-	}
-	f.active.Add(1)
-	pl = f.plan.Load()
-	if pl == nil || pl.gen != f.gen.Load() {
-		f.active.Add(-1)
-		return nil
+// replan compiles the plan for generation g and publishes it in place of
+// old. Concurrent callers may both compile; only the one whose swap lands
+// publishes (and counts a fusion), the other runs its own copy for one
+// batch. A plan never replaces a newer one: old was loaded before g.
+func (f *ChainFuser) replan(old *fusedPlan, g uint64) *fusedPlan {
+	pl := f.compile(g)
+	if f.plan.CompareAndSwap(old, pl) && len(pl.hops) > 1 {
+		f.fusions.Add(1)
 	}
 	return pl
-}
-
-// WaitIdle blocks until no compiled run is in flight (or timeout expires,
-// returning false). Called after a generation bump, it guarantees every
-// subsequent packet crosses under the new structure — the exact-audit
-// fence. Callers must not hold locks a run's downstream could need.
-func (f *ChainFuser) WaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for f.active.Load() != 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
-}
-
-// rebuild compiles a plan for generation g (at most one compiler at a
-// time; losers simply run the one-hop plan for one batch). Publishing
-// builtGen last makes the negative cache safe: a nil plan with
-// builtGen == g means "g is unfusable", never "not yet tried".
-func (f *ChainFuser) rebuild(g uint64) {
-	if !f.building.CompareAndSwap(false, true) {
-		return
-	}
-	defer f.building.Store(false)
-	if pl := f.compile(g); pl != nil {
-		f.fusions.Add(1)
-		f.plan.Store(pl)
-	}
-	f.builtGen.Store(g)
 }
 
 // compile walks the binding graph from the head's receptacle, collecting
@@ -239,15 +181,17 @@ func (f *ChainFuser) rebuild(g uint64) {
 // chain. The walk stops — leaving the remainder to the ordinary receptacle
 // crossing — at the first intercepted binding, unbound receptacle,
 // non-fusible component, cycle, or maxFuseDepth. Fewer than two hops
-// behind the head is not worth a fence and compiles to nil.
+// behind the head is not worth fusing and compiles to the head's one-hop
+// plan. g must be loaded before the walk, so the plan reflects a structure
+// at least as new as its stamp.
 func (f *ChainFuser) compile(g uint64) *fusedPlan {
 	byRecp := make(map[core.GenReceptacle]*core.Binding)
 	for _, b := range f.capsule.Bindings() {
 		byRecp[b.Receptacle()] = b
 	}
-	hops := append(make([]fuseStep, 0, 8), f.head.hops[0])
+	hops := append(make([]fuseStep, 0, 8), f.head)
 	seen := make(map[core.Component]bool, 8)
-	tail := f.head.tail
+	tail := f.head.out
 	for len(hops) < maxFuseDepth && tail != nil {
 		b, ok := byRecp[tail]
 		if !ok || len(b.Interceptors()) > 0 {
@@ -268,7 +212,7 @@ func (f *ChainFuser) compile(g uint64) *fusedPlan {
 		tail = step.out // nil after a terminal hop
 	}
 	if len(hops) < 3 {
-		return nil
+		hops, tail = hops[:1], f.head.out
 	}
 	return &fusedPlan{gen: g, hops: hops, tail: tail}
 }
@@ -431,13 +375,14 @@ func (pl *fusedPlan) exec(batch []*Packet, tally []hopTally) error {
 // and return on re-fusion.
 func (f *ChainFuser) FusedHops() int {
 	pl := f.plan.Load()
-	if pl == nil || pl.gen != f.gen.Load() {
+	if pl.gen != f.gen.Load() {
 		return 0
 	}
 	return len(pl.hops) - 1
 }
 
-// Fusions reports how many plans have been compiled.
+// Fusions reports how many plans fusing at least two hops have been
+// published.
 func (f *ChainFuser) Fusions() uint64 { return f.fusions.Load() }
 
 // Invalidations reports how many structural mutations have been observed.
@@ -570,7 +515,7 @@ func (f *FastPath) Push(p *Packet) error { return pushOne(f, p) }
 // is valid, the FastPath's own one-hop plan otherwise.
 func (f *FastPath) PushBatch(batch []*Packet) error { return f.fuse.Forward(batch) }
 
-// Fuser exposes the fuser for fence control and introspection.
+// Fuser exposes the fuser for introspection.
 func (f *FastPath) Fuser() *ChainFuser { return f.fuse }
 
 // Stats implements core.IStats: the element counters plus the fused gauge

@@ -230,6 +230,32 @@ func TestFusedInterceptLifecycle(t *testing.T) {
 	}
 }
 
+// TestFastPathPushBatchAllocatesNothing pins both plan forms' steady
+// state: a fusable chain runs its compiled plan, and an unfusable one the
+// head's one-hop plan stamped with its generation — the negative cache —
+// so neither recompiles nor allocates per batch.
+func TestFastPathPushBatchAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		comps []core.Component
+		fused int
+	}{
+		{"fusable", []core.Component{NewCounter(), NewCounter()}, 2},
+		{"unfusable", []core.Component{NewCounter()}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, fp := buildFusedChain(t, tc.comps, newCountingSink())
+			batch := []*Packet{mkTTLPacket(t, 1, 0, 64, false), mkTTLPacket(t, 2, 0, 64, false)}
+			if n := testing.AllocsPerRun(200, func() { _ = fp.PushBatch(batch) }); n != 0 {
+				t.Fatalf("PushBatch allocates %v times per batch", n)
+			}
+			if got := fp.Fuser().FusedHops(); got != tc.fused {
+				t.Fatalf("fused hops = %d, want %d", got, tc.fused)
+			}
+		})
+	}
+}
+
 // TestFusedTerminalChain pins terminal plans: a chain ending in a Dropper
 // fuses with no tail, consumes everything, and counts drops at the
 // terminal hop exactly as the unfused Dropper would.

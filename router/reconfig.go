@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"netkit/core"
 )
@@ -17,45 +16,6 @@ type Exportable interface {
 	ExportState() any
 	// ImportState installs a snapshot produced by a compatible exporter.
 	ImportState(state any) error
-}
-
-// Gate is a pausable section usable as a binding interceptor: Pause blocks
-// new calls and waits for in-flight ones to finish; Resume releases the
-// queueing callers. It implements the quiescence half of the paper's
-// managed reconfiguration story, and is measured in the E4 ablation
-// (gated vs. lossless-rebind swap).
-type Gate struct {
-	mu sync.RWMutex
-}
-
-// Interceptor returns a core.Interceptor enforcing the gate on a binding.
-func (g *Gate) Interceptor(name string) core.Interceptor {
-	return core.Interceptor{
-		Name: name,
-		Wrap: func(op string, args []any, invoke func([]any) []any) []any {
-			g.mu.RLock()
-			defer g.mu.RUnlock()
-			return invoke(args)
-		},
-	}
-}
-
-// Pause blocks until in-flight calls complete; subsequent calls wait.
-func (g *Gate) Pause() { g.mu.Lock() }
-
-// Resume releases the gate.
-func (g *Gate) Resume() { g.mu.Unlock() }
-
-// Do runs fn on the gate's read side: it blocks while the gate is paused
-// and holds Pause off until fn returns. Service loops that are not binding
-// crossings — the ShardedCF's shard workers, custom pumps — wrap each unit
-// of work in Do so that Pause quiesces them at a unit boundary, giving
-// managed reconfiguration a moment when no packet is in flight anywhere in
-// the gated section.
-func (g *Gate) Do(fn func()) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	fn()
 }
 
 // HotSwap replaces component oldName with newComp (inserted as newName)
@@ -76,7 +36,7 @@ func (g *Gate) Do(fn func()) {
 // does not. Packets pushed between steps 2 and 3 enter newComp ahead of
 // the migrated backlog, and a handed-on late push may too. A caller that
 // needs order quiesces the pushers around the swap, as ShardedCF.HotSwap
-// does with its lane gates.
+// does by parking its lanes.
 //
 // The old component must not be a composite boundary re-exporting shared
 // receptacles. On failure the capsule may be left with newName inserted

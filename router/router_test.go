@@ -2,6 +2,7 @@ package router
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"sync"
 	"testing"
@@ -458,6 +459,27 @@ func TestClassifierUnmatchedWithoutDefaultDrops(t *testing.T) {
 	}
 	if cls.ElemStats().Dropped != 1 {
 		t.Fatalf("dropped = %d", cls.ElemStats().Dropped)
+	}
+}
+
+// TestClassifierStatsCostIndependentOfRules: the stats-tree walk and every
+// adaptation tick read Classifier.Stats, so its cost must not grow with the
+// filter table — 1024 rules allocate exactly what an empty table does.
+func TestClassifierStatsCostIndependentOfRules(t *testing.T) {
+	allocs := func(rules int) float64 {
+		cls, err := NewClassifier("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rules; i++ {
+			if _, err := cls.RegisterFilter(fmt.Sprintf("udp and dst port %d", i), 1, "a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(100, func() { _ = cls.Stats() })
+	}
+	if empty, full := allocs(0), allocs(1024); full != empty {
+		t.Fatalf("Stats with 1024 rules allocates %v times, with none %v", full, empty)
 	}
 }
 

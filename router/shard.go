@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netkit/cf"
 	"netkit/core"
@@ -23,16 +22,19 @@ import (
 //     enumerable via Replicas() and the ordinary Snapshot/Subscribe paths;
 //   - interception: Intercept installs an Around on the same binding of
 //     every replica all-or-nothing (core.Capsule.AddInterceptorAll), so
-//     audits and gates never observe a subset of shards;
-//   - reconfiguration: HotSwap pauses every shard worker at a batch
-//     boundary (router.Gate) and swaps the named component in each
-//     replica with Exportable state migration, lossless under full load.
+//     audits never observe a subset of shards;
+//   - reconfiguration: every meta-operation that needs a consistent cut
+//     (HotSwap, Intercept, SetActiveShards, Quiesce) runs as "park,
+//     mutate, resume". Each lane's worker is the lane's only fence: park
+//     closes intake and has every worker drain its ring and wait at that
+//     batch boundary, so no packet is in flight anywhere in any replica
+//     while the mutation runs, and none is lost.
 //
 // Correctness contract, proven by the race/fuzz/stress tests in
 // shard_test.go and shard_fuzz_test.go: packets of one flow (same RSS
 // hash) are delivered downstream in arrival order, the sharded pipeline
 // delivers exactly the per-flow sequences the equivalent single pipeline
-// would, and no packet is lost across Stop or HotSwap.
+// would, and no packet is lost across Stop, HotSwap or a rescale.
 
 // TypeShardedCF is the registered component type of the sharded data
 // plane; TypeShardIngress/TypeShardEgress name its per-replica endpoints.
@@ -67,14 +69,6 @@ type ShardConfig struct {
 	// ActiveShards is the initial number of lanes receiving traffic
 	// (default Shards). SetActiveShards rescales it at run time.
 	ActiveShards int
-	// RingDepth bounds each shard's SPSC ring in batches (default 256).
-	RingDepth int
-	// Hash overrides the dispatch hash (default FlowHash). It must be a
-	// pure function of the packet's flow identity.
-	Hash func(*Packet) uint32
-	// StrictTrust enables the Router CF's out-of-process isolation rule
-	// on the inner framework.
-	StrictTrust bool
 	// LatencyHistogram enables per-lane tail-latency telemetry: packets
 	// are stamped (Packet.Born, unless already stamped upstream) at the
 	// dispatcher and their residence — ring wait plus the whole replica
@@ -86,12 +80,15 @@ type ShardConfig struct {
 	LatencyHistogram bool
 }
 
-// shard is one replica lane: its ring, worker bookkeeping, quiescence
-// gate, and the ingress/egress endpoints.
+// ringDepth bounds each shard's SPSC ring, in batches.
+const ringDepth = 256
+
+// shard is one replica lane: its ring, worker bookkeeping, fence channel,
+// and the ingress/egress endpoints.
 type shard struct {
 	ring    *spscRing
 	prodMu  sync.Mutex // serialises dispatchers so the ring stays SPSC
-	gate    Gate
+	fence   chan *cut  // park requests, taken by the worker between batches
 	ingress *shardIngress
 	egress  *shardEgress
 	lat     *core.Histogram // per-lane residence histogram (nil unless enabled)
@@ -111,10 +108,9 @@ type ShardedCF struct {
 	elementCounters
 	out    *core.Receptacle[IPacketPush]
 	shards []*shard
-	hash   func(*Packet) uint32
 	stamp  bool // LatencyHistogram: stamp unstamped packets at intake
 
-	mu      sync.Mutex  // serialises Start/Stop/HotSwap/SetActiveShards
+	mu      sync.Mutex  // serialises Start, Stop and park
 	started atomic.Bool // read by dispatchers without taking mu
 	quit    chan struct{}
 
@@ -122,9 +118,9 @@ type ShardedCF struct {
 	// (1..len(shards)). Rescaling is fenced without any cross-shard
 	// shared write on the fast path: a dispatcher snapshots active,
 	// splits by it, and re-validates the snapshot under the target
-	// shard's prodMu (which SetActiveShards holds for every lane while
-	// it drains and switches) — a stale snapshot retries with the new
-	// modulus, after the rescale has drained every old-modulus packet.
+	// shard's prodMu (which park holds for every lane while the lanes
+	// drain and the modulus switches) — a stale snapshot retries with the
+	// new modulus, after the rescale has drained every old-modulus packet.
 	active atomic.Int32
 
 	stage sync.Pool // per-dispatch [][]*Packet scratch, one slot per shard
@@ -140,14 +136,8 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 	if build == nil {
 		return nil, fmt.Errorf("router: sharded CF needs a replica factory")
 	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = 256
-	}
-	if cfg.Hash == nil {
-		cfg.Hash = FlowHash
-	}
 	ctrl := &shardController{n: cfg.Shards, build: build}
-	comp, err := cf.NewComposite(TypeShardedCF, outer, Rules(cfg.StrictTrust), ctrl)
+	comp, err := cf.NewComposite(TypeShardedCF, outer, Rules(false), ctrl)
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +145,13 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 		Composite: comp,
 		out:       core.NewReceptacle[IPacketPush](IPacketPushID),
 		shards:    make([]*shard, cfg.Shards),
-		hash:      cfg.Hash,
 	}
 	s.stage.New = func() any { return make([][]*Packet, cfg.Shards) }
 	s.stamp = cfg.LatencyHistogram
 	for i := range s.shards {
 		sh := &shard{
-			ring:    newSPSCRing(cfg.RingDepth),
+			ring:    newSPSCRing(ringDepth),
+			fence:   make(chan *cut),
 			ingress: newShardIngress(comp.Inner()),
 		}
 		if cfg.LatencyHistogram {
@@ -245,44 +235,23 @@ func (s *ShardedCF) Shards() int { return len(s.shards) }
 func (s *ShardedCF) ActiveShards() int { return int(s.active.Load()) }
 
 // SetActiveShards rescales the dispatcher to n lanes (clamped to
-// [1, Shards]) without losing a packet or breaking per-flow ordering:
-// intake is fenced off by taking every lane's producer lock (traffic
-// back-pressures at the boundary), every already-accepted packet drains
-// through its replica, and only then does the modulus change — so no
-// flow has packets in two lanes at once. The change is recorded on the
-// AnnotActiveShards annotation, keeping the architecture meta-model's
-// view causally connected. ctx bounds the drain wait. Rescaling to the
-// current lane count is a cheap no-op (adaptation rules may re-fire
-// with an unchanged target).
+// [1, Shards]) without losing a packet or breaking per-flow ordering: the
+// modulus changes under park, after every already-accepted packet has
+// drained through its replica, so no flow has packets in two lanes at
+// once. The change is recorded on the AnnotActiveShards annotation,
+// keeping the architecture meta-model's view causally connected. ctx
+// bounds the drain wait. Rescaling to the current lane count is a cheap
+// no-op (adaptation rules may re-fire with an unchanged target).
 func (s *ShardedCF) SetActiveShards(ctx context.Context, n int) error {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(s.shards) {
-		n = len(s.shards)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	n = max(1, min(n, len(s.shards)))
 	if int(s.active.Load()) == n {
 		return nil
 	}
-	// Take every producer lock: dispatchers already past their staleness
-	// check finish enqueueing first; everyone else blocks (or retries
-	// with the new modulus once we release).
-	for _, sh := range s.shards {
-		sh.prodMu.Lock()
+	resume, err := s.park(ctx)
+	if err != nil {
+		return fmt.Errorf("router: sharded CF: rescale drain: %w", err)
 	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.prodMu.Unlock()
-		}
-	}()
-	// With intake fenced the workers drain what was already accepted.
-	if s.started.Load() {
-		if err := s.Quiesce(ctx); err != nil {
-			return fmt.Errorf("router: sharded CF: rescale drain: %w", err)
-		}
-	}
+	defer resume()
 	s.active.Store(int32(n))
 	s.SetAnnotation(AnnotActiveShards, strconv.Itoa(n))
 	return nil
@@ -338,36 +307,36 @@ func (s *ShardedCF) Stop(ctx context.Context) error {
 	return s.Composite.Stop(ctx)
 }
 
-// worker services one shard: batches cross the replica inside the shard's
-// gate so reconfiguration can quiesce the lane at a batch boundary.
+// worker services one shard: it runs every ring batch through the
+// replica, and between batches it is the lane's fence — a park request
+// makes it drain the ring and wait at that boundary until resumed.
 func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
 	defer close(sh.done)
-	process := func(b []*Packet) {
-		sh.gate.Do(func() {
+	drain := func() {
+		for {
+			b, ok := sh.ring.tryDequeue()
+			if !ok {
+				return
+			}
 			_ = sh.ingress.fuse.Forward(b)
-		})
-		sh.inflight.Add(-int64(len(b)))
-		PutBatch(b)
+			sh.inflight.Add(-int64(len(b)))
+			PutBatch(b)
+		}
 	}
 	for {
-		b, ok := sh.ring.tryDequeue()
-		if !ok {
-			select {
-			case <-sh.ring.wake:
-				continue
-			case <-quit:
-				// Drain: everything enqueued before quit closed is still
-				// delivered, so Stop loses nothing.
-				for {
-					b, ok := sh.ring.tryDequeue()
-					if !ok {
-						return
-					}
-					process(b)
-				}
-			}
+		drain()
+		select {
+		case <-sh.ring.wake:
+		case c := <-sh.fence:
+			drain()
+			c.parked <- struct{}{}
+			<-c.resume
+		case <-quit:
+			// Everything enqueued before quit closed is still delivered,
+			// so Stop loses nothing.
+			drain()
+			return
 		}
-		process(b)
 	}
 }
 
@@ -435,7 +404,7 @@ func (s *ShardedCF) PushBatch(batch []*Packet) error {
 		}
 		stage := s.stage.Get().([][]*Packet)
 		for _, p := range remaining {
-			i := int(s.hash(p) % n)
+			i := int(FlowHash(p) % n)
 			if stage[i] == nil {
 				stage[i] = GetBatch()
 			}
@@ -489,11 +458,11 @@ const (
 // dispatch hands one pooled batch to a shard's ring, blocking for space
 // (back-pressure, never loss) unless the CF is stopped. seenActive is the
 // lane-count snapshot the caller hashed under; it is re-validated under
-// the lane's producer lock so a concurrent rescale (which holds every
-// producer lock while it drains) can never interleave with an
-// old-modulus enqueue. Ownership of the batch slice passes to the worker
-// only on dispOK. The inflight increment happens inside the lock, so a
-// producer parked on a rescale's fence is not counted as in flight.
+// the lane's producer lock so a concurrent rescale (which parks the lanes
+// holding every producer lock) can never interleave with an old-modulus
+// enqueue. Ownership of the batch slice passes to the worker only on
+// dispOK. The inflight increment happens inside the lock, so a producer
+// blocked on a park is not counted as in flight.
 func (s *ShardedCF) dispatch(sh *shard, b []*Packet, seenActive int32) dispResult {
 	sh.prodMu.Lock()
 	if !s.started.Load() {
@@ -523,31 +492,73 @@ func (s *ShardedCF) dropStopped(b []*Packet) {
 	PutBatch(b)
 }
 
+// cut is one park: every parked worker sends one token on parked
+// (buffered for every lane, so the send never blocks) and waits for
+// resume to close.
+type cut struct {
+	parked chan struct{}
+	resume chan struct{}
+}
+
+// park brings the CF to a consistent cut and returns the function that
+// ends it. It takes s.mu (so it never races Start or Stop) and every
+// lane's producer lock, so intake back-pressures and nothing is lost; it
+// then asks each started worker to drain its ring and wait at that batch
+// boundary, and returns once every worker is parked: no packet is in
+// flight anywhere in any replica until resume is called. A never-started
+// or stopped CF has no workers and empty rings, so it is parked at once.
+// If ctx expires first, every worker is released, the locks are dropped
+// and ctx.Err() is returned. A producer blocked on a full ring holds its
+// lane's lock until the worker makes room, so park waits for it before
+// ctx is consulted.
+func (s *ShardedCF) park(ctx context.Context) (resume func(), err error) {
+	s.mu.Lock()
+	for _, sh := range s.shards {
+		sh.prodMu.Lock()
+	}
+	c := &cut{parked: make(chan struct{}, len(s.shards)), resume: make(chan struct{})}
+	resume = func() {
+		close(c.resume)
+		for _, sh := range s.shards {
+			sh.prodMu.Unlock()
+		}
+		s.mu.Unlock()
+	}
+	if !s.started.Load() {
+		return resume, nil
+	}
+	for _, sh := range s.shards {
+		select {
+		case sh.fence <- c:
+		case <-ctx.Done():
+			resume()
+			return nil, ctx.Err()
+		}
+	}
+	for range s.shards {
+		select {
+		case <-c.parked:
+		case <-ctx.Done():
+			resume()
+			return nil, ctx.Err()
+		}
+	}
+	return resume, nil
+}
+
 // Quiesce blocks until every packet accepted before the call has been
 // handed INTO its replica (rings empty, workers between batches), or ctx
 // expires. It does not wait for packets buffered inside replica components
 // — a replica containing a queue drained by a scheduler pump may still
 // hold packets when Quiesce returns; wait on downstream counters for full
-// drainage. Call it after producers stop pushing; with producers still
-// active the answer is stale the moment it is computed.
+// drainage. Producers block for its duration; with producers still active
+// the answer is stale the moment it returns.
 func (s *ShardedCF) Quiesce(ctx context.Context) error {
-	for {
-		idle := true
-		for _, sh := range s.shards {
-			if sh.inflight.Load() != 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Microsecond):
-		}
+	resume, err := s.park(ctx)
+	if err == nil {
+		resume()
 	}
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -587,26 +598,22 @@ func (s *ShardedCF) shardBindings(component, receptacle string) ([]core.BindingI
 // same Around value observes every shard, so an accumulating interceptor
 // (an audit counting via PacketCount) aggregates across shards by
 // construction.
+//
+// The install runs under park, so it is an exact cut: every packet
+// accepted before Intercept has crossed its replica before the
+// interceptor exists, and every packet pushed after Intercept returns
+// crosses it (a fused run bypasses the binding, but the install retired
+// every lane's plan before the lanes resume). Removal needs no cut: a
+// hop-by-hop batch in flight during Unintercept crosses the chain at the
+// binding, the ordinary batch-boundary semantics.
 func (s *ShardedCF) Intercept(component, receptacle, name string, around core.Around) error {
 	ids, err := s.shardBindings(component, receptacle)
 	if err != nil {
 		return err
 	}
-	if err := s.Inner().AddInterceptorAll(ids, core.Interceptor{Name: name, Wrap: around}); err != nil {
-		return err
-	}
-	// Exact-audit fence: the installs above already de-specialised every
-	// lane (the fusers' structure watchers fired synchronously), but a
-	// batch that entered a fused plan just before may still be in flight —
-	// and a fused run bypasses the binding, so the new interceptor would
-	// not see it. Wait those runs out so that once Intercept returns, the
-	// chain observes every subsequent packet. Removal needs no fence: a
-	// hop-by-hop batch in flight during Unintercept crosses the chain at
-	// the binding, the ordinary batch-boundary semantics.
-	for _, sh := range s.shards {
-		sh.ingress.fuse.WaitIdle(5 * time.Second)
-	}
-	return nil
+	resume, _ := s.park(context.TODO()) // fails only when its context ends
+	defer resume()
+	return s.Inner().AddInterceptorAll(ids, core.Interceptor{Name: name, Wrap: around})
 }
 
 // Unintercept removes the named interceptor from every replica's binding
@@ -623,25 +630,17 @@ func (s *ShardedCF) Unintercept(component, receptacle, name string) error {
 // Managed reconfiguration
 
 // HotSwap replaces the component known (unscoped) as oldName in EVERY
-// replica with a fresh instance from mk, without losing a packet: every
-// shard worker is paused at a batch boundary (router.Gate), so no call is
-// in flight anywhere in any replica while the swaps run; each swap then
-// rebinds atomically and migrates Exportable state (router.HotSwap); the
-// workers resume. Traffic arriving during the swap queues in the shard
-// rings (back-pressure, not loss). On error some replicas may have been
-// swapped and others not — the error names the failing shard; retrying
-// with the same arguments re-attempts only the unswapped replicas' names.
+// replica with a fresh instance from mk, without losing a packet: the
+// swaps run under park, so no call is in flight anywhere in any replica;
+// each swap rebinds atomically and migrates Exportable state
+// (router.HotSwap); the workers resume. Traffic arriving during the swap
+// back-pressures at the lanes' intake, never lost. On error some replicas
+// may have been swapped and others not — the error names the failing
+// shard; retrying with the same arguments re-attempts only the unswapped
+// replicas' names.
 func (s *ShardedCF) HotSwap(oldName, newName string, mk func(shard int) (core.Component, error)) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.gate.Pause()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.gate.Resume()
-		}
-	}()
+	resume, _ := s.park(context.TODO()) // fails only when its context ends
+	defer resume()
 	inner := s.Inner()
 	for i := range s.shards {
 		// Idempotence across retries: a shard already carrying newName

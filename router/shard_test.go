@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,6 +463,169 @@ func TestShardedCFInterceptAllOrNothing(t *testing.T) {
 	}
 }
 
+// stallStage is a replica stage that runs hook before forwarding each
+// batch: a sleep builds a ring backlog behind it, a blocking hook wedges
+// its lane.
+type stallStage struct {
+	*core.Base
+	out  *core.Receptacle[IPacketPush]
+	hook func()
+}
+
+func (s *stallStage) Push(p *Packet) error { return s.PushBatch([]*Packet{p}) }
+
+func (s *stallStage) PushBatch(batch []*Packet) error {
+	s.hook()
+	next, _ := s.out.Get()
+	return ForwardBatch(next, batch)
+}
+
+// stallReplica builds ingress -> stallStage(hook) -> egress.
+func stallReplica(hook func()) ReplicaFactory {
+	return func(shard int, fw *cf.Framework) (string, error) {
+		st := &stallStage{Base: core.NewBase("test.StallStage"), hook: hook}
+		st.out = core.NewReceptacle[IPacketPush](IPacketPushID)
+		st.AddReceptacle("out", st.out)
+		st.Provide(IPacketPushID, st)
+		name := ShardName(shard, "stall")
+		if err := fw.Admit(name, st); err != nil {
+			return "", err
+		}
+		if _, err := fw.Capsule().Bind(name, "out", ShardName(shard, "egress"), IPacketPushID); err != nil {
+			return "", err
+		}
+		return name, nil
+	}
+}
+
+// TestShardedCFInterceptIsACut: Intercept is an exact cut even with a ring
+// backlog behind a slow replica. The packets accepted before it drain
+// unaudited; the audit reads exactly the packets pushed after it returns.
+func TestShardedCFInterceptIsACut(t *testing.T) {
+	_, s, sink := buildSharded(t, 2, stallReplica(func() { time.Sleep(100 * time.Microsecond) }))
+	var audited atomic.Int64
+	around := core.PrePost(func(op string, args []any) {
+		audited.Add(int64(PacketCount(op, args)))
+	}, nil)
+	push := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if err := s.Push(mkFlowPacket(t, uint32(i%8), uint32(i/8))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const before, after = 200, 120
+	push(0, before) // one ring entry each, far faster than the replica drains
+	if err := s.Intercept("ingress", "out", "audit", around); err != nil {
+		t.Fatal(err)
+	}
+	push(before, after)
+	quiesce(t, s)
+	if got := audited.Load(); got != after {
+		t.Fatalf("audit read %d, want exactly the %d packets pushed after Intercept", got, after)
+	}
+	if got := sink.total(); got != before+after {
+		t.Fatalf("sink received %d of %d", got, before+after)
+	}
+	sink.perFlowInOrder(t)
+}
+
+// TestShardedCFMetaOpsWithoutWorkers: with no worker running — never
+// started, or stopped — every lane is already at the cut, so each fenced
+// meta-operation returns at once.
+func TestShardedCFMetaOpsWithoutWorkers(t *testing.T) {
+	s, err := NewShardedCF(core.NewCapsule("shardtest"), ShardConfig{Shards: 2}, counterReplica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := func(int) (core.Component, error) { return NewCounter(), nil }
+	ops := func(state string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() {
+			done <- errors.Join(
+				s.HotSwap("cnt", "cnt2", counter),
+				s.HotSwap("cnt2", "cnt", counter),
+				s.Intercept("ingress", "out", "audit", core.PrePost(nil, nil)),
+				s.Unintercept("ingress", "out", "audit"),
+				s.SetActiveShards(ctx, 1),
+				s.SetActiveShards(ctx, 2),
+				s.Quiesce(ctx),
+			)
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", state, err)
+			}
+		case <-ctx.Done():
+			t.Fatalf("%s: meta-operations still blocked after 5s", state)
+		}
+	}
+	ops("never started")
+	ctx := context.Background()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Push(mkFlowPacket(t, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ops("stopped")
+}
+
+// TestShardedCFQuiesceExpiresOnWedgedLane: a lane stuck inside its replica
+// never reaches the cut, so Quiesce returns ctx.Err() and releases the
+// intake and every lane it had parked; once the replica lets go, the
+// wedged lane resumes and the CF quiesces normally.
+func TestShardedCFQuiesceExpiresOnWedgedLane(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	armed.Store(true)
+	_, s, sink := buildSharded(t, 2, stallReplica(func() {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}))
+	var unwedge sync.Once
+	t.Cleanup(func() { unwedge.Do(func() { close(release) }) }) // before Stop drains
+	wedged := mkFlowPacket(t, 1, 0)
+	lane := FlowShard(wedged, 2)
+	if err := s.Push(wedged); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.Quiesce(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Quiesce on a wedged lane: %v, want %v", err, context.DeadlineExceeded)
+	}
+	// The other lane forwards while this one is still wedged.
+	flow := uint32(2)
+	for FlowShard(mkFlowPacket(t, flow, 0), 2) == lane {
+		flow++
+	}
+	if err := s.Push(mkFlowPacket(t, flow, 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitSinkTotal(t, sink, 1)
+	if err := s.Push(mkFlowPacket(t, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	unwedge.Do(func() { close(release) })
+	quiesce(t, s)
+	if got := sink.total(); got != 3 {
+		t.Fatalf("sink received %d of 3", got)
+	}
+	sink.perFlowInOrder(t)
+}
+
 // ---- reconfiguration under load -------------------------------------------
 
 // queueReplica builds ingress -> FIFO queue -> RR link scheduler -> egress:
@@ -615,49 +779,6 @@ func TestShardedCFHotSwapFactoryFailure(t *testing.T) {
 	}
 	quiesce(t, s)
 	waitSinkTotal(t, sink, 1)
-}
-
-// ---- gate ------------------------------------------------------------------
-
-// TestGateDo proves the worker-side gate contract: Pause waits out an
-// in-flight Do and blocks subsequent Dos until Resume.
-func TestGateDo(t *testing.T) {
-	var g Gate
-	inFlight := make(chan struct{})
-	release := make(chan struct{})
-	go g.Do(func() { close(inFlight); <-release })
-	<-inFlight
-
-	paused := make(chan struct{})
-	go func() {
-		g.Pause()
-		close(paused)
-	}()
-	select {
-	case <-paused:
-		t.Fatal("Pause returned while a Do was in flight")
-	case <-time.After(10 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-paused:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Pause never acquired the gate")
-	}
-
-	ran := make(chan struct{})
-	go g.Do(func() { close(ran) })
-	select {
-	case <-ran:
-		t.Fatal("Do ran while paused")
-	case <-time.After(10 * time.Millisecond):
-	}
-	g.Resume()
-	select {
-	case <-ran:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Do never resumed")
-	}
 }
 
 // ---- the SPSC ring ---------------------------------------------------------
