@@ -162,10 +162,6 @@ type Firing struct {
 type Options struct {
 	// Interval is the sampling tick (default 25ms).
 	Interval time.Duration
-	// ActionTimeout bounds each action's context (default 10s). The
-	// context is also cancelled by Stop, so a blocking action (e.g. a
-	// rescale's drain wait) can never wedge the engine's shutdown.
-	ActionTimeout time.Duration
 	// OnFire, when set, observes every firing (after the action ran).
 	OnFire func(Firing)
 }
@@ -205,15 +201,17 @@ type Engine struct {
 // maxHistory bounds the retained firing log.
 const maxHistory = 256
 
+// actionTimeout bounds each action's context. The context is also
+// cancelled by Stop, so a blocking action (e.g. a rescale's drain wait)
+// can never wedge the engine's shutdown.
+const actionTimeout = 10 * time.Second
+
 // NewEngine builds an adaptation engine over the given capsule. Insert it
 // into that same capsule and start it (StartAll does both halves under a
 // Blueprint); it may equally observe a capsule from outside.
 func NewEngine(c *core.Capsule, opts Options, rules ...Rule) *Engine {
 	if opts.Interval <= 0 {
 		opts.Interval = 25 * time.Millisecond
-	}
-	if opts.ActionTimeout <= 0 {
-		opts.ActionTimeout = 10 * time.Second
 	}
 	e := &Engine{
 		Base:    core.NewBase(TypeEngine),
@@ -316,7 +314,7 @@ func (e *Engine) tick(v View, now time.Time) {
 		st.lastFired = now
 		f := Firing{Rule: r.Name, Tick: tickN, At: now}
 		if r.Then != nil {
-			ctx, cancel := context.WithTimeout(e.actCtx, e.opts.ActionTimeout)
+			ctx, cancel := context.WithTimeout(e.actCtx, actionTimeout)
 			err := r.Then(ctx, e.capsule, v)
 			cancel()
 			if err != nil {

@@ -277,8 +277,11 @@ func TestClosedLoopShardScaleUp(t *testing.T) {
 	}
 	const lanes = 4
 	sharded, err := router.NewShardedCF(capsule,
-		router.ShardConfig{Shards: lanes, ActiveShards: 1}, replica)
+		router.ShardConfig{Shards: lanes}, replica)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.SetActiveShards(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := capsule.Insert("fwd", sharded); err != nil {

@@ -1,10 +1,11 @@
 // device.go defines the stratum-1 packet-device contract shared by every
-// I/O backend: the channel-backed simulated NIC, the netsim-fronted
-// kernel channel, and the real UDP datapath (udp.go). The strata above
-// (router.NICSource / router.NICSink) program against this interface
-// only, so swapping a simulation for real sockets is a constructor-level
-// decision, not a pipeline rewrite — the substitution discipline of
-// DESIGN.md §2.4 applied to the bottom of the stack.
+// I/O backend: the simulated NIC and the netsim-fronted kernel channel
+// (both over one in-memory frame ring), and the real UDP datapath
+// (udp.go). The strata above (router.NICSource / router.NICSink) program
+// against this interface only, so swapping a simulation for real
+// sockets is a constructor-level decision, not a pipeline rewrite — the
+// substitution discipline of DESIGN.md §2.4 applied to the bottom of the
+// stack.
 package osabs
 
 import (
@@ -33,9 +34,13 @@ import (
 // SendBatch queues frames for transmission in order and returns how many
 // the device accepted; the remainder were dropped (counted in the device
 // stats) the way a full TX ring drops — the caller does not retry.
-// Devices copy or finish with the frame bytes before returning, except
-// the channel-backed NIC whose simulated TX ring retains the slices
-// until drained (its DrainTx consumers own the recycling discipline).
+// Every device is done with the caller's frame bytes when SendBatch
+// returns: it has copied them or sent them.
+//
+// A device may also offer a doorbell, Doorbell() <-chan struct{}, rung
+// whenever a frame arrives and on Close (the in-memory NIC and
+// KernelChannel do). A receiver whose poll came back empty may sleep on
+// it instead of on a timer.
 type Device interface {
 	// Name returns the device name (the stats-tree and InPort label).
 	Name() string

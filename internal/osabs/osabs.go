@@ -1,10 +1,10 @@
 // Package osabs is the stratum-1 hardware abstraction of Figure 1: the
 // minimal OS-like services a participating node must offer — access to
-// network hardware (simulated NICs), efficient kernel/user-space packet
-// channels, and a clock. The paper notes that the nature of these services
-// largely determines the QoS capabilities of the strata above; the
-// simulated devices therefore expose explicit capacity limits and drop
-// counters so the higher strata see realistic back-pressure.
+// network hardware (simulated NICs and real UDP sockets) and efficient
+// kernel/user-space packet channels. The paper notes that the nature of
+// these services largely determines the QoS capabilities of the strata
+// above; the simulated devices therefore expose explicit capacity limits
+// and drop counters so the higher strata see realistic back-pressure.
 package osabs
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netkit/core"
 	"netkit/internal/buffers"
@@ -28,33 +27,128 @@ var (
 	ErrOverflow = errors.New("osabs: ring overflow")
 )
 
-// Clock abstracts time for deterministic tests.
-type Clock func() time.Time
+// frameRing is the bounded, drop-on-full frame queue under both in-memory
+// devices. Neither put nor drainInto ever blocks; mu fences close against
+// concurrent puts (putters hold the read side for one batch, close takes
+// the write side before closing q), so a put can never panic on a closed
+// channel. bell is a capacity-1 doorbell rung whenever a put lands and on
+// close: a consumer that found the ring empty sleeps on it and cannot
+// miss a frame, because a put after the empty poll leaves a token.
+type frameRing struct {
+	q    chan []byte
+	bell chan struct{}
+
+	mu     sync.RWMutex
+	closed bool
+
+	frames atomic.Uint64
+	bytes  atomic.Uint64
+	drops  atomic.Uint64
+}
+
+func newFrameRing(depth int) *frameRing {
+	return &frameRing{q: make(chan []byte, depth), bell: make(chan struct{}, 1)}
+}
+
+// put enqueues frames in order, dropping (and counting) each one that
+// finds the ring full; counters settle once per call. It returns the
+// accepted count, with ErrOverflow if any frame was dropped or ErrClosed
+// once the ring is closed. The ring retains the frames' bytes.
+func (r *frameRing) put(frames ...[]byte) (int, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.closed {
+		return 0, ErrClosed
+	}
+	accepted, bytes := 0, 0
+	for _, f := range frames {
+		select {
+		case r.q <- f:
+			accepted++
+			bytes += len(f)
+		default:
+		}
+	}
+	if accepted > 0 {
+		r.frames.Add(uint64(accepted))
+		r.bytes.Add(uint64(bytes))
+		r.ring()
+	}
+	if d := len(frames) - accepted; d > 0 {
+		r.drops.Add(uint64(d))
+		return accepted, ErrOverflow
+	}
+	return accepted, nil
+}
+
+// putCopies is put over copies of frames carved from one slab, so the
+// ring holds none of the caller's bytes once it returns.
+func (r *frameRing) putCopies(frames [][]byte) (int, error) {
+	n := 0
+	for _, f := range frames {
+		n += len(f)
+	}
+	slab := make([]byte, n)
+	cp := buffers.Batches.Get()
+	for _, f := range frames {
+		c := slab[:len(f):len(f)]
+		copy(c, f)
+		slab = slab[len(f):]
+		cp = append(cp, c)
+	}
+	accepted, err := r.put(cp...)
+	buffers.Batches.Put(cp)
+	return accepted, err
+}
+
+// drainInto appends up to max queued frames to dst without blocking.
+// Frames queued before close still drain in order; once the ring is
+// closed and empty it reports ErrClosed.
+func (r *frameRing) drainInto(dst [][]byte, max int) ([][]byte, error) {
+	for n := 0; n < max; n++ {
+		select {
+		case f, ok := <-r.q:
+			if !ok {
+				if n == 0 {
+					return dst, ErrClosed
+				}
+				return dst, nil
+			}
+			dst = append(dst, f)
+		default:
+			return dst, nil
+		}
+	}
+	return dst, nil
+}
+
+// ring leaves a token on the doorbell unless one is already waiting.
+func (r *frameRing) ring() {
+	select {
+	case r.bell <- struct{}{}:
+	default:
+	}
+}
+
+// close shuts the ring (idempotent) and rings the doorbell, so a
+// consumer asleep on it wakes to find ErrClosed.
+func (r *frameRing) close() {
+	r.mu.Lock()
+	if !r.closed {
+		r.closed = true
+		close(r.q)
+	}
+	r.mu.Unlock()
+	r.ring()
+}
 
 // NIC is a simulated network interface: an RX ring frames arrive on and a
 // TX ring the router drains to "the wire". Injection (the traffic source)
 // and transmission observe ring capacities, so overload manifests as drops
 // exactly where a real device would drop.
 type NIC struct {
-	name string
-	rx   chan []byte
-	tx   chan []byte
-
-	closed atomic.Bool
-
-	rxFrames atomic.Uint64
-	txFrames atomic.Uint64
-	rxDrops  atomic.Uint64
-	txDrops  atomic.Uint64
-	rxBytes  atomic.Uint64
-	txBytes  atomic.Uint64
-
-	// opMu fences Inject against Close: injectors hold the read side for
-	// the duration of one send on rx, Close takes the write side before
-	// closing the channel, so a concurrent Inject can never panic on a
-	// closed channel (the same discipline netsim uses for Stop-vs-Send).
-	opMu      sync.RWMutex
-	closeOnce sync.Once
+	name   string
+	rx, tx *frameRing
 }
 
 // NewNIC creates a device with the given ring depths.
@@ -65,142 +159,74 @@ func NewNIC(name string, rxDepth, txDepth int) (*NIC, error) {
 	if rxDepth <= 0 || txDepth <= 0 {
 		return nil, fmt.Errorf("osabs: NIC %q ring depths %d/%d", name, rxDepth, txDepth)
 	}
-	return &NIC{
-		name: name,
-		rx:   make(chan []byte, rxDepth),
-		tx:   make(chan []byte, txDepth),
-	}, nil
+	return &NIC{name: name, rx: newFrameRing(rxDepth), tx: newFrameRing(txDepth)}, nil
 }
 
 // Name returns the device name.
 func (n *NIC) Name() string { return n.name }
 
+// nicErr names the device and ring in a ring error.
+func (n *NIC) nicErr(ring string, err error) error {
+	if err != nil {
+		err = fmt.Errorf("osabs: nic %q %s: %w", n.name, ring, err)
+	}
+	return err
+}
+
 // Inject delivers a frame to the RX ring (the simulated wire side). A full
-// ring drops the frame and returns ErrOverflow.
+// ring drops the frame and returns ErrOverflow. The ring retains frame.
 func (n *NIC) Inject(frame []byte) error {
-	n.opMu.RLock()
-	defer n.opMu.RUnlock()
-	if n.closed.Load() {
-		return fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
-	}
-	select {
-	case n.rx <- frame:
-		n.rxFrames.Add(1)
-		n.rxBytes.Add(uint64(len(frame)))
-		return nil
-	default:
-		n.rxDrops.Add(1)
-		return fmt.Errorf("osabs: nic %q rx: %w", n.name, ErrOverflow)
-	}
+	_, err := n.rx.put(frame)
+	return n.nicErr("rx", err)
 }
 
-// Recv takes the next received frame without blocking; ErrEmpty when
-// idle. After Close, frames already queued still drain in order; once the
-// ring is dry it reports ErrClosed (never a nil frame with a nil error).
-func (n *NIC) Recv() ([]byte, error) {
-	select {
-	case f, ok := <-n.rx:
-		if !ok {
-			return nil, fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
-		}
-		return f, nil
-	default:
-		if n.closed.Load() {
-			return nil, fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
-		}
-		return nil, ErrEmpty
-	}
-}
-
-// RecvBlock blocks for the next frame or channel close.
-func (n *NIC) RecvBlock() ([]byte, error) {
-	f, ok := <-n.rx
-	if !ok {
-		return nil, fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
-	}
-	return f, nil
-}
-
-// RecvChan exposes the RX ring for select-based pumps (closed when the NIC
-// closes). Consumers must treat it as receive-only.
-func (n *NIC) RecvChan() <-chan []byte { return n.rx }
-
-// Send queues a frame for transmission; a full TX ring drops it.
+// Send queues a frame for transmission; a full TX ring drops it. The ring
+// retains frame until DrainTx hands it out.
 func (n *NIC) Send(frame []byte) error {
-	if n.closed.Load() {
-		return fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
-	}
-	select {
-	case n.tx <- frame:
-		n.txFrames.Add(1)
-		n.txBytes.Add(uint64(len(frame)))
-		return nil
-	default:
-		n.txDrops.Add(1)
-		return fmt.Errorf("osabs: nic %q tx: %w", n.name, ErrOverflow)
-	}
+	_, err := n.tx.put(frame)
+	return n.nicErr("tx", err)
 }
 
 // DrainTx removes one transmitted frame (the simulated wire side);
 // ErrEmpty when none.
 func (n *NIC) DrainTx() ([]byte, error) {
-	select {
-	case f := <-n.tx:
-		return f, nil
-	default:
-		return nil, ErrEmpty
+	var one [1][]byte
+	if f, _ := n.tx.drainInto(one[:0], 1); len(f) == 1 {
+		return f[0], nil
 	}
+	return nil, ErrEmpty
 }
 
+// Doorbell is rung whenever a frame lands on the RX ring and on Close;
+// a receiver whose poll came back empty may sleep on it.
+func (n *NIC) Doorbell() <-chan struct{} { return n.rx.bell }
+
 // Close shuts the device. Frames already queued on the RX ring remain
-// drainable; subsequent injects and post-drain receives report ErrClosed.
+// drainable; subsequent injects, sends and post-drain receives report
+// ErrClosed.
 func (n *NIC) Close() error {
-	n.closeOnce.Do(func() {
-		n.closed.Store(true)
-		n.opMu.Lock()
-		close(n.rx)
-		n.opMu.Unlock()
-	})
+	n.rx.close()
+	n.tx.close()
 	return nil
 }
 
 // RecvBatchInto implements Device over the RX ring: a non-blocking drain
-// of up to max frames. The slab result is always nil — channel frames are
+// of up to max frames. The slab result is always nil — ring frames are
 // independently owned. After Close an empty drain reports ErrClosed.
 func (n *NIC) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buffer, error) {
-	appended := 0
-	for appended < max {
-		select {
-		case f, ok := <-n.rx:
-			if !ok {
-				if appended == 0 {
-					return dst, nil, fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
-				}
-				return dst, nil, nil
-			}
-			dst = append(dst, f)
-			appended++
-		default:
-			return dst, nil, nil
-		}
-	}
-	return dst, nil, nil
+	dst, err := n.rx.drainInto(dst, max)
+	return dst, nil, n.nicErr("rx", err)
 }
 
-// SendBatch implements Device over the TX ring: frames queue in order,
-// each observing Send's overflow semantics, with the accepted count
-// returned (the remainder were dropped and counted).
+// SendBatch implements Device over the TX ring: copies of the frames
+// queue in order, each observing Send's overflow semantics, with the
+// accepted count returned (the remainder were dropped and counted).
 func (n *NIC) SendBatch(frames [][]byte) (int, error) {
-	if n.closed.Load() {
-		return 0, fmt.Errorf("osabs: nic %q: %w", n.name, ErrClosed)
+	sent, err := n.tx.putCopies(frames)
+	if errors.Is(err, ErrOverflow) {
+		err = nil
 	}
-	sent := 0
-	for _, f := range frames {
-		if n.Send(f) == nil {
-			sent++
-		}
-	}
-	return sent, nil
+	return sent, n.nicErr("tx", err)
 }
 
 // StatList implements Device with the counter snapshot in uniform form.
@@ -230,150 +256,38 @@ func (st NICStats) List() []core.Stat {
 // Stats returns the device counters.
 func (n *NIC) Stats() NICStats {
 	return NICStats{
-		RxFrames: n.rxFrames.Load(), TxFrames: n.txFrames.Load(),
-		RxDrops: n.rxDrops.Load(), TxDrops: n.txDrops.Load(),
-		RxBytes: n.rxBytes.Load(), TxBytes: n.txBytes.Load(),
+		RxFrames: n.rx.frames.Load(), TxFrames: n.tx.frames.Load(),
+		RxDrops: n.rx.drops.Load(), TxDrops: n.tx.drops.Load(),
+		RxBytes: n.rx.bytes.Load(), TxBytes: n.tx.bytes.Load(),
 	}
-}
-
-// MultiQueueNIC models a multi-queue device with receive-side scaling:
-// N independent RX/TX queue pairs under one device name, each queue an
-// ordinary NIC so the strata above wrap queues exactly like single-queue
-// devices (one NICSource per queue feeds one pipeline replica). The wire
-// side steers frames with InjectRSS, which — like hardware RSS — applies a
-// caller-supplied flow hash so one flow always lands on one queue and
-// keeps its arrival order there.
-type MultiQueueNIC struct {
-	name   string
-	queues []*NIC
-}
-
-// NewMultiQueueNIC creates a device with the given queue count and
-// per-queue ring depths. Queues are named "<name>:q<i>".
-func NewMultiQueueNIC(name string, queues, rxDepth, txDepth int) (*MultiQueueNIC, error) {
-	if queues < 1 {
-		return nil, fmt.Errorf("osabs: NIC %q needs >=1 queue, got %d", name, queues)
-	}
-	m := &MultiQueueNIC{name: name, queues: make([]*NIC, queues)}
-	for i := range m.queues {
-		q, err := NewNIC(fmt.Sprintf("%s:q%d", name, i), rxDepth, txDepth)
-		if err != nil {
-			return nil, err
-		}
-		m.queues[i] = q
-	}
-	return m, nil
-}
-
-// Name returns the device name.
-func (m *MultiQueueNIC) Name() string { return m.name }
-
-// Queues returns the queue count.
-func (m *MultiQueueNIC) Queues() int { return len(m.queues) }
-
-// Queue returns queue i as an ordinary NIC.
-func (m *MultiQueueNIC) Queue(i int) *NIC { return m.queues[i] }
-
-// InjectRSS delivers a frame to the queue selected by hash%queues — the
-// simulated wire side of receive-side scaling. Overflow semantics are the
-// selected queue's (a full ring drops and returns ErrOverflow).
-func (m *MultiQueueNIC) InjectRSS(frame []byte, hash uint32) error {
-	return m.queues[int(hash%uint32(len(m.queues)))].Inject(frame)
-}
-
-// Close shuts every queue.
-func (m *MultiQueueNIC) Close() error {
-	for _, q := range m.queues {
-		_ = q.Close()
-	}
-	return nil
-}
-
-// Stats aggregates the per-queue counters.
-func (m *MultiQueueNIC) Stats() NICStats {
-	var agg NICStats
-	for _, q := range m.queues {
-		st := q.Stats()
-		agg.RxFrames += st.RxFrames
-		agg.TxFrames += st.TxFrames
-		agg.RxDrops += st.RxDrops
-		agg.TxDrops += st.TxDrops
-		agg.RxBytes += st.RxBytes
-		agg.TxBytes += st.TxBytes
-	}
-	return agg
 }
 
 // KernelChannel models the "efficient kernel-user space communication
 // mechanisms" the Router CF's standard components wrap (§5): a bounded
 // SPSC-style frame queue with batch dequeue to amortise crossing costs.
-type KernelChannel struct {
-	q      chan []byte
-	closed atomic.Bool
-	once   sync.Once
-	drops  atomic.Uint64
-	passed atomic.Uint64
-
-	// opMu fences Put/PutBatch against Close (see NIC.opMu).
-	opMu sync.RWMutex
-}
+type KernelChannel struct{ r *frameRing }
 
 // NewKernelChannel creates a channel with the given depth.
 func NewKernelChannel(depth int) (*KernelChannel, error) {
 	if depth <= 0 {
 		return nil, fmt.Errorf("osabs: kernel channel depth %d", depth)
 	}
-	return &KernelChannel{q: make(chan []byte, depth)}, nil
+	return &KernelChannel{r: newFrameRing(depth)}, nil
 }
 
 // Put enqueues a frame; a full queue drops it (counted) — the kernel never
-// blocks on user space.
+// blocks on user space. The channel retains frame.
 func (k *KernelChannel) Put(frame []byte) error {
-	k.opMu.RLock()
-	defer k.opMu.RUnlock()
-	if k.closed.Load() {
-		return ErrClosed
-	}
-	select {
-	case k.q <- frame:
-		k.passed.Add(1)
-		return nil
-	default:
-		k.drops.Add(1)
-		return ErrOverflow
-	}
+	_, err := k.r.put(frame)
+	return err
 }
 
-// PutBatch enqueues frames in order, stopping at the first overflow-free
-// prefix the queue can hold; the remainder is dropped, exactly as
-// len(frames) Puts would drop it. Counters are settled once per batch
-// (one atomic op per outcome class, not one per frame) — the symmetric
-// amortisation to GetBatchInto. It returns the accepted count.
-func (k *KernelChannel) PutBatch(frames [][]byte) (int, error) {
-	k.opMu.RLock()
-	defer k.opMu.RUnlock()
-	if k.closed.Load() {
-		return 0, ErrClosed
-	}
-	accepted := 0
-	for _, f := range frames {
-		select {
-		case k.q <- f:
-			accepted++
-		default:
-		}
-	}
-	if accepted > 0 {
-		k.passed.Add(uint64(accepted))
-	}
-	if d := len(frames) - accepted; d > 0 {
-		k.drops.Add(uint64(d))
-	}
-	if accepted < len(frames) {
-		return accepted, ErrOverflow
-	}
-	return accepted, nil
-}
+// PutBatch enqueues frames in order; each one that finds the queue full
+// is dropped, exactly as len(frames) Puts would drop it, and ErrOverflow
+// says so. Counters are settled once per batch (one atomic op per outcome
+// class, not one per frame) — the symmetric amortisation to GetBatchInto.
+// It returns the accepted count. The channel retains the frames.
+func (k *KernelChannel) PutBatch(frames [][]byte) (int, error) { return k.r.put(frames...) }
 
 // GetBatch dequeues up to max frames without blocking.
 func (k *KernelChannel) GetBatch(max int) [][]byte {
@@ -385,28 +299,17 @@ func (k *KernelChannel) GetBatch(max int) [][]byte {
 // from a buffers.BatchPool) makes the crossing allocation-free in the
 // steady state — the [:0]-reset pattern callers use with pooled batches.
 func (k *KernelChannel) GetBatchInto(dst [][]byte, max int) [][]byte {
-	for n := 0; n < max; n++ {
-		select {
-		case f, ok := <-k.q:
-			if !ok {
-				return dst
-			}
-			dst = append(dst, f)
-		default:
-			return dst
-		}
-	}
+	dst, _ = k.r.drainInto(dst, max)
 	return dst
 }
 
+// Doorbell is rung whenever a frame lands and on Close; a receiver whose
+// poll came back empty may sleep on it.
+func (k *KernelChannel) Doorbell() <-chan struct{} { return k.r.bell }
+
 // Close shuts the channel; frames already queued remain drainable.
 func (k *KernelChannel) Close() error {
-	k.once.Do(func() {
-		k.closed.Store(true)
-		k.opMu.Lock()
-		close(k.q)
-		k.opMu.Unlock()
-	})
+	k.r.close()
 	return nil
 }
 
@@ -418,32 +321,28 @@ func (k *KernelChannel) Name() string { return "kchan" }
 // always nil — channel frames are independently owned. Once the channel
 // is closed and drained an empty poll reports ErrClosed.
 func (k *KernelChannel) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buffer, error) {
-	n := len(dst)
-	dst = k.GetBatchInto(dst, max)
-	if len(dst) == n && k.closed.Load() && len(k.q) == 0 {
-		return dst, nil, ErrClosed
-	}
-	return dst, nil, nil
+	dst, err := k.r.drainInto(dst, max)
+	return dst, nil, err
 }
 
-// SendBatch implements Device over PutBatch: the refused tail of a full
-// queue was dropped and counted, and ErrOverflow says so.
-func (k *KernelChannel) SendBatch(frames [][]byte) (int, error) { return k.PutBatch(frames) }
+// SendBatch implements Device like PutBatch, but queues copies of the
+// frames, so the caller may reuse their bytes once it returns.
+func (k *KernelChannel) SendBatch(frames [][]byte) (int, error) { return k.r.putCopies(frames) }
 
 // Stats reports (passed, dropped) frames.
 func (k *KernelChannel) Stats() (passed, dropped uint64) {
-	return k.passed.Load(), k.drops.Load()
+	return k.r.frames.Load(), k.r.drops.Load()
 }
 
 // StatList reports the channel counters in the uniform core.Stat
 // representation (see NICStats.List).
 func (k *KernelChannel) StatList() []core.Stat {
 	return []core.Stat{
-		core.C("kchan_passed", "frames", k.passed.Load()),
-		core.C("kchan_drops", "frames", k.drops.Load()),
-		core.G("kchan_len", "frames", float64(len(k.q))),
+		core.C("kchan_passed", "frames", k.r.frames.Load()),
+		core.C("kchan_drops", "frames", k.r.drops.Load()),
+		core.G("kchan_len", "frames", float64(k.Len())),
 	}
 }
 
 // Len reports queued frames.
-func (k *KernelChannel) Len() int { return len(k.q) }
+func (k *KernelChannel) Len() int { return len(k.r.q) }

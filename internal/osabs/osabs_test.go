@@ -2,6 +2,8 @@ package osabs
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -28,12 +30,12 @@ func TestNICInjectRecv(t *testing.T) {
 	if err := n.Inject([]byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := n.Recv()
-	if err != nil || len(f) != 3 {
+	f, _, err := n.RecvBatchInto(nil, 4)
+	if err != nil || len(f) != 1 || len(f[0]) != 3 {
 		t.Fatalf("recv = %v %v", f, err)
 	}
-	if _, err := n.Recv(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty, got %v", err)
+	if f, _, err := n.RecvBatchInto(nil, 4); err != nil || len(f) != 0 {
+		t.Fatalf("idle recv = %v %v", f, err)
 	}
 	s := n.Stats()
 	if s.RxFrames != 1 || s.RxBytes != 3 {
@@ -101,30 +103,60 @@ func TestNICClose(t *testing.T) {
 	if err := n.Send([]byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
-	if _, err := n.RecvBlock(); !errors.Is(err, ErrClosed) {
+	if _, _, err := n.RecvBatchInto(nil, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
 
-func TestNICRecvBlock(t *testing.T) {
+// TestNICDoorbell: a receiver that found the ring empty sleeps on the
+// doorbell and wakes to the injected frame; tokens never pile up beyond
+// one, and Close rings so a sleeper wakes to ErrClosed.
+func TestNICDoorbell(t *testing.T) {
 	n, err := NewNIC("eth0", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan []byte, 1)
 	go func() {
-		f, err := n.RecvBlock()
-		if err != nil {
-			done <- nil
-			return
+		for {
+			f, _, err := n.RecvBatchInto(nil, 1)
+			if err != nil {
+				done <- nil
+				return
+			}
+			if len(f) == 1 {
+				done <- f[0]
+				return
+			}
+			<-n.Doorbell()
 		}
-		done <- f
 	}()
 	if err := n.Inject([]byte{7}); err != nil {
 		t.Fatal(err)
 	}
 	if f := <-done; f == nil || f[0] != 7 {
-		t.Fatalf("blocked recv = %v", f)
+		t.Fatalf("woken recv = %v", f)
+	}
+	for i := 0; i < 2; i++ {
+		if err := n.Inject([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(n.Doorbell()); got != 1 {
+		t.Fatalf("doorbell holds %d tokens, want 1", got)
+	}
+	<-n.Doorbell()
+	if err := n.Send([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.Doorbell()); got != 0 {
+		t.Fatal("a TX send rang the RX doorbell")
+	}
+	n.Close()
+	select {
+	case <-n.Doorbell():
+	default:
+		t.Fatal("Close did not ring the doorbell")
 	}
 }
 
@@ -172,83 +204,59 @@ func TestKernelChannel(t *testing.T) {
 	}
 }
 
-func TestMultiQueueNICValidation(t *testing.T) {
-	if _, err := NewMultiQueueNIC("mq", 0, 8, 8); err == nil {
-		t.Fatal("zero queues accepted")
-	}
-	if _, err := NewMultiQueueNIC("mq", 2, 0, 8); err == nil {
-		t.Fatal("zero ring depth accepted")
-	}
-}
-
-// TestMultiQueueNICRSSSteering proves the multi-queue receive path: frames
-// steered by hash land on hash%queues, same-hash frames keep arrival order
-// on their queue, and Stats aggregates all queues.
-func TestMultiQueueNICRSSSteering(t *testing.T) {
-	m, err := NewMultiQueueNIC("mq", 3, 64, 64)
+// TestKernelChannelCloseUnderPutters: Close races concurrent putters and
+// a receiver asleep on the doorbell. No put panics, every putter ends on
+// ErrClosed, the receiver wakes to ErrClosed, and every accepted frame is
+// received.
+func TestKernelChannelCloseUnderPutters(t *testing.T) {
+	k, err := NewKernelChannel(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if m.Queues() != 3 {
-		t.Fatalf("queues = %d", m.Queues())
-	}
-	const perFlow = 10
-	for seq := byte(0); seq < perFlow; seq++ {
-		for flow := uint32(0); flow < 7; flow++ {
-			if err := m.InjectRSS([]byte{byte(flow), seq}, flow); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	total := 0
-	for q := 0; q < 3; q++ {
-		seen := map[byte]byte{}
+	received := make(chan int, 1)
+	go func() {
+		n := 0
 		for {
-			f, err := m.Queue(q).Recv()
-			if errors.Is(err, ErrEmpty) {
-				break
-			}
+			got, _, err := k.RecvBatchInto(nil, 8)
+			n += len(got)
 			if err != nil {
-				t.Fatal(err)
+				received <- n
+				return
 			}
-			total++
-			flow, seq := f[0], f[1]
-			if int(flow)%3 != q {
-				t.Fatalf("flow %d on queue %d", flow, q)
+			if len(got) == 0 {
+				<-k.Doorbell()
 			}
-			if seq != seen[flow] {
-				t.Fatalf("queue %d flow %d: seq %d, want %d", q, flow, seq, seen[flow])
-			}
-			seen[flow]++
 		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := k.Put([]byte{1}); errors.Is(err, ErrClosed) {
+					return
+				} else if err != nil && !errors.Is(err, ErrOverflow) {
+					errs <- err
+					return
+				}
+				runtime.Gosched() // let the receiver drain
+			}
+		}()
 	}
-	if total != 7*perFlow {
-		t.Fatalf("received %d frames, want %d", total, 7*perFlow)
+	for passed, _ := k.Stats(); passed < 1000; passed, _ = k.Stats() {
+		runtime.Gosched()
 	}
-	if st := m.Stats(); st.RxFrames != 7*perFlow || st.RxDrops != 0 {
-		t.Fatalf("aggregate stats %+v", st)
-	}
-}
-
-func TestMultiQueueNICOverflowIsPerQueue(t *testing.T) {
-	m, err := NewMultiQueueNIC("mq", 2, 1, 1)
-	if err != nil {
+	k.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if err := m.InjectRSS([]byte{1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.InjectRSS([]byte{2}, 2); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("queue 0 overflow: %v", err)
-	}
-	// Queue 1 is unaffected by queue 0's full ring.
-	if err := m.InjectRSS([]byte{3}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.RxFrames != 2 || st.RxDrops != 1 {
-		t.Fatalf("aggregate stats %+v", st)
+	n := <-received
+	if passed, _ := k.Stats(); uint64(n) != passed {
+		t.Fatalf("received %d of %d accepted frames", n, passed)
 	}
 }
 
@@ -290,7 +298,7 @@ func TestNICOverflowAccountingExact(t *testing.T) {
 	}
 	// Draining and re-offering accounts the second wave on top.
 	for i := 0; i < 8; i++ {
-		if _, err := n.Recv(); err != nil {
+		if f, _, err := n.RecvBatchInto(nil, 1); err != nil || len(f) != 1 {
 			t.Fatal(err)
 		}
 		if _, err := n.DrainTx(); err != nil {
@@ -333,8 +341,8 @@ func TestNICSendBatchAccounting(t *testing.T) {
 	}
 }
 
-// TestNICRecvAfterClose: Close must not turn Recv into a stream of
-// (nil, nil); queued frames drain, then ErrClosed.
+// TestNICRecvAfterClose: Close must not turn a receive into a stream of
+// empty polls; queued frames drain, then ErrClosed.
 func TestNICRecvAfterClose(t *testing.T) {
 	n, err := NewNIC("eth0", 4, 4)
 	if err != nil {
@@ -346,11 +354,11 @@ func TestNICRecvAfterClose(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := n.Recv()
-	if err != nil || len(f) != 1 || f[0] != 42 {
+	f, _, err := n.RecvBatchInto(nil, 4)
+	if err != nil || len(f) != 1 || f[0][0] != 42 {
 		t.Fatalf("queued frame after close: %v %v", f, err)
 	}
-	if _, err := n.Recv(); !errors.Is(err, ErrClosed) {
+	if _, _, err := n.RecvBatchInto(nil, 4); !errors.Is(err, ErrClosed) {
 		t.Fatalf("drained closed NIC: want ErrClosed, got %v", err)
 	}
 	if err := n.Inject([]byte{1}); !errors.Is(err, ErrClosed) {
@@ -449,5 +457,54 @@ func TestKernelChannelPutBatch(t *testing.T) {
 	k.Close()
 	if _, err := k.PutBatch(frames[:1]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed PutBatch: %v", err)
+	}
+}
+
+// TestSendBatchCopies: both in-memory devices queue copies on SendBatch,
+// so the caller may reuse its bytes at once, while the per-frame Send and
+// Put retain the caller's slice.
+func TestSendBatchCopies(t *testing.T) {
+	n, err := NewNIC("eth0", 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernelChannel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dev   Device
+		one   func([]byte) error
+		drain func() [][]byte
+	}{
+		{n, n.Send, func() [][]byte {
+			var out [][]byte
+			for f, err := n.DrainTx(); err == nil; f, err = n.DrainTx() {
+				out = append(out, f)
+			}
+			return out
+		}},
+		{k, k.Put, func() [][]byte { return k.GetBatch(4) }},
+	} {
+		t.Run(tc.dev.Name(), func(t *testing.T) {
+			buf := []byte("ab")
+			if sent, err := tc.dev.SendBatch([][]byte{buf[:1], buf[1:]}); sent != 2 || err != nil {
+				t.Fatalf("SendBatch: sent %d err %v", sent, err)
+			}
+			if err := tc.one(buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "xy")
+			got := tc.drain()
+			if len(got) != 3 || string(got[0]) != "a" || string(got[1]) != "b" {
+				t.Fatalf("batch frames %q: want copies \"a\" \"b\"", got)
+			}
+			if string(got[2]) != "xy" {
+				t.Fatalf("single frame %q: want the retained caller slice", got[2])
+			}
+			if cap(got[0]) != 1 {
+				t.Fatalf("copy cap %d lets an append reach its neighbour", cap(got[0]))
+			}
+		})
 	}
 }

@@ -328,7 +328,7 @@ func (d *UDPDevice) StatList() []core.Stat {
 }
 
 // NewUDPDeviceGroup opens n devices sharing one listen port through
-// SO_REUSEPORT — the real-socket analogue of a MultiQueueNIC: the kernel
+// SO_REUSEPORT — receive-side scaling over real sockets: the kernel
 // spreads inbound flows across the group (a flow-consistent hash, so one
 // flow keeps its order on one socket), and each device feeds one pipeline
 // replica or ShardedCF lane. Devices are named "<name>:q<i>". n == 1

@@ -22,25 +22,24 @@ type PumpConfig struct {
 	Batch int
 	// Spin is the busy-poll budget: how many consecutive empty polls the
 	// pump burns (yielding the OS thread, not sleeping) before parking.
-	// 0 parks immediately on the first empty poll. Setting Spin > 0 also
-	// forces the generic polling pump onto channel-backed devices, which
-	// would otherwise use a blocking channel receive.
+	// 0 parks immediately on the first empty poll.
 	Spin int
-	// Park is how long an exhausted pump asks to sleep before polling
-	// again (default 50µs). It is a timer request, not a bound: the OS
-	// rounds short sleeps up to its timer slack, and a 50µs park has been
-	// measured at about 1ms on a loaded 2-vCPU VM. A pump that must wake
-	// faster after an idle period needs a Spin budget.
-	Park time.Duration
 }
+
+// pumpPark is how long an exhausted pump over a device without a
+// doorbell sleeps before polling again. It is a timer request, not a
+// bound: the OS rounds short sleeps up to its timer slack, and a 50µs
+// park has been measured at about 1ms on a loaded 2-vCPU VM. A pump that
+// must wake faster after an idle period needs a Spin budget.
+const pumpPark = 50 * time.Microsecond
 
 // NICSource is a standard component wrapping a stratum-1 device's receive
 // side (§5: "'standard' components that interface to network cards"). Its
 // pump turns frames into packets — optionally copied into pooled buffers —
-// and pushes them downstream. Any osabs.Device works: the channel-backed
-// simulated NIC takes a blocking channel pump, everything else (UDP
-// sockets, the kernel channel) takes a polling pump with a spin-then-park
-// idle policy.
+// and pushes them downstream. Any osabs.Device works: one polling pump
+// drains batches with a spin-then-park idle policy, parking on the
+// device's doorbell when it has one (the in-memory devices) and on a
+// timer otherwise (UDP sockets).
 type NICSource struct {
 	*core.Base
 	elementCounters
@@ -72,9 +71,6 @@ func NewNICSourcePump(dev osabs.Device, pool *buffers.Pool, cfg PumpConfig) (*NI
 	if cfg.Batch <= 0 {
 		cfg.Batch = nicSourceBatch
 	}
-	if cfg.Park <= 0 {
-		cfg.Park = 50 * time.Microsecond
-	}
 	if cfg.Spin < 0 {
 		cfg.Spin = 0
 	}
@@ -97,14 +93,7 @@ func (s *NICSource) Start(context.Context) error {
 	}
 	s.quit = make(chan struct{})
 	s.done = make(chan struct{})
-	// The channel-backed NIC gets the blocking channel pump (zero idle
-	// cost); anything else — and any device under an explicit busy-poll
-	// budget — gets the generic polling pump.
-	if rc, ok := s.dev.(interface{ RecvChan() <-chan []byte }); ok && s.cfg.Spin == 0 {
-		go s.chanPump(rc.RecvChan(), s.quit, s.done)
-	} else {
-		go s.pollPump(s.quit, s.done)
-	}
+	go s.pollPump(s.quit, s.done)
 	return nil
 }
 
@@ -124,50 +113,21 @@ func (s *NICSource) Stop(context.Context) error {
 // nicSourceBatch bounds the opportunistic RX drain per delivery round.
 const nicSourceBatch = 64
 
-func (s *NICSource) chanPump(rx <-chan []byte, quit, done chan struct{}) {
-	defer close(done)
-	batch := GetBatch()
-	// Deferred closure, not a bound argument: batch is reassigned by
-	// append, and the grown slice is the one to recycle.
-	defer func() { PutBatch(batch) }()
-	for {
-		select {
-		case <-quit:
-			return
-		case frame, ok := <-rx:
-			if !ok {
-				return
-			}
-			// Opportunistic batching: block for the first frame, then
-			// drain whatever else the ring already holds (bounded) so a
-			// busy device amortises the pipeline crossing while an idle
-			// one keeps per-frame latency.
-			batch = s.wrap(batch, frame)
-			for len(batch) < s.cfg.Batch {
-				select {
-				case f, ok := <-rx:
-					if !ok {
-						s.flush(batch)
-						return
-					}
-					batch = s.wrap(batch, f)
-				default:
-					goto full
-				}
-			}
-		full:
-			batch = s.flush(batch)
-		}
-	}
-}
-
-// pollPump is the generic device receive loop: batched non-blocking
-// RecvBatchInto polls with a spin-then-park idle policy. A busy device
-// moves whole batches per poll (one syscall on the mmsg backend); an idle
-// one burns its spin budget keeping the core hot — the DPDK-style
-// busy-poll trade — then parks in cfg.Park sleeps.
+// pollPump is the device receive loop: batched non-blocking RecvBatchInto
+// polls with a spin-then-park idle policy. A busy device moves whole
+// batches per poll (one syscall on the mmsg backend); an idle one burns
+// its spin budget keeping the core hot — the DPDK-style busy-poll trade —
+// then parks. A device with a doorbell parks until it rings, so an idle
+// in-memory source costs nothing and wakes at once; any other parks for
+// pumpPark on one reused timer.
 func (s *NICSource) pollPump(quit, done chan struct{}) {
 	defer close(done)
+	var bell <-chan struct{} // stays nil (never ready) without a doorbell
+	if d, ok := s.dev.(interface{ Doorbell() <-chan struct{} }); ok {
+		bell = d.Doorbell()
+	}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	frames := buffers.Batches.Get()
 	pkts := GetBatch()
 	// Deferred closures, not bound arguments: both slices are reassigned
@@ -197,10 +157,14 @@ func (s *NICSource) pollPump(quit, done chan struct{}) {
 				continue
 			}
 			s.parks.Add(1)
+			if bell == nil {
+				timer.Reset(pumpPark)
+			}
 			select {
 			case <-quit:
 				return
-			case <-time.After(s.cfg.Park):
+			case <-bell:
+			case <-timer.C:
 			}
 			spun = 0
 			continue
@@ -231,8 +195,8 @@ func (s *NICSource) pollPump(quit, done chan struct{}) {
 // mint turns one polled frame into a Packet, or nil for a drop. Arena
 // frames (slab != nil) already hold one slab reference each, so the
 // packet adopts it zero-copy and its Release decrements the slab;
-// otherwise the pool path copies (dropping on pool exhaustion, like
-// wrap) and the nil-pool path wraps without copying.
+// otherwise the pool path copies (dropping on pool exhaustion) and the
+// nil-pool path wraps without copying.
 func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
 	var p *Packet
 	switch {
@@ -250,34 +214,6 @@ func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
 	}
 	p.InPort = s.dev.Name()
 	return p
-}
-
-// flush forwards the staged batch and clears it so an idle source pins no
-// handed-off packets between bursts.
-func (s *NICSource) flush(batch []*Packet) []*Packet {
-	_ = s.forwardBatch(s.out, batch)
-	for i := range batch {
-		batch[i] = nil
-	}
-	return batch[:0]
-}
-
-// wrap turns one frame into a Packet and appends it to batch.
-func (s *NICSource) wrap(batch []*Packet, frame []byte) []*Packet {
-	s.in.Add(1)
-	var p *Packet
-	if s.pool != nil {
-		pp, err := NewPooledPacket(s.pool, frame)
-		if err != nil {
-			s.dropped.Add(1)
-			return batch
-		}
-		p = pp
-	} else {
-		p = NewPacket(frame)
-	}
-	p.InPort = s.dev.Name()
-	return append(batch, p)
 }
 
 // Stats implements core.IStats, folding in the wrapped device's stratum-1

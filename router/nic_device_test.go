@@ -132,9 +132,7 @@ func TestNICSourcePoolCopyVsWrapAliasing(t *testing.T) {
 	t.Run("pooled-copies", func(t *testing.T) {
 		nic, frames := mk("nic-pool")
 		pool := buffers.MustNewPool([]int{256}, 32, 0)
-		// Spin > 0 forces the polling pump onto the channel-backed NIC,
-		// exercising RecvBatchInto batch receive.
-		out, _ := devRig(t, nic, pool, PumpConfig{Batch: 8, Spin: 4, Park: time.Millisecond})
+		out, _ := devRig(t, nic, pool, PumpConfig{Batch: 8, Spin: 4})
 		for _, f := range frames {
 			if err := nic.Inject(f); err != nil {
 				t.Fatal(err)
@@ -166,7 +164,7 @@ func TestNICSourcePoolCopyVsWrapAliasing(t *testing.T) {
 
 	t.Run("nil-pool-wraps", func(t *testing.T) {
 		nic, frames := mk("nic-wrap")
-		out, _ := devRig(t, nic, nil, PumpConfig{Batch: 8, Spin: 4, Park: time.Millisecond})
+		out, _ := devRig(t, nic, nil, PumpConfig{Batch: 8, Spin: 4})
 		for _, f := range frames {
 			if err := nic.Inject(f); err != nil {
 				t.Fatal(err)
@@ -194,7 +192,7 @@ func TestNICSourceBusyPollTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	_, src := devRig(t, rx, nil, PumpConfig{Batch: 8, Spin: 16, Park: 200 * time.Microsecond})
+	_, src := devRig(t, rx, nil, PumpConfig{Batch: 8, Spin: 16})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		var spins, parks uint64
@@ -269,5 +267,159 @@ func TestNICSinkBatchesDeviceSend(t *testing.T) {
 		if st := tx.Stats(); st.TxSyscalls != 1 {
 			t.Fatalf("tx spent %d syscalls on one 32-frame PushBatch", st.TxSyscalls)
 		}
+	}
+}
+
+// TestNICSinkSendBatchKeepsNoCallerBytes: NICSink releases its packets as
+// soon as SendBatch returns, so an in-memory device must queue copies —
+// otherwise a recycled pooled buffer is overwritten under a frame still
+// waiting on the ring. A 4-buffer pool makes every buffer serve several
+// frames.
+func TestNICSinkSendBatchKeepsNoCallerBytes(t *testing.T) {
+	const frames = 16
+	nic, err := osabs.NewNIC("eth0", frames, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kin, err := osabs.NewKernelChannel(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kout, err := osabs.NewKernelChannel(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		rx, tx   osabs.Device
+		inject   func([]byte) error
+		transmit func() [][]byte
+	}{
+		{"nic", nic, nic, nic.Inject, func() [][]byte {
+			var out [][]byte
+			for f, err := nic.DrainTx(); err == nil; f, err = nic.DrainTx() {
+				out = append(out, f)
+			}
+			return out
+		}},
+		{"kchan", kin, kout, kin.Put, func() [][]byte { return kout.GetBatch(frames) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := buffers.MustNewPool([]int{64}, 4, 4)
+			src, err := NewNICSource(tc.rx, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snk, err := NewNICSink(tc.tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newCap()
+			if err := c.Insert("src", src); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Insert("snk", snk); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ConnectPush(c, "src", "out", "snk"); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := c.StartAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.StopAll(ctx) }()
+			// One frame at a time, so the pool never runs dry.
+			for i := 0; i < frames; i++ {
+				if err := tc.inject([]byte(fmt.Sprintf("frame-%02d", i))); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for snk.ElemStats().Out < uint64(i+1) && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			got := tc.transmit()
+			if len(got) != frames {
+				t.Fatalf("transmitted %d of %d frames", len(got), frames)
+			}
+			for i, f := range got {
+				if want := fmt.Sprintf("frame-%02d", i); string(f) != want {
+					t.Fatalf("frame %d reads %q, want %q: the device kept a recycled buffer", i, f, want)
+				}
+			}
+		})
+	}
+}
+
+// pumpParks reads the source's park counter.
+func pumpParks(src *NICSource) float64 { return statMap(src)["pump_parks"] }
+
+// TestNICSourceParksOnDoorbell: an idle source over an in-memory device
+// sleeps on the doorbell rather than a timer, so it parks once for the
+// whole idle spell and still wakes at once to the next frame.
+func TestNICSourceParksOnDoorbell(t *testing.T) {
+	ch, err := osabs.NewKernelChannel(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, src := devRig(t, ch, nil, PumpConfig{})
+	time.Sleep(100 * time.Millisecond)
+	if parks := pumpParks(src); parks > 2 {
+		t.Fatalf("idle pump parked %.0f times in 100ms, want <= 2", parks)
+	}
+	start := time.Now()
+	if err := ch.Put([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	for out.count() < 1 && time.Since(start) < time.Second {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if took := time.Since(start); out.count() != 1 || took > 50*time.Millisecond {
+		t.Fatalf("frame delivered %d times after %v, want once within 50ms", out.count(), took)
+	}
+}
+
+// TestNICSourceEndsWhenDeviceCloses: closing an in-memory device under a
+// parked pump rings the doorbell, the pump ends on ErrClosed, and Stop
+// returns promptly.
+func TestNICSourceEndsWhenDeviceCloses(t *testing.T) {
+	nic, err := osabs.NewNIC("eth0", 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := osabs.NewKernelChannel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []osabs.Device{nic, ch} {
+		t.Run(dev.Name(), func(t *testing.T) {
+			_, src := devRig(t, dev, nil, PumpConfig{})
+			deadline := time.Now().Add(2 * time.Second)
+			for pumpParks(src) < 1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if pumpParks(src) < 1 {
+				t.Fatal("pump never parked")
+			}
+			src.mu.Lock()
+			done := src.done
+			src.mu.Unlock()
+			if err := dev.Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatal("pump still running a second after its device closed")
+			}
+			start := time.Now()
+			if err := src.Stop(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took > 100*time.Millisecond {
+				t.Fatalf("Stop took %v after the pump ended", took)
+			}
+		})
 	}
 }

@@ -63,12 +63,9 @@ type ReplicaFactory func(shard int, fw *cf.Framework) (entry string, err error)
 // ShardConfig parameterises a ShardedCF.
 type ShardConfig struct {
 	// Shards is the replica count (required, >= 1). Every replica is
-	// built up front; ActiveShards selects how many the dispatcher
-	// spreads flows over.
+	// built up front and every lane receives traffic until
+	// SetActiveShards rescales the dispatcher.
 	Shards int
-	// ActiveShards is the initial number of lanes receiving traffic
-	// (default Shards). SetActiveShards rescales it at run time.
-	ActiveShards int
 	// LatencyHistogram enables per-lane tail-latency telemetry: packets
 	// are stamped (Packet.Born, unless already stamped upstream) at the
 	// dispatcher and their residence — ring wait plus the whole replica
@@ -160,11 +157,8 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 		sh.egress = newShardEgress(s, sh.lat)
 		s.shards[i] = sh
 	}
-	if cfg.ActiveShards <= 0 || cfg.ActiveShards > cfg.Shards {
-		cfg.ActiveShards = cfg.Shards
-	}
-	s.active.Store(int32(cfg.ActiveShards))
-	s.SetAnnotation(AnnotActiveShards, strconv.Itoa(cfg.ActiveShards))
+	s.active.Store(int32(cfg.Shards))
+	s.SetAnnotation(AnnotActiveShards, strconv.Itoa(cfg.Shards))
 	s.AddReceptacle("out", s.out)
 	s.Provide(IPacketPushID, s)
 	ctrl.s = s

@@ -1119,8 +1119,11 @@ func TestSetActiveShardsRescaleUnderTraffic(t *testing.T) {
 func buildShardedActive(t *testing.T, n, active int, build ReplicaFactory) (*core.Capsule, *ShardedCF, *recordingSink) {
 	t.Helper()
 	capsule := core.NewCapsule("shardtest")
-	s, err := NewShardedCF(capsule, ShardConfig{Shards: n, ActiveShards: active}, build)
+	s, err := NewShardedCF(capsule, ShardConfig{Shards: n}, build)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetActiveShards(context.Background(), active); err != nil {
 		t.Fatal(err)
 	}
 	sink := newRecordingSink()
