@@ -163,20 +163,16 @@ func (b *Blueprint) DeviceSink(name string, dev osabs.Device) *Blueprint {
 	})
 }
 
-// Shards declares a sharded data plane under name: n parallel Router CF
-// pipeline replicas built by build, fed by an RSS flow-hash dispatcher so
-// every flow keeps ordering on one replica (router.ShardedCF). The
+// ShardsCfg declares a sharded data plane under name: cfg.Shards parallel
+// Router CF pipeline replicas built by build, fed by an RSS flow-hash
+// dispatcher so every flow keeps ordering on one replica
+// (router.ShardedCF). cfg.LatencyHistogram adds the per-lane latency
+// histograms that load harnesses and tail-latency SLO rules read. The
 // resulting component provides IPacketPush and a DefaultReceptacle "out"
 // where the replicas merge, so it composes with Pipe like any single-lane
-// component: NewBlueprint("r").Shards("fwd", 4, replica).Pipe("fwd", "sink").
-func (b *Blueprint) Shards(name string, n int, build router.ReplicaFactory) *Blueprint {
-	return b.ShardsCfg(name, router.ShardConfig{Shards: n}, build)
-}
-
-// ShardsCfg is Shards with the full router.ShardConfig exposed — ring
-// depth, initial active lanes, a custom dispatch hash, or the per-lane
-// latency histograms (ShardConfig.LatencyHistogram) that load harnesses
-// and tail-latency SLO rules read.
+// component:
+//
+//	NewBlueprint("r").ShardsCfg("fwd", router.ShardConfig{Shards: 4}, replica).Pipe("fwd", "sink")
 func (b *Blueprint) ShardsCfg(name string, cfg router.ShardConfig, build router.ReplicaFactory) *Blueprint {
 	return b.step(fmt.Sprintf("shards %s x%d", name, cfg.Shards), func(c *core.Capsule) error {
 		sc, err := router.NewShardedCF(c, cfg, build)

@@ -206,12 +206,12 @@ func TestBlueprintIntercept(t *testing.T) {
 	}
 }
 
-// TestBlueprintShards: the Shards verb declares a sharded data plane that
-// composes with Pipe like any single-lane component — Build starts its
-// workers, traffic flows through the replicas to the downstream sink, and
-// the replicas are enumerable through the composite. ShardsCfg with
-// LatencyHistogram adds per-lane and merged StatLatency histograms to the
-// stats tree that nkctl stats renders.
+// TestBlueprintShards: the ShardsCfg verb declares a sharded data plane
+// that composes with Pipe like any single-lane component — Build starts
+// its workers, traffic flows through the replicas to the downstream sink,
+// and the replicas are enumerable through the composite. LatencyHistogram
+// adds per-lane and merged StatLatency histograms to the stats tree that
+// nkctl stats renders.
 func TestBlueprintShards(t *testing.T) {
 	ctx := context.Background()
 	replica := func(shard int, fw *cf.Framework) (string, error) {
@@ -242,7 +242,7 @@ func TestBlueprintShards(t *testing.T) {
 
 	t.Run("Shards", func(t *testing.T) {
 		sys, err := netkit.NewBlueprint("sharded-bp").
-			Shards("fwd", 2, replica).
+			ShardsCfg("fwd", router.ShardConfig{Shards: 2}, replica).
 			Add("sink", router.TypeCounter, nil).
 			Pipe("fwd", "sink").
 			Build(ctx)
@@ -326,7 +326,7 @@ func TestBlueprintShardsFailureNamesStep(t *testing.T) {
 	bad := func(shard int, fw *cf.Framework) (string, error) {
 		return "", errors.New("replica refused")
 	}
-	_, err := netkit.NewBlueprint("sharded-bad").Shards("fwd", 2, bad).Build(ctx)
+	_, err := netkit.NewBlueprint("sharded-bad").ShardsCfg("fwd", router.ShardConfig{Shards: 2}, bad).Build(ctx)
 	if err == nil {
 		t.Fatal("build succeeded with failing replica factory")
 	}

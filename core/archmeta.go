@@ -157,14 +157,6 @@ func (h *eventHub) onClose(fn func()) {
 	fn()
 }
 
-// Subscribe registers an architecture meta-model event listener with the
-// given channel buffer. It returns the receive channel and a cancel
-// function. Events are dropped (not blocked on) if the subscriber lags.
-func (c *Capsule) Subscribe(buf int) (<-chan Event, func()) {
-	sub := c.SubscribeEvents(buf)
-	return sub.Events(), sub.Cancel
-}
-
 // Subscription is a handle on one architecture meta-model event stream. It
 // carries the receive channel plus the subscriber's own loss counter, so a
 // listener can detect (and react to) event loss instead of silently

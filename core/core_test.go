@@ -590,8 +590,8 @@ func TestCloseCapsule(t *testing.T) {
 
 func TestEventsEmitted(t *testing.T) {
 	c := newTestCapsule(t)
-	ch, cancel := c.Subscribe(16)
-	defer cancel()
+	sub := c.SubscribeEvents(16)
+	defer sub.Cancel()
 
 	src, _, b := wire(t, c)
 	_ = src
@@ -601,7 +601,7 @@ func TestEventsEmitted(t *testing.T) {
 
 	want := []EventKind{EventInsert, EventInsert, EventBind, EventUnbind}
 	for i, k := range want {
-		e := <-ch
+		e := <-sub.Events()
 		if e.Kind != k {
 			t.Fatalf("event %d = %v, want %v", i, e.Kind, k)
 		}
@@ -610,9 +610,9 @@ func TestEventsEmitted(t *testing.T) {
 
 func TestEventSubscriberCancel(t *testing.T) {
 	c := newTestCapsule(t)
-	ch, cancel := c.Subscribe(1)
-	cancel()
-	if _, open := <-ch; open {
+	sub := c.SubscribeEvents(1)
+	sub.Cancel()
+	if _, open := <-sub.Events(); open {
 		t.Fatal("channel still open after cancel")
 	}
 	// Publishing after cancel must not panic.
@@ -623,8 +623,8 @@ func TestEventSubscriberCancel(t *testing.T) {
 
 func TestEventOverflowDropsNotBlocks(t *testing.T) {
 	c := newTestCapsule(t)
-	_, cancel := c.Subscribe(1) // buffer of 1, never drained
-	defer cancel()
+	sub := c.SubscribeEvents(1) // buffer of 1, never drained
+	defer sub.Cancel()
 	for i := 0; i < 10; i++ {
 		if err := c.Insert(fmt.Sprintf("c%d", i), newSink()); err != nil {
 			t.Fatal(err)

@@ -116,12 +116,12 @@ func TestRebindEmitsEvent(t *testing.T) {
 	if err := c.Insert("snk2", snk2); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := c.Subscribe(8)
-	defer cancel()
+	sub := c.SubscribeEvents(8)
+	defer sub.Cancel()
 	if err := c.Rebind(b.ID(), "snk2"); err != nil {
 		t.Fatal(err)
 	}
-	e := <-ch
+	e := <-sub.Events()
 	if e.Kind != EventRebind || e.Peer != "snk2" || e.Binding != b.ID() {
 		t.Fatalf("event = %+v", e)
 	}

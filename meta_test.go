@@ -276,7 +276,7 @@ func TestMetaResourcesRoundTrip(t *testing.T) {
 }
 
 // shardedPipeline builds a started 3-shard system "fwd" -> "sink" via
-// Blueprint.Shards and returns the system plus the ShardedCF.
+// Blueprint.ShardsCfg and returns the system plus the ShardedCF.
 func shardedPipeline(t *testing.T) (*netkit.System, *router.ShardedCF) {
 	t.Helper()
 	ctx := context.Background()
@@ -292,7 +292,7 @@ func shardedPipeline(t *testing.T) (*netkit.System, *router.ShardedCF) {
 		return name, nil
 	}
 	sys, err := netkit.NewBlueprint("sharded").
-		Shards("fwd", 3, replica).
+		ShardsCfg("fwd", router.ShardConfig{Shards: 3}, replica).
 		Add("sink", router.TypeDropper, nil).
 		Pipe("fwd", "sink").
 		Build(ctx)

@@ -65,28 +65,21 @@ func (r *spscRing) tryEnqueue(b []*Packet) bool {
 	return true
 }
 
-// enqueue blocks until b is accepted or quit closes (returning false with
-// b not enqueued). Producer side only. A full ring counts one stall per
-// enqueue call, however many wait rounds it takes.
-func (r *spscRing) enqueue(b []*Packet, quit <-chan struct{}) bool {
+// enqueue blocks until b is accepted. Producer side only; the caller
+// guarantees the consumer keeps draining while it waits. A full ring
+// counts one stall per enqueue call, however many wait rounds it takes.
+func (r *spscRing) enqueue(b []*Packet) {
 	stalled := false
-	for {
-		if r.tryEnqueue(b) {
-			select {
-			case r.wake <- struct{}{}:
-			default:
-			}
-			return true
-		}
+	for !r.tryEnqueue(b) {
 		if !stalled {
 			stalled = true
 			r.stalls.Add(1)
 		}
-		select {
-		case <-r.space:
-		case <-quit:
-			return false
-		}
+		<-r.space
+	}
+	select {
+	case r.wake <- struct{}{}:
+	default:
 	}
 }
 

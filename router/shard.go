@@ -25,10 +25,11 @@ import (
 //     audits never observe a subset of shards;
 //   - reconfiguration: every meta-operation that needs a consistent cut
 //     (HotSwap, Intercept, SetActiveShards, Quiesce) runs as "park,
-//     mutate, resume". Each lane's worker is the lane's only fence: park
-//     closes intake and has every worker drain its ring and wait at that
-//     batch boundary, so no packet is in flight anywhere in any replica
-//     while the mutation runs, and none is lost.
+//     mutate, resume". Two fences make the cut: the intake fence, which
+//     each dispatch holds shared for its whole batch and park holds
+//     exclusively, and each lane's worker, which park has drain its ring
+//     and wait at that batch boundary. So no packet is in flight anywhere
+//     in any replica while the mutation runs, and none is lost.
 //
 // Correctness contract, proven by the race/fuzz/stress tests in
 // shard_test.go and shard_fuzz_test.go: packets of one flow (same RSS
@@ -84,7 +85,7 @@ const ringDepth = 256
 // and the ingress/egress endpoints.
 type shard struct {
 	ring    *spscRing
-	prodMu  sync.Mutex // serialises dispatchers so the ring stays SPSC
+	prodMu  sync.Mutex // only keeps the ring single-producer under concurrent dispatchers
 	fence   chan *cut  // park requests, taken by the worker between batches
 	ingress *shardIngress
 	egress  *shardEgress
@@ -107,17 +108,18 @@ type ShardedCF struct {
 	shards []*shard
 	stamp  bool // LatencyHistogram: stamp unstamped packets at intake
 
-	mu      sync.Mutex  // serialises Start, Stop and park
-	started atomic.Bool // read by dispatchers without taking mu
+	// intake is the plane's one intake fence. Every PushBatch holds it
+	// shared for its whole batch, so one dispatch sees one started value
+	// and one lane count from start to finish; Start, Stop and park hold
+	// it exclusively, so an exclusive holder knows no dispatch is in
+	// flight.
+	intake  sync.RWMutex
+	started bool // guarded by intake
 	quit    chan struct{}
 
 	// active is the lane count the dispatcher spreads flows over
-	// (1..len(shards)). Rescaling is fenced without any cross-shard
-	// shared write on the fast path: a dispatcher snapshots active,
-	// splits by it, and re-validates the snapshot under the target
-	// shard's prodMu (which park holds for every lane while the lanes
-	// drain and the modulus switches) — a stale snapshot retries with the
-	// new modulus, after the rescale has drained every old-modulus packet.
+	// (1..len(shards)). It is written only under the exclusive intake
+	// fence; it is atomic so stats readers never take the fence.
 	active atomic.Int32
 
 	stage sync.Pool // per-dispatch [][]*Packet scratch, one slot per shard
@@ -257,9 +259,9 @@ func (s *ShardedCF) SetActiveShards(ctx context.Context, n int) error {
 // Start implements core.Starter: it starts the inner capsule's components
 // and then one worker goroutine per shard.
 func (s *ShardedCF) Start(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started.Load() {
+	s.intake.Lock()
+	defer s.intake.Unlock()
+	if s.started {
 		return nil
 	}
 	if err := s.Composite.Start(ctx); err != nil {
@@ -270,31 +272,24 @@ func (s *ShardedCF) Start(ctx context.Context) error {
 		sh.done = make(chan struct{})
 		go s.worker(sh, s.quit)
 	}
-	s.started.Store(true)
+	s.started = true
 	return nil
 }
 
-// Stop implements core.Stopper: it stops accepting traffic, waits out
-// in-flight dispatchers, lets every worker drain its ring (no accepted
-// packet is abandoned), joins the workers, and stops the inner capsule.
+// Stop implements core.Stopper: it takes the intake fence, which waits out
+// every in-flight dispatch (a producer blocked on a full ring is let
+// through by its still-running worker), lets every worker drain its ring
+// (no accepted packet is abandoned), joins the workers, and stops the
+// inner capsule. Dispatches arriving meanwhile wait, then see the CF
+// stopped.
 func (s *ShardedCF) Stop(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.started.Load() {
+	s.intake.Lock()
+	defer s.intake.Unlock()
+	if !s.started {
 		return nil
 	}
-	s.started.Store(false)
-	// A dispatcher that observed started==true is inside (or about to
-	// enter) a shard's prodMu section and will complete its enqueue while
-	// the workers still consume; taking every prodMu here waits those
-	// out, so after this loop nothing new enters the rings.
-	for _, sh := range s.shards {
-		sh.prodMu.Lock()
-	}
+	s.started = false
 	close(s.quit)
-	for _, sh := range s.shards {
-		sh.prodMu.Unlock()
-	}
 	for _, sh := range s.shards {
 		<-sh.done
 	}
@@ -345,20 +340,19 @@ func (s *ShardedCF) Push(p *Packet) error { return pushOne(s, p) }
 // into per-shard sub-batches (drawn from the batch pool) which enter each
 // shard's ring as single hand-offs. Per-flow arrival order is preserved:
 // one flow hashes to one shard, sub-batches keep slice order, and rings
-// are FIFO. The incoming slice is not retained.
-//
-// A concurrent lane rescale is detected per dispatch (dispStale) and the
-// not-yet-dispatched remainder is re-split under the new modulus. That
-// re-split is order-safe: every packet enqueued under the old modulus
-// was fully drained through its replica before SetActiveShards published
-// the new one, and a flow's packets are all in one (re-split) lane.
+// are FIFO. The whole batch is dispatched under the shared intake fence,
+// so a rescale never lands mid-batch: it waits for the dispatch, then
+// drains every lane before switching the modulus. The incoming slice is
+// not retained.
 func (s *ShardedCF) PushBatch(batch []*Packet) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	if s.stamp {
-		// One clock read covers the whole batch; packets stamped upstream
-		// (a driver measuring end-to-end latency) keep their earlier Born.
+		// One clock read covers the whole batch, taken before the fence so
+		// a park's back-pressure counts as residence; packets stamped
+		// upstream (a driver measuring end-to-end latency) keep their
+		// earlier Born.
 		now := Nanotime()
 		for _, p := range batch {
 			if p.Born == 0 {
@@ -366,124 +360,48 @@ func (s *ShardedCF) PushBatch(batch []*Packet) error {
 			}
 		}
 	}
-	var firstErr error
-	remaining := batch
-	pooled := false // remaining came from the batch pool (retry rounds)
-	release := func() {
-		if pooled {
-			PutBatch(remaining)
+	s.intake.RLock()
+	defer s.intake.RUnlock()
+	s.in.Add(uint64(len(batch)))
+	if !s.started {
+		s.dropped.Add(uint64(len(batch)))
+		for _, p := range batch {
+			p.Release()
 		}
+		return ErrStopped
 	}
-	for {
-		n := uint32(s.active.Load())
-		if n == 1 {
-			b := GetBatch()
-			b = append(b, remaining...)
-			switch s.dispatch(s.shards[0], b, 1) {
-			case dispOK:
-				s.in.Add(uint64(len(b)))
-				release()
-				return firstErr
-			case dispStale:
-				PutBatch(b)
-				continue
-			default:
-				s.dropStopped(b)
-				release()
-				if firstErr == nil {
-					firstErr = ErrStopped
-				}
-				return firstErr
-			}
+	n := uint32(s.active.Load())
+	if n == 1 {
+		s.dispatch(s.shards[0], append(GetBatch(), batch...))
+		return nil
+	}
+	stage := s.stage.Get().([][]*Packet)
+	for _, p := range batch {
+		i := int(FlowHash(p) % n)
+		if stage[i] == nil {
+			stage[i] = GetBatch()
 		}
-		stage := s.stage.Get().([][]*Packet)
-		for _, p := range remaining {
-			i := int(FlowHash(p) % n)
-			if stage[i] == nil {
-				stage[i] = GetBatch()
-			}
-			stage[i] = append(stage[i], p)
-		}
-		release()
-		var retry []*Packet
-		for i, b := range stage {
-			if b == nil {
-				continue
-			}
+		stage[i] = append(stage[i], p)
+	}
+	for i, b := range stage {
+		if b != nil {
 			stage[i] = nil
-			if retry != nil {
-				// Already saw a stale lane this round: stage the rest
-				// for the re-split instead of dispatching on the old
-				// modulus.
-				retry = append(retry, b...)
-				PutBatch(b)
-				continue
-			}
-			switch s.dispatch(s.shards[i], b, int32(n)) {
-			case dispOK:
-				s.in.Add(uint64(len(b)))
-			case dispStale:
-				retry = append(GetBatch(), b...)
-				PutBatch(b)
-			default:
-				s.dropStopped(b)
-				if firstErr == nil {
-					firstErr = ErrStopped
-				}
-			}
+			s.dispatch(s.shards[i], b)
 		}
-		s.stage.Put(stage)
-		if retry == nil {
-			return firstErr
-		}
-		remaining, pooled = retry, true
 	}
+	s.stage.Put(stage)
+	return nil
 }
-
-// dispResult is the outcome of one lane dispatch.
-type dispResult int
-
-const (
-	dispOK      dispResult = iota // enqueued; ownership passed to the worker
-	dispStopped                   // CF stopped; batch not enqueued
-	dispStale                     // lane count changed since the snapshot; retry
-)
 
 // dispatch hands one pooled batch to a shard's ring, blocking for space
-// (back-pressure, never loss) unless the CF is stopped. seenActive is the
-// lane-count snapshot the caller hashed under; it is re-validated under
-// the lane's producer lock so a concurrent rescale (which parks the lanes
-// holding every producer lock) can never interleave with an old-modulus
-// enqueue. Ownership of the batch slice passes to the worker only on
-// dispOK. The inflight increment happens inside the lock, so a producer
-// blocked on a park is not counted as in flight.
-func (s *ShardedCF) dispatch(sh *shard, b []*Packet, seenActive int32) dispResult {
+// (back-pressure, never loss); ownership of the slice passes to the
+// worker. The caller holds the intake fence shared, so the CF stays
+// started and the worker keeps consuming until the enqueue completes.
+func (s *ShardedCF) dispatch(sh *shard, b []*Packet) {
 	sh.prodMu.Lock()
-	if !s.started.Load() {
-		sh.prodMu.Unlock()
-		return dispStopped
-	}
-	if s.active.Load() != seenActive {
-		sh.prodMu.Unlock()
-		return dispStale
-	}
 	sh.inflight.Add(int64(len(b)))
-	ok := sh.ring.enqueue(b, s.quit)
+	sh.ring.enqueue(b)
 	sh.prodMu.Unlock()
-	if !ok {
-		sh.inflight.Add(-int64(len(b)))
-		return dispStopped
-	}
-	return dispOK
-}
-
-// dropStopped releases and accounts a batch refused by a stopped CF.
-func (s *ShardedCF) dropStopped(b []*Packet) {
-	s.dropped.Add(uint64(len(b)))
-	for _, p := range b {
-		p.Release()
-	}
-	PutBatch(b)
 }
 
 // cut is one park: every parked worker sends one token on parked
@@ -495,30 +413,24 @@ type cut struct {
 }
 
 // park brings the CF to a consistent cut and returns the function that
-// ends it. It takes s.mu (so it never races Start or Stop) and every
-// lane's producer lock, so intake back-pressures and nothing is lost; it
-// then asks each started worker to drain its ring and wait at that batch
+// ends it. It takes the intake fence exclusively (so it never races Start,
+// Stop or a dispatch, and intake back-pressures: nothing is lost), then
+// asks each started worker to drain its ring and wait at that batch
 // boundary, and returns once every worker is parked: no packet is in
 // flight anywhere in any replica until resume is called. A never-started
 // or stopped CF has no workers and empty rings, so it is parked at once.
-// If ctx expires first, every worker is released, the locks are dropped
-// and ctx.Err() is returned. A producer blocked on a full ring holds its
-// lane's lock until the worker makes room, so park waits for it before
-// ctx is consulted.
+// If ctx expires first, every worker is released, the fence is dropped and
+// ctx.Err() is returned. A producer blocked on a full ring holds the fence
+// shared until its worker makes room, so park waits for it before ctx is
+// consulted.
 func (s *ShardedCF) park(ctx context.Context) (resume func(), err error) {
-	s.mu.Lock()
-	for _, sh := range s.shards {
-		sh.prodMu.Lock()
-	}
+	s.intake.Lock()
 	c := &cut{parked: make(chan struct{}, len(s.shards)), resume: make(chan struct{})}
 	resume = func() {
 		close(c.resume)
-		for _, sh := range s.shards {
-			sh.prodMu.Unlock()
-		}
-		s.mu.Unlock()
+		s.intake.Unlock()
 	}
-	if !s.started.Load() {
+	if !s.started {
 		return resume, nil
 	}
 	for _, sh := range s.shards {
@@ -557,9 +469,6 @@ func (s *ShardedCF) Quiesce(ctx context.Context) error {
 
 // ---------------------------------------------------------------------------
 // Meta-space surface
-
-// Replicas enumerates the shard constituents by replica index (see
-// cf.Composite.Replicas).
 
 // shardBindings resolves the binding rooted at (component, receptacle) in
 // every replica, in shard order. component is the unscoped name.
@@ -699,9 +608,10 @@ func removeAbandoned(c *core.Capsule, name string) error {
 // ---------------------------------------------------------------------------
 // Stats
 
-// ElemStats reports the CF as one element: In counts packets accepted by
+// ElemStats reports the CF as one element: In counts packets offered to
 // the dispatcher, Out packets merged out of the egresses, Dropped/Errors
-// aggregate the dispatcher and the endpoints.
+// aggregate the dispatcher (pushes refused by a stopped CF) and the
+// endpoints.
 func (s *ShardedCF) ElemStats() ElementStats {
 	agg := s.snapshot()
 	for _, sh := range s.shards {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -674,6 +675,23 @@ func waitSinkTotal(t *testing.T, sink *recordingSink, want int) {
 	}
 }
 
+// waitSinkAbove spins until the sink has received more than n packets and
+// returns the new total, so the caller's next step provably runs under
+// traffic.
+func waitSinkAbove(t *testing.T, sink *recordingSink, n int) int {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if got := sink.total(); got > n {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sink stuck at %d: no traffic", n)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestShardedCFHotSwapLosslessUnderLoad is the reconfig-under-traffic
 // stress test: producers drive all shards at full rate while the buffered
 // queue component of EVERY replica is hot-swapped (twice), with Exportable
@@ -685,7 +703,7 @@ func TestShardedCFHotSwapLosslessUnderLoad(t *testing.T) {
 	const (
 		shards    = 4
 		producers = 3
-		perProd   = 400 // batches per producer
+		perProd   = 1024 // batch ceiling per producer; fits one replica's queue
 		batchSz   = 8
 		flows     = 24
 	)
@@ -693,12 +711,19 @@ func TestShardedCFHotSwapLosslessUnderLoad(t *testing.T) {
 
 	var seqMu sync.Mutex
 	seqs := make([]uint32, flows)
+	total := 0
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for pr := 0; pr < producers; pr++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				// Sequence numbers are assigned under one lock so the
 				// global per-flow order is well-defined even with several
 				// producers; the batch is pushed under the same lock to
@@ -706,10 +731,11 @@ func TestShardedCFHotSwapLosslessUnderLoad(t *testing.T) {
 				seqMu.Lock()
 				batch := GetBatch()
 				for j := 0; j < batchSz; j++ {
-					f := (i*batchSz + j) % flows
+					f := (total + j) % flows
 					batch = append(batch, mkFlowPacket(t, uint32(f), seqs[f]))
 					seqs[f]++
 				}
+				total += batchSz
 				err := s.PushBatch(batch)
 				seqMu.Unlock()
 				PutBatch(batch)
@@ -721,9 +747,11 @@ func TestShardedCFHotSwapLosslessUnderLoad(t *testing.T) {
 		}()
 	}
 
-	// Two full-fleet hot-swaps while the producers hammer every shard.
+	// Two full-fleet hot-swaps while the producers hammer every shard:
+	// each waits for fresh deliveries, so each provably runs under traffic.
+	seen := 0
 	for swap := 0; swap < 2; swap++ {
-		time.Sleep(2 * time.Millisecond)
+		seen = waitSinkAbove(t, sink, seen)
 		oldName, newName := "queue", "queue2"
 		if swap == 1 {
 			oldName, newName = "queue2", "queue"
@@ -735,8 +763,8 @@ func TestShardedCFHotSwapLosslessUnderLoad(t *testing.T) {
 			t.Fatalf("hot-swap %d: %v", swap, err)
 		}
 	}
+	close(stop)
 	wg.Wait()
-	total := producers * perProd * batchSz
 	quiesce(t, s) // rings drained into the (new) queues
 	waitSinkTotal(t, sink, total)
 	sink.perFlowInOrder(t)
@@ -760,6 +788,144 @@ func TestShardedCFHotSwapLosslessUnderLoad(t *testing.T) {
 	}
 	if stats.Out != uint64(total) {
 		t.Fatalf("egress merged %d of %d", stats.Out, total)
+	}
+}
+
+// TestShardedCFConcurrentProducersRescaleAndStop: four unserialised
+// producers with disjoint flow sets push into one 4-lane plane while it
+// rescales 4 -> 2 -> 4 and then stops mid-traffic. Every accepted packet
+// is delivered in per-flow order, every refused push reports ErrStopped
+// and counts as dropped, and the plane's books balance.
+func TestShardedCFConcurrentProducersRescaleAndStop(t *testing.T) {
+	const producers, flowsPer, batchSz = 4, 6, 12
+	_, s, sink := buildSharded(t, 4, counterReplica)
+	type result struct {
+		accepted, refused int
+		err               error
+	}
+	results := make(chan result, producers)
+	for pr := 0; pr < producers; pr++ {
+		go func(first uint32) {
+			var r result
+			seqs := make([]uint32, flowsPer)
+			for r.err == nil {
+				batch := GetBatch()
+				for j := 0; j < batchSz; j++ {
+					f := j % flowsPer
+					batch = append(batch, mkFlowPacket(t, first+uint32(f), seqs[f]))
+					seqs[f]++
+				}
+				if r.err = s.PushBatch(batch); r.err == nil {
+					r.accepted += len(batch)
+				} else {
+					r.refused += len(batch)
+				}
+				PutBatch(batch)
+			}
+			results <- r
+		}(uint32(pr * flowsPer))
+	}
+
+	ctx := context.Background()
+	seen := 0
+	for _, target := range []int{2, 4} {
+		seen = waitSinkAbove(t, sink, seen)
+		if err := s.SetActiveShards(ctx, target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSinkAbove(t, sink, seen)
+	if err := s.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	accepted, refused := 0, 0
+	for range producers {
+		r := <-results
+		if !errors.Is(r.err, ErrStopped) {
+			t.Fatalf("refused push returned %v, want %v", r.err, ErrStopped)
+		}
+		accepted += r.accepted
+		refused += r.refused
+	}
+	if got := sink.total(); got != accepted {
+		t.Fatalf("sink received %d of %d accepted", got, accepted)
+	}
+	sink.perFlowInOrder(t)
+	st := s.ElemStats()
+	if st.Out != uint64(accepted) || st.Dropped != uint64(refused) || st.In != st.Out+st.Dropped {
+		t.Fatalf("stats %+v, want out=%d dropped=%d in=out+dropped", st, accepted, refused)
+	}
+}
+
+// TestShardedCFStopWaitsOutBlockedProducer: a producer blocked on a full
+// ring holds the intake fence, so Stop waits it out. Once the wedged
+// replica lets go, the blocked batch is accepted and delivered before Stop
+// returns, and the next push is refused.
+func TestShardedCFStopWaitsOutBlockedProducer(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	armed.Store(true)
+	_, s, sink := buildSharded(t, 1, stallReplica(func() {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}))
+	var unwedge sync.Once
+	t.Cleanup(func() { unwedge.Do(func() { close(release) }) }) // before Stop drains
+	// The worker holds the first packet in the wedged replica, so the
+	// producer's only stall is on the full ring behind it, inside PushBatch.
+	if err := s.Push(mkFlowPacket(t, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	accepted := make(chan int, 1)
+	go func() {
+		n := 1
+		for s.Push(mkFlowPacket(t, 1, uint32(n))) == nil {
+			n++
+		}
+		accepted <- n
+	}()
+	ring := s.shards[0].ring
+	for ring.stalls.Load() == 0 {
+		runtime.Gosched()
+	}
+
+	stopped := make(chan error, 1)
+	go func() { stopped <- s.Stop(context.Background()) }()
+	// A pending writer makes TryRLock fail: Stop is waiting on the fence.
+	for s.intake.TryRLock() {
+		s.intake.RUnlock()
+		runtime.Gosched()
+	}
+	select {
+	case err := <-stopped:
+		t.Fatalf("Stop returned (%v) while a producer was blocked on a full ring", err)
+	default:
+	}
+	unwedge.Do(func() { close(release) })
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop still blocked 2s after the lane resumed")
+	}
+	n := <-accepted
+	if want := len(ring.buf) + 2; n != want {
+		t.Fatalf("accepted %d pushes, want %d (one in the replica, a full ring, the blocked one)", n, want)
+	}
+	if got := sink.total(); got != n {
+		t.Fatalf("sink received %d of %d accepted before Stop", got, n)
+	}
+	sink.perFlowInOrder(t)
+	if err := s.Push(mkFlowPacket(t, 1, uint32(n+1))); !errors.Is(err, ErrStopped) {
+		t.Fatalf("push after Stop: %v, want %v", err, ErrStopped)
+	}
+	if got := s.ElemStats().Dropped; got != 2 {
+		t.Fatalf("dropped %d, want the 2 refused pushes", got)
 	}
 }
 
@@ -789,7 +955,6 @@ func TestShardedCFHotSwapFactoryFailure(t *testing.T) {
 // transfer count).
 func TestSPSCRingTransfersInOrder(t *testing.T) {
 	r := newSPSCRing(8)
-	quit := make(chan struct{})
 	const n = 20000
 	done := make(chan error, 1)
 	go func() {
@@ -818,9 +983,7 @@ func TestSPSCRingTransfersInOrder(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < n; i++ {
-		if !r.enqueue([]*Packet{mkFlowPacket(t, 1, uint32(i))}, quit) {
-			t.Fatal("enqueue refused with quit open")
-		}
+		r.enqueue([]*Packet{mkFlowPacket(t, 1, uint32(i))})
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -829,30 +992,6 @@ func TestSPSCRingTransfersInOrder(t *testing.T) {
 		t.Fatal("ring not empty after transfer")
 	}
 }
-
-func TestSPSCRingQuitUnblocksProducer(t *testing.T) {
-	r := newSPSCRing(2)
-	quit := make(chan struct{})
-	for r.tryEnqueue(nil) {
-	}
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		close(quit)
-	}()
-	start := time.Now()
-	if r.enqueue(nil, quit) {
-		t.Fatal("enqueue into a full ring with no consumer succeeded")
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("enqueue did not unblock promptly on quit")
-	}
-	if r.len() != r.capacityForTest() {
-		t.Fatalf("ring len %d changed by refused enqueue", r.len())
-	}
-}
-
-// capacityForTest reports the ring capacity (test helper).
-func (r *spscRing) capacityForTest() int { return len(r.buf) }
 
 // ---- flow hash -------------------------------------------------------------
 
@@ -1057,12 +1196,17 @@ func TestSetActiveShardsRescaleUnderTraffic(t *testing.T) {
 	}
 
 	const flows = 16
-	const perFlow = 800
-	done := make(chan struct{})
+	stop := make(chan struct{})
+	sent := make(chan int, 1)
 	go func() {
-		defer close(done)
 		seqs := make([]uint32, flows)
-		for round := 0; round < perFlow; round++ {
+		for rounds := 0; ; rounds++ {
+			select {
+			case <-stop:
+				sent <- rounds * flows
+				return
+			default:
+			}
 			batch := GetBatch()
 			for f := 0; f < flows; f++ {
 				batch = append(batch, mkFlowPacket(t, uint32(f), seqs[f]))
@@ -1074,8 +1218,9 @@ func TestSetActiveShardsRescaleUnderTraffic(t *testing.T) {
 			PutBatch(batch)
 		}
 	}()
+	seen := 0
 	for _, target := range []int{4, 2, 4} {
-		time.Sleep(2 * time.Millisecond)
+		seen = waitSinkAbove(t, sink, seen) // the rescale runs under traffic
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := s.SetActiveShards(ctx, target); err != nil {
 			t.Fatal(err)
@@ -1085,13 +1230,13 @@ func TestSetActiveShardsRescaleUnderTraffic(t *testing.T) {
 			t.Fatalf("active = %d, want %d", got, target)
 		}
 	}
-	<-done
+	close(stop)
+	total := <-sent
 	quiesce(t, s)
 
-	const total = flows * perFlow
 	waitSinkTotal(t, sink, total)
 	sink.perFlowInOrder(t)
-	if st := s.ElemStats(); st.In != total || st.Out != total || st.Dropped != 0 {
+	if st := s.ElemStats(); st.In != uint64(total) || st.Out != uint64(total) || st.Dropped != 0 {
 		t.Fatalf("stats %+v, want in=out=%d dropped=0", st, total)
 	}
 	// The annotation tracks the final lane count for the meta-space.

@@ -63,7 +63,7 @@ func TestUDPPlaneEndToEnd(t *testing.T) {
 	}
 	sys, err := NewBlueprint("udp-e2e").
 		DeviceSource("src", rxDev, nil, router.PumpConfig{Batch: 32}).
-		Shards("plane", 2, replica).
+		ShardsCfg("plane", router.ShardConfig{Shards: 2}, replica).
 		DeviceSink("snk", txDev).
 		Pipe("src", "plane", "snk").
 		Build(context.Background())
