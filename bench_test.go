@@ -323,30 +323,6 @@ func BenchmarkE5_ClassifierLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkE5_VMvsClosure(b *testing.B) {
-	raw := benchPacketRaw(b)
-	view := filter.Extract(raw)
-	const spec = "ip and udp and (dst port 53 or dst port 5353) and ttl > 1"
-	prog, err := filter.CompileToProgram(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	clo, err := filter.Compile(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("vm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = prog.Match(&view)
-		}
-	})
-	b.Run("closure", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = clo.Match(&view)
-		}
-	})
-}
-
 // ---------------------------------------------------------------------------
 // E6 — in-proc vs out-of-proc binding
 

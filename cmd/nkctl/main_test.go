@@ -61,6 +61,7 @@ func TestRunVerbs(t *testing.T) {
 		{args: []string{"unfilter", "cls", "1"}, wantErr: "1"}, // already gone: the server's error comes back
 		{args: []string{"unfilter", "cls", "one"}, wantErr: `bad filter id "one"`},
 		{args: []string{"filter", "cls"}, wantErr: "usage: nkctl filter"},
+		{args: []string{"filter", "cls", "udp and", "a"}, wantErr: "syntax error"}, // the parser's position reaches the user
 		{args: []string{"stats", "a", "b"}, wantErr: "usage: nkctl stats"},
 		{args: []string{"frobnicate"}, wantErr: `unknown command "frobnicate"`},
 		{args: nil, wantErr: "no command"},

@@ -83,7 +83,7 @@ type Sandbox struct {
 // attachment is one program bound to a flow selector.
 type attachment struct {
 	name    string
-	match   filter.Matcher
+	match   *filter.Program
 	prog    Program
 	vm      Code // nil unless VM-backed
 	sandbox Sandbox

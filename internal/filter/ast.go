@@ -118,7 +118,7 @@ func (n *PortNode) String() string {
 }
 
 // CmpOp is a numeric comparison operator.
-type CmpOp int
+type CmpOp uint8
 
 // Comparison operators.
 const (
@@ -170,7 +170,7 @@ func (o CmpOp) eval(a, b int) bool {
 }
 
 // NumField identifies a numeric packet field usable in comparisons.
-type NumField int
+type NumField uint8
 
 // Numeric fields.
 const (

@@ -42,21 +42,23 @@ func udp6(t *testing.T, sp, dp uint16) []byte {
 	return b
 }
 
-// match compiles spec with BOTH compilers and asserts they agree before
-// returning the verdict; every test therefore doubles as an equivalence
-// check between the closure and VM matchers.
+// match compiles spec to its VM program and to the closure oracle and
+// asserts they agree before returning the verdict; every test therefore
+// doubles as an equivalence check between the VM and the reference
+// semantics.
 func match(t *testing.T, spec string, raw []byte) bool {
 	t.Helper()
-	c, err := Compile(spec)
+	p, err := Compile(spec)
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", spec, err)
 	}
-	p, err := CompileToProgram(spec)
+	n, _ := Parse(spec)
+	c, err := closure(n)
 	if err != nil {
-		t.Fatalf("CompileToProgram(%q): %v", spec, err)
+		t.Fatalf("closure(%q): %v", spec, err)
 	}
 	v := Extract(raw)
-	got, gotVM := c.Match(&v), p.Match(&v)
+	got, gotVM := c(&v), p.Match(&v)
 	if got != gotVM {
 		t.Fatalf("spec %q: closure=%v vm=%v", spec, got, gotVM)
 	}
@@ -175,8 +177,9 @@ func TestParseErrors(t *testing.T) {
 		"proto 300",       // out of range
 		"ttl ^ 5",         // bad operator
 		"ttl <",
-		"ip ip",        // trailing
-		"src port 1 2", // trailing
+		"ttl 99999999999999999999", // shorthand overflows int
+		"ip ip",                    // trailing
+		"src port 1 2",             // trailing
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -217,7 +220,7 @@ func TestASTStringRoundTrip(t *testing.T) {
 }
 
 func TestProgramLenAndString(t *testing.T) {
-	p, err := CompileToProgram("ip and udp and dst port 53")
+	p, err := Compile("ip and udp and dst port 53")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		}
 		snap := tbl.Snapshot()
 		check := func(v *View, what string) {
-			gotOut, gotOk := snap.Compiled().Lookup(v)
+			gotOut, gotOk := snap.Lookup(v)
 			wantOut, wantOk := tbl.LookupViewVM(v)
 			if gotOut != wantOut || gotOk != wantOk {
 				t.Fatalf("%s view %+v: compiled (%q,%v) vs vm (%q,%v); rules %v",
@@ -64,4 +64,52 @@ func mustUDPBytes(srcPort, dstPort uint16) []byte {
 	b[22], b[23] = byte(dstPort>>8), byte(dstPort)
 	b[25] = 8
 	return b
+}
+
+// FuzzParse feeds the parser arbitrary specs, as `nkctl filter` and
+// nkconfig do. Any spec it accepts must render to syntax that reparses to
+// the same rendering, compile to a program, and have that program agree
+// with the closure oracle on generated views.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"ip and udp and dst port 53",
+		"(tcp or udp) and not src net 10.0.0.0/8",
+		"ip6 and src host 2001:db8::1 or dst port 1000-2000",
+		"ttl 5 or len >= 1500 or tos != 0",
+		"not not proto 47",
+		"port 70000",
+		"ttl 99999999999999999999",
+		"udp and",
+	} {
+		f.Add(spec, int64(len(spec)))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		n, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		text := n.String()
+		n2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not reparse: %v", spec, text, err)
+		}
+		if again := n2.String(); again != text {
+			t.Fatalf("%q renders as %q, then as %q", spec, text, again)
+		}
+		p, err := CompileProgram(n)
+		if err != nil {
+			t.Fatalf("%q parses but does not compile: %v", spec, err)
+		}
+		c, err := closure(n)
+		if err != nil {
+			t.Fatalf("%q: closure oracle: %v", spec, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 16; i++ {
+			v := randView(rng)
+			if got, want := p.Match(&v), c(&v); got != want {
+				t.Fatalf("%q on view %+v: vm %v, closure %v", spec, v, got, want)
+			}
+		}
+	})
 }

@@ -13,14 +13,14 @@
 //	        | ("src"|"dst") "net" CIDR
 //	        | ["src"|"dst"] "port" NUM [ "-" NUM ]
 //	        | "proto" NUM
-//	        | ("ttl"|"len"|"tos") CMP NUM
+//	        | ("ttl"|"len"|"tos") [ CMP ] NUM
 //	CMP     = "==" | "!=" | "<" | "<=" | ">" | ">="
 //
-// Specifications compile to two interchangeable matchers: a closure tree
-// (simple, used as the reference semantics) and a postfix instruction
-// program executed by a small stack VM (the performance representation,
-// analogous to the paper's concern that in-band functions must count
-// machine instructions with care). Experiment E5 compares the two.
+// Specifications compile to one evaluator: a postfix instruction program
+// executed by a small stack VM (analogous to the paper's concern that
+// in-band functions must count machine instructions with care). A Table
+// indexes its rules' programs with a tuple-space compiler (tss.go) so that
+// lookup cost stays flat in the rule count (experiments E5, E15).
 package filter
 
 import (

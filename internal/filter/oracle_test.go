@@ -2,29 +2,10 @@ package filter
 
 import "fmt"
 
-// Matcher decides whether a packet (as a pre-extracted View) satisfies a
-// filter specification.
-type Matcher interface {
-	Match(v *View) bool
-}
-
-// MatcherFunc adapts a function to the Matcher interface.
-type MatcherFunc func(v *View) bool
-
-// Match implements Matcher.
-func (f MatcherFunc) Match(v *View) bool { return f(v) }
-
-// CompileClosure compiles the AST into a tree of Go closures: the reference
-// semantics. Each node becomes a function; evaluation short-circuits like
-// the source expression.
-func CompileClosure(n Node) (Matcher, error) {
-	f, err := closure(n)
-	if err != nil {
-		return nil, err
-	}
-	return MatcherFunc(f), nil
-}
-
+// closure compiles the AST into a tree of Go closures: the reference
+// semantics the VM is checked against (match, TestQuickClosureVMEquivalence,
+// FuzzParse). Each node becomes a function; evaluation short-circuits like
+// the source expression. It is an oracle only — no product path runs it.
 func closure(n Node) (func(*View) bool, error) {
 	switch t := n.(type) {
 	case *AndNode:
@@ -105,13 +86,4 @@ func closure(n Node) (func(*View) bool, error) {
 	default:
 		return nil, fmt.Errorf("filter: unknown node %T", n)
 	}
-}
-
-// Compile parses and closure-compiles a specification in one step.
-func Compile(spec string) (Matcher, error) {
-	n, err := Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	return CompileClosure(n)
 }

@@ -210,12 +210,10 @@ func (p *parser) parsePortTail(dir Dir, pos int) (Node, error) {
 }
 
 func (p *parser) parseCmpTail(f NumField) (Node, error) {
-	t := p.next()
-	var op CmpOp
-	if t.kind == tokOp {
+	op := CmpEq // "ttl 5" is sugar for "ttl == 5"
+	if t := p.peek(); t.kind == tokOp {
+		p.next()
 		switch t.text {
-		case "==":
-			op = CmpEq
 		case "!=":
 			op = CmpNe
 		case "<":
@@ -227,11 +225,7 @@ func (p *parser) parseCmpTail(f NumField) (Node, error) {
 		case ">=":
 			op = CmpGe
 		}
-	} else if t.kind == tokNum {
-		// "ttl 5" sugar for "ttl == 5"
-		v, _ := strconv.Atoi(t.text)
-		return &CmpNode{Field: f, Op: CmpEq, Val: v}, nil
-	} else {
+	} else if t.kind != tokNum {
 		return nil, &SyntaxError{t.pos, fmt.Sprintf("expected comparison after %s", f)}
 	}
 	v, err := p.parseNum()

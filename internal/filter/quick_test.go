@@ -86,13 +86,13 @@ func randView(rng *rand.Rand) View {
 }
 
 // TestQuickClosureVMEquivalence: for random ASTs and random packet views,
-// the closure compiler and the instruction VM agree. This pins the VM (the
-// in-band representation) to the reference semantics.
+// the closure oracle and the instruction VM agree. This pins the VM (the
+// only product evaluator) to the reference semantics.
 func TestQuickClosureVMEquivalence(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := genNode(rng, 4)
-		c, err := CompileClosure(n)
+		c, err := closure(n)
 		if err != nil {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestQuickClosureVMEquivalence(t *testing.T) {
 		}
 		for i := 0; i < 32; i++ {
 			v := randView(rng)
-			if c.Match(&v) != p.Match(&v) {
+			if c(&v) != p.Match(&v) {
 				t.Logf("divergence on %s with view %+v", n, v)
 				return false
 			}
@@ -125,17 +125,17 @@ func TestQuickRenderReparse(t *testing.T) {
 			t.Logf("reparse of %q failed: %v", n.String(), err)
 			return false
 		}
-		c1, err := CompileClosure(n)
+		c1, err := closure(n)
 		if err != nil {
 			return false
 		}
-		c2, err := CompileClosure(n2)
+		c2, err := closure(n2)
 		if err != nil {
 			return false
 		}
 		for i := 0; i < 16; i++ {
 			v := randView(rng)
-			if c1.Match(&v) != c2.Match(&v) {
+			if c1(&v) != c2(&v) {
 				return false
 			}
 		}

@@ -23,8 +23,8 @@ type Rule struct {
 	Spec     string
 	Priority int
 	Output   string
-	prog     *Program
-	ast      Node // retained for the tuple-space compiler (DESIGN.md §7)
+	prog     *Program // the rule's only evaluator
+	ast      Node     // retained for the tuple-space index (DESIGN.md §7)
 }
 
 // ruleSet is one immutable rule-list snapshot plus its generation stamp.
@@ -40,8 +40,9 @@ type ruleSet struct {
 // Table is an ordered, concurrency-safe rule set. Lookup is lock-free on
 // the fast path: the rule list is an immutable snapshot swapped atomically
 // on mutation (classification happens on every packet; rule churn is rare),
-// and the tuple-space compiled form of the snapshot (tss.go) is built
-// lazily, once per generation, on first lookup after a mutation.
+// and its compiled Snapshot — the tuple-space index over the rules' VM
+// programs (tss.go) — is built lazily, once per generation, on first
+// lookup after a mutation.
 type Table struct {
 	mu     sync.Mutex // serialises mutations
 	nextID uint64
@@ -116,37 +117,6 @@ func (t *Table) Remove(id uint64) error {
 // provably from the current rule set iff the stamps match.
 func (t *Table) Gen() uint64 { return t.rules.Load().gen }
 
-// Snapshot is one generation's compiled lookup structure. It stays valid
-// (and behaviourally frozen) after further table mutations — callers that
-// batch lookups take one snapshot per batch, exactly like the classifier's
-// output-set snapshot discipline.
-type Snapshot struct {
-	ct  *CompiledTable
-	gen uint64
-}
-
-// Gen returns the generation this snapshot was compiled from.
-func (s *Snapshot) Gen() uint64 { return s.gen }
-
-// FlowSafe reports whether verdicts are pure functions of the 5-tuple
-// flow identity (see CompiledTable.FlowSafe) — the precondition for
-// fronting this snapshot with a per-flow verdict cache.
-func (s *Snapshot) FlowSafe() bool { return s.ct.FlowSafe() }
-
-// Compiled exposes the underlying compiled table (diagnostics, benches).
-func (s *Snapshot) Compiled() *CompiledTable { return s.ct }
-
-// CacheWorthwhile reports whether fronting this snapshot with a per-flow
-// cache can pay off: the verdict must be flow-pure, and the table large
-// enough that a probe beats reclassification (small tables run the linear
-// walk, which is already cheaper than a cache probe).
-func (s *Snapshot) CacheWorthwhile() bool {
-	return s.ct.FlowSafe() && s.ct.spaces != nil
-}
-
-// Lookup classifies a view against this snapshot.
-func (s *Snapshot) Lookup(v *View) (string, bool) { return s.ct.Lookup(v) }
-
 // Snapshot returns the compiled form of the current rule set, building it
 // (once per generation, under compileMu) if this generation has not been
 // looked up yet. The fast path is two atomic loads and a comparison.
@@ -161,7 +131,7 @@ func (t *Table) Snapshot() *Snapshot {
 	if cs := t.compiled.Load(); cs != nil && cs.gen == rs.gen {
 		return cs
 	}
-	cs := &Snapshot{ct: CompileTable(rs.rules), gen: rs.gen}
+	cs := compile(rs.rules, rs.gen)
 	t.compiled.Store(cs)
 	return cs
 }
@@ -179,8 +149,9 @@ func (t *Table) LookupView(v *View) (string, bool) {
 }
 
 // LookupViewVM classifies through the linear walk of per-rule VM programs
-// — the reference oracle the compiled backend is fuzz-checked against
-// (FuzzCompiledEquivalence), kept as the independent semantics.
+// — the reference oracle the compiled index is fuzz-checked against
+// (FuzzCompiledEquivalence): the same programs, with no index choosing
+// which of them run.
 func (t *Table) LookupViewVM(v *View) (string, bool) {
 	for _, r := range t.rules.Load().rules {
 		if r.prog.Match(v) {

@@ -6,11 +6,13 @@ import (
 )
 
 // This file is the compiled classification backend (DESIGN.md §7): a
-// tuple-space-search structure that makes table lookup cost flat in the
-// rule count, replacing the linear walk over per-rule VM programs that E5
-// shows degrading ~1000× from 1 to 1024 rules. The VM interpreter stays
-// as the reference oracle (Table.LookupViewVM); FuzzCompiledEquivalence
-// pins this backend to it for arbitrary rule sets and packets.
+// tuple-space-search index in front of the per-rule VM programs, which
+// makes table lookup cost flat in the rule count instead of the linear
+// walk's ~1000× degradation from 1 to 1024 rules (E5). The VM program is
+// the only evaluator: the index only chooses which rules to run.
+// Table.LookupViewVM (the plain linear walk) is the reference oracle, and
+// FuzzCompiledEquivalence pins this backend to it for arbitrary rule sets
+// and packets.
 //
 // The scheme, in the match-action-table tradition of the programmable
 // data-plane literature:
@@ -20,16 +22,18 @@ import (
 //     guard, so De Morgan pushdown would change semantics; AND/OR are
 //     pure booleans over position-independent leaf tests, so
 //     distribution is exact). Expansion is capped — a rule whose DNF
-//     exceeds maxClauses falls back to the residual list, matched by its
-//     own VM program.
+//     exceeds maxClauses goes to the residual list.
 //  2. Each conjunctive clause contributes exact-match dimensions —
 //     version, protocol, src/dst host, src/dst single port — forming a
 //     field mask. Clauses sharing a mask live in one tuple space: a hash
-//     table keyed by the masked field values. Range ports, prefixes,
-//     either-direction ports, comparisons and NOT literals stay out of
-//     the key and are re-checked by the clause's verify matcher, so a
-//     hash probe only ever *narrows* to candidates — it never decides.
-//  3. Lookup probes each space once (one key computation + one map
+//     table keyed by the masked field values. A rule with a keyless
+//     clause goes to the residual list once, whole.
+//  3. Every entry verifies with its rule's own program, so a hash probe
+//     only ever *narrows* to candidates — it never decides. That is
+//     sound (a rule is returned only if its whole program matches) and
+//     complete (a matching rule has a matching clause, and that clause's
+//     exact-key bucket holds the rule).
+//  4. Lookup probes each space once (one key computation + one map
 //     access), verifies candidates in rule order, scans the residual
 //     list, and returns the first match by (priority, insertion) order —
 //     identical first-match semantics to the linear walk.
@@ -37,8 +41,9 @@ import (
 // Cost is O(#spaces + residual) per lookup: rule sets built from one
 // syntactic family (the common case — an ACL of "proto and port" rules)
 // collapse into a single space, giving the flat E15 curve. Tables at or
-// under linearCutoff rules skip the machinery entirely and keep the
-// linear VM walk, which is cheaper than hashing at that size.
+// under linearCutoff rules build no spaces at all: every rule sits on the
+// residual list, an ordered VM walk that is cheaper than hashing at that
+// size.
 
 // tssDim enumerates the exact-match key dimensions.
 type tssDim int
@@ -60,8 +65,9 @@ type dimMask uint8
 // matched linearly from the residual list.
 const maxClauses = 16
 
-// linearCutoff is the table size at or below which compilation keeps the
-// plain ordered VM walk (hashing costs more than it saves there).
+// linearCutoff is the table size at or below which compilation builds no
+// spaces and keeps the plain ordered VM walk (hashing costs more than it
+// saves there).
 const linearCutoff = 4
 
 // 64-bit FNV-1a parameters, word-at-a-time (key mixing, not a wire format).
@@ -75,8 +81,8 @@ func mix64(h, v uint64) uint64 { return (h ^ v) * fnv64Prime }
 // addrKey collapses a netip.Addr to a key word such that a == b implies
 // addrKey(a) == addrKey(b): the 16-byte form plus the Is4 bit (which
 // distinguishes a v4 address from its 4-in-6 mapping, exactly as ==
-// does). Collisions between unequal addresses are harmless — the verify
-// matcher re-checks equality.
+// does). Collisions between unequal addresses are harmless — the rule's
+// program re-checks equality.
 func addrKey(a netip.Addr) uint64 {
 	b := a.As16()
 	h := fnv64Init
@@ -92,11 +98,13 @@ func addrKey(a netip.Addr) uint64 {
 	return h
 }
 
-// tssEntry is one matchable unit: a clause (or whole residual rule) with
-// its global evaluation order and routed output.
+// tssEntry is one matchable unit: a rule's program with its global
+// evaluation order and routed output. The program is held by value (it
+// shares the rule's instructions), so verifying a candidate reads them
+// straight from the bucket without first loading the rule's Program.
 type tssEntry struct {
 	order  int // index into the priority-ordered rule list
-	verify Matcher
+	prog   Program
 	output string
 }
 
@@ -134,24 +142,20 @@ func (sp *tupleSpace) keyOf(v *View) uint64 {
 	return h
 }
 
-// CompiledTable is the compiled form of one rule-set snapshot.
-type CompiledTable struct {
-	linear   []tssEntry // small-table mode: plain ordered walk, spaces nil
-	spaces   []*tupleSpace
-	residual []tssEntry // non-decomposable / keyless clauses, ascending order
+// Snapshot is one generation's compiled lookup structure. It stays valid
+// (and behaviourally frozen) after further table mutations — callers that
+// batch lookups take one snapshot per batch, exactly like the classifier's
+// output-set snapshot discipline.
+type Snapshot struct {
+	spaces   []*tupleSpace // nil at or under linearCutoff rules
+	residual []tssEntry    // rules no space indexes, ascending order
 	flowSafe bool
 	rules    int
+	gen      uint64
 }
 
-// Rules returns the number of rules compiled in.
-func (ct *CompiledTable) Rules() int { return ct.rules }
-
-// Spaces returns the tuple-space count (diagnostic; the per-lookup probe
-// cost is proportional to it).
-func (ct *CompiledTable) Spaces() int { return len(ct.spaces) }
-
-// ResidualLen returns the number of linearly-scanned entries.
-func (ct *CompiledTable) ResidualLen() int { return len(ct.residual) + len(ct.linear) }
+// Gen returns the generation this snapshot was compiled from.
+func (s *Snapshot) Gen() uint64 { return s.gen }
 
 // FlowSafe reports whether every verdict is a pure function of the flow
 // identity fields a View carries for the 5-tuple — Version, Src, Dst,
@@ -160,110 +164,93 @@ func (ct *CompiledTable) ResidualLen() int { return len(ct.residual) + len(ct.li
 // their presence anywhere in the table makes per-flow verdict caching
 // unsound; the router's megaflow cache keys on exactly those fields and
 // engages only when this holds.
-func (ct *CompiledTable) FlowSafe() bool { return ct.flowSafe }
+func (s *Snapshot) FlowSafe() bool { return s.flowSafe }
+
+// CacheWorthwhile reports whether fronting this snapshot with a per-flow
+// cache can pay off: the verdict must be flow-pure, and the table large
+// enough that a probe beats reclassification (small tables run the linear
+// walk, which is already cheaper than a cache probe).
+func (s *Snapshot) CacheWorthwhile() bool {
+	return s.flowSafe && s.rules > linearCutoff
+}
 
 // Lookup classifies v: the output of the first matching rule in
 // (priority, insertion) order, or "" and false. Behaviourally identical
 // to the linear VM walk (fuzz-proven).
-func (ct *CompiledTable) Lookup(v *View) (string, bool) {
-	if ct.spaces == nil {
-		for _, e := range ct.linear {
-			if e.verify.Match(v) {
-				return e.output, true
-			}
-		}
-		return "", false
-	}
+func (s *Snapshot) Lookup(v *View) (string, bool) {
 	best := -1
 	var out string
-	for _, sp := range ct.spaces {
+	for _, sp := range s.spaces {
 		bucket := sp.buckets[sp.keyOf(v)]
 		for i := range bucket {
 			e := &bucket[i]
 			if best >= 0 && e.order >= best {
 				break
 			}
-			if e.verify.Match(v) {
+			if e.prog.Match(v) {
 				best, out = e.order, e.output
 				break
 			}
 		}
 	}
-	for i := range ct.residual {
-		e := &ct.residual[i]
+	for i := range s.residual {
+		e := &s.residual[i]
 		if best >= 0 && e.order >= best {
 			break
 		}
-		if e.verify.Match(v) {
+		if e.prog.Match(v) {
 			best, out = e.order, e.output
 			break
 		}
 	}
-	if best >= 0 {
-		return out, true
-	}
-	return "", false
+	return out, best >= 0
 }
 
-// CompileTable builds the tuple-space structure over rules, which must be
-// in evaluation (priority, insertion) order — the order Table snapshots
-// maintain. Rules whose AST is unavailable or whose DNF explodes are kept
-// on the residual list under their VM program, so compilation never
-// rejects a rule the interpreter accepts.
-func CompileTable(rules []*Rule) *CompiledTable {
-	ct := &CompiledTable{flowSafe: true, rules: len(rules)}
+// compile builds generation gen's snapshot over rules, which must be in
+// evaluation (priority, insertion) order — the order Table snapshots
+// maintain. Rules whose DNF explodes or that have a keyless clause go to
+// the residual list, so compilation never rejects a rule the interpreter
+// accepts.
+func compile(rules []*Rule, gen uint64) *Snapshot {
+	s := &Snapshot{flowSafe: true, rules: len(rules), gen: gen}
 	for _, r := range rules {
-		if r.ast != nil && usesNumCmp(r.ast) {
-			ct.flowSafe = false
+		if usesNumCmp(r.ast) {
+			s.flowSafe = false
 		}
-	}
-	if len(rules) <= linearCutoff {
-		for i, r := range rules {
-			ct.linear = append(ct.linear, tssEntry{order: i, verify: r.prog, output: r.Output})
-		}
-		return ct
 	}
 	spaces := make(map[dimMask]*tupleSpace)
 	for i, r := range rules {
-		entryFor := func(verify Matcher) tssEntry {
-			return tssEntry{order: i, verify: verify, output: r.Output}
-		}
+		e := tssEntry{order: i, prog: *r.prog, output: r.Output}
 		clauses, ok := [][]Node(nil), false
-		if r.ast != nil {
+		if len(rules) > linearCutoff {
 			clauses, ok = dnf(r.ast, maxClauses)
 		}
+		var masks [maxClauses]dimMask
+		var keys [maxClauses]uint64
+		for j, clause := range clauses {
+			masks[j], keys[j] = clauseKey(clause)
+			ok = ok && masks[j] != 0
+		}
 		if !ok {
-			ct.residual = append(ct.residual, entryFor(r.prog))
+			s.residual = append(s.residual, e)
 			continue
 		}
-		for _, clause := range clauses {
-			verify, err := clauseMatcher(clause)
-			if err != nil {
-				// Unknown node kind: fall back to the whole rule's program.
-				ct.residual = append(ct.residual, entryFor(r.prog))
-				break
-			}
-			mask, key := clauseKey(clause)
-			if mask == 0 {
-				ct.residual = append(ct.residual, entryFor(verify))
-				continue
-			}
+		for j, mask := range masks[:len(clauses)] {
 			sp := spaces[mask]
 			if sp == nil {
 				sp = &tupleSpace{mask: mask, buckets: make(map[uint64][]tssEntry)}
 				spaces[mask] = sp
 			}
 			// Rules iterate in ascending order, so buckets stay sorted.
-			sp.buckets[key] = append(sp.buckets[key], entryFor(verify))
+			sp.buckets[keys[j]] = append(sp.buckets[keys[j]], e)
 		}
 	}
-	ct.spaces = make([]*tupleSpace, 0, len(spaces))
 	for _, sp := range spaces {
-		ct.spaces = append(ct.spaces, sp)
+		s.spaces = append(s.spaces, sp)
 	}
 	// Deterministic probe order (map iteration order is not): by mask.
-	sort.Slice(ct.spaces, func(i, j int) bool { return ct.spaces[i].mask < ct.spaces[j].mask })
-	return ct
+	sort.Slice(s.spaces, func(i, j int) bool { return s.spaces[i].mask < s.spaces[j].mask })
+	return s
 }
 
 // dnf expands n into disjunctive normal form: a list of conjunctive
@@ -314,20 +301,10 @@ func dnf(n Node, limit int) ([][]Node, bool) {
 	}
 }
 
-// clauseMatcher compiles the conjunction of the clause's literals to the
-// closure reference semantics.
-func clauseMatcher(clause []Node) (Matcher, error) {
-	node := clause[0]
-	for _, n := range clause[1:] {
-		node = &AndNode{L: node, R: n}
-	}
-	return CompileClosure(node)
-}
-
 // clauseKey extracts the clause's exact-match dimensions and computes its
 // bucket key (same dimension order and mixing as tupleSpace.keyOf). When
 // a clause constrains one dimension twice, the first occurrence keys it;
-// the verify matcher enforces the rest (a contradictory clause simply
+// the rule's program enforces the rest (a contradictory clause simply
 // never verifies).
 func clauseKey(clause []Node) (dimMask, uint64) {
 	var vals [numDims]uint64
@@ -352,7 +329,7 @@ func clauseKey(clause []Node) (dimMask, uint64) {
 			}
 		case *PortNode:
 			if t.Lo != t.Hi {
-				continue // range: verify-only
+				continue // range: program-verified only
 			}
 			switch t.Dir {
 			case DirSrc:
@@ -360,8 +337,8 @@ func clauseKey(clause []Node) (dimMask, uint64) {
 			case DirDst:
 				set(dimDstPort, uint64(t.Lo))
 			}
-			// DirEither: verify-only (matches on either port; no single
-			// dimension captures it).
+			// DirEither: program-verified only (matches on either port; no
+			// single dimension captures it).
 		}
 	}
 	h := fnv64Init

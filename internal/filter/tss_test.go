@@ -47,12 +47,11 @@ func TestCompiledHomogeneousCollapsesToOneSpace(t *testing.T) {
 		}
 	}
 	snap := tbl.Snapshot()
-	ct := snap.Compiled()
-	if ct.Spaces() != 1 {
-		t.Fatalf("expected 1 tuple space, got %d", ct.Spaces())
+	if len(snap.spaces) != 1 {
+		t.Fatalf("expected 1 tuple space, got %d", len(snap.spaces))
 	}
-	if ct.ResidualLen() != 0 {
-		t.Fatalf("expected empty residual, got %d", ct.ResidualLen())
+	if len(snap.residual) != 0 {
+		t.Fatalf("expected empty residual, got %d", len(snap.residual))
 	}
 	if !snap.FlowSafe() || !snap.CacheWorthwhile() {
 		t.Fatalf("port/proto rules should be flow-safe and cache-worthy")
@@ -124,18 +123,29 @@ func TestCompiledFirstMatchOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBoth("space2")
+
+	// A rule matched only through its second DNF clause is found through
+	// that clause's bucket, verified by its whole program, and still wins
+	// in priority order.
+	if _, err := tbl.Add("dst port 53 or src host 10.0.0.1", 6, "second-clause"); err != nil {
+		t.Fatal(err)
+	}
+	v = udpView(t, 1111, 9)
+	assertBoth("second-clause")
 }
 
-// TestCompiledSmallTableStaysLinear: tables at or under the cutoff keep
-// the ordered VM walk and are never cache-worthy.
+// TestCompiledSmallTableStaysLinear: tables at or under the cutoff build
+// no spaces, keep the ordered VM walk and are never cache-worthy; one rule
+// over the cutoff makes a flow-safe table cache-worthy even when no clause
+// is keyed, so the verdict depends on the table's size, not its spaces.
 func TestCompiledSmallTableStaysLinear(t *testing.T) {
 	tbl := mkTable(t, [][3]string{
 		{"udp and dst port 53", "1", "dns"},
 		{"tcp", "2", "tcp"},
 	})
 	snap := tbl.Snapshot()
-	if snap.Compiled().Spaces() != 0 {
-		t.Fatalf("small table should be linear, got %d spaces", snap.Compiled().Spaces())
+	if len(snap.spaces) != 0 {
+		t.Fatalf("small table should be linear, got %d spaces", len(snap.spaces))
 	}
 	if snap.CacheWorthwhile() {
 		t.Fatal("small table should not be cache-worthy")
@@ -143,6 +153,26 @@ func TestCompiledSmallTableStaysLinear(t *testing.T) {
 	v := udpView(t, 9, 53)
 	if out, ok := snap.Lookup(&v); !ok || out != "dns" {
 		t.Fatalf("got (%q,%v)", out, ok)
+	}
+
+	nets := func(n int) *Table {
+		tbl := NewTable()
+		for i := 0; i < n; i++ {
+			if _, err := tbl.Add(fmt.Sprintf("dst net 10.%d.0.0/16", i), i, "net"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl
+	}
+	if snap := nets(linearCutoff).Snapshot(); snap.CacheWorthwhile() {
+		t.Fatalf("%d-rule table should not be cache-worthy", linearCutoff)
+	}
+	snap = nets(linearCutoff + 1).Snapshot()
+	if len(snap.spaces) != 0 {
+		t.Fatalf("keyless rules should build no spaces, got %d", len(snap.spaces))
+	}
+	if !snap.CacheWorthwhile() {
+		t.Fatalf("%d-rule flow-safe table should be cache-worthy", linearCutoff+1)
 	}
 }
 
@@ -191,7 +221,7 @@ func TestCompiledDNFCapFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := tbl.Snapshot()
-	if snap.Compiled().ResidualLen() == 0 {
+	if len(snap.residual) == 0 {
 		t.Fatal("exploding rule should land in the residual list")
 	}
 	v := udpView(t, 1, 2)

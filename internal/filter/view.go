@@ -6,7 +6,7 @@ import (
 	"netkit/packet"
 )
 
-// View is the per-packet field cache both matchers evaluate against. It is
+// View is the per-packet field cache every rule program evaluates. It is
 // extracted once per packet (by the classifier) and shared across all
 // filter evaluations, so the per-rule cost is pure field comparison.
 type View struct {
