@@ -3,18 +3,24 @@ package router
 import "sync/atomic"
 
 // spscRing is the bounded single-producer/single-consumer ring carrying
-// pooled packet batches from the ShardedCF dispatcher to one shard worker.
-// The fast path is two atomics per hand-off (no locks, no allocation); the
-// slow path parks on capacity-1 notification channels, so a full ring
-// exerts back-pressure on the producer instead of dropping, and an empty
-// ring costs the consumer no spinning.
+// packet batches from the ShardedCF dispatcher to one shard worker. The
+// ring owns the backing arrays of its slots: enqueue copies the caller's
+// batch into a slot array, and dequeue takes back the consumer's previous,
+// cleared batch into the slot it frees, so no batch crosses between
+// goroutines through a shared pool. The fast path is two atomics per
+// hand-off (no locks, no allocation once the arrays are grown); the slow
+// path parks on capacity-1 notification channels, so a full ring exerts
+// back-pressure on the producer instead of dropping, and an empty ring
+// costs the consumer no spinning.
 //
 // The SPSC discipline is what makes the unsynchronised slot accesses
 // correct: exactly one goroutine advances tail (the dispatch side — the
 // ShardedCF serialises its producers per shard) and exactly one advances
-// head (the shard worker). Slot hand-off synchronises through the atomic
-// tail/head stores, so the consumer's read of buf[i] happens-after the
-// producer's write (and the race detector agrees).
+// head (the shard worker). The producer touches only free slots (tail, and
+// head-1, which is free whenever the ring is not full), the consumer only
+// full ones (head), and each side reads what the other wrote after loading
+// the atomic index the writer stored behind it, so every slot access
+// happens-after the last write (and the race detector agrees).
 type spscRing struct {
 	buf  [][]*Packet
 	mask uint64
@@ -54,13 +60,18 @@ func newSPSCRing(depth int) *spscRing {
 	}
 }
 
-// tryEnqueue appends b, reporting false when full. Producer side only.
+// tryEnqueue copies b into a slot array, reporting false when full; b is
+// not retained. Producer side only. The copy goes into the array the
+// consumer handed back most recently (slot head-1), still warm in cache,
+// which is swapped into the tail slot: without the swap the ring would
+// cycle through one array per slot, each a whole lap cold.
 func (r *spscRing) tryEnqueue(b []*Packet) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() > r.mask {
+	t, h := r.tail.Load(), r.head.Load()
+	if t-h > r.mask {
 		return false
 	}
-	r.buf[t&r.mask] = b
+	warm, slot := (h-1)&r.mask, t&r.mask
+	r.buf[warm], r.buf[slot] = r.buf[slot], append(r.buf[warm], b...)
 	r.tail.Store(t + 1)
 	return true
 }
@@ -84,14 +95,18 @@ func (r *spscRing) enqueue(b []*Packet) {
 }
 
 // tryDequeue pops the oldest batch, reporting false when empty. Consumer
-// side only.
-func (r *spscRing) tryDequeue() ([]*Packet, bool) {
+// side only. prev is the consumer's previous batch, which it has finished
+// with: it is cleared and left in the freed slot, or handed back emptied
+// when there is nothing to pop. The popped batch is the consumer's until
+// it passes it back as prev.
+func (r *spscRing) tryDequeue(prev []*Packet) ([]*Packet, bool) {
+	clear(prev)
 	h := r.head.Load()
 	if h == r.tail.Load() {
-		return nil, false
+		return prev[:0], false
 	}
 	b := r.buf[h&r.mask]
-	r.buf[h&r.mask] = nil
+	r.buf[h&r.mask] = prev[:0]
 	r.head.Store(h + 1)
 	select {
 	case r.space <- struct{}{}:

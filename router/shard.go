@@ -14,9 +14,10 @@ import (
 // This file is the sharded multi-core data plane (DESIGN.md §4.5): an
 // RSS-style dispatcher that flow-hashes incoming traffic across N
 // independent Router CF pipeline replicas, each serviced by its own
-// goroutine behind an SPSC ring of pooled batches, with a batch-aware
-// merge at egress. The reflective twist over a plain RSS fan-out is that
-// the whole arrangement remains ONE component to the meta-space:
+// goroutine behind an SPSC ring that owns its batch arrays, with a
+// batch-aware merge at egress. The reflective twist over a plain RSS
+// fan-out is that the whole arrangement remains ONE component to the
+// meta-space:
 //
 //   - architecture: the replicas live in a cf.Composite's inner capsule,
 //     enumerable via Replicas() and the ordinary Snapshot/Subscribe paths;
@@ -122,7 +123,7 @@ type ShardedCF struct {
 	// fence; it is atomic so stats readers never take the fence.
 	active atomic.Int32
 
-	stage sync.Pool // per-dispatch [][]*Packet scratch, one slot per shard
+	stage sync.Pool // per-dispatch *[][]*Packet scratch, one array per shard
 }
 
 // NewShardedCF builds a sharded data plane over cfg.Shards replicas, each
@@ -145,7 +146,7 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 		out:       core.NewReceptacle[IPacketPush](IPacketPushID),
 		shards:    make([]*shard, cfg.Shards),
 	}
-	s.stage.New = func() any { return make([][]*Packet, cfg.Shards) }
+	s.stage.New = func() any { st := make([][]*Packet, cfg.Shards); return &st }
 	s.stamp = cfg.LatencyHistogram
 	for i := range s.shards {
 		sh := &shard{
@@ -301,15 +302,13 @@ func (s *ShardedCF) Stop(ctx context.Context) error {
 // makes it drain the ring and wait at that boundary until resumed.
 func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
 	defer close(sh.done)
+	var b []*Packet // the batch in hand, handed back to the ring on the next dequeue
 	drain := func() {
-		for {
-			b, ok := sh.ring.tryDequeue()
-			if !ok {
-				return
+		for ok := true; ok; {
+			if b, ok = sh.ring.tryDequeue(b); ok {
+				_ = sh.ingress.fuse.Forward(b)
+				sh.inflight.Add(-int64(len(b)))
 			}
-			_ = sh.ingress.fuse.Forward(b)
-			sh.inflight.Add(-int64(len(b)))
-			PutBatch(b)
 		}
 	}
 	for {
@@ -337,10 +336,10 @@ func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
 func (s *ShardedCF) Push(p *Packet) error { return pushOne(s, p) }
 
 // PushBatch implements IPacketPushBatch: the batch is split by flow hash
-// into per-shard sub-batches (drawn from the batch pool) which enter each
-// shard's ring as single hand-offs. Per-flow arrival order is preserved:
-// one flow hashes to one shard, sub-batches keep slice order, and rings
-// are FIFO. The whole batch is dispatched under the shared intake fence,
+// into per-shard sub-batches (in per-dispatch stage arrays) which enter
+// each shard's ring as single hand-offs. Per-flow arrival order is
+// preserved: one flow hashes to one shard, sub-batches keep slice order,
+// and rings are FIFO. The whole batch is dispatched under the shared intake fence,
 // so a rescale never lands mid-batch: it waits for the dispatch, then
 // drains every lane before switching the modulus. The incoming slice is
 // not retained.
@@ -372,30 +371,29 @@ func (s *ShardedCF) PushBatch(batch []*Packet) error {
 	}
 	n := uint32(s.active.Load())
 	if n == 1 {
-		s.dispatch(s.shards[0], append(GetBatch(), batch...))
+		s.dispatch(s.shards[0], batch)
 		return nil
 	}
-	stage := s.stage.Get().([][]*Packet)
+	stage := s.stage.Get().(*[][]*Packet)
+	st := *stage
 	for _, p := range batch {
-		i := int(FlowHash(p) % n)
-		if stage[i] == nil {
-			stage[i] = GetBatch()
-		}
-		stage[i] = append(stage[i], p)
+		i := FlowHash(p) % n
+		st[i] = append(st[i], p)
 	}
-	for i, b := range stage {
-		if b != nil {
-			stage[i] = nil
+	for i, b := range st {
+		if len(b) > 0 {
 			s.dispatch(s.shards[i], b)
+			clear(b)
+			st[i] = b[:0]
 		}
 	}
 	s.stage.Put(stage)
 	return nil
 }
 
-// dispatch hands one pooled batch to a shard's ring, blocking for space
-// (back-pressure, never loss); ownership of the slice passes to the
-// worker. The caller holds the intake fence shared, so the CF stays
+// dispatch copies one sub-batch into a shard's ring, blocking for space
+// (back-pressure, never loss); the ring keeps none of b, so the caller
+// reuses it. The caller holds the intake fence shared, so the CF stays
 // started and the worker keeps consuming until the enqueue completes.
 func (s *ShardedCF) dispatch(sh *shard, b []*Packet) {
 	sh.prodMu.Lock()

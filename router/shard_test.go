@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netkit/cf"
 	"netkit/core"
@@ -947,6 +948,68 @@ func TestShardedCFHotSwapFactoryFailure(t *testing.T) {
 	waitSinkTotal(t, sink, 1)
 }
 
+// countSink counts packets without keeping them; unlike countingSink it
+// is safe for the concurrent pushes of every shard worker.
+type countSink struct {
+	*core.Base
+	pkts atomic.Int64
+}
+
+func (s *countSink) Push(p *Packet) error { return s.PushBatch([]*Packet{p}) }
+
+func (s *countSink) PushBatch(batch []*Packet) error {
+	s.pkts.Add(int64(len(batch)))
+	return nil
+}
+
+// TestShardedCFPushBatchAllocatesNothing: in the steady state a dispatch
+// onto a started 2-lane plane allocates nothing — the stage scratch is
+// pooled by pointer and the rings reuse their own arrays.
+func TestShardedCFPushBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	capsule := core.NewCapsule("shardtest")
+	s, err := NewShardedCF(capsule, ShardConfig{Shards: 2}, counterReplica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countSink{Base: core.NewBase("test.CountSink")}
+	sink.Provide(IPacketPushID, sink)
+	for name, c := range map[string]core.Component{"sharded": s, "sink": sink} {
+		if err := capsule.Insert(name, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ConnectPush(capsule, "sharded", "out", "sink"); err != nil {
+		t.Fatal(err)
+	}
+	if err := capsule.StartAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = capsule.StopAll(context.Background()) })
+	batch := make([]*Packet, 16)
+	for i := range batch {
+		batch[i] = mkFlowPacket(t, uint32(i), 0)
+	}
+	var want int64
+	push := func() {
+		// One batch at a time, so the rings never run deeper than the
+		// warm-up left them and no array is grown inside the measurement.
+		_ = s.PushBatch(batch)
+		for want += int64(len(batch)); sink.pkts.Load() < want; {
+			runtime.Gosched()
+		}
+	}
+	push()
+	if n := testing.AllocsPerRun(200, push); n != 0 {
+		t.Fatalf("PushBatch allocates %v times per batch", n)
+	}
+	if s.ShardStats(0).Out == 0 || s.ShardStats(1).Out == 0 {
+		t.Fatal("the batch did not spread over both lanes")
+	}
+}
+
 // ---- the SPSC ring ---------------------------------------------------------
 
 // TestSPSCRingTransfersInOrder moves batches through the ring with a
@@ -958,10 +1021,11 @@ func TestSPSCRingTransfersInOrder(t *testing.T) {
 	const n = 20000
 	done := make(chan error, 1)
 	go func() {
+		var b []*Packet
 		next := 0
 		for next < n {
-			b, ok := r.tryDequeue()
-			if !ok {
+			var ok bool
+			if b, ok = r.tryDequeue(b); !ok {
 				select {
 				case <-r.wake:
 				case <-time.After(5 * time.Second):
@@ -988,8 +1052,98 @@ func TestSPSCRingTransfersInOrder(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.tryDequeue(); ok {
+	if _, ok := r.tryDequeue(nil); ok {
 		t.Fatal("ring not empty after transfer")
+	}
+}
+
+// TestSPSCRingReusesWarmArrays pins the ring's ownership of its slot
+// arrays: a one-batch-at-a-time transfer keeps cycling the few arrays the
+// consumer handed back last instead of one per slot, a freed slot pins no
+// packet, and once the arrays are grown a hand-off allocates nothing.
+func TestSPSCRingReusesWarmArrays(t *testing.T) {
+	r := newSPSCRing(ringDepth)
+	pkts := []*Packet{mkFlowPacket(t, 1, 0), mkFlowPacket(t, 1, 1), mkFlowPacket(t, 1, 2)}
+	arrays := map[**Packet]bool{}
+	var b []*Packet
+	for i := 0; i < 1000; i++ {
+		in := pkts[:len(pkts)-i%len(pkts)] // shrinking lengths, so no array regrows
+		r.enqueue(in)
+		var ok bool
+		if b, ok = r.tryDequeue(b); !ok || len(b) != len(in) || b[0] != in[0] {
+			t.Fatalf("batch %d: got %d packets (ok=%v), want %d", i, len(b), ok, len(in))
+		}
+		arrays[unsafe.SliceData(b)] = true
+		freed := r.buf[(r.head.Load()-1)&r.mask]
+		for j, p := range freed[:cap(freed)] {
+			if p != nil {
+				t.Fatalf("batch %d: freed slot still holds a packet at %d", i, j)
+			}
+		}
+	}
+	if len(arrays) > 3 {
+		t.Fatalf("1000 one-at-a-time batches went through %d backing arrays, want <= 3", len(arrays))
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		r.enqueue(pkts)
+		b, _ = r.tryDequeue(b)
+	}); n != 0 {
+		t.Fatalf("an enqueue/dequeue cycle allocates %v times", n)
+	}
+}
+
+// TestSPSCRingSwapRace runs a full-speed producer against a full-speed
+// consumer on rings so shallow that the tail slot and the warm slot behind
+// head coincide often, checking that every batch arrives whole and in
+// order — the property the producer's array swap must not break.
+func TestSPSCRingSwapRace(t *testing.T) {
+	const n = 20000
+	pkts := make([]*Packet, n+3)
+	for i := range pkts {
+		pkts[i] = mkFlowPacket(t, 1, uint32(i))
+	}
+	for _, depth := range []int{2, 4} {
+		t.Run(strconv.Itoa(depth), func(t *testing.T) {
+			r := newSPSCRing(depth)
+			done := make(chan error, 1)
+			go func() {
+				// After a mismatch the consumer keeps draining, so the
+				// producer never blocks on a ring nobody empties.
+				var b []*Packet
+				var err error
+				next := 0
+				for next < n {
+					var ok bool
+					if b, ok = r.tryDequeue(b); !ok {
+						select {
+						case <-r.wake:
+						case <-time.After(5 * time.Second):
+							done <- errors.Join(err, fmt.Errorf("consumer stalled at %d", next))
+							return
+						}
+						continue
+					}
+					for _, p := range b {
+						if _, seq := flowSeq(p); seq != uint32(next) && err == nil {
+							err = fmt.Errorf("packet %d arrived at position %d", seq, next)
+						}
+						next++
+					}
+				}
+				done <- err
+			}()
+			for i, j := 0, 0; i < n; j++ {
+				k := 1 + j%3
+				r.enqueue(pkts[i : i+k])
+				i += k
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r.tryDequeue(nil); ok {
+				t.Fatal("ring not empty after transfer")
+			}
+		})
 	}
 }
 
