@@ -49,21 +49,29 @@ func newSeqSink() *seqSink {
 	return s
 }
 
-func (s *seqSink) Push(p *router.Packet) error {
-	data := p.Data
+func (s *seqSink) PushBatch(batch []*router.Packet) error {
 	s.mu.Lock()
-	if len(data) >= 34 {
-		flow := binary.BigEndian.Uint16(data[28:30])
-		seq := binary.BigEndian.Uint32(data[30:34])
-		if s.next[flow] != seq {
-			s.bad++
+	for _, p := range batch {
+		if data := p.Data; len(data) >= 34 {
+			flow := binary.BigEndian.Uint16(data[28:30])
+			seq := binary.BigEndian.Uint32(data[30:34])
+			if s.next[flow] != seq {
+				s.bad++
+			}
+			s.next[flow] = seq + 1
 		}
-		s.next[flow] = seq + 1
+		s.count++
 	}
-	s.count++
 	s.mu.Unlock()
-	p.Release()
+	for _, p := range batch {
+		p.Release()
+	}
 	return nil
+}
+
+// push1 pushes one packet as a one-element batch.
+func push1(dst router.IPacketPush, p *router.Packet) error {
+	return dst.PushBatch([]*router.Packet{p})
 }
 
 func (s *seqSink) totals() (count uint64, bad int) {
@@ -173,7 +181,7 @@ func TestClosedLoopQueueSwap(t *testing.T) {
 	}
 	var crossedAt atomic.Int64 // UnixNano of the push that took q past the trigger level
 	rtr.Register(7, func(_ string, payload []byte) {
-		_ = in.Push(router.NewPacket(payload))
+		_ = push1(in, router.NewPacket(payload))
 		if crossedAt.Load() == 0 && q.Len() > qCap/2 {
 			crossedAt.Store(time.Now().UnixNano())
 		}
@@ -328,7 +336,7 @@ func TestClosedLoopShardScaleUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtr.Register(7, func(_ string, payload []byte) {
-		_ = sharded.Push(router.NewPacket(payload))
+		_ = push1(sharded, router.NewPacket(payload))
 	})
 	defer w.Stop()
 
@@ -458,7 +466,7 @@ func TestRetuneShaperFromDrops(t *testing.T) {
 				return
 			default:
 			}
-			_ = in.Push(router.NewPacket(mkUDP(t, uint16(i%8), uint32(i))))
+			_ = push1(in, router.NewPacket(mkUDP(t, uint16(i%8), uint32(i))))
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -472,7 +480,7 @@ func TestRetuneShaperFromDrops(t *testing.T) {
 	// The retuned bucket admits traffic again.
 	before := sink.ElemStats().In
 	for i := 0; i < 10; i++ {
-		_ = in.Push(router.NewPacket(mkUDP(t, 1, uint32(i))))
+		_ = push1(in, router.NewPacket(mkUDP(t, 1, uint32(i))))
 	}
 	if got := sink.ElemStats().In; got != before+10 {
 		t.Fatalf("post-retune sink in = %d, want %d", got, before+10)
@@ -524,7 +532,7 @@ func TestDiagnosticProbeOnLossSpike(t *testing.T) {
 
 	// Overflow the tiny queue so drops spike.
 	for i := 0; i < 64; i++ {
-		_ = in.Push(router.NewPacket(mkUDP(t, 1, uint32(i))))
+		_ = push1(in, router.NewPacket(mkUDP(t, 1, uint32(i))))
 	}
 	waitFiring(t, fired, "probe-on-loss", 10*time.Second)
 
@@ -541,7 +549,7 @@ func TestDiagnosticProbeOnLossSpike(t *testing.T) {
 	// The probe observes subsequent traffic.
 	before := audited.Load()
 	for i := 0; i < 5; i++ {
-		_ = in.Push(router.NewPacket(mkUDP(t, 2, uint32(i))))
+		_ = push1(in, router.NewPacket(mkUDP(t, 2, uint32(i))))
 	}
 	if got := audited.Load(); got != before+5 {
 		t.Fatalf("probe counted %d, want %d", got, before+5)
@@ -640,18 +648,6 @@ func newDelayStage(d time.Duration) *delayStage {
 	return s
 }
 
-func (s *delayStage) Push(p *router.Packet) error {
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
-	dst, ok := s.out.Get()
-	if !ok {
-		p.Release()
-		return core.ErrNotBound
-	}
-	return dst.Push(p)
-}
-
 func (s *delayStage) PushBatch(batch []*router.Packet) error {
 	if s.delay > 0 {
 		time.Sleep(s.delay * time.Duration(len(batch)))
@@ -663,7 +659,7 @@ func (s *delayStage) PushBatch(batch []*router.Packet) error {
 		}
 		return core.ErrNotBound
 	}
-	return router.ForwardBatch(dst, batch)
+	return dst.PushBatch(batch)
 }
 
 // TestViewQuantileHelpers pins the windowed-vs-cumulative semantics the
@@ -788,7 +784,7 @@ func TestClosedLoopP99HotSwap(t *testing.T) {
 				return
 			default:
 			}
-			_ = sharded.Push(router.NewPacket(frames[i%flows]))
+			_ = push1(sharded, router.NewPacket(frames[i%flows]))
 			sent.Add(1)
 			i++
 			time.Sleep(200 * time.Microsecond)

@@ -122,7 +122,7 @@ func TestClosedLoopFlowCacheResize(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		for fl := 0; fl < flows; fl++ {
-			if err := cls.Push(mk(uint16(fl))); err != nil {
+			if err := push1(cls, mk(uint16(fl))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -151,13 +151,13 @@ func TestClosedLoopFlowCacheResize(t *testing.T) {
 	// ...and the regression is actually gone: after one warm-up round, a
 	// full round of the same flows is served (almost) entirely from cache.
 	for fl := 0; fl < flows; fl++ {
-		if err := cls.Push(mk(uint16(fl))); err != nil {
+		if err := push1(cls, mk(uint16(fl))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h0, _, _ := fc.Counters()
 	for fl := 0; fl < flows; fl++ {
-		if err := cls.Push(mk(uint16(fl))); err != nil {
+		if err := push1(cls, mk(uint16(fl))); err != nil {
 			t.Fatal(err)
 		}
 	}

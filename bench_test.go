@@ -52,10 +52,10 @@ func reportKpps(b *testing.B) {
 
 func BenchmarkE1_DirectCall(b *testing.B) {
 	sink := router.NewDropper()
-	p := router.NewPacket(benchPacketRaw(b))
+	one := []*router.Packet{router.NewPacket(benchPacketRaw(b))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sink.Push(p)
+		_ = sink.PushBatch(one)
 	}
 }
 
@@ -71,10 +71,10 @@ func BenchmarkE1_FusedBinding(b *testing.B) {
 	if _, err := router.ConnectPush(capsule, "cnt", "out", "drop"); err != nil {
 		b.Fatal(err)
 	}
-	p := router.NewPacket(benchPacketRaw(b))
+	one := []*router.Packet{router.NewPacket(benchPacketRaw(b))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cnt.Push(p)
+		_ = cnt.PushBatch(one)
 	}
 }
 
@@ -101,10 +101,10 @@ func BenchmarkE1_Interceptors(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			p := router.NewPacket(benchPacketRaw(b))
+			one := []*router.Packet{router.NewPacket(benchPacketRaw(b))}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = cnt.Push(p)
+				_ = cnt.PushBatch(one)
 			}
 		})
 	}
@@ -195,12 +195,12 @@ func BenchmarkE3_NetkitChain(b *testing.B) {
 		b.Run(fmt.Sprintf("len-%d", k), func(b *testing.B) {
 			first, _ := e3Chain(b, k)
 			raw := benchPacketRaw(b)
-			p := router.NewPacket(raw)
+			one := []*router.Packet{router.NewPacket(raw)}
 			ttl := raw[8]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				raw[8] = ttl // rearm TTL so the packet never expires
-				_ = first.Push(p)
+				_ = first.PushBatch(one)
 			}
 			reportKpps(b)
 		})
@@ -328,10 +328,10 @@ func BenchmarkE5_ClassifierLookup(b *testing.B) {
 
 func BenchmarkE6_InProcPush(b *testing.B) {
 	cnt := router.NewCounter()
-	p := router.NewPacket(benchPacketRaw(b))
+	one := []*router.Packet{router.NewPacket(benchPacketRaw(b))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cnt.Push(p)
+		_ = cnt.PushBatch(one)
 	}
 }
 
@@ -349,7 +349,8 @@ func BenchmarkE6_OutOfProcPush(b *testing.B) {
 	raw := benchPacketRaw(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rc.Push(router.NewPacket(raw))
+		_ = rc.PushBatch([]*router.Packet{router.NewPacket(raw)})
+		_ = rc.Flush()
 	}
 }
 
@@ -406,9 +407,8 @@ func e18PushBatchNs(tb testing.TB, batch, iters int) float64 {
 }
 
 // e18InProcNs is the in-proc reference: the same Counter.PushBatch of one
-// packet the remote side runs, called through nothing at all — on a slice
-// the caller holds, so the per-packet adapter's cost is not in the
-// denominator.
+// packet the remote side runs, called through nothing at all on a slice
+// the caller holds.
 func e18InProcNs(tb testing.TB, iters int) float64 {
 	tb.Helper()
 	cnt := router.NewCounter()
@@ -423,7 +423,7 @@ func e18InProcNs(tb testing.TB, iters int) float64 {
 // TestE18BatchAmortization is the acceptance gate for the batched ipc
 // transport: pushing batch-32 through the pipelined binary framing must
 // land within 25x of the in-proc call — against the ~190x a synchronous
-// per-packet crossing costs (E6). Best of five attempts is gated: the
+// one-packet crossing costs (E6). Best of five attempts is gated: the
 // capability is what is asserted, and shared-runner noise only ever
 // degrades a measurement, never flatters it.
 func TestE18BatchAmortization(t *testing.T) {
@@ -699,9 +699,10 @@ func BenchmarkE10_WFQShare(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E11 — batched fast path: per-packet Push vs PushBatch through the
-// forwarding chain (DESIGN.md §3/§4). All variants process one packet per
-// benchmark op, so ns/op and B/op are directly comparable.
+// E11 — batched fast path: PushBatch through the forwarding chain by
+// batch size, batch-1 being the one-packet crossing (DESIGN.md §3/§4).
+// All variants process one packet per benchmark op, so ns/op and B/op are
+// directly comparable.
 
 // e11Packets builds k distinct E-series trace packets plus their TTL
 // bytes for rearming between iterations.
@@ -726,18 +727,6 @@ func e11Packets(b *testing.B, k int) (pkts []*router.Packet, raws [][]byte, ttls
 	return pkts, raws, ttls
 }
 
-func BenchmarkE11_PerPacket(b *testing.B) {
-	first, _ := e3Chain(b, 2)
-	pkts, raws, ttls := e11Packets(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raws[0][8] = ttls[0]
-		_ = first.Push(pkts[0])
-	}
-	reportKpps(b)
-}
-
 func BenchmarkE11_Batched(b *testing.B) {
 	for _, k := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("batch-%d", k), func(b *testing.B) {
@@ -753,7 +742,7 @@ func BenchmarkE11_Batched(b *testing.B) {
 				for j := 0; j < n; j++ {
 					raws[j][8] = ttls[j] // rearm TTLs so packets never expire
 				}
-				_ = router.ForwardBatch(first, pkts[:n])
+				_ = first.PushBatch(pkts[:n])
 			}
 			reportKpps(b)
 		})
@@ -786,16 +775,7 @@ func BenchmarkE11_Intercepted(b *testing.B) {
 		}
 		return cnt
 	}
-	b.Run("perpacket", func(b *testing.B) {
-		first := setup(b)
-		pkts, _, _ := e11Packets(b, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = first.Push(pkts[0])
-		}
-	})
-	for _, k := range []int{8, 32, 128} {
+	for _, k := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("batch-%d", k), func(b *testing.B) {
 			first := setup(b)
 			pkts, _, _ := e11Packets(b, k)
@@ -806,7 +786,7 @@ func BenchmarkE11_Intercepted(b *testing.B) {
 				if rem := b.N - i; rem < n {
 					n = rem
 				}
-				_ = router.ForwardBatch(first, pkts[:n])
+				_ = first.PushBatch(pkts[:n])
 			}
 		})
 	}
@@ -830,10 +810,10 @@ func BenchmarkEE_NativeProgram(b *testing.B) {
 	if err := ee.Attach("udp", appsvc.TTLFloor{Min: 2}, appsvc.Sandbox{}); err != nil {
 		b.Fatal(err)
 	}
-	p := router.NewPacket(benchPacketRaw(b))
+	one := []*router.Packet{router.NewPacket(benchPacketRaw(b))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ee.Push(p)
+		_ = ee.PushBatch(one)
 	}
 }
 
@@ -860,10 +840,10 @@ func BenchmarkEE_VMProgram(b *testing.B) {
 	if err := ee.AttachVM("guard", "udp", code, appsvc.Sandbox{}); err != nil {
 		b.Fatal(err)
 	}
-	p := router.NewPacket(benchPacketRaw(b))
+	one := []*router.Packet{router.NewPacket(benchPacketRaw(b))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ee.Push(p)
+		_ = ee.PushBatch(one)
 	}
 }
 
@@ -1164,13 +1144,13 @@ func BenchmarkE15_LookupCurve(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			p := router.NewPacket(raw)
-			if err := cls.Push(p); err != nil { // warm the flow's verdict
+			one := []*router.Packet{router.NewPacket(raw)}
+			if err := cls.PushBatch(one); err != nil { // warm the flow's verdict
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = cls.Push(p)
+				_ = cls.PushBatch(one)
 			}
 		})
 	}
@@ -1233,7 +1213,7 @@ func e16Chain(b *testing.B, chainLen int) (*router.FastPath, *core.Capsule) {
 	// is meaningless hop-by-hop.
 	raw := benchPacketRaw(b)
 	ttl := raw[8]
-	if err := fp.Push(router.NewPacket(raw)); err != nil {
+	if err := fp.PushBatch([]*router.Packet{router.NewPacket(raw)}); err != nil {
 		b.Fatal(err)
 	}
 	raw[8] = ttl
@@ -1250,13 +1230,13 @@ func BenchmarkE16_FusedChain(b *testing.B) {
 		b.Run(fmt.Sprintf("len-%d", k), func(b *testing.B) {
 			fp, _ := e16Chain(b, k)
 			raw := benchPacketRaw(b)
-			p := router.NewPacket(raw)
+			one := []*router.Packet{router.NewPacket(raw)}
 			ttl := raw[8]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				raw[8] = ttl // rearm TTL so the packet never expires
-				_ = fp.Push(p)
+				_ = fp.PushBatch(one)
 			}
 			reportKpps(b)
 		})
@@ -1290,7 +1270,7 @@ func BenchmarkE16_FusedChainBatched(b *testing.B) {
 }
 
 // BenchmarkE16_UnfusedChainBatched is the batched hop-by-hop control: the
-// same chain shape driven through ForwardBatch without a FastPath, so the
+// same chain shape driven hop by hop without a FastPath, so the
 // fusion dividend can be separated from the batching dividend.
 func BenchmarkE16_UnfusedChainBatched(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
@@ -1308,7 +1288,7 @@ func BenchmarkE16_UnfusedChainBatched(b *testing.B) {
 				for j := 0; j < n; j++ {
 					raws[j][8] = ttls[j]
 				}
-				_ = router.ForwardBatch(first, pkts[:n])
+				_ = first.PushBatch(pkts[:n])
 			}
 			reportKpps(b)
 		})
@@ -1329,7 +1309,7 @@ func BenchmarkE16_DespecializeRefuse(b *testing.B) {
 		b.Fatal("mid-chain binding not found")
 	}
 	raw := benchPacketRaw(b)
-	p := router.NewPacket(raw)
+	one := []*router.Packet{router.NewPacket(raw)}
 	ttl := raw[8]
 	noop := core.PrePost(nil, nil)
 	b.ResetTimer()
@@ -1338,12 +1318,12 @@ func BenchmarkE16_DespecializeRefuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		raw[8] = ttl
-		_ = fp.Push(p) // hop-by-hop while intercepted
+		_ = fp.PushBatch(one) // hop-by-hop while intercepted
 		if err := mid.RemoveInterceptor("probe"); err != nil {
 			b.Fatal(err)
 		}
 		raw[8] = ttl
-		_ = fp.Push(p) // re-fuses on this crossing
+		_ = fp.PushBatch(one) // re-fuses on this crossing
 	}
 	if got := fp.Fuser().FusedHops(); got != 10 {
 		b.Fatalf("chain did not re-fuse: %d hops", got)

@@ -287,7 +287,7 @@ func TestBlueprintShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := push.Push(router.NewPacket(b)); err != nil {
+			if err := push.PushBatch([]*router.Packet{router.NewPacket(b)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -379,7 +379,7 @@ func TestBlueprintAdapt(t *testing.T) {
 	}
 	const sent = 48 // 75% of the small queue
 	for i := 0; i < sent; i++ {
-		if err := in.Push(router.NewPacket(raw)); err != nil {
+		if err := in.PushBatch([]*router.Packet{router.NewPacket(raw)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -240,7 +240,7 @@ func run() error {
 						continue
 					}
 					if err := pumpPool.Submit(pumpTask, func() {
-						_ = push.Push(router.NewPacket(raw))
+						_ = push.PushBatch([]*router.Packet{router.NewPacket(raw)})
 					}); err != nil {
 						return
 					}

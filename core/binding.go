@@ -97,13 +97,11 @@ func (b *Binding) Interceptors() []string {
 //
 // A fused binding (empty chain) routes the receptacle straight at the raw
 // provided interface, so capability discovery by type assertion — how the
-// router's batched fast path finds IPacketPushBatch downstream — sees the
-// real component. An un-fused binding interposes the descriptor's proxy;
-// descriptors whose interfaces have aggregate operations must produce
-// proxies preserving those capabilities (the router's push proxy forwards
-// whole batches through the chain as single operations), otherwise
-// installing an interceptor silently degrades the data path to
-// per-element calls.
+// router finds a queue that drains in batches behind a pull binding —
+// sees the real component. An un-fused binding interposes the
+// descriptor's proxy, which presents the interface's own operations and
+// nothing more: the router's push interface has one operation, PushBatch,
+// so its proxy carries a whole batch through the chain as one call.
 func (b *Binding) AddInterceptor(ic Interceptor) error {
 	if ic.Name == "" || ic.Wrap == nil {
 		return fmt.Errorf("core: add interceptor: empty name or nil wrap")

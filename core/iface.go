@@ -16,7 +16,7 @@ type InterfaceID string
 // OpDesc describes one operation of an interface for the interface
 // meta-model (the analogue of a type-library entry).
 type OpDesc struct {
-	// Name of the operation, e.g. "Push".
+	// Name of the operation, e.g. "PushBatch".
 	Name string
 	// NumIn and NumOut are the operation's argument and result counts,
 	// excluding the receiver.

@@ -20,7 +20,7 @@ func pump(c *core.Capsule, component string, n int) error {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		if err := push.Push(testPacket()); err != nil {
+		if err := push.PushBatch([]*router.Packet{testPacket()}); err != nil {
 			return err
 		}
 	}

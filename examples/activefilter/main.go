@@ -68,7 +68,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := ee.Push(router.NewPacket(raw)); err != nil {
+		if err := ee.PushBatch([]*router.Packet{router.NewPacket(raw)}); err != nil {
 			return err
 		}
 	}
@@ -79,7 +79,7 @@ func run() error {
 			return err
 		}
 		p := router.NewPacket(raw)
-		if err := ee.Push(p); err != nil {
+		if err := ee.PushBatch([]*router.Packet{p}); err != nil {
 			return err
 		}
 		if h, err := packet.ParseIPv4(raw); err == nil && h.TOS == 46 {

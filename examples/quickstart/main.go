@@ -37,7 +37,7 @@ func main() {
 			raw, err := packet.BuildUDP4(netip.MustParseAddr(src),
 				netip.MustParseAddr("192.168.0.1"), sport, dport, 64, []byte("hello"))
 			must(err)
-			must(ingress.Push(router.NewPacket(raw)))
+			must(ingress.PushBatch([]*router.Packet{router.NewPacket(raw)}))
 		}
 	}
 	push(1000, "10.0.0.1", 5000, 53)

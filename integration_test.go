@@ -206,7 +206,7 @@ func TestReconfigureUnderLoadEndToEnd(t *testing.T) {
 	go func() {
 		sent := 0
 		for _, raw := range raws {
-			if head.Push(router.NewPacket(raw)) == nil {
+			if head.PushBatch([]*router.Packet{router.NewPacket(raw)}) == nil {
 				sent++
 			}
 		}

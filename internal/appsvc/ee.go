@@ -227,13 +227,45 @@ func (ee *ExecEnv) StatsOf(name string) (AttachStats, error) {
 	return AttachStats{}, fmt.Errorf("appsvc: %q: %w", name, ErrNoProgram)
 }
 
-// Push implements router.IPacketPush.
-func (ee *ExecEnv) Push(p *router.Packet) error {
-	ee.in.Add(1)
-	view := p.View()
+// PushBatch implements router.IPacketPush: the programs run packet by
+// packet, and the survivors leave "out" in arrival order as one batch.
+func (ee *ExecEnv) PushBatch(batch []*router.Packet) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	ee.in.Add(uint64(len(batch)))
 	ee.mu.RLock()
 	attach := ee.attach
 	ee.mu.RUnlock()
+	kept := router.GetBatch()
+	for _, p := range batch {
+		if ee.admit(attach, p) {
+			kept = append(kept, p)
+		} else {
+			ee.dropped.Add(1)
+			p.Release()
+		}
+	}
+	var err error
+	switch next, ok := ee.out.Get(); {
+	case len(kept) == 0:
+	case ok:
+		ee.forward.Add(uint64(len(kept)))
+		err = next.PushBatch(kept)
+	default:
+		ee.dropped.Add(uint64(len(kept)))
+		for _, p := range kept {
+			p.Release()
+		}
+	}
+	router.PutBatch(kept)
+	return err
+}
+
+// admit runs every matching attachment against p in order and reports
+// whether the packet survives them.
+func (ee *ExecEnv) admit(attach []*attachment, p *router.Packet) bool {
+	view := p.View()
 	for _, a := range attach {
 		if !a.match.Match(view) {
 			continue
@@ -249,27 +281,16 @@ func (ee *ExecEnv) Push(p *router.Packet) error {
 			// Program fault: fail-safe is drop (security over availability
 			// for injected code).
 			a.faults.Add(1)
-			ee.dropped.Add(1)
-			p.Release()
-			return nil
+			return false
 		}
 		if verdict == VerdictDrop {
 			a.drops.Add(1)
-			ee.dropped.Add(1)
-			p.Release()
-			return nil
+			return false
 		}
 		p.InvalidateView()
 		view = p.View()
 	}
-	next, ok := ee.out.Get()
-	if !ok {
-		ee.dropped.Add(1)
-		p.Release()
-		return nil
-	}
-	ee.forward.Add(1)
-	return next.Push(p)
+	return true
 }
 
 // run executes one attachment against one packet.

@@ -27,8 +27,9 @@ func mediaPkt(t *testing.T, dstPort uint16, payload []byte) *router.Packet {
 
 type collectorSink struct {
 	*core.Base
-	mu   sync.Mutex
-	pkts []*router.Packet
+	mu      sync.Mutex
+	pkts    []*router.Packet
+	batches int
 }
 
 func newCollector() *collectorSink {
@@ -37,11 +38,17 @@ func newCollector() *collectorSink {
 	return s
 }
 
-func (s *collectorSink) Push(p *router.Packet) error {
+func (s *collectorSink) PushBatch(batch []*router.Packet) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pkts = append(s.pkts, p)
+	s.pkts = append(s.pkts, batch...)
+	s.batches++
 	return nil
+}
+
+// push1 pushes one packet as a one-element batch.
+func push1(dst router.IPacketPush, p *router.Packet) error {
+	return dst.PushBatch([]*router.Packet{p})
 }
 
 func (s *collectorSink) count() int {
@@ -69,7 +76,7 @@ func eeFixture(t *testing.T) (*ExecEnv, *collectorSink) {
 
 func TestEEPassThroughNoPrograms(t *testing.T) {
 	ee, out := eeFixture(t)
-	if err := ee.Push(mediaPkt(t, 5004, []byte("frame"))); err != nil {
+	if err := push1(ee, mediaPkt(t, 5004, []byte("frame"))); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 {
@@ -84,7 +91,7 @@ func TestEEMediaFilterThinsFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if err := ee.Push(mediaPkt(t, 5004, []byte("frame"))); err != nil {
+		if err := push1(ee, mediaPkt(t, 5004, []byte("frame"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +100,7 @@ func TestEEMediaFilterThinsFlow(t *testing.T) {
 	}
 	// Unmatched traffic is untouched.
 	for i := 0; i < 5; i++ {
-		if err := ee.Push(mediaPkt(t, 9999, []byte("other"))); err != nil {
+		if err := push1(ee, mediaPkt(t, 9999, []byte("other"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,6 +116,38 @@ func TestEEMediaFilterThinsFlow(t *testing.T) {
 	}
 }
 
+// TestEEBatchForwardsSurvivorsInOrder: the programs run packet by packet
+// and the survivors leave as one batch, in arrival order.
+func TestEEBatchForwardsSurvivorsInOrder(t *testing.T) {
+	ee, out := eeFixture(t)
+	if err := ee.Attach("udp and dst port 5004", &MediaFilter{KeepOneIn: 2}, Sandbox{}); err != nil {
+		t.Fatal(err)
+	}
+	var batch, want []*router.Packet
+	for i := 0; i < 6; i++ {
+		media, other := mediaPkt(t, 5004, []byte("frame")), mediaPkt(t, 9999, []byte("other"))
+		batch = append(batch, media, other)
+		if i%2 == 0 {
+			want = append(want, media)
+		}
+		want = append(want, other)
+	}
+	if err := ee.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if out.batches != 1 || len(out.pkts) != len(want) {
+		t.Fatalf("%d packets in %d batches, want %d in one", len(out.pkts), out.batches, len(want))
+	}
+	for i := range want {
+		if out.pkts[i] != want[i] {
+			t.Fatalf("packet %d out of arrival order", i)
+		}
+	}
+	if in, fwd, dropped := ee.Stats(); in != 12 || fwd != 9 || dropped != 3 {
+		t.Fatalf("stats in=%d forwarded=%d dropped=%d, want 12/9/3", in, fwd, dropped)
+	}
+}
+
 func TestEEFlowMeterAccumulates(t *testing.T) {
 	ee, _ := eeFixture(t)
 	if err := ee.Attach("udp", FlowMeter{}, Sandbox{}); err != nil {
@@ -118,7 +157,7 @@ func TestEEFlowMeterAccumulates(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		p := mediaPkt(t, 5004, []byte("x"))
 		total += len(p.Data)
-		if err := ee.Push(p); err != nil {
+		if err := push1(ee, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,10 +194,10 @@ func TestEEVMProgramDropsLowTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(router.NewPacket(ok)); err != nil {
+	if err := push1(ee, router.NewPacket(ok)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(router.NewPacket(low)); err != nil {
+	if err := push1(ee, router.NewPacket(low)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 {
@@ -176,7 +215,7 @@ func TestEEVMProgramMutatesPacket(t *testing.T) {
 	if err := ee.AttachVM("dscp-mark", "udp and dst port 5004", code, Sandbox{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(mediaPkt(t, 5004, []byte("av"))); err != nil {
+	if err := push1(ee, mediaPkt(t, 5004, []byte("av"))); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 {
@@ -204,7 +243,7 @@ func TestEEFaultingProgramDropsPacket(t *testing.T) {
 		Sandbox{Gas: 50}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(mediaPkt(t, 1, nil)); err != nil {
+	if err := push1(ee, mediaPkt(t, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 0 {
@@ -228,7 +267,7 @@ func TestEESandboxRateLimitFailsOpen(t *testing.T) {
 	// First packet consumes the program budget (dropped by the filter);
 	// the rest bypass the over-budget program and pass through.
 	for i := 0; i < 10; i++ {
-		if err := ee.Push(mediaPkt(t, 5004, nil)); err != nil {
+		if err := push1(ee, mediaPkt(t, 5004, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,13 +318,13 @@ func TestEEDetach(t *testing.T) {
 	if err := ee.Attach("udp", mf, Sandbox{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(mediaPkt(t, 1, nil)); err != nil {
+	if err := push1(ee, mediaPkt(t, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 { // first packet is the kept one (count%n==1)
 		t.Fatalf("first packet should pass: %d", out.count())
 	}
-	if err := ee.Push(mediaPkt(t, 1, nil)); err != nil {
+	if err := push1(ee, mediaPkt(t, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 {
@@ -297,7 +336,7 @@ func TestEEDetach(t *testing.T) {
 	if err := ee.Detach("media-filter"); !errors.Is(err, ErrNoProgram) {
 		t.Fatalf("want ErrNoProgram, got %v", err)
 	}
-	if err := ee.Push(mediaPkt(t, 1, nil)); err != nil {
+	if err := push1(ee, mediaPkt(t, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 2 {
@@ -324,10 +363,10 @@ func TestEETTLFloorProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(router.NewPacket(high)); err != nil {
+	if err := push1(ee, router.NewPacket(high)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(router.NewPacket(low)); err != nil {
+	if err := push1(ee, router.NewPacket(low)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 {
@@ -344,7 +383,7 @@ func TestEEChainedPrograms(t *testing.T) {
 	if err := ee.Attach("udp", FlowMeter{}, Sandbox{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ee.Push(mediaPkt(t, 1, nil)); err != nil {
+	if err := push1(ee, mediaPkt(t, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 1 {

@@ -95,7 +95,7 @@ func TestStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := push.Push(router.NewPacket(b)); err != nil {
+	if err := push.PushBatch([]*router.Packet{router.NewPacket(b)}); err != nil {
 		t.Fatal(err)
 	}
 	var sd StatsData

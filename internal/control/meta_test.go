@@ -29,7 +29,7 @@ func pushInto(t *testing.T, capsule *core.Capsule, component string, n int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := push.Push(router.NewPacket(raw)); err != nil {
+		if err := push.PushBatch([]*router.Packet{router.NewPacket(raw)}); err != nil {
 			t.Fatal(err)
 		}
 	}

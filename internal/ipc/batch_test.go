@@ -14,23 +14,28 @@ import (
 	"netkit/router"
 )
 
-// markerBomb counts and forwards clean packets but panics on any packet
-// whose first byte is 0xFF — the mid-batch crash fixture.
+// markerBomb counts and forwards clean batches but panics on any batch
+// holding a packet whose first byte is 0xFF — the mid-batch crash fixture
+// (the host delivers one packet at a time, so the panic is the marker's).
 type markerBomb struct {
 	*core.Base
 	out       *core.Receptacle[router.IPacketPush]
 	delivered atomic.Uint64
 }
 
-func (m *markerBomb) Push(p *router.Packet) error {
-	if len(p.Data) > 0 && p.Data[0] == 0xFF {
-		panic("marker bomb")
+func (m *markerBomb) PushBatch(batch []*router.Packet) error {
+	for _, p := range batch {
+		if len(p.Data) > 0 && p.Data[0] == 0xFF {
+			panic("marker bomb")
+		}
 	}
-	m.delivered.Add(1)
+	m.delivered.Add(uint64(len(batch)))
 	if next, ok := m.out.Get(); ok {
-		return next.Push(p)
+		return next.PushBatch(batch)
 	}
-	p.Release()
+	for _, p := range batch {
+		p.Release()
+	}
 	return nil
 }
 
@@ -40,9 +45,11 @@ type slowSink struct {
 	delay time.Duration
 }
 
-func (s *slowSink) Push(p *router.Packet) error {
-	time.Sleep(s.delay)
-	p.Release()
+func (s *slowSink) PushBatch(batch []*router.Packet) error {
+	for _, p := range batch {
+		time.Sleep(s.delay)
+		p.Release()
+	}
 	return nil
 }
 
@@ -73,13 +80,17 @@ type seqSink struct {
 	seqs []uint64
 }
 
-func (s *seqSink) Push(p *router.Packet) error {
+func (s *seqSink) PushBatch(batch []*router.Packet) error {
 	s.mu.Lock()
-	if len(p.Data) >= 8 {
-		s.seqs = append(s.seqs, binary.LittleEndian.Uint64(p.Data))
+	for _, p := range batch {
+		if len(p.Data) >= 8 {
+			s.seqs = append(s.seqs, binary.LittleEndian.Uint64(p.Data))
+		}
 	}
 	s.mu.Unlock()
-	p.Release()
+	for _, p := range batch {
+		p.Release()
+	}
 	return nil
 }
 
@@ -172,8 +183,9 @@ func TestPushBatchPipelinedDelivery(t *testing.T) {
 }
 
 // TestPushCrossesAsBinaryFrame pins the one packet protocol: every
-// per-packet Push crosses as a one-packet binary batch frame and is acked
-// before it returns; none takes a gob control call.
+// synchronous one-packet crossing (PushBatch, then Flush) travels as a
+// one-packet binary batch frame and is acked before Flush returns; none
+// takes a gob control call.
 func TestPushCrossesAsBinaryFrame(t *testing.T) {
 	client, _, cleanup := HostPair(batchRegistry(t))
 	defer cleanup()
@@ -184,7 +196,7 @@ func TestPushCrossesAsBinaryFrame(t *testing.T) {
 	sink := bindSeqSink(t, rc)
 	const n = 9
 	for i := 0; i < n; i++ {
-		if err := rc.Push(seqPkt(uint64(i))); err != nil {
+		if err := pushSync(rc, seqPkt(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 		if acked := rc.AckedFrames(); acked != uint64(i+1) {

@@ -484,27 +484,13 @@ type RemoteComponent struct {
 }
 
 var (
-	_ core.Component          = (*RemoteComponent)(nil)
-	_ router.IPacketPush      = (*RemoteComponent)(nil)
-	_ router.IPacketPushBatch = (*RemoteComponent)(nil)
-	_ router.IClassifier      = (*RemoteComponent)(nil)
-	_ core.IStats             = (*RemoteComponent)(nil)
+	_ core.Component     = (*RemoteComponent)(nil)
+	_ router.IPacketPush = (*RemoteComponent)(nil)
+	_ router.IClassifier = (*RemoteComponent)(nil)
+	_ core.IStats        = (*RemoteComponent)(nil)
 )
 
-// Push implements IPacketPush as a one-packet batch frame followed by a
-// Flush, so it is synchronous: it returns once the host has acked, and a
-// contained panic in the hosted component comes back as ErrContained.
-// Like Flush, it harvests the outcome client-wide: failures of batches
-// any stand-in on this client pipelined earlier surface here too.
-func (rc *RemoteComponent) Push(p *Packet) error {
-	err := rc.send([]*router.Packet{p})
-	if ferr := rc.client.Flush(); ferr != nil {
-		return ferr
-	}
-	return err
-}
-
-// PushBatch implements router.IPacketPushBatch: the batch is serialised
+// PushBatch implements router.IPacketPush: the batch is serialised
 // into one binary frame and written in a single vectored-style write,
 // pipelined under the client's credit window. The call blocks only when
 // the window is full; outcomes of earlier batches surface on later calls
@@ -610,9 +596,6 @@ func (rc *RemoteComponent) selfSweep(slot *txSlot) {
 // harvested outcome.
 func (rc *RemoteComponent) Flush() error { return rc.client.Flush() }
 
-// Packet aliases router.Packet for the exported Push signature.
-type Packet = router.Packet
-
 // RegisterFilter implements IClassifier remotely.
 func (rc *RemoteComponent) RegisterFilter(spec string, priority int, output string) (uint64, error) {
 	rc.gobCalls.Add(1)
@@ -671,7 +654,7 @@ func (rc *RemoteComponent) deliverBatch(port string, batch []*router.Packet) {
 		return
 	}
 	rc.emitted.Add(uint64(n))
-	_ = router.ForwardBatch(next, batch)
+	_ = next.PushBatch(batch)
 }
 
 // Emitted reports packets the remote side sent back through bound

@@ -33,11 +33,15 @@ type payloadSink struct {
 	pkts [][]byte
 }
 
-func (s *payloadSink) Push(p *router.Packet) error {
+func (s *payloadSink) PushBatch(batch []*router.Packet) error {
 	s.mu.Lock()
-	s.pkts = append(s.pkts, append([]byte(nil), p.Data...))
+	for _, p := range batch {
+		s.pkts = append(s.pkts, append([]byte(nil), p.Data...))
+	}
 	s.mu.Unlock()
-	p.Release()
+	for _, p := range batch {
+		p.Release()
+	}
 	return nil
 }
 
@@ -62,8 +66,8 @@ func carvePayloads(data []byte) [][]byte {
 }
 
 // fuzzRun drives the payloads through one isolated markerBomb — in
-// PushBatch calls of batchSize, or one synchronous Push per packet when
-// batchSize is 0 — and reports what the other side observed: forwarded
+// PushBatch calls of batchSize, or one synchronous crossing per packet (a
+// one-packet PushBatch, then Flush) when batchSize is 0 — and reports what the other side observed: forwarded
 // payloads in order, total failed-packet count, whether a containment
 // error surfaced, the client's emission counter, and the hosted
 // component's own delivery count.
@@ -106,7 +110,7 @@ func fuzzRun(t *testing.T, payloads [][]byte, batchSize int) (fwd [][]byte, fail
 			batch = append(batch, router.NewPacket(append([]byte(nil), pl...)))
 		}
 		if batchSize == 0 {
-			tally(rc.Push(batch[0]))
+			tally(pushSync(rc, batch[0]))
 		} else {
 			tally(rc.PushBatch(batch))
 		}
@@ -129,8 +133,8 @@ func fuzzRun(t *testing.T, payloads [][]byte, batchSize int) (fwd [][]byte, fail
 // one failed packet, containment surfaces iff any failed, and the
 // client's emission counter and the hosted delivery count both equal the
 // forwarded count. Each input runs twice — pipelined PushBatch with the
-// fuzzed batch size, and one synchronous Push per packet — and both must
-// equal the model.
+// fuzzed batch size, and one synchronous crossing per packet (a one-packet
+// PushBatch, then Flush) — and both must equal the model.
 func FuzzIPCEquivalence(f *testing.F) {
 	f.Add([]byte("hello world this is a packet stream"), uint8(3))
 	f.Add([]byte{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1))

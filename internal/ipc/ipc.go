@@ -10,11 +10,12 @@
 // management. Packets have one protocol in each direction: length-prefixed
 // binary batch frames pipelined under a credit window (frame.go), and the
 // emission frames that stream a hosted component's output back. A
-// per-packet Push is a one-packet batch plus a flush (E6); batching
-// amortises the crossing (E18). The parent side holds a RemoteComponent —
-// an ordinary core.Component stand-in whose
-// IPacketPush/IPacketPushBatch/IClassifier calls cross the wire, and whose
-// receptacles deliver packets the remote side emits. A panic inside a hosted component is contained by the host and
+// synchronous crossing is a one-packet PushBatch plus a Flush (E6);
+// batching amortises the crossing (E18). The parent side holds a
+// RemoteComponent — an ordinary core.Component stand-in whose
+// IPacketPush/IClassifier calls cross the wire, and whose receptacles
+// deliver packets the remote side emits. A panic inside a hosted
+// component is contained by the host and
 // surfaces to the caller as an error (crash containment), which E6 checks
 // alongside the in-proc/out-of-proc cost gap.
 package ipc
@@ -79,20 +80,16 @@ type reflector struct {
 	port string
 }
 
-func (r *reflector) Push(p *router.Packet) error {
-	err := r.h.emitAppend(r.name, r.port, p.Data)
-	p.Release()
-	return err
-}
-
-// PushBatch keeps the batch capability intact through the boundary: a
-// hosted batch-aware component forwards whole batches into the
-// accumulator, which coalesces them into as few wire frames as possible.
+// PushBatch hands every emitted packet to the accumulator, which
+// coalesces a hosted component's whole batch into as few wire frames as
+// possible.
 func (r *reflector) PushBatch(batch []*router.Packet) error {
 	failed := 0
 	var firstErr error
 	for _, p := range batch {
-		if err := r.Push(p); err != nil {
+		err := r.h.emitAppend(r.name, r.port, p.Data)
+		p.Release()
+		if err != nil {
 			failed++
 			if firstErr == nil {
 				firstErr = err
@@ -354,16 +351,10 @@ func pushContained(dst router.IPacketPush, batch []*router.Packet) (n int, err e
 			batch[n].Release() // idempotent; the component may have died holding it
 		}
 	}()
-	// router.ForwardBatch's dispatch, decided once per job: a batch-aware
-	// component takes each packet as a one-packet sub-slice of the decoded
-	// batch (so it never pays the per-packet adapter), any other its Push.
-	bp, _ := dst.(router.IPacketPushBatch)
+	// Each packet crosses as a one-packet sub-slice of the decoded batch,
+	// so a failure is pinned to the packet that caused it.
 	for ; n < len(batch); n++ {
-		if bp != nil {
-			err = bp.PushBatch(batch[n : n+1])
-		} else {
-			err = dst.Push(batch[n])
-		}
+		err = dst.PushBatch(batch[n : n+1])
 		if err != nil {
 			if be, ok := err.(*router.BatchError); ok {
 				err = be.Err // the ack carries the component's own error text

@@ -29,7 +29,17 @@ func udpPkt(t *testing.T, port uint16) *router.Packet {
 // bomb panics on push: the crash-containment fixture.
 type bomb struct{ *core.Base }
 
-func (b *bomb) Push(*router.Packet) error { panic("bomb detonated") }
+func (b *bomb) PushBatch([]*router.Packet) error { panic("bomb detonated") }
+
+// pushSync is the synchronous one-packet crossing: a one-packet batch,
+// then a Flush that waits for the host's ack and harvests the outcome.
+func pushSync(rc *RemoteComponent, p *router.Packet) error {
+	err := rc.PushBatch([]*router.Packet{p})
+	if ferr := rc.Flush(); ferr != nil {
+		return ferr
+	}
+	return err
+}
 
 func testRegistry(t *testing.T) *core.ComponentRegistry {
 	t.Helper()
@@ -61,7 +71,7 @@ func TestInstantiateAndPush(t *testing.T) {
 	if _, ok := rc.Provided(router.IPacketPushID); !ok {
 		t.Fatal("stand-in does not provide IPacketPush")
 	}
-	if err := rc.Push(udpPkt(t, 1)); err != nil {
+	if err := pushSync(rc, udpPkt(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +108,7 @@ func TestRemoteOutputFlowsBack(t *testing.T) {
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		if err := rc.Push(udpPkt(t, uint16(i+1))); err != nil {
+		if err := pushSync(rc, udpPkt(t, uint16(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,10 +131,10 @@ type localSink struct {
 	pkts int
 }
 
-func (s *localSink) Push(p *router.Packet) error {
+func (s *localSink) PushBatch(batch []*router.Packet) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pkts++
+	s.pkts += len(batch)
 	return nil
 }
 
@@ -141,7 +151,7 @@ func TestEmissionWithoutBindingCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.Push(udpPkt(t, 1)); err != nil {
+	if err := pushSync(rc, udpPkt(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(2 * time.Second)
@@ -161,7 +171,7 @@ func TestCrashContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = rc.Push(udpPkt(t, 1))
+	err = pushSync(rc, udpPkt(t, 1))
 	if !errors.Is(err, ErrContained) {
 		t.Fatalf("want ErrContained, got %v", err)
 	}
@@ -171,7 +181,7 @@ func TestCrashContainment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("host died with the component: %v", err)
 	}
-	if err := rc2.Push(udpPkt(t, 2)); err != nil {
+	if err := pushSync(rc2, udpPkt(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +243,7 @@ func TestClientCloseFailsPendingCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanup()
-	if err := rc.Push(udpPkt(t, 1)); err == nil {
+	if err := pushSync(rc, udpPkt(t, 1)); err == nil {
 		t.Fatal("push succeeded after close")
 	}
 	if _, err := client.Instantiate("x", router.TypeCounter, nil); !errors.Is(err, ErrClosed) {
@@ -255,7 +265,7 @@ func TestConcurrentRemotePushes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := rc.Push(udpPkt(t, 53)); err != nil {
+				if err := pushSync(rc, udpPkt(t, 53)); err != nil {
 					errs <- err
 					return
 				}

@@ -121,7 +121,7 @@ func TestApplyBuildsWorkingRouter(t *testing.T) {
 	cnt, _ := capsule.Component("cnt")
 	push := mustPush(t, cnt)
 	pkt := dnsPacket(t)
-	if err := push.Push(pkt); err != nil {
+	if err := push.PushBatch([]*router.Packet{pkt}); err != nil {
 		t.Fatal(err)
 	}
 	q, _ := capsule.Component("q")

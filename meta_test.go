@@ -152,8 +152,8 @@ func TestMetaInterfaceRoundTrip(t *testing.T) {
 	if !im.Conforms(router.IPacketPushID, router.NewCounter()) {
 		t.Fatal("facade conformance check rejects a Counter")
 	}
-	if _, ok := d.Op("Push"); !ok {
-		t.Fatal("descriptor lost its Push op through the facade")
+	if _, ok := d.Op("PushBatch"); !ok || len(d.Ops) != 1 {
+		t.Fatalf("descriptor ops %v through the facade, want PushBatch alone", d.Ops)
 	}
 	ids, err := im.ProvidedBy("a")
 	if err != nil || len(ids) == 0 {
@@ -180,7 +180,7 @@ func TestMetaInterceptionUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := push.Push(testPacket()); err != nil {
+			if err := push.PushBatch([]*router.Packet{testPacket()}); err != nil {
 				t.Errorf("push %d: %v", i, err)
 				return
 			}
@@ -207,7 +207,7 @@ func TestMetaInterceptionUnderTraffic(t *testing.T) {
 		if got := b.Interceptors(); len(got) != 1 || got[0] != "audit" {
 			t.Fatalf("binding chain = %v, want [audit]", got)
 		}
-		if err := push.Push(testPacket()); err != nil {
+		if err := push.PushBatch([]*router.Packet{testPacket()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := ic.Remove("a", "out", "audit"); err != nil {
@@ -375,7 +375,7 @@ func TestMetaShardedInterceptionAggregates(t *testing.T) {
 	}
 	const total = 900
 	for i := 0; i < total; i++ {
-		if err := push.Push(shardedFlowPacket(uint32(i % 64))); err != nil {
+		if err := push.PushBatch([]*router.Packet{shardedFlowPacket(uint32(i % 64))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func TestStatsMetaTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sharded.Push(router.NewPacket(b)); err != nil {
+		if err := sharded.PushBatch([]*router.Packet{router.NewPacket(b)}); err != nil {
 			t.Fatal(err)
 		}
 	}

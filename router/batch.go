@@ -3,46 +3,29 @@ package router
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"netkit/core"
 	"netkit/internal/buffers"
 )
 
 // This file is the hub of the batched data path (DESIGN.md §4): the
-// IPacketPushBatch capability interface, the edge adapters between it and
-// per-packet code (pushOne inbound, ForwardBatch outbound, pullBatch on
-// the pull side), the demultiplexing step of the splitting elements, and
-// the pooled []*Packet scratch batches that keep the steady state
-// allocation-free.
-//
-// Ownership contract: a PushBatch callee takes ownership of every Packet
-// in the batch (exactly as Push does for one packet) but NOT of the batch
-// slice itself. The slice remains the caller's; the callee must not retain
-// it — or any sub-slice of it — after returning. Components that buffer
-// packets (queues) copy the pointers out; everyone else forwards within
-// the call. This is what lets callers recycle batches through GetBatch/
-// PutBatch without handshaking.
+// error cardinality of a batch crossing, the pull side's batch adapter
+// (pullBatch), the demultiplexing step of the splitting elements, and the
+// pooled []*Packet scratch batches that keep the steady state
+// allocation-free. The ownership contract is IPacketPush's: a PushBatch
+// callee owns the packets but not the slice, which is what lets callers
+// recycle batches through GetBatch/PutBatch without handshaking.
 
-// IPacketPushBatch is the data-plane contract. It is not a separate
-// binding identity: bindings are still made on IPacketPushID, and a hop
-// finds out whether its downstream is a per-packet-only plug-in with a
-// type assertion (use ForwardBatch, which does exactly that). A component
-// that implements PushBatch must process packets in slice order and must
-// also accept single packets via Push.
-type IPacketPushBatch interface {
-	IPacketPush
-	// PushBatch delivers the packets in order. The callee takes ownership
-	// of the packets but must not retain the slice after returning.
-	PushBatch(batch []*Packet) error
-}
+// IPacketPushBatch is another name for IPacketPush, whose one method is
+// PushBatch. The batch capability used to be a separate interface; the
+// alias keeps code that names it, the bench module among it, compiling.
+type IPacketPushBatch = IPacketPush
 
 // BatchError reports a batch crossing in which Failed packets could not be
 // delivered; Err is the first underlying error. It is how the batch path
-// keeps per-packet error cardinality: a per-packet caller counts one errs
-// per failing packet, so a batch callee that fails k of n packets must say
-// k, not 1. A plain (non-BatchError) error from a batch crossing means the
-// whole batch failed. errors.Is/As reach Err through Unwrap.
+// keeps per-packet error cardinality: a callee that fails k of n packets
+// must say k, not 1. A plain (non-BatchError) error from a batch crossing
+// means the whole batch failed. errors.Is/As reach Err through Unwrap.
 type BatchError struct {
 	Failed int
 	Err    error
@@ -73,51 +56,6 @@ func FailedPackets(err error, n int) int {
 		return be.Failed
 	}
 	return n
-}
-
-// ForwardBatch delivers batch to dst: whole when dst implements
-// IPacketPushBatch, one Push per packet when dst is a per-packet-only
-// plug-in. It is the batch → per-packet edge adapter. Later packets are
-// still delivered after a failure (the absorb-and-continue discipline of
-// the data path); failures are reported as a BatchError so upstream
-// accounting stays per-packet-exact.
-func ForwardBatch(dst IPacketPush, batch []*Packet) error {
-	if bp, ok := dst.(IPacketPushBatch); ok {
-		return bp.PushBatch(batch)
-	}
-	failed := 0
-	var firstErr error
-	for _, p := range batch {
-		if err := dst.Push(p); err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if failed == 0 {
-		return nil
-	}
-	return &BatchError{Failed: failed, Err: firstErr}
-}
-
-// oneBatches recycles the one-packet batches pushOne hands out, so a
-// per-packet Push allocates nothing in the steady state.
-var oneBatches = sync.Pool{New: func() any { return new([1]*Packet) }}
-
-// pushOne is the per-packet → batch adapter: every standard element's Push
-// is PushBatch of a batch of one. A BatchError about that one packet is
-// unwrapped, so per-packet callers see the underlying error.
-func pushOne(dst IPacketPushBatch, p *Packet) error {
-	one := oneBatches.Get().(*[1]*Packet)
-	one[0] = p
-	err := dst.PushBatch(one[:])
-	one[0] = nil
-	oneBatches.Put(one)
-	if be, ok := err.(*BatchError); ok {
-		return be.Err
-	}
-	return err
 }
 
 // PacketCount reports how many packets an intercepted operation carries:
@@ -157,10 +95,10 @@ type batchPuller interface {
 // pullBatch appends to dst up to max packets from src while byte credit
 // remains, and returns the extended slice and the credit left (each packet
 // costs len(p.Data); the one that exhausts the credit is still taken). It
-// is the pull-side mirror of ForwardBatch: one PullBatch — one lock — when
-// src drains in batches, one Pull per packet when src is a per-packet-only
-// plug-in or an intercepted binding. Both stop at the first empty pull, so
-// the caller cannot tell which path ran.
+// takes one PullBatch — one lock — when src drains in batches, one Pull
+// per packet when src is a per-packet-only plug-in or an intercepted
+// binding. Both stop at the first empty pull, so the caller cannot tell
+// which path ran.
 func pullBatch(src IPacketPull, dst []*Packet, max, credit int) ([]*Packet, int) {
 	if bp, ok := src.(batchPuller); ok {
 		n := len(dst)
@@ -206,7 +144,7 @@ func (e *elementCounters) forwardBatch(out *core.Receptacle[IPacketPush], batch 
 		}
 		return nil
 	}
-	err := ForwardBatch(next, batch)
+	err := next.PushBatch(batch)
 	if err == nil {
 		e.out.Add(uint64(len(batch)))
 		return nil

@@ -14,13 +14,11 @@ import (
 	"netkit/packet"
 )
 
-// batchSink collects packets and records how they arrived (per-packet
-// pushes vs whole batches).
+// batchSink collects packets and records how many crossings carried them.
 type batchSink struct {
 	*core.Base
 	mu      sync.Mutex
 	pkts    []*Packet
-	pushes  int
 	batches int
 }
 
@@ -28,14 +26,6 @@ func newBatchSink() *batchSink {
 	s := &batchSink{Base: core.NewBase("test.BatchSink")}
 	s.Provide(IPacketPushID, s)
 	return s
-}
-
-func (s *batchSink) Push(p *Packet) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pushes++
-	s.pkts = append(s.pkts, p)
-	return nil
 }
 
 func (s *batchSink) PushBatch(batch []*Packet) error {
@@ -46,10 +36,10 @@ func (s *batchSink) PushBatch(batch []*Packet) error {
 	return nil
 }
 
-func (s *batchSink) snapshot() (pkts []*Packet, pushes, batches int) {
+func (s *batchSink) snapshot() (pkts []*Packet, batches int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]*Packet(nil), s.pkts...), s.pushes, s.batches
+	return append([]*Packet(nil), s.pkts...), s.batches
 }
 
 func mkBatch(t *testing.T, n int) []*Packet {
@@ -83,33 +73,35 @@ func equalPorts(a, b []uint16) bool {
 	return true
 }
 
-// ---- ForwardBatch shim ----------------------------------------------------
+// ---- forwardBatch ---------------------------------------------------------
 
-func TestForwardBatchFallbackPerPacket(t *testing.T) {
-	dst := newSink() // push-only: no PushBatch
-	batch := mkBatch(t, 8)
-	if err := ForwardBatch(dst, batch); err != nil {
+// TestForwardBatchFastPath: a forwarding hop hands its downstream the
+// whole batch in one crossing, in order.
+func TestForwardBatchFastPath(t *testing.T) {
+	c := newCap()
+	head := NewCounter()
+	dst := newBatchSink()
+	if err := c.Insert("head", head); err != nil {
 		t.Fatal(err)
 	}
-	if dst.count() != 8 {
-		t.Fatalf("delivered %d, want 8", dst.count())
+	if err := c.Insert("dst", dst); err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range dst.pkts {
+	if _, err := ConnectPush(c, "head", "out", "dst"); err != nil {
+		t.Fatal(err)
+	}
+	batch := mkBatch(t, 8)
+	if err := head.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	pkts, batches := dst.snapshot()
+	if len(pkts) != 8 || batches != 1 {
+		t.Fatalf("pkts=%d batches=%d, want 8/1", len(pkts), batches)
+	}
+	for i, p := range pkts {
 		if p != batch[i] {
 			t.Fatalf("packet %d out of order", i)
 		}
-	}
-}
-
-func TestForwardBatchFastPath(t *testing.T) {
-	dst := newBatchSink()
-	batch := mkBatch(t, 8)
-	if err := ForwardBatch(dst, batch); err != nil {
-		t.Fatal(err)
-	}
-	pkts, pushes, batches := dst.snapshot()
-	if len(pkts) != 8 || pushes != 0 || batches != 1 {
-		t.Fatalf("pkts=%d pushes=%d batches=%d, want 8/0/1", len(pkts), pushes, batches)
 	}
 }
 
@@ -118,8 +110,8 @@ func TestPacketCount(t *testing.T) {
 	if got := PacketCount("PushBatch", []any{batch}); got != 5 {
 		t.Fatalf("PushBatch count = %d, want 5", got)
 	}
-	if got := PacketCount("Push", []any{&Packet{}}); got != 1 {
-		t.Fatalf("Push count = %d, want 1", got)
+	if got := PacketCount("Pull", nil); got != 1 {
+		t.Fatalf("Pull count = %d, want 1", got)
 	}
 	if got := PacketCount("PushBatch", nil); got != 1 {
 		t.Fatalf("malformed PushBatch count = %d, want 1", got)
@@ -184,7 +176,7 @@ func TestBatchInterceptorWrapsOnce(t *testing.T) {
 	if audited != 32 {
 		t.Fatalf("audit observed %d packets, want 32", audited)
 	}
-	pkts, _, batches := tail.snapshot()
+	pkts, batches := tail.snapshot()
 	if len(pkts) != 32 || batches != 1 {
 		t.Fatalf("delivered %d in %d batches, want 32 in 1", len(pkts), batches)
 	}
@@ -192,47 +184,6 @@ func TestBatchInterceptorWrapsOnce(t *testing.T) {
 		if p != batch[i] {
 			t.Fatalf("packet %d out of order through intercepted batch", i)
 		}
-	}
-}
-
-// TestBatchInterceptorFallback: with a per-packet-only target, the proxy
-// degrades to per-packet "Push" operations — the audit still observes
-// every packet exactly once, never zero times and never twice.
-func TestBatchInterceptorFallback(t *testing.T) {
-	c := newCap()
-	head := NewCounter()
-	tail := newSink()
-	if err := c.Insert("head", head); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert("tail", tail); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ConnectPush(c, "head", "out", "tail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pushOps, audited int
-	if err := b.AddInterceptor(core.Interceptor{
-		Name: "audit",
-		Wrap: core.PrePost(func(op string, args []any) {
-			if op == "Push" {
-				pushOps++
-			}
-			audited += PacketCount(op, args)
-		}, nil),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	batch := mkBatch(t, 16)
-	if err := head.PushBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if pushOps != 16 || audited != 16 {
-		t.Fatalf("pushOps=%d audited=%d, want 16/16", pushOps, audited)
-	}
-	if tail.count() != 16 {
-		t.Fatalf("delivered %d, want 16", tail.count())
 	}
 }
 
@@ -286,7 +237,7 @@ func TestClassifierBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range mk(t) {
-		if err := clsPer.Push(p); err != nil {
+		if err := push1(clsPer, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,8 +251,8 @@ func TestClassifierBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gotA, _, _ := aBat.snapshot()
-	gotB, _, _ := bBat.snapshot()
+	gotA, _ := aBat.snapshot()
+	gotB, _ := bBat.snapshot()
 	if !equalPorts(dstPorts(aPer.pkts), dstPorts(gotA)) {
 		t.Fatalf("output a diverged: per-packet %v vs batch %v",
 			dstPorts(aPer.pkts), dstPorts(gotA))
@@ -377,7 +328,7 @@ func TestREDQueueBatchEquivalence(t *testing.T) {
 		batIn[i] = udpPkt(t, uint16(i), 64)
 	}
 	for _, p := range perIn {
-		if err := qPer.Push(p); err != nil {
+		if err := push1(qPer, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,9 +350,9 @@ func TestREDQueueBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestSchedulerRunOnceOneBatch: a service round reaches a batch-aware
-// downstream as ONE batch, and reaches a per-packet-only downstream
-// (through the ForwardBatch shim) as the same packets in the same order.
+// TestSchedulerRunOnceOneBatch: a service round reaches its downstream as
+// ONE batch, with the packets in the order two identical schedulers emit
+// them.
 func TestSchedulerRunOnceOneBatch(t *testing.T) {
 	build := func(dst core.Component) (*LinkScheduler, []*FIFOQueue, error) {
 		c := newCap()
@@ -448,10 +399,10 @@ func TestSchedulerRunOnceOneBatch(t *testing.T) {
 	}
 	fill := func(t *testing.T, qs []*FIFOQueue) {
 		for i := 0; i < 12; i++ {
-			if err := qs[0].Push(udpPkt(t, uint16(100+i), 64)); err != nil {
+			if err := push1(qs[0], udpPkt(t, uint16(100+i), 64)); err != nil {
 				t.Fatal(err)
 			}
-			if err := qs[1].Push(udpPkt(t, uint16(200+i), 64)); err != nil {
+			if err := push1(qs[1], udpPkt(t, uint16(200+i), 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -476,7 +427,7 @@ func TestSchedulerRunOnceOneBatch(t *testing.T) {
 	if servedPer != servedBat {
 		t.Fatalf("served %d vs %d", servedPer, servedBat)
 	}
-	got, _, batches := batSink.snapshot()
+	got, batches := batSink.snapshot()
 	if batches != 1 {
 		t.Fatalf("delivered in %d batches, want 1", batches)
 	}
@@ -524,7 +475,7 @@ func TestKernelSourceBatchedDelivery(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		pkts, _, _ := tail.snapshot()
+		pkts, _ := tail.snapshot()
 		if len(pkts) >= n {
 			break
 		}
@@ -536,12 +487,12 @@ func TestKernelSourceBatchedDelivery(t *testing.T) {
 	if err := src.Stop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pkts, pushes, batches := tail.snapshot()
+	pkts, batches := tail.snapshot()
 	if len(pkts) != n {
 		t.Fatalf("delivered %d, want %d", len(pkts), n)
 	}
-	if pushes != 0 || batches == 0 {
-		t.Fatalf("pushes=%d batches=%d, want batched delivery only", pushes, batches)
+	if batches == 0 {
+		t.Fatal("no batch delivered")
 	}
 	for i, p := range pkts {
 		if p.View().DstPort != uint16(i) {
@@ -568,38 +519,11 @@ func newErrBatchTarget(err error) *errBatchTarget {
 	return s
 }
 
-func (s *errBatchTarget) Push(p *Packet) error {
-	p.Release()
-	return s.err
-}
-
 func (s *errBatchTarget) PushBatch(batch []*Packet) error {
 	for _, p := range batch {
 		p.Release()
 	}
 	return s.err
-}
-
-// oddPortTarget is per-packet only (no PushBatch): it fails packets with
-// odd destination ports, so the ForwardBatch degradation loop must count
-// exactly the odd ones.
-type oddPortTarget struct {
-	*core.Base
-}
-
-func newOddPortTarget() *oddPortTarget {
-	s := &oddPortTarget{Base: core.NewBase("test.OddPortTarget")}
-	s.Provide(IPacketPushID, s)
-	return s
-}
-
-func (s *oddPortTarget) Push(p *Packet) error {
-	odd := p.View().DstPort%2 == 1
-	p.Release()
-	if odd {
-		return errFlaky
-	}
-	return nil
 }
 
 // TestForwardBatchErrorAccounting pins the per-packet-exact error
@@ -608,7 +532,7 @@ func (s *oddPortTarget) Push(p *Packet) error {
 // crossing and not a forfeited out — and the error surfaced upstream must
 // carry the same k. (The regression this guards: forwardBatch counted one
 // errs per failing RUN and dropped the out increment entirely, so batched
-// and per-packet traffic produced different books for identical streams.)
+// and one-packet traffic produced different books for identical streams.)
 func TestForwardBatchErrorAccounting(t *testing.T) {
 	drive := func(t *testing.T, dst core.Component, n int) (*Counter, error) {
 		t.Helper()
@@ -662,10 +586,6 @@ func TestForwardBatchErrorAccounting(t *testing.T) {
 		head, err := drive(t, newErrBatchTarget(&BatchError{Failed: 999, Err: errFlaky}), 8)
 		check(t, head, err, 8, 8)
 	})
-	t.Run("per-packet degradation counts each failure", func(t *testing.T) {
-		head, err := drive(t, newOddPortTarget(), 8) // ports 0..7: four odd
-		check(t, head, err, 8, 4)
-	})
 	t.Run("no failures", func(t *testing.T) {
 		head, err := drive(t, newErrBatchTarget(nil), 8)
 		check(t, head, err, 8, 0)
@@ -699,8 +619,6 @@ func newCountingSink() *countingSink {
 	s.Provide(IPacketPushID, s)
 	return s
 }
-
-func (s *countingSink) Push(p *Packet) error { return s.PushBatch([]*Packet{p}) }
 
 func (s *countingSink) PushBatch(batch []*Packet) error {
 	s.calls++
@@ -791,9 +709,9 @@ func TestScatterClassifierOneCrossingPerOutput(t *testing.T) {
 				want = append(want, port)
 			}
 		}
-		got, pushes, batches := rec[o].snapshot()
-		if pushes != 0 || batches != 1 {
-			t.Fatalf("output %s: %d pushes + %d batches, want one batch", o, pushes, batches)
+		got, batches := rec[o].snapshot()
+		if batches != 1 {
+			t.Fatalf("output %s: %d batches, want one", o, batches)
 		}
 		if !equalPorts(dstPorts(got), want) {
 			t.Fatalf("output %s got %v, want arrival order %v", o, dstPorts(got), want)
@@ -878,7 +796,7 @@ func TestScatterUnboundOutputsDrop(t *testing.T) {
 	if err := cls.PushBatch(portsBatch(t, ports)); err != nil {
 		t.Fatal(err)
 	}
-	got, _, batches := sa.snapshot()
+	got, batches := sa.snapshot()
 	if batches != 1 || !equalPorts(dstPorts(got), []uint16{1, 1, 1}) {
 		t.Fatalf("output a got %v in %d batches", dstPorts(got), batches)
 	}
@@ -924,9 +842,9 @@ func TestScatterProtoRecogn(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		got, pushes, batches := tc.s.snapshot()
-		if pushes != 0 || batches != 1 || len(got) != len(want) {
-			t.Fatalf("%d packets in %d pushes + %d batches, want %d in one batch", len(got), pushes, batches, len(want))
+		got, batches := tc.s.snapshot()
+		if batches != 1 || len(got) != len(want) {
+			t.Fatalf("%d packets in %d batches, want %d in one batch", len(got), batches, len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {

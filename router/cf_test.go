@@ -29,7 +29,7 @@ func newFakeClassifier() *fakeClassifier {
 	return f
 }
 
-func (f *fakeClassifier) Push(*Packet) error { return nil }
+func (f *fakeClassifier) PushBatch([]*Packet) error { return nil }
 func (f *fakeClassifier) RegisterFilter(string, int, string) (uint64, error) {
 	return 0, nil
 }
@@ -144,10 +144,10 @@ func TestFigure3CompositeForwards(t *testing.T) {
 	push := ingress.(IPacketPush)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := push.Push(udpPkt(t, 53, 64)); err != nil {
+		if err := push1(push, udpPkt(t, 53, 64)); err != nil {
 			t.Fatal(err)
 		}
-		if err := push.Push(udp6Pkt(t, 32)); err != nil {
+		if err := push1(push, udp6Pkt(t, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestHotSwapLossless(t *testing.T) {
 	go func() {
 		sent := 0
 		for i := 0; i < 5000; i++ {
-			if err := head.Push(udpPkt(t, 1, 64)); err == nil {
+			if err := push1(head, udpPkt(t, 1, 64)); err == nil {
 				sent++
 			}
 		}
@@ -286,7 +286,7 @@ func TestHotSwapMigratesQueueState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := q1.Push(udpPkt(t, uint16(i+1), 64)); err != nil {
+		if err := push1(q1, udpPkt(t, uint16(i+1), 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -516,7 +516,7 @@ func TestTokenShaperPolices(t *testing.T) {
 	}
 	// Burst of 100 bytes: two 50-byte packets conform, the third drops.
 	for i := 0; i < 3; i++ {
-		if err := sh.Push(NewPacket(append([]byte(nil), small...))); err != nil {
+		if err := push1(sh, NewPacket(append([]byte(nil), small...))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -524,7 +524,7 @@ func TestTokenShaperPolices(t *testing.T) {
 		t.Fatalf("conformed=%d dropped=%d", out.count(), sh.ElemStats().Dropped)
 	}
 	now = now.Add(time.Second) // refill
-	if err := sh.Push(NewPacket(append([]byte(nil), small...))); err != nil {
+	if err := push1(sh, NewPacket(append([]byte(nil), small...))); err != nil {
 		t.Fatal(err)
 	}
 	if out.count() != 3 {
@@ -562,7 +562,7 @@ func TestPacketPathInterception(t *testing.T) {
 	if err := b.AddInterceptor(core.Interceptor{
 		Name: "audit",
 		Wrap: core.PrePost(func(op string, args []any) {
-			if op == "Push" {
+			if op == "PushBatch" {
 				seen++
 			}
 		}, nil),
@@ -570,7 +570,7 @@ func TestPacketPathInterception(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := head.Push(udpPkt(t, 1, 64)); err != nil {
+		if err := push1(head, udpPkt(t, 1, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -580,7 +580,7 @@ func TestPacketPathInterception(t *testing.T) {
 	if err := b.RemoveInterceptor("audit"); err != nil {
 		t.Fatal(err)
 	}
-	if err := head.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(head, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 5 {

@@ -137,9 +137,6 @@ func (c *Classifier) FilterOutputs() []string {
 // Rules returns the installed filter rules (diagnostic).
 func (c *Classifier) Rules() []filter.Rule { return c.table.Rules() }
 
-// Push implements IPacketPush.
-func (c *Classifier) Push(p *Packet) error { return pushOne(c, p) }
-
 // pick maps a classification verdict to the output receptacle (nil = drop)
 // against this output-set snapshot. Cached verdicts carry the output NAME,
 // not the receptacle, so output-topology changes need no invalidation.
@@ -204,7 +201,7 @@ func (m *outputSlots) slot(snap *clsOutputs, v flowVerdict) uint8 {
 	return uint8(s)
 }
 
-// PushBatch implements IPacketPushBatch: each packet is classified once,
+// PushBatch implements IPacketPush: each packet is classified once,
 // then every output's packets leave as ONE sub-batch (scatter). Order is
 // arrival order per output; packets of different outputs are no longer
 // interleaved with each other. Unmatched packets with no default output

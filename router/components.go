@@ -96,10 +96,7 @@ func NewCounter() *Counter {
 	return c
 }
 
-// Push implements IPacketPush.
-func (c *Counter) Push(p *Packet) error { return pushOne(c, p) }
-
-// PushBatch implements IPacketPushBatch: counters are updated once per
+// PushBatch implements IPacketPush: counters are updated once per
 // batch and the batch is forwarded whole.
 func (c *Counter) PushBatch(batch []*Packet) error { return c.plan.run(batch) }
 
@@ -129,10 +126,7 @@ func NewDropper() *Dropper {
 	return d
 }
 
-// Push implements IPacketPush.
-func (d *Dropper) Push(p *Packet) error { return pushOne(d, p) }
-
-// PushBatch implements IPacketPushBatch.
+// PushBatch implements IPacketPush.
 func (d *Dropper) PushBatch(batch []*Packet) error { return d.plan.run(batch) }
 
 // ---------------------------------------------------------------------------
@@ -168,38 +162,53 @@ func NewTee(n int) (*Tee, error) {
 	return t, nil
 }
 
-// Push implements IPacketPush.
-func (t *Tee) Push(p *Packet) error {
-	t.in.Add(1)
-	// Retain once per extra delivery so each consumer owns a reference.
-	targets := make([]IPacketPush, 0, 4)
+// PushBatch implements IPacketPush. The targets are read once per batch,
+// and every clone is taken before the first delivery: a consumer may
+// release the shared buffers before later deliveries otherwise. The first
+// target gets the batch itself, each other target a batch of clones, so
+// every consumer owns its own Packet wrappers. Each delivery is accounted
+// on its own: out counts the packets delivered, errs every failed one.
+func (t *Tee) PushBatch(batch []*Packet) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	t.in.Add(uint64(len(batch)))
+	var targets []IPacketPush
 	t.outs.Each(func(_ string, tgt IPacketPush) bool {
 		targets = append(targets, tgt)
 		return true
 	})
 	if len(targets) == 0 {
-		t.dropped.Add(1)
-		p.Release()
+		t.dropped.Add(uint64(len(batch)))
+		for _, p := range batch {
+			p.Release()
+		}
 		return nil
 	}
-	// Each consumer gets its own Packet wrapper so ownership (Release) is
-	// per-consumer. All clones are taken up front: the first consumer may
-	// release the shared buffer before later deliveries otherwise.
-	deliveries := make([]*Packet, len(targets))
-	deliveries[0] = p
+	deliveries := make([][]*Packet, len(targets))
+	deliveries[0] = batch
 	for i := 1; i < len(targets); i++ {
-		deliveries[i] = p.Clone()
+		clones := GetBatch()
+		for _, p := range batch {
+			clones = append(clones, p.Clone())
+		}
+		deliveries[i] = clones
 	}
-	var firstErr error
+	var agg batchErrAgg
 	for i, tgt := range targets {
-		if err := tgt.Push(deliveries[i]); err != nil && firstErr == nil {
-			firstErr = err
-			t.errs.Add(1)
-		} else {
-			t.out.Add(1)
+		err := tgt.PushBatch(deliveries[i])
+		failed := FailedPackets(err, len(batch))
+		t.errs.Add(uint64(failed))
+		t.out.Add(uint64(len(batch) - failed))
+		agg.note(err, len(batch))
+		if i > 0 {
+			PutBatch(deliveries[i])
 		}
 	}
-	return firstErr
+	// A packet fails when any of its deliveries does; the sum over targets
+	// bounds that count from above, so it is clamped to the batch.
+	agg.failed = min(agg.failed, len(batch))
+	return agg.err()
 }
 
 // ---------------------------------------------------------------------------
@@ -226,10 +235,7 @@ func NewProtoRecogn() *ProtoRecogn {
 	return r
 }
 
-// Push implements IPacketPush.
-func (r *ProtoRecogn) Push(p *Packet) error { return pushOne(r, p) }
-
-// PushBatch implements IPacketPushBatch: each output's packets leave as
+// PushBatch implements IPacketPush: each output's packets leave as
 // one sub-batch in arrival order (scatter), so a mixed batch crosses each
 // output's binding once.
 func (r *ProtoRecogn) PushBatch(batch []*Packet) error {
@@ -282,10 +288,7 @@ func NewIPv4Proc(validate bool) *IPv4Proc {
 	return h
 }
 
-// Push implements IPacketPush.
-func (h *IPv4Proc) Push(p *Packet) error { return pushOne(h, p) }
-
-// PushBatch implements IPacketPushBatch: per-packet header work is done in
+// PushBatch implements IPacketPush: per-packet header work is done in
 // place and the survivors are forwarded as one batch.
 func (h *IPv4Proc) PushBatch(batch []*Packet) error { return h.plan.run(batch) }
 
@@ -324,10 +327,7 @@ func NewIPv6Proc() *IPv6Proc {
 	return h
 }
 
-// Push implements IPacketPush.
-func (h *IPv6Proc) Push(p *Packet) error { return pushOne(h, p) }
-
-// PushBatch implements IPacketPushBatch (see IPv4Proc.PushBatch).
+// PushBatch implements IPacketPush (see IPv4Proc.PushBatch).
 func (h *IPv6Proc) PushBatch(batch []*Packet) error { return h.plan.run(batch) }
 
 // Stats implements core.IStats, adding the specialised drop cause.
@@ -360,10 +360,7 @@ func NewChecksumValidator() *ChecksumValidator {
 	return v
 }
 
-// Push implements IPacketPush.
-func (v *ChecksumValidator) Push(p *Packet) error { return pushOne(v, p) }
-
-// PushBatch implements IPacketPushBatch.
+// PushBatch implements IPacketPush.
 func (v *ChecksumValidator) PushBatch(batch []*Packet) error { return v.plan.run(batch) }
 
 // ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ import (
 	"netkit/router"
 )
 
-// ExampleForwardBatch demonstrates the batched fast path: packets are
-// staged in a pooled batch and handed to the pipeline with one call.
-// ForwardBatch takes the batch path on every hop that implements
-// IPacketPushBatch (here, Counter and Dropper) and degrades to per-packet
-// Push elsewhere, so adoption is incremental. Ownership: the pipeline takes
-// the packets, the caller keeps the slice and recycles it with PutBatch.
-func ExampleForwardBatch() {
+// ExampleIPacketPush demonstrates the batched data path: packets are
+// staged in a pooled batch and handed to the pipeline with one PushBatch
+// call, which every hop forwards as one batch. Ownership: the pipeline
+// takes the packets, the caller keeps the slice and recycles it with
+// PutBatch.
+func ExampleIPacketPush() {
 	capsule := core.NewCapsule("batch-example")
 	cnt := router.NewCounter()
 	_ = capsule.Insert("cnt", cnt)
@@ -33,7 +32,7 @@ func ExampleForwardBatch() {
 		batch = append(batch, router.NewPacket(raw))
 	}
 
-	if err := router.ForwardBatch(cnt, batch); err != nil {
+	if err := cnt.PushBatch(batch); err != nil {
 		panic(err)
 	}
 	router.PutBatch(batch) // packets were handed off; recycle the slice

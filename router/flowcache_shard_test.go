@@ -145,7 +145,7 @@ func FuzzCacheTransparency(f *testing.F) {
 					PutBatch(batch)
 				} else {
 					for _, u := range stream[start:end] {
-						if err := cls.Push(mkFlowPacket(t, u.flow, u.seq)); err != nil {
+						if err := push1(cls, mkFlowPacket(t, u.flow, u.seq)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -334,7 +334,7 @@ func TestFlowCacheInvalidationUnderShardedTraffic(t *testing.T) {
 		}
 	}
 	for i := 0; i < probes; i++ {
-		if err := s.Push(mkFlowPacket(t, probeFlow, seqs[probeFlow])); err != nil {
+		if err := push1(s, mkFlowPacket(t, probeFlow, seqs[probeFlow])); err != nil {
 			t.Fatal(err)
 		}
 		seqs[probeFlow]++

@@ -53,12 +53,12 @@ func TestFlowCacheHitPath(t *testing.T) {
 		t.Fatal("cache should be on by default")
 	}
 	for i := 0; i < 3; i++ {
-		if err := cls.Push(udpPkt(t, 1000, 64)); err != nil {
+		if err := push1(cls, udpPkt(t, 1000, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ { // unmatched flow: default verdict caches too
-		if err := cls.Push(udpPkt(t, 9999, 64)); err != nil {
+		if err := push1(cls, udpPkt(t, 9999, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,17 +80,17 @@ func TestFlowCacheHitPath(t *testing.T) {
 func TestFlowCacheGenerationFence(t *testing.T) {
 	cls, sa, sb, _ := buildCachedClassifier(t)
 	p := func() *Packet { return udpPkt(t, 1000, 64) }
-	if err := cls.Push(p()); err != nil { // miss; caches verdict "a"
+	if err := push1(cls, p()); err != nil { // miss; caches verdict "a"
 		t.Fatal(err)
 	}
-	if err := cls.Push(p()); err != nil { // hit
+	if err := push1(cls, p()); err != nil { // hit
 		t.Fatal(err)
 	}
 	// Shadow the flow's rule with a higher-priority route to "b".
 	if _, err := cls.RegisterFilter("udp and dst port 1000", 0, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cls.Push(p()); err != nil {
+	if err := push1(cls, p()); err != nil {
 		t.Fatal(err)
 	}
 	if len(sa.pkts) != 2 || len(sb.pkts) != 1 {
@@ -110,7 +110,7 @@ func TestFlowCacheDisabledForUnsafeRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ttl := uint8(5); ttl <= 15; ttl += 10 { // same 5-tuple, different ttl
-		if err := cls.Push(udpPkt(t, 1000, ttl)); err != nil {
+		if err := push1(cls, udpPkt(t, 1000, ttl)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestFlowCacheResizeAndFlush(t *testing.T) {
 	if fc.Cap() != 128 {
 		t.Fatalf("cap %d, want 128", fc.Cap())
 	}
-	if err := cls.Push(udpPkt(t, 1000, 64)); err != nil {
+	if err := push1(cls, udpPkt(t, 1000, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if fc.Len() != 1 {
@@ -152,7 +152,7 @@ func TestFlowCacheResizeAndFlush(t *testing.T) {
 	if cls.FlowCache() != nil {
 		t.Fatal("resize(0) should disable the cache")
 	}
-	if err := cls.Push(udpPkt(t, 1000, 64)); err != nil { // still classifies
+	if err := push1(cls, udpPkt(t, 1000, 64)); err != nil { // still classifies
 		t.Fatal(err)
 	}
 }
@@ -218,7 +218,7 @@ func TestFlowCacheRecencyWithinBatch(t *testing.T) {
 func TestFlowCacheStatsSurface(t *testing.T) {
 	cls, _, _, _ := buildCachedClassifier(t)
 	for i := 0; i < 4; i++ {
-		if err := cls.Push(udpPkt(t, 1000, 64)); err != nil {
+		if err := push1(cls, udpPkt(t, 1000, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestFlowCacheVerdictTransparency(t *testing.T) {
 			}
 		}
 		for _, port := range ports {
-			if err := cls.Push(udpPkt(t, port, 64)); err != nil {
+			if err := push1(cls, udpPkt(t, port, 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -288,7 +288,7 @@ func TestSnapshotLinearTableNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := cls.Push(udpPkt(t, 1000, 64)); err != nil {
+		if err := push1(cls, udpPkt(t, 1000, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}

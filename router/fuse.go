@@ -333,7 +333,7 @@ func (pl *fusedPlan) exec(batch []*Packet, tally []hopTally) error {
 				for _, p := range live {
 					p.Release()
 				}
-			} else if err := ForwardBatch(tail, live); err != nil {
+			} else if err := tail.PushBatch(live); err != nil {
 				before := agg.failed
 				agg.note(err, len(live))
 				failed = agg.failed - before
@@ -508,10 +508,7 @@ func NewFastPath(c *core.Capsule) *FastPath {
 	return f
 }
 
-// Push implements IPacketPush.
-func (f *FastPath) Push(p *Packet) error { return pushOne(f, p) }
-
-// PushBatch implements IPacketPushBatch through the compiled plan when one
+// PushBatch implements IPacketPush through the compiled plan when one
 // is valid, the FastPath's own one-hop plan otherwise.
 func (f *FastPath) PushBatch(batch []*Packet) error { return f.fuse.Forward(batch) }
 
@@ -529,13 +526,13 @@ func (f *FastPath) fuseStep() fuseStep {
 }
 
 var (
-	_ IPacketPushBatch = (*FastPath)(nil)
-	_ core.IStats      = (*FastPath)(nil)
-	_ chainFusible     = (*FastPath)(nil)
-	_ chainFusible     = (*Counter)(nil)
-	_ chainFusible     = (*IPv4Proc)(nil)
-	_ chainFusible     = (*IPv6Proc)(nil)
-	_ chainFusible     = (*ChecksumValidator)(nil)
-	_ chainFusible     = (*TokenShaper)(nil)
-	_ chainFusible     = (*Dropper)(nil)
+	_ IPacketPush  = (*FastPath)(nil)
+	_ core.IStats  = (*FastPath)(nil)
+	_ chainFusible = (*FastPath)(nil)
+	_ chainFusible = (*Counter)(nil)
+	_ chainFusible = (*IPv4Proc)(nil)
+	_ chainFusible = (*IPv6Proc)(nil)
+	_ chainFusible = (*ChecksumValidator)(nil)
+	_ chainFusible = (*TokenShaper)(nil)
+	_ chainFusible = (*Dropper)(nil)
 )

@@ -106,7 +106,7 @@ func TestFastPathFusesChain(t *testing.T) {
 	// Eager compile at attach + the chain wired afterwards means the first
 	// push re-fuses; drive one packet, then assert the plan covers both
 	// hops.
-	if err := fp.Push(mkTTLPacket(t, 1, 0, 64, false)); err != nil {
+	if err := push1(fp, mkTTLPacket(t, 1, 0, 64, false)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fp.Fuser().FusedHops(); got != 2 {
@@ -158,7 +158,7 @@ func TestFusedInterceptLifecycle(t *testing.T) {
 	cnt2 := NewCounter()
 	sink := newRecordingSink()
 	capsule, fp := buildFusedChain(t, []core.Component{cnt, cnt2}, sink)
-	if err := fp.Push(mkTTLPacket(t, 1, 0, 64, false)); err != nil {
+	if err := push1(fp, mkTTLPacket(t, 1, 0, 64, false)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fp.Fuser().FusedHops(); got != 2 {
@@ -195,7 +195,7 @@ func TestFusedInterceptLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fp.Push(mkTTLPacket(t, 1, 3, 64, false)); err != nil {
+	if err := push1(fp, mkTTLPacket(t, 1, 3, 64, false)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -212,7 +212,7 @@ func TestFusedInterceptLifecycle(t *testing.T) {
 	if err := mid.RemoveInterceptor("audit"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fp.Push(mkTTLPacket(t, 1, 4, 64, false)); err != nil {
+	if err := push1(fp, mkTTLPacket(t, 1, 4, 64, false)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fp.Fuser().FusedHops(); got != 2 {
@@ -286,8 +286,8 @@ func TestFusedTerminalChain(t *testing.T) {
 // FuzzFusedEquivalence is the fusion correctness contract as a fuzz
 // property: for ANY chain drawn from the fusible palette, ANY packet
 // stream (mixed TTLs, corrupted checksums), ANY batch segmentation, and
-// both entry forms (Push and PushBatch), one N-hop plan and an identical
-// chain of N one-hop plans deliver the same packets in the same per-flow
+// one-packet as well as multi-packet batches, one N-hop plan and an
+// identical chain of N one-hop plans deliver the same packets in the same per-flow
 // order and finish with identical counters on every hop — shared and
 // specialised. Both sides run the same runner, so for shaper-free chains
 // the delivery count is also checked against a model that knows only the
@@ -413,7 +413,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 			return n
 		}
 		push := func(dst IPacketPush, u unit) {
-			if err := dst.Push(mkTTLPacket(t, u.flow, u.seq, u.ttl, u.corrupt)); err != nil {
+			if err := push1(dst, mkTTLPacket(t, u.flow, u.seq, u.ttl, u.corrupt)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -429,14 +429,14 @@ func FuzzFusedEquivalence(f *testing.F) {
 				for _, u := range stream {
 					batch = append(batch, mkTTLPacket(t, u.flow, u.seq, u.ttl, u.corrupt))
 					if len(batch) >= lim {
-						if err := ForwardBatch(dst, batch); err != nil {
+						if err := dst.PushBatch(batch); err != nil {
 							t.Fatal(err)
 						}
 						batch = batch[:0]
 						lim = limit()
 					}
 				}
-				if err := ForwardBatch(dst, batch); err != nil {
+				if err := dst.PushBatch(batch); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -667,7 +667,7 @@ func TestShardedFusionInterceptStress(t *testing.T) {
 	}
 	const fenceN = 300
 	for i := 0; i < fenceN; i++ {
-		if err := s.Push(mkFlowPacket(t, uint32(100+i%16), uint32(i/16))); err != nil {
+		if err := push1(s, mkFlowPacket(t, uint32(100+i%16), uint32(i/16))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -688,7 +688,7 @@ func TestShardedFusionInterceptStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < fenceN; i++ {
-		if err := s.Push(mkFlowPacket(t, uint32(200+i%16), uint32(i/16))); err != nil {
+		if err := push1(s, mkFlowPacket(t, uint32(200+i%16), uint32(i/16))); err != nil {
 			t.Fatal(err)
 		}
 	}

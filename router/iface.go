@@ -8,20 +8,15 @@
 //
 // # The data path
 //
-// PushBatch (IPacketPushBatch) is the data-plane contract: every standard
-// component states its behaviour once, for a []*Packet batch, amortising
-// the cross-component indirect call over the whole batch (DESIGN.md §4).
-// Push (IPacketPush, the interface bindings are made on) is its
-// batch-of-one form — on every standard component a one-line call to one
-// allocation-free adapter. In the other direction ForwardBatch hands a
-// batch to a plug-in that implements only Push, one call per packet, so
-// per-packet third-party components still compose on one pipeline.
+// IPacketPush has one method, PushBatch: every component states its
+// behaviour once, for a []*Packet batch, amortising the cross-component
+// indirect call over the whole batch (DESIGN.md §4). A single packet
+// travels as a batch of one.
 //
 // Ownership on the batch path follows two rules:
 //
 //   - Packets: a PushBatch callee takes ownership of every packet in the
-//     batch, exactly as Push does for one packet — it forwards, queues, or
-//     releases each of them.
+//     batch — it forwards, queues, or releases each of them.
 //   - Slices: the batch slice (and any sub-slice of it) belongs to the
 //     caller. A callee must not retain it after returning; components that
 //     buffer packets across calls (queues) copy the pointers out. This
@@ -145,11 +140,13 @@ const (
 	IClassifierID core.InterfaceID = "netkit.IClassifier/1"
 )
 
-// IPacketPush is the push-oriented inter-component packet interface: the
-// callee takes ownership of the packet (forwarding it onward, queueing it,
-// or releasing it).
+// IPacketPush is the push-oriented inter-component packet interface and
+// the data plane's one contract. PushBatch delivers the packets in slice
+// order; the callee takes ownership of every packet (forwarding it onward,
+// queueing it, or releasing it) but must not retain the slice, or any
+// sub-slice of it, after returning.
 type IPacketPush interface {
-	Push(p *Packet) error
+	PushBatch(batch []*Packet) error
 }
 
 // IPacketPull is the pull-oriented interface: the caller obtains the next
@@ -175,50 +172,18 @@ type pushProxy struct {
 	around core.Around
 }
 
-func (p *pushProxy) Push(pkt *Packet) error {
-	out := p.around("Push", []any{pkt}, func(args []any) []any {
-		return []any{p.target.Push(args[0].(*Packet))}
-	})
-	if out[0] == nil {
-		return nil
-	}
-	return out[0].(error)
-}
-
-// PushBatch keeps the batch path alive across an intercepted binding: the
-// whole batch crosses the chain as ONE "PushBatch" operation (args[0] is
-// the []*Packet), so interceptors pay per batch, not per packet. When the
-// proxied target is per-packet only the proxy presents one "Push"
-// operation per packet, so every packet is observed by the chain exactly
-// once either way.
+// PushBatch carries the whole batch across the chain as ONE "PushBatch"
+// operation (args[0] is the []*Packet), so interceptors pay per batch, not
+// per packet.
 func (p *pushProxy) PushBatch(batch []*Packet) error {
-	bt, ok := p.target.(IPacketPushBatch)
-	if !ok {
-		failed := 0
-		var firstErr error
-		for _, pkt := range batch {
-			if err := p.Push(pkt); err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		if failed == 0 {
-			return nil
-		}
-		return &BatchError{Failed: failed, Err: firstErr}
-	}
 	out := p.around("PushBatch", []any{batch}, func(args []any) []any {
-		return []any{bt.PushBatch(args[0].([]*Packet))}
+		return []any{p.target.PushBatch(args[0].([]*Packet))}
 	})
 	if out[0] == nil {
 		return nil
 	}
 	return out[0].(error)
 }
-
-var _ IPacketPushBatch = (*pushProxy)(nil)
 
 type pullProxy struct {
 	target IPacketPull
@@ -282,7 +247,7 @@ func init() {
 	core.Interfaces.MustRegister(&core.Descriptor{
 		ID:  IPacketPushID,
 		Doc: "push-oriented packet hand-off; callee takes ownership",
-		Ops: []core.OpDesc{{Name: "Push", NumIn: 1, NumOut: 1, Doc: "deliver one packet"}},
+		Ops: []core.OpDesc{{Name: "PushBatch", NumIn: 1, NumOut: 1, Doc: "deliver a batch of packets in order"}},
 		Check: func(v any) bool {
 			_, ok := v.(IPacketPush)
 			return ok

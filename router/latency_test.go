@@ -8,7 +8,7 @@ import (
 
 // TestLatencySamplePredicate pins the shared egress latency predicate:
 // zero-duration samples count, unstamped packets and clock regressions
-// don't. Both egress paths (Push and PushBatch) must use exactly this
+// don't. One-packet and whole-batch pushes must use exactly this
 // function — the regression this guards is one path counting d == 0 while
 // the other silently dropped it.
 func TestLatencySamplePredicate(t *testing.T) {
@@ -33,11 +33,11 @@ func TestLatencySamplePredicate(t *testing.T) {
 }
 
 // TestEgressLatencyPathsAgree drives the same stamped/unstamped packet mix
-// through both shardEgress entry points and asserts the histogram
-// population is identical: one sample per stamped packet, regardless of
-// path. Before the predicate was unified a same-instant packet (Born ==
-// now, possible at nanosecond granularity under coarse clocks) was counted
-// by Push but not by PushBatch.
+// through shardEgress one packet at a time and as one batch, and asserts
+// the histogram population is identical: one sample per stamped packet,
+// regardless of batching. Before the predicate was unified a same-instant
+// packet (Born == now, possible at nanosecond granularity under coarse
+// clocks) was counted by one path but not the other.
 func TestEgressLatencyPathsAgree(t *testing.T) {
 	mk := func(stamped bool) *Packet {
 		p := mkFlowPacket(t, 1, 0)
@@ -58,14 +58,14 @@ func TestEgressLatencyPathsAgree(t *testing.T) {
 
 	perPacket := run(func(e *shardEgress, ps []*Packet) {
 		for _, p := range ps {
-			_ = e.Push(p)
+			_ = push1(e, p)
 		}
 	})
 	batched := run(func(e *shardEgress, ps []*Packet) {
 		_ = e.PushBatch(ps)
 	})
 	if perPacket != 2 || batched != 2 {
-		t.Fatalf("sample counts diverge: Push recorded %v, PushBatch recorded %v, want 2 each",
+		t.Fatalf("sample counts diverge: one-packet pushes recorded %v, one batch %v, want 2 each",
 			perPacket, batched)
 	}
 }

@@ -252,10 +252,7 @@ func NewNICSink(dev osabs.Device) (*NICSink, error) {
 // Device returns the wrapped device.
 func (s *NICSink) Device() osabs.Device { return s.dev }
 
-// Push implements IPacketPush.
-func (s *NICSink) Push(p *Packet) error { return pushOne(s, p) }
-
-// PushBatch implements IPacketPushBatch: the whole batch's frames are
+// PushBatch implements IPacketPush: the whole batch's frames are
 // gathered into one pooled [][]byte and handed to the device in a single
 // SendBatch — one syscall on the mmsg backend — with counters settled
 // once per batch. A refused tail (full ring, socket buffer pressure)

@@ -12,15 +12,17 @@ import (
 	"netkit/packet"
 )
 
-// Tests for the single data path: Push is PushBatch of one on every
-// registered packet element, and the two satellite defects the collapse
-// rode in with (HotSwap stranding a late push, FlowHash's weak low bit).
+// Tests for the single data path: every registered packet element is
+// reached through one operation, PushBatch, and the two satellite defects
+// the collapse rode in with (HotSwap stranding a late push, FlowHash's
+// weak low bit).
 
-// TestPushIsBatchOfOne drives every registered component type that provides
-// IPacketPush twice — once through Push, once through one-packet batches —
-// and requires identical stats. Outputs stay unbound: forwarding elements
-// then drop at their egress, which exercises the same accounting.
-func TestPushIsBatchOfOne(t *testing.T) {
+// TestInterceptionSeesOneOpPerBatch binds a source to every registered
+// component type that provides IPacketPush and audits that binding: each
+// pushed batch must cross the chain as exactly one "PushBatch" operation,
+// and PacketCount over the operations must sum to the packets pushed.
+// Outputs stay unbound, so forwarding elements drop at their egress.
+func TestInterceptionSeesOneOpPerBatch(t *testing.T) {
 	stream := func() []*Packet {
 		ps := []*Packet{
 			udpPkt(t, 53, 64),
@@ -34,80 +36,54 @@ func TestPushIsBatchOfOne(t *testing.T) {
 	}
 	tested := 0
 	for _, typ := range core.Components.Types() {
-		build := func() (core.Component, IPacketPush) {
-			comp, err := core.Components.New(typ, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", typ, err)
-			}
-			impl, ok := comp.Provided(IPacketPushID)
-			if !ok {
-				return comp, nil
-			}
-			return comp, impl.(IPacketPush)
+		comp, err := core.Components.New(typ, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
 		}
-		perComp, per := build()
-		batComp, bat := build()
-		if per == nil {
+		if _, ok := comp.Provided(IPacketPushID); !ok {
 			continue
 		}
 		tested++
-		for _, p := range stream() {
-			if err := per.Push(p); err != nil {
-				t.Fatalf("%s: Push: %v", typ, err)
+		c := newCap()
+		src := newHoldingSource()
+		if err := c.Insert("src", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("dut", comp); err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		bind, err := ConnectPush(c, "src", "out", "dut")
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		var ops []string
+		packets := 0
+		if err := bind.AddInterceptor(core.Interceptor{Name: "audit", Wrap: core.PrePost(func(op string, args []any) {
+			ops = append(ops, op)
+			packets += PacketCount(op, args)
+		}, nil)}); err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		pushed := 0
+		batches := [][]*Packet{stream(), stream()[:1], stream()[1:4]}
+		for _, batch := range batches {
+			pushed += len(batch)
+			_ = src.push(batch) // the audit, not the outcome, is under test
+		}
+		if len(ops) != len(batches) {
+			t.Errorf("%s: %d batches crossed as %d operations %v", typ, len(batches), len(ops), ops)
+		}
+		for _, op := range ops {
+			if op != "PushBatch" {
+				t.Errorf("%s: interceptor saw op %q, want PushBatch", typ, op)
 			}
 		}
-		for _, p := range stream() {
-			if err := ForwardBatch(bat, []*Packet{p}); err != nil {
-				t.Fatalf("%s: PushBatch: %v", typ, err)
-			}
-		}
-		ps, bs := statMap(perComp), statMap(batComp)
-		if len(ps) == 0 {
-			t.Fatalf("%s: no stats", typ)
-		}
-		for name, want := range ps {
-			if bs[name] != want {
-				t.Errorf("%s stat %q: Push %v, PushBatch of one %v", typ, name, want, bs[name])
-			}
+		if packets != pushed {
+			t.Errorf("%s: PacketCount sums to %d, pushed %d", typ, packets, pushed)
 		}
 	}
 	if tested < 10 {
 		t.Fatalf("only %d registered types provide IPacketPush; the table is not covering the standard elements", tested)
-	}
-}
-
-// TestPushUnwrapsBatchError: a per-packet caller sees the downstream's own
-// error, not the BatchError the batch path accounts with.
-func TestPushUnwrapsBatchError(t *testing.T) {
-	c := newCap()
-	cnt := NewCounter()
-	if err := c.Insert("cnt", cnt); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert("bad", newErrBatchTarget(errFlaky)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ConnectPush(c, "cnt", "out", "bad"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cnt.Push(udpPkt(t, 53, 64)); err != errFlaky {
-		t.Fatalf("Push returned %v (%T), want the bare downstream error", err, err)
-	}
-	var be *BatchError
-	if err := cnt.PushBatch([]*Packet{udpPkt(t, 53, 64)}); !errors.As(err, &be) || be.Failed != 1 {
-		t.Fatalf("PushBatch returned %v, want a BatchError for 1 packet", err)
-	}
-	if st := cnt.ElemStats(); st.In != 2 || st.Errors != 2 || st.Out != 0 {
-		t.Fatalf("counter books %+v, want in 2 errs 2", st)
-	}
-}
-
-// TestPushAdapterAllocatesNothing pins the adapter's steady state.
-func TestPushAdapterAllocatesNothing(t *testing.T) {
-	cnt := NewCounter()
-	p := udpPkt(t, 53, 64)
-	if n := testing.AllocsPerRun(1000, func() { _ = cnt.Push(p) }); n != 0 {
-		t.Fatalf("Push into an unbound Counter allocates %v times per call", n)
 	}
 }
 
@@ -133,7 +109,7 @@ func (s *holdingSource) push(batch []*Packet) error {
 		return errors.New("unbound")
 	}
 	runtime.Gosched()
-	return ForwardBatch(next, batch)
+	return next.PushBatch(batch)
 }
 
 // TestHotSwapRacingPushersConserve: pushers race 200 FIFO<->RED swaps of

@@ -66,7 +66,7 @@ func (c *queueCore) setBell(bell chan struct{}) {
 // counted and dropped: never left in a ring nobody pulls from.
 func (c *queueCore) late(batch []*Packet) error {
 	if c.heir != nil {
-		return ForwardBatch(c.heir, batch)
+		return c.heir.PushBatch(batch)
 	}
 	c.in.Add(uint64(len(batch)))
 	c.dropped.Add(uint64(len(batch)))
@@ -148,10 +148,7 @@ func NewFIFOQueue(capacity int) (*FIFOQueue, error) {
 	return q, nil
 }
 
-// Push implements IPacketPush.
-func (q *FIFOQueue) Push(p *Packet) error { return pushOne(q, p) }
-
-// PushBatch implements IPacketPushBatch: the whole batch is admitted under
+// PushBatch implements IPacketPush: the whole batch is admitted under
 // one lock acquisition. Packets beyond the remaining capacity are dropped
 // (drop-tail; the drop is counted and absorbed, not propagated, so
 // upstream elements keep forwarding). The packet pointers are copied into
@@ -289,10 +286,7 @@ func (q *REDQueue) admitLocked(p *Packet) (drop, forced bool) {
 	return drop, forced
 }
 
-// Push implements IPacketPush.
-func (q *REDQueue) Push(p *Packet) error { return pushOne(q, p) }
-
-// PushBatch implements IPacketPushBatch: the RED decision stays strictly
+// PushBatch implements IPacketPush: the RED decision stays strictly
 // per-packet (the EWMA evolves arrival by arrival), but the whole batch is
 // admitted under one lock acquisition. Dropped packets are released
 // outside the lock.

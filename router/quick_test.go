@@ -84,7 +84,7 @@ func TestQuickPipelineConservation(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				raw[14] ^= 0xff // corrupt checksum
 			}
-			if err := push.Push(NewPacket(raw)); err != nil {
+			if err := push1(push, NewPacket(raw)); err != nil {
 				return false
 			}
 		}
@@ -139,7 +139,7 @@ func TestQuickHotSwapConserves(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if head.Push(NewPacket(raw)) == nil {
+				if push1(head, NewPacket(raw)) == nil {
 					sent++
 				}
 			}
@@ -193,7 +193,7 @@ func TestQuickFigure3TTLInvariant(t *testing.T) {
 			return false
 		}
 		wantTTL := 63
-		if err := push.Push(NewPacket(raw)); err != nil {
+		if err := push1(push, NewPacket(raw)); err != nil {
 			return false
 		}
 		// Drain through the scheduler synchronously.

@@ -50,12 +50,15 @@ func newSink() *sink {
 	return s
 }
 
-func (s *sink) Push(p *Packet) error {
+func (s *sink) PushBatch(batch []*Packet) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pkts = append(s.pkts, p)
+	s.pkts = append(s.pkts, batch...)
 	return nil
 }
+
+// push1 pushes one packet as a one-element batch.
+func push1(dst IPacketPush, p *Packet) error { return dst.PushBatch([]*Packet{p}) }
 
 func (s *sink) count() int {
 	s.mu.Lock()
@@ -129,7 +132,7 @@ func TestCounterForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := udpPkt(t, 53, 64)
-	if err := cnt.Push(p); err != nil {
+	if err := push1(cnt, p); err != nil {
 		t.Fatal(err)
 	}
 	if s.count() != 1 {
@@ -146,7 +149,7 @@ func TestCounterForwards(t *testing.T) {
 
 func TestCounterUnboundDrops(t *testing.T) {
 	cnt := NewCounter()
-	if err := cnt.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(cnt, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if st := cnt.ElemStats(); st.Dropped != 1 {
@@ -161,7 +164,7 @@ func TestDropperAbsorbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Push(p); err != nil {
+	if err := push1(d, p); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Stats().Live != 0 {
@@ -190,7 +193,7 @@ func TestTeeDuplicates(t *testing.T) {
 	if _, err := ConnectPush(c, "tee", "out1", "s2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tee.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(tee, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if s1.count() != 1 || s2.count() != 1 {
@@ -221,11 +224,40 @@ func TestTeeRefcountsPooledBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tee.Push(p); err != nil {
+	if err := push1(tee, p); err != nil {
 		t.Fatal(err)
 	}
 	if live := pool.Stats().Live; live != 0 {
 		t.Fatalf("pooled buffer leaked across tee: live=%d", live)
+	}
+}
+
+// TestTeeCountsEveryFailedDelivery: a delivery an output refuses is an
+// error, not an output, however many deliveries failed before it.
+func TestTeeCountsEveryFailedDelivery(t *testing.T) {
+	c := newCap()
+	tee, err := NewTee(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := newErrBatchTarget(errFlaky), newErrBatchTarget(errFlaky)
+	for name, comp := range map[string]core.Component{"tee": tee, "r1": r1, "r2": r2} {
+		if err := c.Insert(name, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ConnectPush(c, "tee", "out0", "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ConnectPush(c, "tee", "out1", "r2"); err != nil {
+		t.Fatal(err)
+	}
+	err = push1(tee, udpPkt(t, 1, 64))
+	if !errors.Is(err, errFlaky) || FailedPackets(err, 1) != 1 {
+		t.Fatalf("tee returned %v, want the refusal for its one packet", err)
+	}
+	if st := tee.ElemStats(); st.In != 1 || st.Out != 0 || st.Errors != 2 {
+		t.Fatalf("tee books in=%d out=%d errs=%d, want 1/0/2", st.In, st.Out, st.Errors)
 	}
 }
 
@@ -251,13 +283,13 @@ func TestProtoRecognDemux(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(r, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Push(udp6Pkt(t, 64)); err != nil {
+	if err := push1(r, udp6Pkt(t, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Push(NewPacket([]byte{0xff, 0x00})); err != nil {
+	if err := push1(r, NewPacket([]byte{0xff, 0x00})); err != nil {
 		t.Fatal(err)
 	}
 	if s4.count() != 1 || s6.count() != 1 || so.count() != 1 {
@@ -278,7 +310,7 @@ func TestIPv4ProcDecrementsTTL(t *testing.T) {
 	if _, err := ConnectPush(c, "h", "out", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(h, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	got := s.last()
@@ -307,7 +339,7 @@ func TestIPv4ProcDropsExpired(t *testing.T) {
 	if _, err := ConnectPush(c, "h", "out", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Push(udpPkt(t, 1, 1)); err != nil { // 1 -> 0: expires
+	if err := push1(h, udpPkt(t, 1, 1)); err != nil { // 1 -> 0: expires
 		t.Fatal(err)
 	}
 	if s.count() != 0 {
@@ -333,7 +365,7 @@ func TestIPv4ProcValidatesChecksum(t *testing.T) {
 	}
 	p := udpPkt(t, 1, 64)
 	p.Data[12] ^= 0xff // corrupt src addr
-	if err := h.Push(p); err != nil {
+	if err := push1(h, p); err != nil {
 		t.Fatal(err)
 	}
 	if s.count() != 0 || h.ChecksumDrops() != 1 {
@@ -354,7 +386,7 @@ func TestIPv6ProcDecrementsHopLimit(t *testing.T) {
 	if _, err := ConnectPush(c, "h", "out", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Push(udp6Pkt(t, 5)); err != nil {
+	if err := push1(h, udp6Pkt(t, 5)); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := packet.ParseIPv6(s.last().Data)
@@ -364,7 +396,7 @@ func TestIPv6ProcDecrementsHopLimit(t *testing.T) {
 	if hdr.HopLimit != 4 {
 		t.Fatalf("hop = %d", hdr.HopLimit)
 	}
-	if err := h.Push(udp6Pkt(t, 1)); err != nil {
+	if err := push1(h, udp6Pkt(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if h.HopDrops() != 1 {
@@ -385,16 +417,16 @@ func TestChecksumValidator(t *testing.T) {
 	if _, err := ConnectPush(c, "v", "out", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(v, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	bad := udpPkt(t, 1, 64)
 	bad.Data[15] ^= 0x55
-	if err := v.Push(bad); err != nil {
+	if err := push1(v, bad); err != nil {
 		t.Fatal(err)
 	}
 	// IPv6 passes through (no header checksum).
-	if err := v.Push(udp6Pkt(t, 9)); err != nil {
+	if err := push1(v, udp6Pkt(t, 9)); err != nil {
 		t.Fatal(err)
 	}
 	if s.count() != 2 {
@@ -431,17 +463,17 @@ func TestClassifierRoutesBySpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := cls.Push(udpPkt(t, 53, 64)); err != nil {
+	if err := push1(cls, udpPkt(t, 53, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cls.Push(udpPkt(t, 9999, 64)); err != nil {
+	if err := push1(cls, udpPkt(t, 9999, 64)); err != nil {
 		t.Fatal(err)
 	}
 	web, err := packet.BuildTCP4(srcA, dstA, 5000, 80, 64, packet.TCPSyn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cls.Push(NewPacket(web)); err != nil {
+	if err := push1(cls, NewPacket(web)); err != nil {
 		t.Fatal(err)
 	}
 	if sd.count() != 1 || sw.count() != 1 || sdef.count() != 1 {
@@ -454,7 +486,7 @@ func TestClassifierUnmatchedWithoutDefaultDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cls.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(cls, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if cls.ElemStats().Dropped != 1 {
@@ -515,13 +547,13 @@ func TestClassifierUnregister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cls.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(cls, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cls.UnregisterFilter(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := cls.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(cls, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if sa.count() != 1 || sdef.count() != 1 {
@@ -560,7 +592,7 @@ func TestFIFOQueuePushPull(t *testing.T) {
 	}
 	p1, p2, p3 := udpPkt(t, 1, 64), udpPkt(t, 2, 64), udpPkt(t, 3, 64)
 	for _, p := range []*Packet{p1, p2, p3} {
-		if err := q.Push(p); err != nil {
+		if err := push1(q, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -597,7 +629,7 @@ func TestREDQueueForcedDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		if err := q.Push(udpPkt(t, 1, 64)); err != nil {
+		if err := push1(q, udpPkt(t, 1, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -618,7 +650,7 @@ func TestREDQueueEarlyDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := q.Push(udpPkt(t, 1, 64)); err != nil {
+		if err := push1(q, udpPkt(t, 1, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -650,10 +682,10 @@ func TestREDQueuePullOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1, p2 := udpPkt(t, 1, 64), udpPkt(t, 2, 64)
-	if err := q.Push(p1); err != nil {
+	if err := push1(q, p1); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push(p2); err != nil {
+	if err := push1(q, p2); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := q.Pull(); got != p1 {

@@ -140,6 +140,9 @@ func (s *LinkScheduler) RemoveInput(name string) error {
 			return err
 		}
 		s.inputs = append(s.inputs[:i], s.inputs[i+1:]...)
+		if i < s.next {
+			s.next-- // the input whose turn it is moved down one slot
+		}
 		if s.next >= len(s.inputs) {
 			s.next = 0
 		}

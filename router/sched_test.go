@@ -20,7 +20,7 @@ func fillQueue(t *testing.T, q *FIFOQueue, n, size int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Push(NewPacket(b)); err != nil {
+		if err := push1(q, NewPacket(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,6 +179,58 @@ func TestRRAlternates(t *testing.T) {
 	}
 }
 
+// TestSchedulerRemoveInputKeepsTurn: removing an input ahead of the
+// service pointer must not skip the input whose turn it is.
+func TestSchedulerRemoveInputKeepsTurn(t *testing.T) {
+	for _, policy := range []SchedPolicy{PolicyRR, PolicyDRR} {
+		c := newCap()
+		s, err := NewLinkScheduler(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := newSink()
+		if err := c.Insert("sched", s); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("out", out); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b", "c"} {
+			if err := s.AddInput(name, 1500, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for port, name := range map[uint16]string{2: "b", 3: "c"} {
+			q, err := NewFIFOQueue(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Insert("q"+name, q); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ConnectPull(c, "sched", name, "q"+name); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := push1(q, udpPkt(t, port, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := ConnectPush(c, "sched", "out", "out"); err != nil {
+			t.Fatal(err)
+		}
+		s.RunOnce(1) // a is unbound and yields nothing: b is served
+		if err := s.RemoveInput("a"); err != nil {
+			t.Fatal(err)
+		}
+		s.RunOnce(1) // c's turn
+		if got := dstPorts(out.pkts); !equalPorts(got, []uint16{2, 3}) {
+			t.Fatalf("%s: served ports %v, want [2 3] (b then c)", policy, got)
+		}
+	}
+}
+
 func TestSchedulerEmptyQueuesServeZero(t *testing.T) {
 	_, s, _, _ := schedFixture(t, PolicyDRR,
 		map[string]int{"qa": 1500}, map[string]int{"qa": 0})
@@ -322,11 +374,11 @@ func TestSchedulerDoorbellWakesIdlePump(t *testing.T) {
 	waitFor(t, "the idle pump to register its doorbell", func() bool {
 		return belled(&fifo.queueCore) && belled(&red.queueCore)
 	})
-	if err := fifo.Push(udpPkt(t, 1, 64)); err != nil {
+	if err := push1(fifo, udpPkt(t, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the FIFO packet", func() bool { return out.count() == 1 })
-	if err := red.Push(udpPkt(t, 2, 64)); err != nil {
+	if err := push1(red, udpPkt(t, 2, 64)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the RED packet", func() bool { return out.count() == 2 })
@@ -410,7 +462,7 @@ func TestSchedulerDoorbellFollowsHotSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur = name
-		if err := next.Push(udpPkt(t, uint16(i), 64)); err != nil {
+		if err := push1(next, udpPkt(t, uint16(i), 64)); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, fmt.Sprintf("the packet pushed into swap %d's replacement", i+1),
@@ -604,7 +656,7 @@ func TestSchedulerCreditPullEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := q.Push(NewPacket(raw)); err != nil {
+				if err := push1(q, NewPacket(raw)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -36,10 +36,7 @@ func NewTokenShaper(rate, burst float64, clock func() time.Time) (*TokenShaper, 
 	return s, nil
 }
 
-// Push implements IPacketPush.
-func (s *TokenShaper) Push(p *Packet) error { return pushOne(s, p) }
-
-// PushBatch implements IPacketPushBatch: conformance stays per-packet
+// PushBatch implements IPacketPush: conformance stays per-packet
 // (token buckets meter bytes), and the conforming packets leave as one
 // batch.
 func (s *TokenShaper) PushBatch(batch []*Packet) error { return s.plan.run(batch) }

@@ -331,11 +331,7 @@ func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
 // ---------------------------------------------------------------------------
 // Dispatch (the RSS fast path)
 
-// Push implements IPacketPush. Sustained traffic should arrive via
-// PushBatch.
-func (s *ShardedCF) Push(p *Packet) error { return pushOne(s, p) }
-
-// PushBatch implements IPacketPushBatch: the batch is split by flow hash
+// PushBatch implements IPacketPush: the batch is split by flow hash
 // into per-shard sub-batches (in per-dispatch stage arrays) which enter
 // each shard's ring as single hand-offs. Per-flow arrival order is
 // preserved: one flow hashes to one shard, sub-batches keep slice order,
@@ -768,10 +764,7 @@ func latencySample(now, born int64) (uint64, bool) {
 	return uint64(now - born), true
 }
 
-// Push implements IPacketPush.
-func (e *shardEgress) Push(p *Packet) error { return pushOne(e, p) }
-
-// PushBatch implements IPacketPushBatch. Latency is recorded against one
+// PushBatch implements IPacketPush. Latency is recorded against one
 // clock read for the whole batch, before the downstream hand-off, so the
 // lane histogram measures intake-to-egress residence (ring wait plus the
 // replica traversal), not the consumer beyond the merge.
@@ -789,12 +782,12 @@ func (e *shardEgress) PushBatch(batch []*Packet) error {
 }
 
 var (
-	_ core.Starter     = (*ShardedCF)(nil)
-	_ core.Stopper     = (*ShardedCF)(nil)
-	_ IPacketPushBatch = (*ShardedCF)(nil)
-	_ IPacketPushBatch = (*shardEgress)(nil)
-	_ StatsReporter    = (*ShardedCF)(nil)
-	_ core.IStats      = (*ShardedCF)(nil)
-	_ core.IStatsTree  = (*ShardedCF)(nil)
-	_ core.Component   = (*ShardedCF)(nil)
+	_ core.Starter    = (*ShardedCF)(nil)
+	_ core.Stopper    = (*ShardedCF)(nil)
+	_ IPacketPush     = (*ShardedCF)(nil)
+	_ IPacketPush     = (*shardEgress)(nil)
+	_ StatsReporter   = (*ShardedCF)(nil)
+	_ core.IStats     = (*ShardedCF)(nil)
+	_ core.IStatsTree = (*ShardedCF)(nil)
+	_ core.Component  = (*ShardedCF)(nil)
 )

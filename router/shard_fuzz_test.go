@@ -241,7 +241,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, u := range stream {
-			err := entry.Push(mkFlowPacket(t, u.flow, u.seq))
+			err := push1(entry, mkFlowPacket(t, u.flow, u.seq))
 			if wantErr := refSink.fails(u.flow, u.seq); (err != nil) != wantErr {
 				t.Fatalf("flow %d seq %d: push err %v, want failure %v", u.flow, u.seq, err, wantErr)
 			}

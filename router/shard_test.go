@@ -69,19 +69,6 @@ func newRecordingSink() *recordingSink {
 	return s
 }
 
-func (s *recordingSink) Push(p *Packet) error {
-	flow, seq := flowSeq(p)
-	s.mu.Lock()
-	s.flows[flow] = append(s.flows[flow], seq)
-	s.count++
-	s.mu.Unlock()
-	p.Release()
-	if s.fails(flow, seq) {
-		return errFlaky
-	}
-	return nil
-}
-
 func (s *recordingSink) PushBatch(batch []*Packet) error {
 	failed := 0
 	s.mu.Lock()
@@ -275,7 +262,7 @@ func TestShardedCFFlowAffinity(t *testing.T) {
 	_, s, sink := buildSharded(t, 4, counterReplica)
 	const n = 64
 	for seq := uint32(0); seq < n; seq++ {
-		if err := s.Push(mkFlowPacket(t, 7, seq)); err != nil {
+		if err := push1(s, mkFlowPacket(t, 7, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,7 +289,7 @@ func TestShardedCFFlowAffinity(t *testing.T) {
 func TestShardedCFSpreadsFlows(t *testing.T) {
 	_, s, _ := buildSharded(t, 4, counterReplica)
 	for f := uint32(0); f < 256; f++ {
-		if err := s.Push(mkFlowPacket(t, f, 0)); err != nil {
+		if err := push1(s, mkFlowPacket(t, f, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +329,7 @@ func TestShardedCFStopDrainsThenRefuses(t *testing.T) {
 	if got := sink.total(); got != n {
 		t.Fatalf("sink received %d of %d accepted before Stop", got, n)
 	}
-	if err := s.Push(mkFlowPacket(t, 1, 0)); !errors.Is(err, ErrStopped) {
+	if err := push1(s, mkFlowPacket(t, 1, 0)); !errors.Is(err, ErrStopped) {
 		t.Fatalf("push after stop: %v", err)
 	}
 	if s.ElemStats().Dropped != 1 {
@@ -352,7 +339,7 @@ func TestShardedCFStopDrainsThenRefuses(t *testing.T) {
 	if err := capsule.StartComponent(context.Background(), "sharded"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(mkFlowPacket(t, 1, 0)); err != nil {
+	if err := push1(s, mkFlowPacket(t, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, s)
@@ -365,7 +352,7 @@ func TestShardedCFStopDrainsThenRefuses(t *testing.T) {
 
 // TestShardedCFInterceptAggregates installs ONE audit across all replica
 // ingress bindings and checks it counts every packet exactly once —
-// aggregated across shards — whether the chain sees Push or PushBatch ops.
+// aggregated across shards — whatever batch sizes the chain sees.
 func TestShardedCFInterceptAggregates(t *testing.T) {
 	_, s, sink := buildSharded(t, 4, counterReplica)
 	var audited uint64
@@ -407,7 +394,7 @@ func TestShardedCFInterceptAggregates(t *testing.T) {
 	if err := s.Unintercept("ingress", "out", "audit"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(mkFlowPacket(t, 1, 99)); err != nil {
+	if err := push1(s, mkFlowPacket(t, 1, 99)); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, s)
@@ -474,12 +461,10 @@ type stallStage struct {
 	hook func()
 }
 
-func (s *stallStage) Push(p *Packet) error { return s.PushBatch([]*Packet{p}) }
-
 func (s *stallStage) PushBatch(batch []*Packet) error {
 	s.hook()
 	next, _ := s.out.Get()
-	return ForwardBatch(next, batch)
+	return next.PushBatch(batch)
 }
 
 // stallReplica builds ingress -> stallStage(hook) -> egress.
@@ -511,7 +496,7 @@ func TestShardedCFInterceptIsACut(t *testing.T) {
 	}, nil)
 	push := func(from, n int) {
 		for i := from; i < from+n; i++ {
-			if err := s.Push(mkFlowPacket(t, uint32(i%8), uint32(i/8))); err != nil {
+			if err := push1(s, mkFlowPacket(t, uint32(i%8), uint32(i/8))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -571,7 +556,7 @@ func TestShardedCFMetaOpsWithoutWorkers(t *testing.T) {
 	if err := s.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(mkFlowPacket(t, 1, 0)); err != nil {
+	if err := push1(s, mkFlowPacket(t, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Stop(ctx); err != nil {
@@ -598,7 +583,7 @@ func TestShardedCFQuiesceExpiresOnWedgedLane(t *testing.T) {
 	t.Cleanup(func() { unwedge.Do(func() { close(release) }) }) // before Stop drains
 	wedged := mkFlowPacket(t, 1, 0)
 	lane := FlowShard(wedged, 2)
-	if err := s.Push(wedged); err != nil {
+	if err := push1(s, wedged); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -613,11 +598,11 @@ func TestShardedCFQuiesceExpiresOnWedgedLane(t *testing.T) {
 	for FlowShard(mkFlowPacket(t, flow, 0), 2) == lane {
 		flow++
 	}
-	if err := s.Push(mkFlowPacket(t, flow, 0)); err != nil {
+	if err := push1(s, mkFlowPacket(t, flow, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitSinkTotal(t, sink, 1)
-	if err := s.Push(mkFlowPacket(t, 1, 1)); err != nil {
+	if err := push1(s, mkFlowPacket(t, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	unwedge.Do(func() { close(release) })
@@ -876,14 +861,14 @@ func TestShardedCFStopWaitsOutBlockedProducer(t *testing.T) {
 	t.Cleanup(func() { unwedge.Do(func() { close(release) }) }) // before Stop drains
 	// The worker holds the first packet in the wedged replica, so the
 	// producer's only stall is on the full ring behind it, inside PushBatch.
-	if err := s.Push(mkFlowPacket(t, 1, 0)); err != nil {
+	if err := push1(s, mkFlowPacket(t, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	accepted := make(chan int, 1)
 	go func() {
 		n := 1
-		for s.Push(mkFlowPacket(t, 1, uint32(n))) == nil {
+		for push1(s, mkFlowPacket(t, 1, uint32(n))) == nil {
 			n++
 		}
 		accepted <- n
@@ -922,7 +907,7 @@ func TestShardedCFStopWaitsOutBlockedProducer(t *testing.T) {
 		t.Fatalf("sink received %d of %d accepted before Stop", got, n)
 	}
 	sink.perFlowInOrder(t)
-	if err := s.Push(mkFlowPacket(t, 1, uint32(n+1))); !errors.Is(err, ErrStopped) {
+	if err := push1(s, mkFlowPacket(t, 1, uint32(n+1))); !errors.Is(err, ErrStopped) {
 		t.Fatalf("push after Stop: %v, want %v", err, ErrStopped)
 	}
 	if got := s.ElemStats().Dropped; got != 2 {
@@ -941,7 +926,7 @@ func TestShardedCFHotSwapFactoryFailure(t *testing.T) {
 		t.Fatal("factory failure not propagated")
 	}
 	// The CF still forwards after the failed swap.
-	if err := s.Push(mkFlowPacket(t, 3, 0)); err != nil {
+	if err := push1(s, mkFlowPacket(t, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, s)
@@ -954,8 +939,6 @@ type countSink struct {
 	*core.Base
 	pkts atomic.Int64
 }
-
-func (s *countSink) Push(p *Packet) error { return s.PushBatch([]*Packet{p}) }
 
 func (s *countSink) PushBatch(batch []*Packet) error {
 	s.pkts.Add(int64(len(batch)))
@@ -1280,7 +1263,7 @@ func TestShardedCFHotSwapRetryAfterPartialFailure(t *testing.T) {
 	// The converged fleet still forwards.
 	const n = 40
 	for i := uint32(0); i < n; i++ {
-		if err := s.Push(mkFlowPacket(t, i%6, i/6)); err != nil {
+		if err := push1(s, mkFlowPacket(t, i%6, i/6)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1326,7 +1309,7 @@ func TestShardedCFHotSwapRetryAfterInsertFailure(t *testing.T) {
 	}
 	const n = 30
 	for i := uint32(0); i < n; i++ {
-		if err := s.Push(mkFlowPacket(t, i%5, i/5)); err != nil {
+		if err := push1(s, mkFlowPacket(t, i%5, i/5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1554,7 +1537,7 @@ func TestShardedCFLatencyRespectsUpstreamStamp(t *testing.T) {
 	time.Sleep(upstream + 5*time.Millisecond) // ensure the clock is past the offset
 	p := mkFlowPacket(t, 1, 0)
 	p.Born = Nanotime() - int64(upstream) // stamped 40ms "ago" by a driver
-	if err := s.Push(p); err != nil {
+	if err := push1(s, p); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, s)
