@@ -3,6 +3,7 @@ package adapt
 import (
 	"context"
 	"encoding/binary"
+	"math"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -244,10 +245,7 @@ func TestClosedLoopQueueSwap(t *testing.T) {
 		t.Fatalf("entry stats %+v, want in=out=%d", st, total)
 	}
 	drained := 0
-	for {
-		if _, err := red.Pull(); err != nil {
-			break
-		}
+	for len(red.PullBatch(nil, 1, math.MaxInt)) == 1 {
 		drained++
 	}
 	if drained != total {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"netkit/cf"
 	"netkit/core"
 	"netkit/internal/control"
 	"netkit/router"
@@ -34,6 +35,13 @@ func serve(t *testing.T) string {
 	if _, err := router.ConnectPush(capsule, "cnt", "out", "cls"); err != nil {
 		t.Fatal(err)
 	}
+	return listen(t, fw)
+}
+
+// listen starts a control server over fw on a loopback port and returns
+// its address.
+func listen(t *testing.T, fw *cf.Framework) string {
+	t.Helper()
 	srv := control.NewServer(fw)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -120,6 +128,71 @@ func TestRunFilterShowsInStats(t *testing.T) {
 		if got := filters(); got != step.want {
 			t.Fatalf("after nkctl %v: classifier_filters = %v, want %v", step.args, got, step.want)
 		}
+	}
+}
+
+// TestRunInterceptVerbs drives intercept, chain, audit and unintercept
+// over a queue→scheduler pull binding: the audit reads the packets the
+// scheduler pulled, however many rounds it ran.
+func TestRunInterceptVerbs(t *testing.T) {
+	capsule := core.NewCapsule("nkctl-pull")
+	fw, err := router.NewFramework(capsule, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := router.NewFIFOQueue(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := router.NewLinkScheduler(router.PolicyDRR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.AddInput("in", 1500, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, comp := range map[string]core.Component{"q": q, "sched": sched, "sink": router.NewDropper()} {
+		if err := fw.Admit(name, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := router.ConnectPull(capsule, "sched", "in", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := router.ConnectPush(capsule, "sched", "out", "sink"); err != nil {
+		t.Fatal(err)
+	}
+	addr := listen(t, fw)
+	nkctl := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append([]string{"-addr", addr}, args...), &out); err != nil {
+			t.Fatalf("nkctl %v: %v", args, err)
+		}
+		return out.String()
+	}
+	if got := nkctl("intercept", "sched", "in"); got != "intercepting sched.in\n" {
+		t.Fatalf("intercept printed %q", got)
+	}
+	if got := nkctl("chain", "sched", "in"); got != "control.audit\n" {
+		t.Fatalf("chain printed %q, want control.audit", got)
+	}
+	for i := 0; i < 20; i++ {
+		if err := q.PushBatch([]*router.Packet{router.NewPacket(make([]byte, 100))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ { // one draining round, four idle ones
+		sched.RunOnce(64)
+	}
+	if got := nkctl("audit", "sched", "in"); got != "sched.in: 20 calls\n" {
+		t.Fatalf("audit printed %q, want the 20 packets pulled", got)
+	}
+	if got := nkctl("unintercept", "sched", "in"); got != "sched.in: 20 calls\n" {
+		t.Fatalf("unintercept printed %q, want the final count of 20", got)
+	}
+	if got := nkctl("chain", "sched", "in"); got != "" {
+		t.Fatalf("chain after unintercept printed %q", got)
 	}
 }
 

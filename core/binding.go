@@ -14,13 +14,14 @@ type BindingID uint64
 // interceptor for removal and introspection.
 //
 // Operations are not necessarily unit-cardinality: an interface may define
-// aggregate (batched) operations whose single argument carries many units
-// of work — e.g. the Router CF's "PushBatch", whose args[0] is a packet
-// slice. A proxy presents such a crossing to the chain as ONE operation,
-// so interceptor overhead is paid per batch rather than per element; an
-// interceptor that accounts per element (an audit) must inspect the
-// aggregate argument rather than counting invocations (the router package
-// exposes PacketCount for its data-path ops).
+// aggregate (batched) operations that carry many units of work — e.g. the
+// Router CF's "PushBatch", whose args[0] is a packet slice, and
+// "PullBatch", whose results[0] is the slice it extended. A proxy presents
+// such a crossing to the chain as ONE operation, so interceptor overhead
+// is paid per batch rather than per element; an interceptor that accounts
+// per element (an audit) must inspect the aggregate arguments or results
+// rather than counting invocations (the router package exposes
+// PacketCount for its data-path ops).
 type Interceptor struct {
 	Name string
 	Wrap Around

@@ -68,10 +68,10 @@ type IfaceData struct {
 }
 
 // AuditData is the payload of "audit": one remotely installed counting
-// interceptor. Calls counts units of work, not chain invocations: a
-// batched data-path crossing (op "PushBatch") contributes one count per
-// packet in the batch, so audits read the same whether the pipeline runs
-// the batched fast path or per-packet pushes.
+// interceptor. Calls counts packets, not chain invocations: a "PushBatch"
+// crossing contributes one count per packet it carries, and a "PullBatch"
+// crossing one per packet it took, so an empty pull counts nothing; any
+// other operation counts one.
 type AuditData struct {
 	Component  string `json:"component"`
 	Receptacle string `json:"receptacle"`
@@ -344,9 +344,9 @@ const auditName = "control.audit"
 // readable with the "audit" verb.
 func (s *Server) intercept(component, receptacle string) (any, error) {
 	cnt := new(atomic.Uint64)
-	wrap := core.PrePost(func(op string, args []any) {
-		cnt.Add(uint64(router.PacketCount(op, args)))
-	}, nil)
+	wrap := core.PrePost(nil, func(op string, args, results []any) {
+		cnt.Add(uint64(router.PacketCount(op, args, results...)))
+	})
 	if err := s.meta.Interception().Install(component, receptacle, auditName, wrap); err != nil {
 		return nil, err
 	}

@@ -137,6 +137,53 @@ func TestMetaInterceptionVerbs(t *testing.T) {
 	}
 }
 
+// TestMetaAuditCountsPulledPackets: an audit on a queue→scheduler pull
+// binding counts the packets the scheduler took, not its pulls: 64 packets
+// drained and then ten idle rounds audit exactly 64.
+func TestMetaAuditCountsPulledPackets(t *testing.T) {
+	client, capsule := fixture(t)
+	q, err := router.NewFIFOQueue(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := router.NewLinkScheduler(router.PolicyDRR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.AddInput("in", 1500, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, comp := range map[string]core.Component{"q": q, "sched": sched, "sink": router.NewDropper()} {
+		if err := capsule.Insert(name, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := router.ConnectPull(capsule, "sched", "in", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := router.ConnectPush(capsule, "sched", "out", "sink"); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Do(&Request{Op: "intercept", Component: "sched", Receptacle: "in"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	pushInto(t, capsule, "q", 64)
+	served := 0
+	for i := 0; i < 11; i++ { // the draining round, then ten idle ones
+		served += sched.RunOnce(64)
+	}
+	if served != 64 {
+		t.Fatalf("scheduler served %d of 64", served)
+	}
+	var ad AuditData
+	if err := client.Do(&Request{Op: "audit", Component: "sched", Receptacle: "in"}, &ad); err != nil {
+		t.Fatal(err)
+	}
+	if ad.Calls != 64 {
+		t.Fatalf("audit counted %d, want the 64 packets pulled", ad.Calls)
+	}
+}
+
 func TestMetaTasksVerb(t *testing.T) {
 	client, _ := fixture(t)
 	var tasks []any

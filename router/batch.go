@@ -9,9 +9,8 @@ import (
 )
 
 // This file is the hub of the batched data path (DESIGN.md §4): the
-// error cardinality of a batch crossing, the pull side's batch adapter
-// (pullBatch), the demultiplexing step of the splitting elements, and the
-// pooled []*Packet scratch batches that keep the steady state
+// error cardinality of a batch crossing, the demultiplexing step of the
+// splitting elements, and the pooled []*Packet scratch batches that keep the steady state
 // allocation-free. The ownership contract is IPacketPush's: a PushBatch
 // callee owns the packets but not the slice, which is what lets callers
 // recycle batches through GetBatch/PutBatch without handshaking.
@@ -59,14 +58,25 @@ func FailedPackets(err error, n int) int {
 }
 
 // PacketCount reports how many packets an intercepted operation carries:
-// len(batch) for a PushBatch crossing, 1 for any other operation. Audit-
-// style interceptors use it so a batch of 32 packets counts as 32
-// observations even though the chain wrapped the crossing once.
-func PacketCount(op string, args []any) int {
-	if op == "PushBatch" && len(args) == 1 {
-		if b, ok := args[0].([]*Packet); ok {
-			return len(b)
+// len(batch) for a PushBatch crossing, what a PullBatch crossing appended
+// to dst (0 without its results, as in a pre-hook), and 1 for any other
+// operation. Audit-style interceptors use it so a batch of 32 packets
+// counts as 32 observations though the chain wrapped the crossing once.
+func PacketCount(op string, args []any, results ...any) int {
+	switch op {
+	case "PushBatch":
+		if len(args) == 1 {
+			if b, ok := args[0].([]*Packet); ok {
+				return len(b)
+			}
 		}
+	case "PullBatch":
+		if len(args) > 0 && len(results) > 0 {
+			dst, _ := args[0].([]*Packet)
+			got, _ := results[0].([]*Packet)
+			return max(len(got)-len(dst), 0)
+		}
+		return 0
 	}
 	return 1
 }
@@ -85,39 +95,6 @@ func GetBatch() []*Packet { return packetBatches.Get() }
 // relinquished ownership of the packets; PutBatch clears the slice so the
 // pool never pins packet memory.
 func PutBatch(b []*Packet) { packetBatches.Put(b) }
-
-// batchPuller is the pull side's batch capability: the queues implement
-// it (queueCore.PullBatch), and pullBatch finds it by type assertion.
-type batchPuller interface {
-	PullBatch(dst []*Packet, max, credit int) []*Packet
-}
-
-// pullBatch appends to dst up to max packets from src while byte credit
-// remains, and returns the extended slice and the credit left (each packet
-// costs len(p.Data); the one that exhausts the credit is still taken). It
-// takes one PullBatch — one lock — when src drains in batches, one Pull
-// per packet when src is a per-packet-only plug-in or an intercepted
-// binding. Both stop at the first empty pull, so the caller cannot tell
-// which path ran.
-func pullBatch(src IPacketPull, dst []*Packet, max, credit int) ([]*Packet, int) {
-	if bp, ok := src.(batchPuller); ok {
-		n := len(dst)
-		dst = bp.PullBatch(dst, max, credit)
-		for _, p := range dst[n:] {
-			credit -= len(p.Data)
-		}
-		return dst, credit
-	}
-	for ; max > 0 && credit > 0; max-- {
-		p, err := src.Pull()
-		if err != nil || p == nil {
-			break
-		}
-		dst = append(dst, p)
-		credit -= len(p.Data)
-	}
-	return dst, credit
-}
 
 // forwardBatch pushes batch to the receptacle target and accounts the
 // outcome; a nil or unbound receptacle drops (and releases) the whole

@@ -110,11 +110,23 @@ func TestPacketCount(t *testing.T) {
 	if got := PacketCount("PushBatch", []any{batch}); got != 5 {
 		t.Fatalf("PushBatch count = %d, want 5", got)
 	}
-	if got := PacketCount("Pull", nil); got != 1 {
-		t.Fatalf("Pull count = %d, want 1", got)
-	}
 	if got := PacketCount("PushBatch", nil); got != 1 {
 		t.Fatalf("malformed PushBatch count = %d, want 1", got)
+	}
+	if got := PacketCount("RegisterFilter", []any{"udp", 1, "a"}); got != 1 {
+		t.Fatalf("RegisterFilter count = %d, want 1", got)
+	}
+	// A PullBatch counts what it appended to dst, read from its results.
+	dst := batch[:2]
+	args := []any{dst, 8, math.MaxInt}
+	if got := PacketCount("PullBatch", args, batch); got != 3 {
+		t.Fatalf("PullBatch count = %d, want 3", got)
+	}
+	if got := PacketCount("PullBatch", args, dst); got != 0 {
+		t.Fatalf("empty PullBatch count = %d, want 0", got)
+	}
+	if got := PacketCount("PullBatch", args); got != 0 {
+		t.Fatalf("PullBatch count without results = %d, want 0", got)
 	}
 }
 
@@ -291,8 +303,8 @@ func TestFIFOQueueBatchOverflow(t *testing.T) {
 			t.Fatalf("FIFO order violated at %d", i)
 		}
 	}
-	if _, err := q.Pull(); err != ErrNoPacket {
-		t.Fatalf("drained queue Pull err = %v", err)
+	if got := q.PullBatch(nil, 1, math.MaxInt); len(got) != 0 {
+		t.Fatalf("drained queue yielded %d packets", len(got))
 	}
 }
 

@@ -24,9 +24,13 @@
 //     steady state allocation-free. The same rule applies one stratum
 //     down to the [][]byte frame batches recycled by internal/buffers.
 //
+// IPacketPull, the push/pull boundary of Figure 3, likewise has one
+// method, PullBatch.
+//
 // Interception composes with batching: an interceptor chain on a binding
-// wraps a PushBatch crossing once (op "PushBatch", args [batch]), not once
-// per packet — see PacketCount for audit-style per-packet accounting.
+// wraps a PushBatch or PullBatch crossing once (op "PushBatch", args
+// [batch]; op "PullBatch", args [dst, max, credit], results [dst]), not
+// once per packet — see PacketCount for audit-style per-packet accounting.
 package router
 
 import (
@@ -40,8 +44,6 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrNoPacket indicates an empty pull source.
-	ErrNoPacket = errors.New("router: no packet")
 	// ErrQueueFull indicates a refused enqueue (drop-tail).
 	ErrQueueFull = errors.New("router: queue full")
 	// ErrStopped indicates a component used outside started state.
@@ -149,10 +151,14 @@ type IPacketPush interface {
 	PushBatch(batch []*Packet) error
 }
 
-// IPacketPull is the pull-oriented interface: the caller obtains the next
-// packet from an upstream element, or ErrNoPacket.
+// IPacketPull is the pull-oriented packet interface. PullBatch appends to
+// dst, in queue order, packets while fewer than max have moved and byte
+// credit remains, and returns the extended slice; each packet costs
+// len(p.Data) of the credit, and the packet that exhausts it is still
+// taken (DRR's debt carrying). The caller takes ownership of the packets
+// appended; an empty source appends nothing.
 type IPacketPull interface {
-	Pull() (*Packet, error)
+	PullBatch(dst []*Packet, max, credit int) []*Packet
 }
 
 // IClassifier is the optional filter-management interface (§5):
@@ -190,20 +196,16 @@ type pullProxy struct {
 	around core.Around
 }
 
-func (p *pullProxy) Pull() (*Packet, error) {
-	out := p.around("Pull", nil, func([]any) []any {
-		pkt, err := p.target.Pull()
-		return []any{pkt, err}
+// PullBatch carries one drain across the chain as ONE "PullBatch"
+// operation (args dst, max, credit; results[0] the extended slice).
+func (p *pullProxy) PullBatch(dst []*Packet, max, credit int) []*Packet {
+	out := p.around("PullBatch", []any{dst, max, credit}, func(args []any) []any {
+		return []any{p.target.PullBatch(args[0].([]*Packet), args[1].(int), args[2].(int))}
 	})
-	var pkt *Packet
-	if out[0] != nil {
-		pkt = out[0].(*Packet)
+	if got, ok := out[0].([]*Packet); ok {
+		return got
 	}
-	var err error
-	if out[1] != nil {
-		err = out[1].(error)
-	}
-	return pkt, err
+	return dst // an interceptor withheld the call: nothing was taken
 }
 
 type classifierProxy struct {
@@ -258,8 +260,8 @@ func init() {
 	})
 	core.Interfaces.MustRegister(&core.Descriptor{
 		ID:  IPacketPullID,
-		Doc: "pull-oriented packet hand-off; caller obtains next packet",
-		Ops: []core.OpDesc{{Name: "Pull", NumIn: 0, NumOut: 2, Doc: "take next packet"}},
+		Doc: "pull-oriented packet hand-off; caller takes ownership",
+		Ops: []core.OpDesc{{Name: "PullBatch", NumIn: 3, NumOut: 1, Doc: "drain packets within a count and byte credit"}},
 		Check: func(v any) bool {
 			_, ok := v.(IPacketPull)
 			return ok

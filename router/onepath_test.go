@@ -87,6 +87,94 @@ func TestInterceptionSeesOneOpPerBatch(t *testing.T) {
 	}
 }
 
+// TestInterceptionSeesOnePullPerVisit is the pull half: every registered
+// component type that provides IPacketPull is drained by a LinkScheduler
+// through an audited binding. Each input visit must cross the chain as
+// exactly one "PullBatch" operation, PacketCount over the operations must
+// sum to the packets the scheduler delivered, and idle rounds add nothing.
+func TestInterceptionSeesOnePullPerVisit(t *testing.T) {
+	const budget = 16
+	tested := 0
+	for _, typ := range core.Components.Types() {
+		comp, err := core.Components.New(typ, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		if _, ok := comp.Provided(IPacketPullID); !ok {
+			continue
+		}
+		tested++
+		c := newCap()
+		sched, err := NewLinkScheduler(PolicyDRR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A quantum no round exhausts: a visit ends on the budget or an
+		// empty source, never on credit.
+		if err := sched.AddInput("in", 1<<30, 0); err != nil {
+			t.Fatal(err)
+		}
+		out := newSink()
+		for name, cm := range map[string]core.Component{"dut": comp, "sched": sched, "out": out} {
+			if err := c.Insert(name, cm); err != nil {
+				t.Fatalf("%s: %v", typ, err)
+			}
+		}
+		bind, err := ConnectPull(c, "sched", "in", "dut")
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		if _, err := ConnectPush(c, "sched", "out", "out"); err != nil {
+			t.Fatal(err)
+		}
+		var ops []string
+		packets := 0
+		if err := bind.AddInterceptor(core.Interceptor{Name: "audit", Wrap: core.PrePost(nil, func(op string, args, results []any) {
+			ops = append(ops, op)
+			packets += PacketCount(op, args, results...)
+		})}); err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		push, _ := comp.Provided(IPacketPushID)
+		for i := 0; i < 40; i++ {
+			_ = push.(IPacketPush).PushBatch([]*Packet{udpPkt(t, uint16(i), 64)})
+		}
+		q := comp.(interface{ Len() int })
+		visits := 0
+		for q.Len() > 0 {
+			// DRR over one input visits it once when the budget ends the
+			// round, and once more to find it empty when the source does.
+			if q.Len() < budget {
+				visits++
+			}
+			visits++
+			sched.RunOnce(budget)
+		}
+		drained := packets
+		for i := 0; i < 10; i++ {
+			sched.RunOnce(budget)
+			visits++
+		}
+		if len(ops) != visits {
+			t.Errorf("%s: %d input visits crossed as %d operations", typ, visits, len(ops))
+		}
+		for _, op := range ops {
+			if op != "PullBatch" {
+				t.Errorf("%s: interceptor saw op %q, want PullBatch", typ, op)
+			}
+		}
+		if delivered := out.count(); drained != delivered || delivered == 0 {
+			t.Errorf("%s: PacketCount sums to %d, scheduler delivered %d", typ, drained, delivered)
+		}
+		if packets != drained {
+			t.Errorf("%s: ten idle rounds audited %d packets", typ, packets-drained)
+		}
+	}
+	if tested < 2 {
+		t.Fatalf("only %d registered types provide IPacketPull; the FIFO and RED queues should", tested)
+	}
+}
+
 // holdingSource is a pusher that yields between loading its binding target
 // and calling it — what a preempted pusher does, made certain. It is the
 // window HotSwap has to survive: the target it holds may have been swapped

@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -76,15 +75,6 @@ func (c *queueCore) late(batch []*Packet) error {
 	return nil
 }
 
-// Pull implements IPacketPull: PullBatch of one packet.
-func (c *queueCore) Pull() (*Packet, error) {
-	var one [1]*Packet
-	if got := c.PullBatch(one[:0], 1, math.MaxInt); len(got) == 1 {
-		return got[0], nil
-	}
-	return nil, ErrNoPacket
-}
-
 // drainLocked pops packets into dst (appending, clearing the vacated
 // slots) while fewer than max have moved and credit is positive; each
 // packet costs its length. Caller holds mu.
@@ -100,12 +90,8 @@ func (c *queueCore) drainLocked(dst []*Packet, max, credit int) []*Packet {
 	return dst
 }
 
-// PullBatch moves queued packets into dst (appending) under one lock
-// acquisition while fewer than max have moved and byte credit remains,
-// and returns the extended slice. Each packet costs len(p.Data) of the
-// credit, and the packet that exhausts it is still taken — DRR's debt
-// carrying. It is the batch form of Pull, and what LinkScheduler's
-// disciplines drain a queue with: one lock per queue visit.
+// PullBatch implements IPacketPull under one lock acquisition, so
+// LinkScheduler's disciplines take one queue lock per visit.
 func (c *queueCore) PullBatch(dst []*Packet, max, credit int) []*Packet {
 	before := len(dst)
 	c.mu.Lock()

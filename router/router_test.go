@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"sync"
 	"testing"
@@ -59,6 +60,14 @@ func (s *sink) PushBatch(batch []*Packet) error {
 
 // push1 pushes one packet as a one-element batch.
 func push1(dst IPacketPush, p *Packet) error { return dst.PushBatch([]*Packet{p}) }
+
+// pull1 pulls one packet as a one-element drain; nil means src was empty.
+func pull1(src IPacketPull) *Packet {
+	if got := src.PullBatch(nil, 1, math.MaxInt); len(got) == 1 {
+		return got[0]
+	}
+	return nil
+}
 
 func (s *sink) count() int {
 	s.mu.Lock()
@@ -599,15 +608,14 @@ func TestFIFOQueuePushPull(t *testing.T) {
 	if q.Len() != 2 || q.ElemStats().Dropped != 1 {
 		t.Fatalf("len=%d dropped=%d", q.Len(), q.ElemStats().Dropped)
 	}
-	got, err := q.Pull()
-	if err != nil || got != p1 {
-		t.Fatalf("pull order broken: %v %v", got, err)
+	if got := pull1(q); got != p1 {
+		t.Fatalf("pull order broken: %v", got)
 	}
-	if got, _ := q.Pull(); got != p2 {
+	if got := pull1(q); got != p2 {
 		t.Fatal("pull order broken 2")
 	}
-	if _, err := q.Pull(); !errors.Is(err, ErrNoPacket) {
-		t.Fatalf("want ErrNoPacket, got %v", err)
+	if got := pull1(q); got != nil {
+		t.Fatalf("drained queue yielded %v", got)
 	}
 	if q.Capacity() != 2 {
 		t.Fatalf("cap = %d", q.Capacity())
@@ -688,13 +696,13 @@ func TestREDQueuePullOrder(t *testing.T) {
 	if err := push1(q, p2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := q.Pull(); got != p1 {
+	if got := pull1(q); got != p1 {
 		t.Fatal("order")
 	}
-	if got, _ := q.Pull(); got != p2 {
+	if got := pull1(q); got != p2 {
 		t.Fatal("order2")
 	}
-	if _, err := q.Pull(); !errors.Is(err, ErrNoPacket) {
+	if got := pull1(q); got != nil {
 		t.Fatal("empty")
 	}
 }

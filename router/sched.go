@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,15 +46,15 @@ type doorbell interface {
 // from its input queues according to the configured discipline and pushes
 // to its output (typically a NIC sink). It runs either as a pump (Start/
 // Stop) or synchronously via RunOnce for deterministic tests and benches.
-// Every discipline drains an input through one pull adapter (pullBatch):
-// one PullBatch — one queue lock — per input visit, and each service round
-// leaves as one PushBatch, so the egress binding is crossed once per
-// round, not once per packet.
+// Every discipline drains an input with one PullBatch per input visit —
+// one queue lock, and one "PullBatch" crossing when the binding is
+// intercepted — and each service round leaves as one PushBatch, so the
+// egress binding is crossed once per round, not once per packet.
 //
 // An idle pump sleeps on a doorbell its input queues ring when they turn
 // non-empty, so queueing delay is not set by a timer. A timer at the
 // fallback interval still bounds the sleep, for sources that cannot ring
-// (per-packet-only plug-ins, intercepted pull bindings).
+// (plug-ins without a doorbell, intercepted pull bindings).
 type LinkScheduler struct {
 	*core.Base
 	elementCounters
@@ -62,7 +62,7 @@ type LinkScheduler struct {
 	policy SchedPolicy
 
 	mu      sync.Mutex
-	inputs  []*schedInput
+	inputs  []*schedInput // service order; under PolicyStrict, by falling priority
 	next    int
 	scratch []*Packet // the round's departure batch, reused across RunOnce calls
 
@@ -99,7 +99,9 @@ func (s *LinkScheduler) Policy() SchedPolicy { return s.policy }
 
 // AddInput creates a named pull input with DRR quantum (bytes) and strict
 // priority rank. The returned receptacle name can be bound to any
-// IPacketPull provider.
+// IPacketPull provider. A strict-priority scheduler files the input after
+// every input of equal or higher rank, so RunOnce serves its inputs in
+// slice order without sorting.
 func (s *LinkScheduler) AddInput(name string, quantum, prio int) error {
 	if name == "" {
 		return fmt.Errorf("router: empty input name")
@@ -120,7 +122,13 @@ func (s *LinkScheduler) AddInput(name string, quantum, prio int) error {
 		quantum: quantum,
 		prio:    prio,
 	}
-	s.inputs = append(s.inputs, in)
+	at := len(s.inputs)
+	if s.policy == PolicyStrict {
+		for at > 0 && s.inputs[at-1].prio < prio {
+			at--
+		}
+	}
+	s.inputs = slices.Insert(s.inputs, at, in)
 	s.AddReceptacle(name, in.recp)
 	return nil
 }
@@ -190,8 +198,8 @@ func (s *LinkScheduler) RunOnce(maxPkts int) int {
 }
 
 // pull is the disciplines' one way to take packets: up to max from in
-// while credit bytes remain, appended to the round's scratch through
-// pullBatch. It returns how many it took and the credit left; an unbound
+// while credit bytes remain, appended to the round's scratch by one
+// PullBatch. It returns how many it took and the credit left; an unbound
 // input yields nothing.
 func (s *LinkScheduler) pull(in *schedInput, max, credit int) (int, int) {
 	src, ok := in.recp.Get()
@@ -199,16 +207,16 @@ func (s *LinkScheduler) pull(in *schedInput, max, credit int) (int, int) {
 		return 0, credit
 	}
 	n := len(s.scratch)
-	s.scratch, credit = pullBatch(src, s.scratch, max, credit)
+	s.scratch = src.PullBatch(s.scratch, max, credit)
+	for _, p := range s.scratch[n:] {
+		credit -= len(p.Data)
+	}
 	return len(s.scratch) - n, credit
 }
 
 func (s *LinkScheduler) runStrict(budget int) int {
-	order := make([]*schedInput, len(s.inputs))
-	copy(order, s.inputs)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].prio > order[j].prio })
 	served := 0
-	for _, in := range order {
+	for _, in := range s.inputs {
 		if served == budget {
 			break
 		}

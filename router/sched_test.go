@@ -166,6 +166,49 @@ func TestStrictPriorityStarvation(t *testing.T) {
 	}
 }
 
+// TestStrictPriorityServiceOrder: a strict-priority scheduler keeps its
+// inputs in falling priority, equal ranks in insertion order, across
+// AddInput and RemoveInput.
+func TestStrictPriorityServiceOrder(t *testing.T) {
+	s, err := NewLinkScheduler(PolicyStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		prio int
+	}{{"a", 1}, {"b", 3}, {"c", 1}, {"d", 3}, {"e", 2}} {
+		if err := s.AddInput(in.name, 1500, in.prio); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(s.Inputs()); got != "[b d e a c]" {
+		t.Fatalf("service order %s, want [b d e a c]", got)
+	}
+	if err := s.RemoveInput("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddInput("f", 1500, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(s.Inputs()); got != "[b f e a c]" {
+		t.Fatalf("service order %s, want [b f e a c]", got)
+	}
+}
+
+// TestSchedulerIdleRunOnceAllocs: the pump calls RunOnce on every wake, so
+// an idle round must allocate nothing under any discipline.
+func TestSchedulerIdleRunOnceAllocs(t *testing.T) {
+	for _, policy := range []SchedPolicy{PolicyDRR, PolicyRR, PolicyStrict} {
+		_, s, _, _ := schedFixture(t, policy,
+			map[string]int{"qa": 1500, "qb": 1500, "qc": 1500},
+			map[string]int{"qa": 1, "qb": 2, "qc": 3})
+		if n := testing.AllocsPerRun(100, func() { s.RunOnce(8) }); n != 0 {
+			t.Errorf("%s: idle RunOnce allocates %v times", policy, n)
+		}
+	}
+}
+
 func TestRRAlternates(t *testing.T) {
 	_, s, queues, _ := schedFixture(t, PolicyRR,
 		map[string]int{"qa": 1500, "qb": 1500},
@@ -277,20 +320,22 @@ func TestSchedulerRemoveBoundInputRefused(t *testing.T) {
 // ---------------------------------------------------------------------------
 // The idle pump's doorbell and the credit pull
 
-// pullOnly hides a source's batch pull and doorbell: a per-packet-only
-// IPacketPull plug-in.
-type pullOnly struct {
+// bellless forwards PullBatch to a source but hides its doorbell: an
+// IPacketPull plug-in that cannot wake a sleeping scheduler.
+type bellless struct {
 	*core.Base
 	src IPacketPull
 }
 
-func newPullOnly(src IPacketPull) *pullOnly {
-	p := &pullOnly{Base: core.NewBase("test.PullOnly"), src: src}
+func newBellless(src IPacketPull) *bellless {
+	p := &bellless{Base: core.NewBase("test.Bellless"), src: src}
 	p.Provide(IPacketPullID, p)
 	return p
 }
 
-func (p *pullOnly) Pull() (*Packet, error) { return p.src.Pull() }
+func (p *bellless) PullBatch(dst []*Packet, max, credit int) []*Packet {
+	return p.src.PullBatch(dst, max, credit)
+}
 
 // waitFor polls cond until it holds, failing the test after 5 s.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -531,15 +576,15 @@ func TestSchedulerDoorbellNoLostWakeup(t *testing.T) {
 }
 
 // TestSchedulerDoorbellFallbackTimer: sources that cannot ring — a
-// per-packet-only plug-in, an intercepted pull binding — are still served,
-// by the fallback timer.
+// plug-in without a doorbell, an intercepted pull binding — are still
+// served, by the fallback timer.
 func TestSchedulerDoorbellFallbackTimer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		wire func(t *testing.T, c *core.Capsule, q *FIFOQueue)
 	}{
-		{"per-packet", func(t *testing.T, c *core.Capsule, q *FIFOQueue) {
-			if err := c.Insert("src", newPullOnly(q)); err != nil {
+		{"no-doorbell", func(t *testing.T, c *core.Capsule, q *FIFOQueue) {
+			if err := c.Insert("src", newBellless(q)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := ConnectPull(c, "sched", "in", "src"); err != nil {
@@ -596,8 +641,8 @@ func TestSchedulerDoorbellFallbackTimer(t *testing.T) {
 // TestSchedulerCreditPullEquivalence: for every discipline, over random
 // packet sizes (many larger than the smallest quantum, so DRR carries
 // debt), the emission order and the DRR deficits after every round are the
-// same whether the scheduler drains its queues by batch pull, through a
-// per-packet-only wrapper, or through intercepted pull bindings.
+// same whether the scheduler drains its queues directly or through
+// intercepted pull bindings.
 func TestSchedulerCreditPullEquivalence(t *testing.T) {
 	const perQueue = 60
 	quanta := []int{300, 700, 1500}
@@ -634,14 +679,7 @@ func TestSchedulerCreditPullEquivalence(t *testing.T) {
 			if err := s.AddInput(in, quantum, i%2); err != nil {
 				t.Fatal(err)
 			}
-			src := qname
-			if via == "per-packet" {
-				src = "w" + qname
-				if err := c.Insert(src, newPullOnly(q)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			b, err := ConnectPull(c, "sched", in, src)
+			b, err := ConnectPull(c, "sched", in, qname)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -678,16 +716,14 @@ func TestSchedulerCreditPullEquivalence(t *testing.T) {
 	}
 	for _, policy := range []SchedPolicy{PolicyDRR, PolicyRR, PolicyStrict} {
 		want := run(t, policy, "queue")
-		for _, via := range []string{"per-packet", "intercepted"} {
-			got := run(t, policy, via)
-			if !equalPorts(got.order, want.order) {
-				t.Fatalf("%s via %s: emission order diverged\nbatch pull %v\n%-10s %v",
-					policy, via, want.order, via, got.order)
-			}
-			if fmt.Sprint(got.deficits) != fmt.Sprint(want.deficits) {
-				t.Fatalf("%s via %s: deficits diverged\nbatch pull %v\n%-10s %v",
-					policy, via, want.deficits, via, got.deficits)
-			}
+		got := run(t, policy, "intercepted")
+		if !equalPorts(got.order, want.order) {
+			t.Fatalf("%s: emission order diverged\ndirect      %v\nintercepted %v",
+				policy, want.order, got.order)
+		}
+		if fmt.Sprint(got.deficits) != fmt.Sprint(want.deficits) {
+			t.Fatalf("%s: deficits diverged\ndirect      %v\nintercepted %v",
+				policy, want.deficits, got.deficits)
 		}
 	}
 }
