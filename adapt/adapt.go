@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"netkit/core"
+	"netkit/resources"
 )
 
 // TypeEngine is the adaptation engine's registered component type name.
@@ -183,12 +184,8 @@ type Engine struct {
 	opts    Options
 	rules   []Rule
 
-	mu        sync.Mutex
-	states    []ruleState
-	quit      chan struct{}
-	done      chan struct{}
-	actCtx    context.Context
-	actCancel context.CancelFunc
+	states []ruleState // the loop's own
+	task   *resources.Task
 
 	ticks   atomic.Uint64
 	firings atomic.Uint64
@@ -219,6 +216,7 @@ func NewEngine(c *core.Capsule, opts Options, rules ...Rule) *Engine {
 		opts:    opts,
 		rules:   rules,
 		states:  make([]ruleState, len(rules)),
+		task:    resources.NewTask("adapt"),
 	}
 	return e
 }
@@ -232,45 +230,31 @@ func (e *Engine) Rules() []string {
 	return out
 }
 
-// Start implements core.Starter: launches the sampling tick.
+// Start implements core.Starter: it starts the sampling tick as the task "adapt".
 func (e *Engine) Start(context.Context) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.quit != nil {
-		return nil
-	}
-	e.quit = make(chan struct{})
-	e.done = make(chan struct{})
-	e.actCtx, e.actCancel = context.WithCancel(context.Background())
-	go e.loop(e.quit, e.done)
+	e.task.Start(e.loop)
 	return nil
 }
 
-// Stop implements core.Stopper: terminates and joins the tick goroutine.
-// An in-flight action has its context cancelled first, so even an action
-// stuck in a drain wait unwinds and Stop returns.
+// Stop implements core.Stopper: it stops and joins the tick task. Every
+// action's context derives from the task's, which Stop cancels first, so
+// even an action stuck in a drain wait unwinds and Stop returns.
 func (e *Engine) Stop(context.Context) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.quit == nil {
-		return nil
-	}
-	e.actCancel()
-	close(e.quit)
-	<-e.done
-	e.quit, e.done = nil, nil
+	e.task.Stop()
 	return nil
 }
 
-func (e *Engine) loop(quit, done chan struct{}) {
-	defer close(done)
+// Tasks lists the engine's task for the control plane.
+func (e *Engine) Tasks() []*resources.Task { return []*resources.Task{e.task} }
+
+func (e *Engine) loop(ctx context.Context) {
 	ticker := time.NewTicker(e.opts.Interval)
 	defer ticker.Stop()
 	prev := core.CapsuleStats(e.capsule)
 	last := time.Now()
 	for {
 		select {
-		case <-quit:
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -280,13 +264,13 @@ func (e *Engine) loop(quit, done chan struct{}) {
 			Prev:    prev,
 			Elapsed: now.Sub(last),
 		}
-		e.tick(view, now)
+		e.tick(ctx, view, now)
 		prev, last = view.Now, now
 	}
 }
 
-// tick evaluates every rule against one view.
-func (e *Engine) tick(v View, now time.Time) {
+// tick evaluates every rule against one view; actions run under ctx.
+func (e *Engine) tick(ctx context.Context, v View, now time.Time) {
 	tickN := e.ticks.Add(1)
 	for i := range e.rules {
 		r := &e.rules[i]
@@ -314,8 +298,8 @@ func (e *Engine) tick(v View, now time.Time) {
 		st.lastFired = now
 		f := Firing{Rule: r.Name, Tick: tickN, At: now}
 		if r.Then != nil {
-			ctx, cancel := context.WithTimeout(e.actCtx, actionTimeout)
-			err := r.Then(ctx, e.capsule, v)
+			actx, cancel := context.WithTimeout(ctx, actionTimeout)
+			err := r.Then(actx, e.capsule, v)
 			cancel()
 			if err != nil {
 				f.Err = err.Error()

@@ -164,8 +164,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		for _, t := range stats {
-			fmt.Fprintf(out, "%-16s jobs=%d busy=%v mem=%d peak=%d rejected=%d\n",
-				t.Name, t.Jobs, time.Duration(t.BusyNanos), t.MemUsed, t.MemPeak, t.Rejected)
+			fmt.Fprintf(out, "%-16s running=%v jobs=%d busy=%v mem=%d peak=%d rejected=%d\n",
+				t.Name, t.Running, t.Jobs, time.Duration(t.BusyNanos), t.MemUsed, t.MemPeak, t.Rejected)
 		}
 		return nil
 	case "stats":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"netkit/cf"
 	"netkit/core"
 	"netkit/internal/control"
+	"netkit/internal/osabs"
 	"netkit/router"
 )
 
@@ -193,6 +195,66 @@ func TestRunInterceptVerbs(t *testing.T) {
 	}
 	if got := nkctl("chain", "sched", "in"); got != "" {
 		t.Fatalf("chain after unintercept printed %q", got)
+	}
+}
+
+// TestRunTasksListsComponentTasks: `nkctl tasks` lists the running tasks
+// of a served capsule's components by instance path — here a NIC
+// source's receive pump and a link scheduler's service pump.
+func TestRunTasksListsComponentTasks(t *testing.T) {
+	capsule := core.NewCapsule("nkctl-tasks")
+	fw, err := router.NewFramework(capsule, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic, err := osabs.NewNIC("eth0", 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := router.NewNICSource(nic, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := router.NewFIFOQueue(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := router.NewLinkScheduler(router.PolicyDRR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.AddInput("in", 1500, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, comp := range map[string]core.Component{
+		"src": src, "q": q, "sched": sched, "sink": router.NewDropper(),
+	} {
+		if err := fw.Admit(name, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := router.ConnectPush(capsule, "src", "out", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := router.ConnectPull(capsule, "sched", "in", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := router.ConnectPush(capsule, "sched", "out", "sink"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := capsule.StartAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = capsule.StopAll(ctx) })
+	var out bytes.Buffer
+	if err := run([]string{"-addr", listen(t, fw), "tasks"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"src/pump ", "sched/sched "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("nkctl tasks printed %q, want a line for %q", out.String(), want)
+		}
 	}
 }
 

@@ -33,15 +33,16 @@ type Component interface {
 
 // Starter is implemented by components with active behaviour (pumps,
 // timers). The capsule calls Start when the component is started and
-// requires it to return promptly, launching any long-running work on
-// goroutines owned by the component.
+// requires it to return promptly. Long-running work runs as tasks of the
+// resources meta-model (resources.Task), which the component owns and
+// lists through a Tasks method.
 type Starter interface {
 	Start(ctx context.Context) error
 }
 
-// Stopper is the counterpart of Starter. Stop must terminate all goroutines
-// the component owns before returning (no fire-and-forget work survives a
-// stopped component).
+// Stopper is the counterpart of Starter. Stop must stop and join every
+// task the component owns before returning (no fire-and-forget work
+// survives a stopped component).
 type Stopper interface {
 	Stop(ctx context.Context) error
 }

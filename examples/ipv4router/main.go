@@ -95,29 +95,15 @@ func run() error {
 			injected++
 		}
 		if i%512 == 511 {
-			time.Sleep(time.Millisecond) // let the pumps drain the rings
-		}
-		// Drain the output wire continuously.
-		for {
-			if _, err := outNIC.DrainTx(); err != nil {
-				break
-			}
+			// Let the pumps drain the rings: a burst that outran the
+			// scheduler would overflow the 512-slot queues.
+			collect(outNIC, uint64(injected), 0, time.Second)
 		}
 	}
-	// Let the pipeline drain, then collect what is left on the wire.
-	deadline := time.After(2 * time.Second)
+	// Let the pipeline drain: collect the wire until it has stayed empty
+	// for a settle window, or the deadline passes.
+	collect(outNIC, uint64(injected), 50*time.Millisecond, 2*time.Second)
 	forwarded := outNIC.Stats().TxFrames
-	for {
-		if _, err := outNIC.DrainTx(); err != nil {
-			select {
-			case <-deadline:
-			case <-time.After(5 * time.Millisecond):
-				continue
-			}
-		}
-		break
-	}
-	forwarded = outNIC.Stats().TxFrames
 
 	fmt.Printf("injected %d packets, forwarded %d (nic drops in=%d out=%d)\n",
 		injected, forwarded, inNIC.Stats().RxDrops, outNIC.Stats().TxDrops)
@@ -138,4 +124,21 @@ func run() error {
 	}
 	fmt.Println("inner architecture still validates")
 	return nil
+}
+
+// collect drains nic's transmitted frames off the wire until want frames
+// have been sent and the wire has stayed empty for settle, or until limit
+// passes.
+func collect(nic *osabs.NIC, want uint64, settle, limit time.Duration) {
+	deadline := time.Now().Add(limit)
+	for quiet := time.Now(); time.Now().Before(deadline); {
+		if _, err := nic.DrainTx(); err == nil {
+			quiet = time.Now()
+			continue
+		}
+		if nic.Stats().TxFrames >= want && time.Since(quiet) >= settle {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }

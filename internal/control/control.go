@@ -242,7 +242,7 @@ func (s *Server) dispatch(req *Request) (any, error) {
 			}
 			out = append(out, t.Stats())
 		}
-		return out, nil
+		return liveTasks(out, capsule, ""), nil
 	case "types":
 		return capsule.ComponentRegistry().Types(), nil
 	case "members":
@@ -289,6 +289,28 @@ func (s *Server) dispatch(req *Request) (any, error) {
 	default:
 		return nil, fmt.Errorf("control: op %q: %w", req.Op, ErrBadRequest)
 	}
+}
+
+// liveTasks appends the running tasks of c's components, recursing into
+// composites, each named by its instance path: "src/pump" is the task
+// "pump" of component "src", "gw/sched/sched" the task "sched" of the
+// component "sched" inside composite "gw".
+func liveTasks(out []resources.TaskStats, c *core.Capsule, prefix string) []resources.TaskStats {
+	for _, name := range c.ComponentNames() {
+		comp, _ := c.Component(name) // nil, and so neither, if removed meanwhile
+		if o, ok := comp.(interface{ Tasks() []*resources.Task }); ok {
+			for _, t := range o.Tasks() {
+				if st := t.Stats(); st.Running {
+					st.Name = prefix + name + "/" + st.Name
+					out = append(out, st)
+				}
+			}
+		}
+		if ic, ok := comp.(interface{ Inner() *core.Capsule }); ok {
+			out = liveTasks(out, ic.Inner(), prefix+name+"/")
+		}
+	}
+	return out
 }
 
 // statsTree resolves the "stats"/"watch" subject: the capsule-wide tree

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"netkit/cf"
 	"netkit/core"
 	"netkit/packet"
 	"netkit/router"
@@ -32,7 +33,12 @@ func fixture(t *testing.T) (*Client, *core.Capsule) {
 	if _, err := router.ConnectPush(capsule, "cnt", "out", "cls"); err != nil {
 		t.Fatal(err)
 	}
+	return serveFramework(t, fw), capsule
+}
 
+// serveFramework serves fw on a loopback port and returns a client of it.
+func serveFramework(t *testing.T, fw *cf.Framework) *Client {
+	t.Helper()
 	srv := NewServer(fw)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,7 +53,7 @@ func fixture(t *testing.T) (*Client, *core.Capsule) {
 		_ = client.Close()
 		_ = srv.Close()
 	})
-	return client, capsule
+	return client
 }
 
 func TestPing(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 
 	"netkit/core"
 	"netkit/internal/buffers"
+	"netkit/resources"
 	"netkit/router"
 )
 
@@ -33,9 +34,11 @@ type Client struct {
 
 	// dead flips (before done closes) when the read loop exits; with the
 	// per-slot frames token it makes in-flight drop accounting
-	// exactly-once no matter how a send races the teardown sweep.
-	dead atomic.Bool
-	done chan struct{}
+	// exactly-once no matter how a send races the teardown sweep. A
+	// sender parked on credit wakes on done, after the sweep.
+	dead   atomic.Bool
+	done   chan struct{}
+	reader *resources.Task // the read loop
 
 	// callPool recycles the correlation channel a synchronous gob call
 	// parks on, so the control path stops allocating a channel per call.
@@ -92,6 +95,7 @@ func dial(conn net.Conn, window int) *Client {
 		pending: make(map[uint64]chan *message),
 		remotes: make(map[string]*RemoteComponent),
 		done:    make(chan struct{}),
+		reader:  resources.NewTask("ipc-reader"),
 		credits: make(chan *txSlot, window),
 	}
 	c.callPool.New = func() any { return make(chan *message, 1) }
@@ -101,18 +105,19 @@ func dial(conn net.Conn, window int) *Client {
 		c.slots[i] = s
 		c.credits <- s
 	}
-	go c.readLoop()
+	c.reader.Start(func(context.Context) { c.fail(c.readFrames()) })
 	return c
 }
 
-// Close tears the connection down; outstanding calls fail with ErrClosed
-// and in-flight batches are accounted as dropped.
+// Close tears the connection down, which ends the read loop, and joins
+// it; outstanding calls fail with ErrClosed and in-flight batches are
+// accounted as dropped.
 func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
 	err := c.w.conn.Close()
-	<-c.done
+	c.reader.Stop()
 	return err
 }
 
@@ -122,48 +127,43 @@ func (c *Client) Window() int { return c.window }
 // InFlight reports how many batches currently hold a window credit.
 func (c *Client) InFlight() int { return c.window - len(c.credits) }
 
-func (c *Client) readLoop() {
+// readFrames demultiplexes inbound frames until the connection fails;
+// the read loop hands its error to fail.
+func (c *Client) readFrames() error {
 	for {
 		kind, err := c.w.readKind()
 		if err != nil {
-			c.fail(err)
-			return
+			return err
 		}
 		switch kind {
 		case frameGob:
 			m, err := c.w.readGob()
 			if err != nil {
-				c.fail(err)
-				return
+				return err
 			}
 			c.handleResp(m)
 		case frameAck:
 			payload, slab, err := c.w.readPayload(c.ackScratch[:0])
 			if err != nil {
-				c.fail(err)
-				return
+				return err
 			}
 			ok := c.handleAck(payload)
 			if slab != nil {
 				_ = slab.Release()
 			}
 			if !ok {
-				c.fail(errors.New("ipc: malformed ack frame"))
-				return
+				return errors.New("ipc: malformed ack frame")
 			}
 		case frameEmit:
 			payload, slab, err := c.w.readPayload(nil)
 			if err != nil {
-				c.fail(err)
-				return
+				return err
 			}
 			if !c.handleEmit(payload, slab) {
-				c.fail(errors.New("ipc: malformed emit frame"))
-				return
+				return errors.New("ipc: malformed emit frame")
 			}
 		default:
-			c.fail(fmt.Errorf("ipc: unknown frame kind %q", kind))
-			return
+			return fmt.Errorf("ipc: unknown frame kind %q", kind)
 		}
 	}
 }
@@ -261,41 +261,9 @@ func (c *Client) handleEmit(payload []byte, slab *buffers.Buffer) bool {
 	r := binReader{b: payload}
 	name := r.str()
 	port := r.str()
-	count := int(r.u32())
-	if r.err || count < 0 || count > len(payload) {
-		if slab != nil {
-			_ = slab.Release()
-		}
+	batch, _, ok := carve(&r, int(r.u32()), slab)
+	if !ok {
 		return false
-	}
-	lens := make([]int, count)
-	for i := range lens {
-		lens[i] = int(r.u32())
-	}
-	batch := router.GetBatch()
-	pkts := make([]router.Packet, count)
-	for i := 0; i < count; i++ {
-		data := r.bytes(lens[i])
-		if r.err {
-			for _, p := range batch {
-				p.Release()
-			}
-			router.PutBatch(batch)
-			if slab != nil {
-				_ = slab.Release()
-			}
-			return false
-		}
-		pkts[i].Data = data
-		pkts[i].Buf = slab // nil for heap-owned payloads
-		batch = append(batch, &pkts[i])
-	}
-	if slab != nil {
-		if count == 0 {
-			_ = slab.Release()
-		} else {
-			slab.RetainN(count - 1) // one ref per packet; Get's ref covers the first
-		}
 	}
 	c.mu.Lock()
 	rc := c.remotes[name]
@@ -724,11 +692,13 @@ func (rc *RemoteComponent) Stop(ctx context.Context) error {
 func HostPair(reg *core.ComponentRegistry) (*Client, *Host, func()) {
 	a, b := net.Pipe()
 	h := NewHost(b, reg)
-	go func() { _ = h.Serve() }()
+	serve := resources.NewTask("ipc-host")
+	serve.Start(func(context.Context) { _ = h.Serve() })
 	c := Dial(a)
 	cleanup := func() {
 		_ = c.Close()
 		_ = h.Close()
+		serve.Stop()
 	}
 	return c, h, cleanup
 }

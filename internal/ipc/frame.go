@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"netkit/internal/buffers"
+	"netkit/router"
 )
 
 // The wire carries two interleaved encodings on one stream. Control ops
@@ -216,6 +217,45 @@ func (r *binReader) bytes(n int) []byte {
 	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
+}
+
+// carve decodes the tail every packet frame shares — count lengths, then
+// the payloads — into packets aliasing slab zero-copy (heap-owned when
+// slab is nil), settling slab at one reference per packet. It returns the
+// batch and its payload bytes, or ok false on a malformed frame, with
+// slab released.
+func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packet, total int, ok bool) {
+	malformed := func() ([]*router.Packet, int, bool) {
+		if slab != nil {
+			_ = slab.Release()
+		}
+		return nil, 0, false
+	}
+	if r.err || count < 0 || count > len(r.b) {
+		return malformed()
+	}
+	lens := make([]int, count)
+	for i := range lens {
+		lens[i] = int(r.u32())
+		total += lens[i]
+	}
+	if r.err || total > len(r.b)-r.off {
+		return malformed()
+	}
+	batch = router.GetBatch()
+	pkts := make([]router.Packet, count)
+	for i := range pkts {
+		pkts[i] = router.Packet{Data: r.bytes(lens[i]), Buf: slab}
+		batch = append(batch, &pkts[i])
+	}
+	switch {
+	case slab == nil:
+	case count == 0:
+		_ = slab.Release()
+	default:
+		slab.RetainN(count - 1) // Get's reference covers the first packet
+	}
+	return batch, total, true
 }
 
 // str copies n bytes out as a string (frames are recycled; names outlive

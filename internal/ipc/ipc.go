@@ -21,6 +21,7 @@
 package ipc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"netkit/core"
+	"netkit/resources"
 	"netkit/router"
 )
 
@@ -169,16 +171,16 @@ func NewHost(conn net.Conn, reg *core.ComponentRegistry) *Host {
 }
 
 // Serve processes requests until the connection closes. It returns nil on
-// orderly shutdown (EOF / closed pipe). A reader goroutine decodes frames
-// into a bounded work queue; a single processor executes them in order and
-// writes responses, acks and emission frames.
+// orderly shutdown (EOF / closed pipe). The calling goroutine decodes
+// frames into a bounded work queue; a single processor task executes them
+// in order and writes responses, acks and emission frames.
 func (h *Host) Serve() error {
 	work := make(chan hostJob, hostQueueDepth)
-	procDone := make(chan struct{})
-	go h.process(work, procDone)
+	proc := resources.NewTask("ipc-process")
+	proc.Start(func(context.Context) { h.process(work) })
 	err := h.readFrames(work)
 	close(work)
-	<-procDone
+	proc.Stop() // the processor drains work before it returns
 	if err == nil {
 		return nil
 	}
@@ -223,64 +225,27 @@ func (h *Host) readBatch() (hostJob, error) {
 	if err != nil {
 		return hostJob{}, err
 	}
-	release := func() {
-		if slab != nil {
-			_ = slab.Release()
-		}
-	}
 	r := binReader{b: payload}
 	slot := r.u32()
 	nameB := r.bytes(int(r.u16()))
-	count := int(r.u32())
-	if r.err || count < 0 || count > len(payload) {
-		release()
+	batch, total, ok := carve(&r, int(r.u32()), slab)
+	if !ok {
 		return hostJob{}, errors.New("ipc: malformed batch frame")
 	}
 	// Intern the hot name: batches from one binding repeat it every frame.
 	if string(nameB) != h.lastName {
 		h.lastName = string(nameB)
 	}
-	name := h.lastName
-	lens := make([]int, count)
-	total := 0
-	for i := range lens {
-		lens[i] = int(r.u32())
-		total += lens[i]
-	}
-	batch := router.GetBatch()
-	pkts := make([]router.Packet, count)
-	for i := 0; i < count; i++ {
-		data := r.bytes(lens[i])
-		if r.err {
-			for _, p := range batch {
-				p.Release()
-			}
-			router.PutBatch(batch)
-			release()
-			return hostJob{}, errors.New("ipc: truncated batch frame")
-		}
-		pkts[i].Data = data
-		pkts[i].Buf = slab // nil when the payload is heap-owned
-		batch = append(batch, &pkts[i])
-	}
-	if slab != nil {
-		if count == 0 {
-			_ = slab.Release()
-		} else {
-			slab.RetainN(count - 1) // Get's reference covers the first packet
-		}
-	}
 	h.rxBatches.Add(1)
-	h.rxFrames.Add(uint64(count))
+	h.rxFrames.Add(uint64(len(batch)))
 	h.rxBytes.Add(uint64(total))
-	return hostJob{slot: slot, name: name, batch: batch}, nil
+	return hostJob{slot: slot, name: h.lastName, batch: batch}, nil
 }
 
 // process executes jobs in order: gob ops get a gob response, batches get
 // an 'A' ack; buffered emissions flush before either, so by the time the
 // client observes a batch outcome its emissions have already landed.
-func (h *Host) process(work <-chan hostJob, done chan<- struct{}) {
-	defer close(done)
+func (h *Host) process(work <-chan hostJob) {
 	for job := range work {
 		h.processing.Store(true)
 		if job.gob != nil {

@@ -1,10 +1,12 @@
 package ipc
 
 import (
+	"context"
 	"fmt"
 	"net"
 
 	"netkit/core"
+	"netkit/resources"
 )
 
 // Isolate instantiates one component of typeName out-of-process-style
@@ -43,7 +45,8 @@ func IsolateAt(name, typeName string, cfg map[string]string, addr string) (*Remo
 }
 
 // ListenAndServe accepts connections on ln and serves one Host per conn
-// against reg (nil = process-wide registry). It returns when the listener
+// against reg (nil = process-wide registry), each as an "ipc-host" task
+// that ends when its connection closes. It returns when the listener
 // closes. This is the `netkitd -ipc-host` entry point: a daemon willing
 // to host isolated constituents for parent capsules elsewhere.
 func ListenAndServe(ln net.Listener, reg *core.ComponentRegistry) error {
@@ -55,6 +58,6 @@ func ListenAndServe(ln net.Listener, reg *core.ComponentRegistry) error {
 			}
 			return err
 		}
-		go func() { _ = NewHost(conn, reg).Serve() }()
+		resources.NewTask("ipc-host").Start(func(context.Context) { _ = NewHost(conn, reg).Serve() })
 	}
 }

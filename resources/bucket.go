@@ -3,6 +3,7 @@ package resources
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,27 +18,8 @@ type TokenBucket struct {
 	last   time.Time
 	now    func() time.Time
 
-	allowed atomic64
-	denied  atomic64
-}
-
-// atomic64 is a tiny counter; separate type to keep TokenBucket copies
-// detectable by vet (the mutex already does that).
-type atomic64 struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (a *atomic64) add() {
-	a.mu.Lock()
-	a.v++
-	a.mu.Unlock()
-}
-
-func (a *atomic64) load() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	allowed atomic.Uint64
+	denied  atomic.Uint64
 }
 
 // NewTokenBucket creates a bucket with the given rate (bytes/sec) and burst
@@ -63,10 +45,10 @@ func (b *TokenBucket) Allow(n int) bool {
 	b.refill()
 	if float64(n) <= b.tokens {
 		b.tokens -= float64(n)
-		b.allowed.add()
+		b.allowed.Add(1)
 		return true
 	}
-	b.denied.add()
+	b.denied.Add(1)
 	return false
 }
 
@@ -109,7 +91,7 @@ func (b *TokenBucket) Tokens() float64 {
 
 // Stats reports (allowed, denied) decision counts.
 func (b *TokenBucket) Stats() (allowed, denied uint64) {
-	return b.allowed.load(), b.denied.load()
+	return b.allowed.Load(), b.denied.Load()
 }
 
 // refill adds tokens for elapsed time; caller holds the lock.

@@ -10,6 +10,11 @@
 // bandwidth (token buckets) and abstract application-defined units of
 // allocation (named counted capacities).
 //
+// Tasks also own threads: Task.Start runs a loop on a pprof-labelled
+// goroutine and Task.Stop cancels and joins it. Every long-running
+// data-plane goroutine is such a task, made with NewTask by the component
+// that owns it and listed through its Tasks method.
+//
 // # Relation to the data path
 //
 // The meta-model meters the router's batched fast path without changing
@@ -26,8 +31,10 @@
 package resources
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,7 +71,59 @@ type Task struct {
 	rejected atomic.Uint64 // charges refused
 
 	abstract sync.Map // name -> *int64 (used), capacity in manager
+
+	// The task's loop (Start/Stop); live flips false as it returns.
+	run  sync.Mutex
+	stop context.CancelFunc // non-nil from Start until Stop
+	done chan struct{}      // closed as the loop returns
+	live atomic.Bool
 }
+
+// NewTask returns a task outside any Manager's table: the owner of one
+// component's long-running goroutine, reached through the component's
+// Tasks method rather than by name.
+func NewTask(name string) *Task { return &Task{name: name, weight: 1} }
+
+// Start runs loop on a goroutine of its own, labelled for pprof with
+// task=<name>. ctx carries the label, and its Done channel is the loop's
+// quit signal: Stop cancels it. Starting a started task is a no-op, even
+// once its loop has returned by itself; Stop resets it.
+func (t *Task) Start(loop func(ctx context.Context)) {
+	t.run.Lock()
+	defer t.run.Unlock()
+	if t.stop != nil {
+		return
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.stop, t.done = stop, done
+	t.live.Store(true)
+	go pprof.Do(ctx, pprof.Labels("task", t.name), func(ctx context.Context) {
+		defer close(done)
+		defer t.live.Store(false)
+		loop(ctx)
+	})
+}
+
+// Stop cancels the loop's context and joins its goroutine. It is
+// idempotent, and safe before Start or before the loop has been
+// scheduled at all. It holds the task across the join, so a concurrent
+// Start or Stop returns only once the old loop is gone; the loop itself
+// must not call it.
+func (t *Task) Stop() {
+	t.run.Lock()
+	defer t.run.Unlock()
+	if t.stop == nil {
+		return
+	}
+	t.stop()
+	<-t.done
+	t.stop, t.done = nil, nil
+}
+
+// Running reports whether the task's loop is live: started, and neither
+// stopped nor returned by itself.
+func (t *Task) Running() bool { return t.live.Load() }
 
 // Name returns the task name.
 func (t *Task) Name() string { return t.name }
@@ -122,6 +181,7 @@ type TaskStats struct {
 	MemUsed   int64
 	MemPeak   int64
 	Rejected  uint64
+	Running   bool // the task's own loop (Task.Start) is live
 }
 
 // Stats returns the task's counters.
@@ -133,6 +193,7 @@ func (t *Task) Stats() TaskStats {
 		MemUsed:   t.memUsed.Load(),
 		MemPeak:   t.memPeak.Load(),
 		Rejected:  t.rejected.Load(),
+		Running:   t.Running(),
 	}
 }
 

@@ -292,13 +292,9 @@ func (c *Classifier) Stats() []core.Stat {
 
 func init() {
 	core.Components.MustRegister(TypeClassifier, func(cfg map[string]string) (core.Component, error) {
-		n := 1
-		if s, ok := cfg["outputs"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: classifier outputs: %w", err)
-			}
-			n = v
+		n, err := configInt(cfg, "outputs", 1)
+		if err != nil {
+			return nil, err
 		}
 		names := make([]string, 0, n+1)
 		for i := 0; i < n; i++ {

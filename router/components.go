@@ -53,18 +53,35 @@ func (e *elementCounters) snapshot() ElementStats {
 func (e *elementCounters) ElemStats() ElementStats { return e.snapshot() }
 
 // statList is the shared-counter part of the uniform core.IStats snapshot.
-func (e *elementCounters) statList() []core.Stat {
+func (e *elementCounters) statList() []core.Stat { return e.snapshot().list() }
+
+// list is the counters' uniform core.Stat form.
+func (s ElementStats) list() []core.Stat {
 	return []core.Stat{
-		core.C("packets_in", "packets", e.in.Load()),
-		core.C("packets_out", "packets", e.out.Load()),
-		core.C("packets_dropped", "packets", e.dropped.Load()),
-		core.C("errors", "errors", e.errs.Load()),
+		core.C("packets_in", "packets", s.In),
+		core.C("packets_out", "packets", s.Out),
+		core.C("packets_dropped", "packets", s.Dropped),
+		core.C("errors", "errors", s.Errors),
 	}
 }
 
 // Stats implements core.IStats with the shared counter set; components
 // with additional observables shadow this method and append to statList.
 func (e *elementCounters) Stats() []core.Stat { return e.statList() }
+
+// configInt reads the integer key of a component factory's config, or def
+// when the key is absent.
+func configInt(cfg map[string]string, key string, def int) (int, error) {
+	s, ok := cfg[key]
+	if !ok {
+		return def, nil
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("router: config %q: %w", key, err)
+	}
+	return v, nil
+}
 
 // StatsReporter is implemented by all standard components: the typed
 // ElementStats accessor, retained alongside the uniform telemetry
@@ -374,13 +391,9 @@ func init() {
 		return NewDropper(), nil
 	})
 	core.Components.MustRegister(TypeTee, func(cfg map[string]string) (core.Component, error) {
-		n := 2
-		if s, ok := cfg["outputs"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: tee outputs: %w", err)
-			}
-			n = v
+		n, err := configInt(cfg, "outputs", 2)
+		if err != nil {
+			return nil, err
 		}
 		return NewTee(n)
 	})

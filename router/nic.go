@@ -1,18 +1,18 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"netkit/core"
 	"netkit/internal/buffers"
 	"netkit/internal/osabs"
+	"netkit/resources"
 )
 
 // PumpConfig tunes a NICSource's receive pump.
@@ -51,9 +51,7 @@ type NICSource struct {
 	spins atomic.Uint64 // empty polls burned inside the spin budget
 	parks atomic.Uint64 // times the pump gave up spinning and slept
 
-	mu   sync.Mutex
-	quit chan struct{}
-	done chan struct{}
+	pump *resources.Task
 }
 
 // NewNICSource wraps an existing device with default pump tuning. pool may
@@ -74,7 +72,8 @@ func NewNICSourcePump(dev osabs.Device, pool *buffers.Pool, cfg PumpConfig) (*NI
 	if cfg.Spin < 0 {
 		cfg.Spin = 0
 	}
-	s := &NICSource{Base: core.NewBase(TypeNICSource), dev: dev, pool: pool, cfg: cfg}
+	s := &NICSource{Base: core.NewBase(TypeNICSource), dev: dev, pool: pool, cfg: cfg,
+		pump: resources.NewTask("pump")}
 	s.out = core.NewReceptacle[IPacketPush](IPacketPushID)
 	s.AddReceptacle("out", s.out)
 	s.SetAnnotation("netkit.device", dev.Name())
@@ -84,31 +83,20 @@ func NewNICSourcePump(dev osabs.Device, pool *buffers.Pool, cfg PumpConfig) (*NI
 // Device returns the wrapped device.
 func (s *NICSource) Device() osabs.Device { return s.dev }
 
-// Start implements core.Starter.
+// Start implements core.Starter: it starts the receive pump as the task "pump".
 func (s *NICSource) Start(context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quit != nil {
-		return nil
-	}
-	s.quit = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.pollPump(s.quit, s.done)
+	s.pump.Start(s.pollPump)
 	return nil
 }
 
-// Stop implements core.Stopper.
+// Stop implements core.Stopper: it stops and joins the pump task.
 func (s *NICSource) Stop(context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quit == nil {
-		return nil
-	}
-	close(s.quit)
-	<-s.done
-	s.quit, s.done = nil, nil
+	s.pump.Stop()
 	return nil
 }
+
+// Tasks lists the source's task for the control plane.
+func (s *NICSource) Tasks() []*resources.Task { return []*resources.Task{s.pump} }
 
 // nicSourceBatch bounds the opportunistic RX drain per delivery round.
 const nicSourceBatch = 64
@@ -120,8 +108,8 @@ const nicSourceBatch = 64
 // then parks. A device with a doorbell parks until it rings, so an idle
 // in-memory source costs nothing and wakes at once; any other parks for
 // pumpPark on one reused timer.
-func (s *NICSource) pollPump(quit, done chan struct{}) {
-	defer close(done)
+func (s *NICSource) pollPump(ctx context.Context) {
+	quit := ctx.Done()
 	var bell <-chan struct{} // stays nil (never ready) without a doorbell
 	if d, ok := s.dev.(interface{ Doorbell() <-chan struct{} }); ok {
 		bell = d.Doorbell()
@@ -294,41 +282,27 @@ func init() {
 	// The config-driven factories create and own their devices; embedders
 	// use the New* constructors with existing devices.
 	core.Components.MustRegister(TypeNICSource, func(cfg map[string]string) (core.Component, error) {
-		name := cfg["device"]
-		if name == "" {
-			name = "eth0"
-		}
-		depth := 512
-		if s, ok := cfg["depth"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: nic depth: %w", err)
-			}
-			depth = v
-		}
-		nic, err := osabs.NewNIC(name, depth, depth)
+		nic, err := configNIC(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewNICSource(nic, nil)
 	})
 	core.Components.MustRegister(TypeNICSink, func(cfg map[string]string) (core.Component, error) {
-		name := cfg["device"]
-		if name == "" {
-			name = "eth0"
-		}
-		depth := 512
-		if s, ok := cfg["depth"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: nic depth: %w", err)
-			}
-			depth = v
-		}
-		nic, err := osabs.NewNIC(name, depth, depth)
+		nic, err := configNIC(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return NewNICSink(nic)
 	})
+}
+
+// configNIC makes the simulated NIC a factory config names: "device"
+// (default eth0) with rings of "depth" frames (default 512).
+func configNIC(cfg map[string]string) (*osabs.NIC, error) {
+	depth, err := configInt(cfg, "depth", 512)
+	if err != nil {
+		return nil, err
+	}
+	return osabs.NewNIC(cmp.Or(cfg["device"], "eth0"), depth, depth)
 }

@@ -70,7 +70,7 @@ func TestNICSourceUDPArenaZeroCopy(t *testing.T) {
 	}
 	defer tx.Close()
 
-	out, _ := devRig(t, rx, nil, PumpConfig{Batch: 8})
+	out, src := devRig(t, rx, nil, PumpConfig{Batch: 8})
 	const frames = 24
 	for base := 0; base < frames; base += 8 {
 		batch := make([][]byte, 0, 8)
@@ -107,6 +107,11 @@ func TestNICSourceUDPArenaZeroCopy(t *testing.T) {
 	}
 	out.pkts = nil
 	out.mu.Unlock()
+	// A pump mid-poll holds one slab before it knows whether a datagram
+	// waits; joining the pump task returns it.
+	if err := src.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if live := arena.Stats().Live; live != 0 {
 		t.Fatalf("arena has %d live slabs after releasing every packet", live)
 	}
@@ -402,15 +407,14 @@ func TestNICSourceEndsWhenDeviceCloses(t *testing.T) {
 			if pumpParks(src) < 1 {
 				t.Fatal("pump never parked")
 			}
-			src.mu.Lock()
-			done := src.done
-			src.mu.Unlock()
 			if err := dev.Close(); err != nil {
 				t.Fatal(err)
 			}
-			select {
-			case <-done:
-			case <-time.After(time.Second):
+			deadline = time.Now().Add(time.Second)
+			for src.pump.Running() && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if src.pump.Running() {
 				t.Fatal("pump still running a second after its device closed")
 			}
 			start := time.Now()

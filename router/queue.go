@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -340,27 +339,18 @@ func (q *REDQueue) Stats() []core.Stat {
 
 func init() {
 	core.Components.MustRegister(TypeFIFOQueue, func(cfg map[string]string) (core.Component, error) {
-		capacity := 128
-		if s, ok := cfg["capacity"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: queue capacity: %w", err)
-			}
-			capacity = v
+		capacity, err := configInt(cfg, "capacity", 128)
+		if err != nil {
+			return nil, err
 		}
 		return NewFIFOQueue(capacity)
 	})
 	core.Components.MustRegister(TypeREDQueue, func(cfg map[string]string) (core.Component, error) {
-		conf := REDConfig{Capacity: 128, MinTh: 32, MaxTh: 96, MaxP: 0.1}
-		if s, ok := cfg["capacity"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: red capacity: %w", err)
-			}
-			conf.Capacity = v
-			conf.MinTh = float64(v) / 4
-			conf.MaxTh = float64(v) * 3 / 4
+		capacity, err := configInt(cfg, "capacity", 128)
+		if err != nil {
+			return nil, err
 		}
-		return NewREDQueue(conf)
+		return NewREDQueue(REDConfig{Capacity: capacity,
+			MinTh: float64(capacity) / 4, MaxTh: float64(capacity) * 3 / 4, MaxP: 0.1})
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"netkit/core"
+	"netkit/resources"
 )
 
 // SchedPolicy selects the link-scheduling discipline.
@@ -66,9 +67,7 @@ type LinkScheduler struct {
 	next    int
 	scratch []*Packet // the round's departure batch, reused across RunOnce calls
 
-	pumpMu   sync.Mutex
-	quit     chan struct{}
-	done     chan struct{}
+	pump     *resources.Task
 	bell     chan struct{} // capacity 1, rung by the inputs
 	fallback time.Duration // longest idle sleep
 
@@ -86,6 +85,7 @@ func NewLinkScheduler(policy SchedPolicy) (*LinkScheduler, error) {
 	s := &LinkScheduler{
 		Base:     core.NewBase(TypeLinkSched),
 		policy:   policy,
+		pump:     resources.NewTask("sched"),
 		bell:     make(chan struct{}, 1),
 		fallback: 50 * time.Microsecond,
 	}
@@ -278,24 +278,17 @@ func (s *LinkScheduler) runDRR(budget int) int {
 	return served
 }
 
-// Start implements core.Starter: launches the service pump.
+// Start implements core.Starter: it starts the service pump as the task "sched".
 func (s *LinkScheduler) Start(context.Context) error {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	if s.quit != nil {
-		return nil
-	}
-	s.quit = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.pump(s.quit, s.done, s.fallback)
+	s.pump.Start(s.serve)
 	return nil
 }
 
-// pump serves rounds until quit closes. When a round finds nothing it
-// offers the doorbell to every input and sleeps until one rings or the
-// fallback timer fires; the timer is reused, so idling allocates nothing.
-func (s *LinkScheduler) pump(quit, done chan struct{}, fallback time.Duration) {
-	defer close(done)
+// serve runs rounds until ctx ends. When a round finds nothing it offers
+// the doorbell to every input and sleeps until one rings or the fallback
+// timer fires; the timer is reused, so idling allocates nothing.
+func (s *LinkScheduler) serve(ctx context.Context) {
+	quit, fallback := ctx.Done(), s.fallback
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for {
@@ -344,18 +337,14 @@ func (s *LinkScheduler) armBells() {
 	}
 }
 
-// Stop implements core.Stopper: terminates and joins the pump.
+// Stop implements core.Stopper: it stops and joins the pump task.
 func (s *LinkScheduler) Stop(context.Context) error {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	if s.quit == nil {
-		return nil
-	}
-	close(s.quit)
-	<-s.done
-	s.quit, s.done = nil, nil
+	s.pump.Stop()
 	return nil
 }
+
+// Tasks lists the scheduler's task for the control plane.
+func (s *LinkScheduler) Tasks() []*resources.Task { return []*resources.Task{s.pump} }
 
 // Stats implements core.IStats, adding the input-set size and how the
 // pump's idle sleeps ended: rung by an input queue, or timed out.
@@ -384,13 +373,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		n := 1
-		if s, ok := cfg["inputs"]; ok {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("router: scheduler inputs: %w", err)
-			}
-			n = v
+		n, err := configInt(cfg, "inputs", 1)
+		if err != nil {
+			return nil, err
 		}
 		for i := 0; i < n; i++ {
 			if err := ls.AddInput("in"+strconv.Itoa(i), 1500, n-i); err != nil {

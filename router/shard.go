@@ -9,6 +9,7 @@ import (
 
 	"netkit/cf"
 	"netkit/core"
+	"netkit/resources"
 )
 
 // This file is the sharded multi-core data plane (DESIGN.md §4.5): an
@@ -93,7 +94,6 @@ type shard struct {
 	lat     *core.Histogram // per-lane residence histogram (nil unless enabled)
 
 	inflight atomic.Int64 // packets accepted but not yet through the replica
-	done     chan struct{}
 }
 
 // ShardedCF is the sharded Router CF. It provides IPacketPush (and the
@@ -107,7 +107,8 @@ type ShardedCF struct {
 	elementCounters
 	out    *core.Receptacle[IPacketPush]
 	shards []*shard
-	stamp  bool // LatencyHistogram: stamp unstamped packets at intake
+	lanes  []*resources.Task // lanes[i] runs shards[i]'s worker, as "lane<i>"
+	stamp  bool              // LatencyHistogram: stamp unstamped packets at intake
 
 	// intake is the plane's one intake fence. Every PushBatch holds it
 	// shared for its whole batch, so one dispatch sees one started value
@@ -116,7 +117,6 @@ type ShardedCF struct {
 	// flight.
 	intake  sync.RWMutex
 	started bool // guarded by intake
-	quit    chan struct{}
 
 	// active is the lane count the dispatcher spreads flows over
 	// (1..len(shards)). It is written only under the exclusive intake
@@ -145,6 +145,7 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 		Composite: comp,
 		out:       core.NewReceptacle[IPacketPush](IPacketPushID),
 		shards:    make([]*shard, cfg.Shards),
+		lanes:     make([]*resources.Task, cfg.Shards),
 	}
 	s.stage.New = func() any { st := make([][]*Packet, cfg.Shards); return &st }
 	s.stamp = cfg.LatencyHistogram
@@ -159,6 +160,7 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 		}
 		sh.egress = newShardEgress(s, sh.lat)
 		s.shards[i] = sh
+		s.lanes[i] = resources.NewTask("lane" + strconv.Itoa(i))
 	}
 	s.active.Store(int32(cfg.Shards))
 	s.SetAnnotation(AnnotActiveShards, strconv.Itoa(cfg.Shards))
@@ -258,7 +260,7 @@ func (s *ShardedCF) SetActiveShards(ctx context.Context, n int) error {
 // Lifecycle
 
 // Start implements core.Starter: it starts the inner capsule's components
-// and then one worker goroutine per shard.
+// and then each lane's worker as the lane's task.
 func (s *ShardedCF) Start(ctx context.Context) error {
 	s.intake.Lock()
 	defer s.intake.Unlock()
@@ -268,10 +270,8 @@ func (s *ShardedCF) Start(ctx context.Context) error {
 	if err := s.Composite.Start(ctx); err != nil {
 		return err
 	}
-	s.quit = make(chan struct{})
-	for _, sh := range s.shards {
-		sh.done = make(chan struct{})
-		go s.worker(sh, s.quit)
+	for i, sh := range s.shards {
+		s.lanes[i].Start(func(ctx context.Context) { s.worker(sh, ctx.Done()) })
 	}
 	s.started = true
 	return nil
@@ -279,10 +279,10 @@ func (s *ShardedCF) Start(ctx context.Context) error {
 
 // Stop implements core.Stopper: it takes the intake fence, which waits out
 // every in-flight dispatch (a producer blocked on a full ring is let
-// through by its still-running worker), lets every worker drain its ring
-// (no accepted packet is abandoned), joins the workers, and stops the
-// inner capsule. Dispatches arriving meanwhile wait, then see the CF
-// stopped.
+// through by its still-running worker), stops each lane task, whose
+// worker drains its ring first (no accepted packet is abandoned), and
+// stops the inner capsule. Dispatches arriving meanwhile wait, then see
+// the CF stopped.
 func (s *ShardedCF) Stop(ctx context.Context) error {
 	s.intake.Lock()
 	defer s.intake.Unlock()
@@ -290,18 +290,21 @@ func (s *ShardedCF) Stop(ctx context.Context) error {
 		return nil
 	}
 	s.started = false
-	close(s.quit)
-	for _, sh := range s.shards {
-		<-sh.done
+	for _, lane := range s.lanes {
+		lane.Stop()
 	}
 	return s.Composite.Stop(ctx)
 }
+
+// Tasks lists the lane workers' tasks, in shard order, for the control
+// plane. The replicas' own tasks belong to their components in the inner
+// capsule.
+func (s *ShardedCF) Tasks() []*resources.Task { return s.lanes }
 
 // worker services one shard: it runs every ring batch through the
 // replica, and between batches it is the lane's fence — a park request
 // makes it drain the ring and wait at that boundary until resumed.
 func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
-	defer close(sh.done)
 	var b []*Packet // the batch in hand, handed back to the ring on the next dequeue
 	drain := func() {
 		for ok := true; ok; {
@@ -637,15 +640,9 @@ func (s *ShardedCF) ShardStats(i int) ElementStats {
 // Defined explicitly: the embedded cf.Composite and elementCounters both
 // carry a Stats method, and the merged element view is the right one.
 func (s *ShardedCF) Stats() []core.Stat {
-	st := s.ElemStats()
-	out := []core.Stat{
-		core.C("packets_in", "packets", st.In),
-		core.C("packets_out", "packets", st.Out),
-		core.C("packets_dropped", "packets", st.Dropped),
-		core.C("errors", "errors", st.Errors),
+	out := append(s.ElemStats().list(),
 		core.G("shards", "lanes", float64(len(s.shards))),
-		core.G("shards_active", "lanes", float64(s.active.Load())),
-	}
+		core.G("shards_active", "lanes", float64(s.active.Load())))
 	if s.stamp {
 		// The CF-level latency view is the bucket-wise merge of the lane
 		// histograms — exactly the distribution of all packets' residence.
@@ -662,16 +659,10 @@ func (s *ShardedCF) Stats() []core.Stat {
 // plus the SPSC ring's depth and back-pressure stalls.
 func (s *ShardedCF) laneStats(i int) []core.Stat {
 	sh := s.shards[i]
-	st := s.ShardStats(i)
-	out := []core.Stat{
-		core.C("packets_in", "packets", st.In),
-		core.C("packets_out", "packets", st.Out),
-		core.C("packets_dropped", "packets", st.Dropped),
-		core.C("errors", "errors", st.Errors),
+	out := append(s.ShardStats(i).list(),
 		core.G("ring_batches", "batches", float64(sh.ring.len())),
 		core.C("ring_stalls", "stalls", sh.ring.stalls.Load()),
-		core.G("inflight", "packets", float64(sh.inflight.Load())),
-	}
+		core.G("inflight", "packets", float64(sh.inflight.Load())))
 	if sh.lat != nil {
 		out = append(out, core.H(StatLatency, "ns", sh.lat.Snapshot()))
 	}
