@@ -11,6 +11,7 @@ import (
 	"netkit/cf"
 	"netkit/core"
 	"netkit/internal/control"
+	"netkit/internal/ipc"
 	"netkit/internal/osabs"
 	"netkit/router"
 )
@@ -255,6 +256,50 @@ func TestRunTasksListsComponentTasks(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("nkctl tasks printed %q, want a line for %q", out.String(), want)
 		}
+	}
+}
+
+// TestRunTasksListsIsolatedTransport: an isolated component's stand-in
+// owns its transport, so `nkctl tasks` lists that transport's client
+// reader and in-process host serve loop under the component's name, and
+// neither once the capsule stops.
+func TestRunTasksListsIsolatedTransport(t *testing.T) {
+	capsule := core.NewCapsule("nkctl-iso")
+	fw, err := router.NewFramework(capsule, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := ipc.Isolate("iso", router.TypeCounter, nil, capsule.ComponentRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Admit("iso", iso); err != nil {
+		_ = iso.Stop(context.Background())
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := capsule.StartAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	addr := listen(t, fw)
+	var out bytes.Buffer
+	if err := run([]string{"-addr", addr, "tasks"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"iso/ipc-reader ", "iso/ipc-host "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("nkctl tasks printed %q, want a line for %q", out.String(), want)
+		}
+	}
+	if err := capsule.StopAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-addr", addr, "tasks"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "iso/") {
+		t.Errorf("nkctl tasks after StopAll printed %q", out.String())
 	}
 }
 

@@ -432,8 +432,10 @@ type RemoteComponent struct {
 	mu   sync.RWMutex
 	outs map[string]*core.Receptacle[router.IPacketPush]
 
-	// stop tears down a transport this stand-in owns (Isolate).
-	stop func()
+	// stop tears down a transport this stand-in owns (Isolate,
+	// IsolateAt); tasks are that transport's goroutines.
+	stop  func()
+	tasks []*resources.Task
 
 	emitted atomic.Uint64
 	lost    atomic.Uint64
@@ -506,7 +508,7 @@ func (rc *RemoteComponent) send(batch []*router.Packet) error {
 		buf = append(buf, p.Data...)
 		p.Release()
 	}
-	buf = finishFrame(buf)
+	buf = finishFrame(buf, 0)
 
 	var slot *txSlot
 	select {
@@ -686,10 +688,20 @@ func (rc *RemoteComponent) Stop(ctx context.Context) error {
 	return nil
 }
 
+// Tasks lists the goroutines of a transport this stand-in owns: the
+// client's reader and, under Isolate, the in-process host's serve loop.
+func (rc *RemoteComponent) Tasks() []*resources.Task { return rc.tasks }
+
 // HostPair wires a Host and Client over an in-memory pipe: the test and
 // benchmark configuration standing in for a real two-process deployment
 // (the protocol is identical over TCP).
 func HostPair(reg *core.ComponentRegistry) (*Client, *Host, func()) {
+	c, h, _, cleanup := hostPair(reg)
+	return c, h, cleanup
+}
+
+// hostPair is HostPair that also returns the task serving the host.
+func hostPair(reg *core.ComponentRegistry) (*Client, *Host, *resources.Task, func()) {
 	a, b := net.Pipe()
 	h := NewHost(b, reg)
 	serve := resources.NewTask("ipc-host")
@@ -700,5 +712,5 @@ func HostPair(reg *core.ComponentRegistry) (*Client, *Host, func()) {
 		_ = h.Close()
 		serve.Stop()
 	}
-	return c, h, cleanup
+	return c, h, serve, cleanup
 }

@@ -231,21 +231,22 @@ func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packe
 		}
 		return nil, 0, false
 	}
-	if r.err || count < 0 || count > len(r.b) {
+	if r.err || count < 0 || count > (len(r.b)-r.off)/4 {
 		return malformed()
 	}
-	lens := make([]int, count)
-	for i := range lens {
-		lens[i] = int(r.u32())
-		total += lens[i]
+	// The count×u32 length table is read in place, once to bound the
+	// payloads and once to carve them.
+	lens := r.bytes(4 * count)
+	for i := 0; i < count; i++ {
+		total += int(binary.LittleEndian.Uint32(lens[4*i:]))
 	}
-	if r.err || total > len(r.b)-r.off {
+	if total > len(r.b)-r.off {
 		return malformed()
 	}
 	batch = router.GetBatch()
 	pkts := make([]router.Packet, count)
 	for i := range pkts {
-		pkts[i] = router.Packet{Data: r.bytes(lens[i]), Buf: slab}
+		pkts[i] = router.Packet{Data: r.bytes(int(binary.LittleEndian.Uint32(lens[4*i:]))), Buf: slab}
 		batch = append(batch, &pkts[i])
 	}
 	switch {
@@ -276,15 +277,17 @@ func beginFrame(buf []byte, kind byte) []byte {
 	return appendU32(buf, 0)
 }
 
-// finishFrame patches the payload length and returns the complete frame.
-func finishFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
+// finishFrame patches the payload length of the frame begun at start and
+// returns buf.
+func finishFrame(buf []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(buf[start+1:start+5], uint32(len(buf)-start-5))
 	return buf
 }
 
-// encodeAck assembles an 'A' frame into a pooled buffer.
-func encodeAck(slot, delivered, failed uint32, contained bool, errMsg string) []byte {
-	buf := beginFrame(getFrame(), frameAck)
+// appendAck appends an 'A' frame to buf.
+func appendAck(buf []byte, slot, delivered, failed uint32, contained bool, errMsg string) []byte {
+	start := len(buf)
+	buf = beginFrame(buf, frameAck)
 	buf = appendU32(buf, slot)
 	buf = appendU32(buf, delivered)
 	buf = appendU32(buf, failed)
@@ -297,5 +300,5 @@ func encodeAck(slot, delivered, failed uint32, contained bool, errMsg string) []
 		errMsg = errMsg[:512]
 	}
 	buf = appendStr(buf, errMsg)
-	return finishFrame(buf)
+	return finishFrame(buf, start)
 }

@@ -6,7 +6,10 @@
 //
 // A Host owns a private capsule in the isolated domain and serves a wire
 // protocol over any net.Conn (net.Pipe in tests, TCP between real
-// processes). gob carries control only — instantiate, bind, filter
+// processes). It runs to completion on the goroutine that reads the conn:
+// each frame is decoded, delivered into the hosted component and answered
+// before the next is read, so back-pressure reaches the client at the
+// transport. gob carries control only — instantiate, bind, filter
 // management. Packets have one protocol in each direction: length-prefixed
 // binary batch frames pipelined under a credit window (frame.go), and the
 // emission frames that stream a hosted component's output back. A
@@ -21,7 +24,6 @@
 package ipc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -30,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"netkit/core"
-	"netkit/resources"
 	"netkit/router"
 )
 
@@ -105,27 +106,12 @@ func (r *reflector) PushBatch(batch []*router.Packet) error {
 }
 
 // emission batching thresholds: flush when the accumulator holds this many
-// frames or bytes, at the end of every processed job, and immediately
-// while no job is in progress (asynchronous emitters must not stall).
+// frames or bytes, with the ack of every delivered batch, and immediately
+// while no batch is being delivered (asynchronous emitters must not stall).
 const (
 	emitMaxFrames = 128
 	emitMaxBytes  = 256 << 10
 )
-
-// hostJob is one unit of serialised work: a gob control op or a decoded
-// packet batch. A single processor goroutine drains them in arrival order,
-// which is what preserves per-flow delivery order across the boundary.
-type hostJob struct {
-	gob   *message
-	slot  uint32
-	name  string
-	batch []*router.Packet
-}
-
-// hostQueueDepth bounds decoded-but-unprocessed batches; beyond it the
-// reader stops consuming the conn and backpressure reaches the client's
-// credit window through the transport.
-const hostQueueDepth = 2 * DefaultWindow
 
 // Host serves one isolated capsule over one connection.
 type Host struct {
@@ -133,11 +119,11 @@ type Host struct {
 	w       *wire
 	closed  atomic.Bool
 
-	// processor-goroutine state (no locking needed).
+	// serve-goroutine state (no locking needed).
 	targets  map[string]router.IPacketPush
 	lastName string
 
-	// emission accumulator (reflectors append, processor flushes).
+	// emission accumulator (reflectors append, the serve loop flushes).
 	emu        sync.Mutex
 	ename      string
 	eport      string
@@ -171,19 +157,12 @@ func NewHost(conn net.Conn, reg *core.ComponentRegistry) *Host {
 }
 
 // Serve processes requests until the connection closes. It returns nil on
-// orderly shutdown (EOF / closed pipe). The calling goroutine decodes
-// frames into a bounded work queue; a single processor task executes them
-// in order and writes responses, acks and emission frames.
+// orderly shutdown (EOF / closed pipe). The calling goroutine runs each
+// frame to completion — decode, deliver, answer — before it reads the
+// next, in arrival order, which is what preserves per-flow delivery order
+// across the boundary.
 func (h *Host) Serve() error {
-	work := make(chan hostJob, hostQueueDepth)
-	proc := resources.NewTask("ipc-process")
-	proc.Start(func(context.Context) { h.process(work) })
-	err := h.readFrames(work)
-	close(work)
-	proc.Stop() // the processor drains work before it returns
-	if err == nil {
-		return nil
-	}
+	err := h.serve()
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) ||
 		errors.Is(err, net.ErrClosed) || h.closed.Load() {
 		return nil
@@ -191,8 +170,9 @@ func (h *Host) Serve() error {
 	return fmt.Errorf("ipc: host recv: %w", err)
 }
 
-// readFrames decodes the inbound stream into jobs.
-func (h *Host) readFrames(work chan<- hostJob) error {
+// serve reads and answers frames until the connection fails: a gob op
+// gets a gob response, a batch an 'A' ack.
+func (h *Host) serve() error {
 	for {
 		kind, err := h.w.readKind()
 		if err != nil {
@@ -204,33 +184,47 @@ func (h *Host) readFrames(work chan<- hostJob) error {
 			if err != nil {
 				return err
 			}
-			work <- hostJob{gob: m}
+			h.gobOps.Add(1)
+			h.processing.Store(true)
+			resp := h.handle(m)
+			resp.ID = m.ID
+			h.emu.Lock()
+			h.processing.Store(false)
+			_ = h.flushEmitLocked()
+			h.emu.Unlock()
+			_ = h.w.send(resp)
 		case frameBatch:
-			job, err := h.readBatch()
-			if err != nil {
+			if err := h.serveBatch(); err != nil {
 				return err
 			}
-			work <- job
 		default:
 			return fmt.Errorf("ipc: unexpected frame kind %q", kind)
 		}
 	}
 }
 
-// readBatch decodes one 'B' frame into carved packets. The payload lands
-// in a refcounted slab and every packet aliases it zero-copy, holding one
-// slab reference; the slab recycles when the last packet is released.
-func (h *Host) readBatch() (hostJob, error) {
+// serveBatch decodes one 'B' frame into carved packets, pushes them into
+// the hosted component one packet at a time, containing per-packet panics,
+// then acks with exact delivered/failed counts. The payload lands in a
+// refcounted slab and every packet aliases it zero-copy, holding one slab
+// reference; the slab recycles when the last packet is released.
+// Per-packet delivery (rather than handing the component the whole batch)
+// is what keeps the counts exact under a mid-batch crash: the wire
+// crossing is already amortised, and the hosted component is entered
+// through the same PushBatch the in-proc path uses. The pending emissions
+// and the ack leave in one write, emissions first, so by the time the
+// client observes a batch outcome its emissions have landed.
+func (h *Host) serveBatch() error {
 	payload, slab, err := h.w.readPayload(nil)
 	if err != nil {
-		return hostJob{}, err
+		return err
 	}
 	r := binReader{b: payload}
 	slot := r.u32()
 	nameB := r.bytes(int(r.u16()))
 	batch, total, ok := carve(&r, int(r.u32()), slab)
 	if !ok {
-		return hostJob{}, errors.New("ipc: malformed batch frame")
+		return errors.New("ipc: malformed batch frame")
 	}
 	// Intern the hot name: batches from one binding repeat it every frame.
 	if string(nameB) != h.lastName {
@@ -239,48 +233,19 @@ func (h *Host) readBatch() (hostJob, error) {
 	h.rxBatches.Add(1)
 	h.rxFrames.Add(uint64(len(batch)))
 	h.rxBytes.Add(uint64(total))
-	return hostJob{slot: slot, name: h.lastName, batch: batch}, nil
-}
-
-// process executes jobs in order: gob ops get a gob response, batches get
-// an 'A' ack; buffered emissions flush before either, so by the time the
-// client observes a batch outcome its emissions have already landed.
-func (h *Host) process(work <-chan hostJob) {
-	for job := range work {
-		h.processing.Store(true)
-		if job.gob != nil {
-			h.gobOps.Add(1)
-			resp := h.handle(job.gob)
-			resp.ID = job.gob.ID
-			h.processing.Store(false)
-			h.flushEmit()
-			_ = h.w.send(resp)
-			continue
-		}
-		h.deliverBatch(job)
-		h.processing.Store(false)
-	}
-}
-
-// deliverBatch pushes a decoded batch into the hosted component one packet
-// at a time, containing per-packet panics, then acks with exact delivered/
-// failed counts. Per-packet delivery (rather than handing the component
-// the whole batch) is what keeps the counts exact under a mid-batch crash:
-// the wire crossing is already amortised, and the hosted component is
-// entered through the same PushBatch the in-proc path uses.
-func (h *Host) deliverBatch(job hostJob) {
+	h.processing.Store(true)
 	delivered, failed := 0, 0
 	contained := false
 	var firstErr string
-	dst, err := h.pushTarget(job.name)
+	dst, err := h.pushTarget(h.lastName)
 	if err != nil {
-		for _, p := range job.batch {
+		for _, p := range batch {
 			p.Release()
 		}
-		failed = len(job.batch)
+		failed = len(batch)
 		firstErr = err.Error()
 	} else {
-		for rest := job.batch; len(rest) > 0; {
+		for rest := batch; len(rest) > 0; {
 			n, perr, panicked := pushContained(dst, rest)
 			delivered += n
 			if n == len(rest) {
@@ -297,12 +262,15 @@ func (h *Host) deliverBatch(job hostJob) {
 			rest = rest[n+1:]
 		}
 	}
-	router.PutBatch(job.batch)
+	router.PutBatch(batch)
+	h.emu.Lock()
 	h.processing.Store(false)
-	h.flushEmit()
-	ack := encodeAck(job.slot, uint32(delivered), uint32(failed), contained, firstErr)
-	_ = h.w.sendRaw(ack)
-	putFrame(ack)
+	buf := h.appendEmitLocked(getFrame())
+	buf = appendAck(buf, slot, uint32(delivered), uint32(failed), contained, firstErr)
+	_ = h.w.sendRaw(buf)
+	h.emu.Unlock()
+	putFrame(buf)
+	return nil
 }
 
 // pushContained delivers batch one packet at a time until one fails,
@@ -350,7 +318,7 @@ func (h *Host) pushTarget(name string) (router.IPacketPush, error) {
 
 // emitAppend accumulates one emitted packet for (name, port). Same-key
 // emissions coalesce into one 'E' frame; a key change, a full buffer, the
-// end of the current job, or an idle host all flush.
+// ack of the batch being delivered, or an idle host all flush.
 func (h *Host) emitAppend(name, port string, data []byte) error {
 	h.emu.Lock()
 	defer h.emu.Unlock()
@@ -369,17 +337,25 @@ func (h *Host) emitAppend(name, port string, data []byte) error {
 	return nil
 }
 
-func (h *Host) flushEmit() {
-	h.emu.Lock()
-	_ = h.flushEmitLocked()
-	h.emu.Unlock()
-}
-
+// flushEmitLocked writes the pending emissions as one 'E' frame.
 func (h *Host) flushEmitLocked() error {
 	if h.ecount == 0 {
 		return nil
 	}
-	buf := beginFrame(getFrame(), frameEmit)
+	buf := h.appendEmitLocked(getFrame())
+	err := h.w.sendRaw(buf)
+	putFrame(buf)
+	return err
+}
+
+// appendEmitLocked appends the pending emissions to buf as one 'E' frame,
+// or nothing when none are pending, and empties the accumulator.
+func (h *Host) appendEmitLocked(buf []byte) []byte {
+	if h.ecount == 0 {
+		return buf
+	}
+	start := len(buf)
+	buf = beginFrame(buf, frameEmit)
 	buf = appendStr(buf, h.ename)
 	buf = appendStr(buf, h.eport)
 	buf = appendU32(buf, uint32(h.ecount))
@@ -387,16 +363,14 @@ func (h *Host) flushEmitLocked() error {
 		buf = appendU32(buf, uint32(n))
 	}
 	buf = append(buf, h.edata...)
-	buf = finishFrame(buf)
-	err := h.w.sendRaw(buf)
-	putFrame(buf)
+	buf = finishFrame(buf, start)
 	h.emitBatchN.Add(1)
 	h.emitFrameN.Add(uint64(h.ecount))
 	h.emitByteN.Add(uint64(len(h.edata)))
 	h.ecount = 0
 	h.elens = h.elens[:0]
 	h.edata = h.edata[:0]
-	return err
+	return buf
 }
 
 // Close shuts the host down.

@@ -10,25 +10,28 @@ import (
 )
 
 // Isolate instantiates one component of typeName out-of-process-style
-// behind a private transport (an in-process socketpair stand-in; the
+// behind a private transport (an in-process host over net.Pipe; the
 // protocol is identical over TCP) and returns its local stand-in. The
-// stand-in owns the transport: stopping it — the capsule calls Stop when
-// the component is removed or the capsule stops — tears the host down
-// with it. reg nil uses the process-wide registry, so every registered
-// standard component type can be isolated by name.
+// stand-in owns the transport and lists its tasks, ipc-reader and
+// ipc-host: stopping it — the capsule calls Stop when the component is
+// removed or the capsule stops — tears the host down with it. reg nil
+// uses the process-wide registry, so every registered standard component
+// type can be isolated by name.
 func Isolate(name, typeName string, cfg map[string]string, reg *core.ComponentRegistry) (*RemoteComponent, error) {
-	client, _, cleanup := HostPair(reg)
+	client, _, serve, cleanup := hostPair(reg)
 	rc, err := client.Instantiate(name, typeName, cfg)
 	if err != nil {
 		cleanup()
 		return nil, fmt.Errorf("ipc: isolate %q: %w", name, err)
 	}
 	rc.stop = cleanup
+	rc.tasks = []*resources.Task{client.reader, serve}
 	return rc, nil
 }
 
 // IsolateAt is Isolate against a remote host already serving at addr
-// (e.g. `netkitd -ipc-host`): the real two-process deployment.
+// (e.g. `netkitd -ipc-host`): the real two-process deployment. The
+// stand-in's one task is its ipc-reader; the host's run elsewhere.
 func IsolateAt(name, typeName string, cfg map[string]string, addr string) (*RemoteComponent, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -41,6 +44,7 @@ func IsolateAt(name, typeName string, cfg map[string]string, addr string) (*Remo
 		return nil, fmt.Errorf("ipc: isolate %q at %s: %w", name, addr, err)
 	}
 	rc.stop = func() { _ = client.Close() }
+	rc.tasks = []*resources.Task{client.reader}
 	return rc, nil
 }
 
