@@ -187,7 +187,6 @@ type Engine struct {
 	states []ruleState // the loop's own
 	task   *resources.Task
 
-	ticks   atomic.Uint64
 	firings atomic.Uint64
 	actErrs atomic.Uint64
 
@@ -230,9 +229,27 @@ func (e *Engine) Rules() []string {
 	return out
 }
 
-// Start implements core.Starter: it starts the sampling tick as the task "adapt".
+// Start implements core.Starter: it runs the sampling tick as the task
+// "adapt", one sample per step, parked for the interval between. The first
+// step takes only the baseline, and none samples within an interval of
+// the last, so no tick sees a near-zero Elapsed. Ticks are the task's work.
 func (e *Engine) Start(context.Context) error {
-	e.task.Start(e.loop)
+	var prev core.StatNode
+	var last time.Time
+	e.task.Run(func(ctx context.Context) (int, error) {
+		now := time.Now()
+		if last.IsZero() {
+			prev, last = core.CapsuleStats(e.capsule), now
+			return 0, nil
+		}
+		if now.Sub(last) < e.opts.Interval {
+			return 0, nil
+		}
+		view := View{Now: core.CapsuleStats(e.capsule), Prev: prev, Elapsed: now.Sub(last)}
+		e.tick(ctx, view, now)
+		prev, last = view.Now, now
+		return 1, nil
+	}, resources.Idle{Fallback: e.opts.Interval})
 	return nil
 }
 
@@ -247,31 +264,9 @@ func (e *Engine) Stop(context.Context) error {
 // Tasks lists the engine's task for the control plane.
 func (e *Engine) Tasks() []*resources.Task { return []*resources.Task{e.task} }
 
-func (e *Engine) loop(ctx context.Context) {
-	ticker := time.NewTicker(e.opts.Interval)
-	defer ticker.Stop()
-	prev := core.CapsuleStats(e.capsule)
-	last := time.Now()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		view := View{
-			Now:     core.CapsuleStats(e.capsule),
-			Prev:    prev,
-			Elapsed: now.Sub(last),
-		}
-		e.tick(ctx, view, now)
-		prev, last = view.Now, now
-	}
-}
-
 // tick evaluates every rule against one view; actions run under ctx.
 func (e *Engine) tick(ctx context.Context, v View, now time.Time) {
-	tickN := e.ticks.Add(1)
+	tickN := e.Ticks() + 1 // the runner counts this tick once it returns
 	for i := range e.rules {
 		r := &e.rules[i]
 		st := &e.states[i]
@@ -327,7 +322,7 @@ func (e *Engine) tick(ctx context.Context, v View, now time.Time) {
 // Ticks reports how many sampling ticks have run. The first tick's view
 // has the engine-start snapshot as its Prev, so callers that want delta
 // rules to observe an event should let at least one tick pass first.
-func (e *Engine) Ticks() uint64 { return e.ticks.Load() }
+func (e *Engine) Ticks() uint64 { return e.task.Stats().Work }
 
 // Firings reports how many rule activations have run.
 func (e *Engine) Firings() uint64 { return e.firings.Load() }
@@ -343,7 +338,7 @@ func (e *Engine) History() []Firing {
 // capability it samples.
 func (e *Engine) Stats() []core.Stat {
 	return []core.Stat{
-		core.C("adapt_ticks", "ticks", e.ticks.Load()),
+		core.C("adapt_ticks", "ticks", e.Ticks()),
 		core.C("adapt_firings", "firings", e.firings.Load()),
 		core.C("adapt_action_errors", "errors", e.actErrs.Load()),
 		core.G("adapt_rules", "rules", float64(len(e.rules))),

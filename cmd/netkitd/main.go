@@ -201,10 +201,10 @@ func run() error {
 	fmt.Printf("netkitd: control protocol on %s\n", l.Addr())
 
 	// Optional synthetic traffic pump.
-	stopTraffic := make(chan struct{})
-	trafficDone := make(chan struct{})
-	close(trafficDone)
 	if *trafficInto != "" {
+		if *pps <= 0 {
+			return fmt.Errorf("-pps %d: want a rate above 0", *pps)
+		}
 		push, err := netkit.Service[router.IPacketPush](capsule, *trafficInto, router.IPacketPushID)
 		if err != nil {
 			return fmt.Errorf("traffic target: %w", err)
@@ -213,40 +213,23 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// The pump runs as a task on the capsule's resources meta-model,
-		// so its work is visible to operators via `nkctl tasks`.
+		// The pump is a task on the capsule's resources meta-model, shown
+		// by `nkctl tasks`: each step pushes the packets due by now.
 		pumpTask, err := meta.Resources().CreateTask(resources.TaskSpec{Name: "traffic-pump"})
 		if err != nil {
 			return err
 		}
-		pumpPool, err := resources.NewPool(1, resources.NewFIFOScheduler())
-		if err != nil {
-			return err
-		}
-		defer pumpPool.Stop(false)
-		trafficDone = make(chan struct{})
-		go func() {
-			defer close(trafficDone)
-			interval := time.Second / time.Duration(*pps)
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopTraffic:
-					return
-				case <-ticker.C:
-					raw, err := gen.Next()
-					if err != nil {
-						continue
-					}
-					if err := pumpPool.Submit(pumpTask, func() {
-						_ = push.PushBatch([]*router.Packet{router.NewPacket(raw)})
-					}); err != nil {
-						return
-					}
+		interval := max(time.Second/time.Duration(*pps), time.Nanosecond)
+		due := time.Now()
+		pumpTask.Run(func(context.Context) (int, error) {
+			for now := time.Now(); !due.After(now); due = due.Add(interval) {
+				if raw, err := gen.Next(); err == nil {
+					_ = push.PushBatch([]*router.Packet{router.NewPacket(raw)})
 				}
 			}
-		}()
+			return 0, nil
+		}, resources.Idle{Fallback: interval})
+		defer pumpTask.Stop()
 		fmt.Printf("netkitd: driving %d pps into %q\n", *pps, *trafficInto)
 	}
 
@@ -261,8 +244,6 @@ func run() error {
 	} else {
 		<-sig
 	}
-	close(stopTraffic)
-	<-trafficDone
 	fmt.Println("netkitd: shutting down")
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"netkit/cf"
 	"netkit/core"
@@ -248,15 +250,53 @@ func TestRunTasksListsComponentTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = capsule.StopAll(ctx) })
+	addr := listen(t, fw)
+	// Both tasks idle: each has stepped and parked at least once, which
+	// the uniform runner counters show. The first listing may race the
+	// first park, so it is retried for a while.
 	var out bytes.Buffer
-	if err := run([]string{"-addr", listen(t, fw), "tasks"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"src/pump ", "sched/sched "} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("nkctl tasks printed %q, want a line for %q", out.String(), want)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		out.Reset()
+		if err := run([]string{"-addr", addr, "tasks"}, &out); err != nil {
+			t.Fatal(err)
 		}
+		missing := ""
+		for _, want := range []string{"src/pump ", "sched/sched "} {
+			f := taskFields(out.String(), want)
+			if f == nil || f["steps"] < 1 || f["parks"] < 1 {
+				missing = want
+			}
+		}
+		if missing == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nkctl tasks printed %q, want a line for %q with steps >= 1 and parks >= 1",
+				out.String(), missing)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// taskFields returns the numeric key=value fields of the `nkctl tasks`
+// line that starts with prefix, or nil when no line does.
+func taskFields(listing, prefix string) map[string]int {
+	for _, line := range strings.Split(listing, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		fields := map[string]int{}
+		for _, kv := range strings.Fields(line) {
+			if k, v, ok := strings.Cut(kv, "="); ok {
+				if n, err := strconv.Atoi(v); err == nil {
+					fields[k] = n
+				}
+			}
+		}
+		return fields
+	}
+	return nil
 }
 
 // TestRunTasksListsIsolatedTransport: an isolated component's stand-in

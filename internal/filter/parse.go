@@ -40,14 +40,6 @@ func (p *parser) next() token {
 	return t
 }
 
-func (p *parser) expectWord(w string) error {
-	t := p.next()
-	if t.kind != tokWord || t.text != w {
-		return &SyntaxError{t.pos, fmt.Sprintf("expected %q, got %q", w, t.text)}
-	}
-	return nil
-}
-
 func (p *parser) parseOr() (Node, error) {
 	l, err := p.parseAnd()
 	if err != nil {

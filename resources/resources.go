@@ -13,7 +13,9 @@
 // Tasks also own threads: Task.Start runs a loop on a pprof-labelled
 // goroutine and Task.Stop cancels and joins it. Every long-running
 // data-plane goroutine is such a task, made with NewTask by the component
-// that owns it and listed through its Tasks method.
+// that owns it and listed through its Tasks method. Task.Run drives a
+// poll-mode step under one idle policy (Idle), and Park holds Run tasks
+// at a step boundary: the park point of a consistent cut.
 //
 // # Relation to the data path
 //
@@ -73,10 +75,13 @@ type Task struct {
 	abstract sync.Map // name -> *int64 (used), capacity in manager
 
 	// The task's loop (Start/Stop); live flips false as it returns.
-	run  sync.Mutex
-	stop context.CancelFunc // non-nil from Start until Stop
-	done chan struct{}      // closed as the loop returns
-	live atomic.Bool
+	run   sync.Mutex
+	stop  context.CancelFunc // non-nil from Start until Stop
+	done  chan struct{}      // closed as the loop returns
+	fence chan parkReq       // Run's park requests; nil under Start
+	live  atomic.Bool
+
+	steps, work, spins, bellWakes, timerWakes, parks atomic.Uint64 // Run's
 }
 
 // NewTask returns a task outside any Manager's table: the owner of one
@@ -88,7 +93,9 @@ func NewTask(name string) *Task { return &Task{name: name, weight: 1} }
 // task=<name>. ctx carries the label, and its Done channel is the loop's
 // quit signal: Stop cancels it. Starting a started task is a no-op, even
 // once its loop has returned by itself; Stop resets it.
-func (t *Task) Start(loop func(ctx context.Context)) {
+func (t *Task) Start(loop func(ctx context.Context)) { t.start(loop, nil) }
+
+func (t *Task) start(loop func(ctx context.Context), fence chan parkReq) {
 	t.run.Lock()
 	defer t.run.Unlock()
 	if t.stop != nil {
@@ -96,7 +103,7 @@ func (t *Task) Start(loop func(ctx context.Context)) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	t.stop, t.done = stop, done
+	t.stop, t.done, t.fence = stop, done, fence
 	t.live.Store(true)
 	go pprof.Do(ctx, pprof.Labels("task", t.name), func(ctx context.Context) {
 		defer close(done)
@@ -118,7 +125,7 @@ func (t *Task) Stop() {
 	}
 	t.stop()
 	<-t.done
-	t.stop, t.done = nil, nil
+	t.stop, t.done, t.fence = nil, nil, nil
 }
 
 // Running reports whether the task's loop is live: started, and neither
@@ -173,27 +180,35 @@ func (t *Task) ReleaseMemory(n int64) {
 	}
 }
 
-// TaskStats is a snapshot of per-task accounting.
+// TaskStats is a snapshot of per-task accounting. Steps to Parks are
+// Run's counters, cumulative across restarts.
 type TaskStats struct {
-	Name      string
-	Jobs      uint64
-	BusyNanos int64
-	MemUsed   int64
-	MemPeak   int64
-	Rejected  uint64
-	Running   bool // the task's own loop (Task.Start) is live
+	Name                                             string
+	Jobs                                             uint64
+	BusyNanos                                        int64
+	MemUsed                                          int64
+	MemPeak                                          int64
+	Rejected                                         uint64
+	Running                                          bool // the task's own loop (Task.Start or Run) is live
+	Steps, Work, Spins, BellWakes, TimerWakes, Parks uint64
 }
 
 // Stats returns the task's counters.
 func (t *Task) Stats() TaskStats {
 	return TaskStats{
-		Name:      t.name,
-		Jobs:      t.jobs.Load(),
-		BusyNanos: t.busy.Load(),
-		MemUsed:   t.memUsed.Load(),
-		MemPeak:   t.memPeak.Load(),
-		Rejected:  t.rejected.Load(),
-		Running:   t.Running(),
+		Name:       t.name,
+		Jobs:       t.jobs.Load(),
+		BusyNanos:  t.busy.Load(),
+		MemUsed:    t.memUsed.Load(),
+		MemPeak:    t.memPeak.Load(),
+		Rejected:   t.rejected.Load(),
+		Running:    t.Running(),
+		Steps:      t.steps.Load(),
+		Work:       t.work.Load(),
+		Spins:      t.spins.Load(),
+		BellWakes:  t.bellWakes.Load(),
+		TimerWakes: t.timerWakes.Load(),
+		Parks:      t.parks.Load(),
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"netkit/core"
@@ -22,7 +20,7 @@ type PumpConfig struct {
 	Batch int
 	// Spin is the busy-poll budget: how many consecutive empty polls the
 	// pump burns (yielding the OS thread, not sleeping) before parking.
-	// 0 parks immediately on the first empty poll.
+	// 0 or less parks immediately on the first empty poll.
 	Spin int
 }
 
@@ -48,10 +46,9 @@ type NICSource struct {
 	cfg  PumpConfig
 	out  *core.Receptacle[IPacketPush]
 
-	spins atomic.Uint64 // empty polls burned inside the spin budget
-	parks atomic.Uint64 // times the pump gave up spinning and slept
-
-	pump *resources.Task
+	pump   *resources.Task
+	frames [][]byte  // the pump's receive scratch
+	pkts   []*Packet // the pump's delivery scratch
 }
 
 // NewNICSource wraps an existing device with default pump tuning. pool may
@@ -69,9 +66,6 @@ func NewNICSourcePump(dev osabs.Device, pool *buffers.Pool, cfg PumpConfig) (*NI
 	if cfg.Batch <= 0 {
 		cfg.Batch = nicSourceBatch
 	}
-	if cfg.Spin < 0 {
-		cfg.Spin = 0
-	}
 	s := &NICSource{Base: core.NewBase(TypeNICSource), dev: dev, pool: pool, cfg: cfg,
 		pump: resources.NewTask("pump")}
 	s.out = core.NewReceptacle[IPacketPush](IPacketPushID)
@@ -83,9 +77,13 @@ func NewNICSourcePump(dev osabs.Device, pool *buffers.Pool, cfg PumpConfig) (*NI
 // Device returns the wrapped device.
 func (s *NICSource) Device() osabs.Device { return s.dev }
 
-// Start implements core.Starter: it starts the receive pump as the task "pump".
+// Start implements core.Starter: it runs the receive pump as the task "pump".
 func (s *NICSource) Start(context.Context) error {
-	s.pump.Start(s.pollPump)
+	idle := resources.Idle{Spin: s.cfg.Spin, Fallback: pumpPark}
+	if d, ok := s.dev.(interface{ Doorbell() <-chan struct{} }); ok {
+		idle.Bell, idle.Fallback = d.Doorbell(), 0
+	}
+	s.pump.Run(s.poll, idle)
 	return nil
 }
 
@@ -101,83 +99,33 @@ func (s *NICSource) Tasks() []*resources.Task { return []*resources.Task{s.pump}
 // nicSourceBatch bounds the opportunistic RX drain per delivery round.
 const nicSourceBatch = 64
 
-// pollPump is the device receive loop: batched non-blocking RecvBatchInto
-// polls with a spin-then-park idle policy. A busy device moves whole
-// batches per poll (one syscall on the mmsg backend); an idle one burns
-// its spin budget keeping the core hot — the DPDK-style busy-poll trade —
-// then parks. A device with a doorbell parks until it rings, so an idle
-// in-memory source costs nothing and wakes at once; any other parks for
-// pumpPark on one reused timer.
-func (s *NICSource) pollPump(ctx context.Context) {
-	quit := ctx.Done()
-	var bell <-chan struct{} // stays nil (never ready) without a doorbell
-	if d, ok := s.dev.(interface{ Doorbell() <-chan struct{} }); ok {
-		bell = d.Doorbell()
+// poll is the pump's step: one batched non-blocking RecvBatchInto (one
+// syscall on the mmsg backend), its frames minted and forwarded as one
+// batch. Only ErrClosed ends the pump; any other receive error (a refused
+// send surfacing on a connected socket, an empty arena) is an empty poll.
+func (s *NICSource) poll(context.Context) (int, error) {
+	frames, slab, err := s.dev.RecvBatchInto(s.frames[:0], s.cfg.Batch)
+	s.frames = frames
+	if !errors.Is(err, osabs.ErrClosed) {
+		err = nil
 	}
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	frames := buffers.Batches.Get()
-	pkts := GetBatch()
-	// Deferred closures, not bound arguments: both slices are reassigned
-	// when a batch outgrows the pooled capacity.
-	defer func() {
-		buffers.Batches.Put(frames)
-		PutBatch(pkts)
-	}()
-	spun := 0
-	for {
-		select {
-		case <-quit:
-			return
-		default:
-		}
-		var slab *buffers.Buffer
-		var err error
-		frames, slab, err = s.dev.RecvBatchInto(frames[:0], s.cfg.Batch)
-		if len(frames) == 0 {
-			if err != nil {
-				return // closed and drained
-			}
-			if spun < s.cfg.Spin {
-				spun++
-				s.spins.Add(1)
-				runtime.Gosched()
-				continue
-			}
-			s.parks.Add(1)
-			if bell == nil {
-				timer.Reset(pumpPark)
-			}
-			select {
-			case <-quit:
-				return
-			case <-bell:
-			case <-timer.C:
-			}
-			spun = 0
-			continue
-		}
-		spun = 0
-		s.in.Add(uint64(len(frames)))
-		pkts = pkts[:0]
-		for _, f := range frames {
-			if p := s.mint(f, slab); p != nil {
-				pkts = append(pkts, p)
-			}
-		}
-		_ = s.forwardBatch(s.out, pkts)
-		// Clear both scratches so an idle source pins neither the
-		// handed-off packets nor their frame bytes between polls.
-		for i := range pkts {
-			pkts[i] = nil
-		}
-		for i := range frames {
-			frames[i] = nil
-		}
-		if err != nil && errors.Is(err, osabs.ErrClosed) {
-			return // closed mid-drain: the batch above was the tail
+	if len(frames) == 0 {
+		return 0, err
+	}
+	s.in.Add(uint64(len(frames)))
+	pkts := s.pkts[:0]
+	for _, f := range frames {
+		if p := s.mint(f, slab); p != nil {
+			pkts = append(pkts, p)
 		}
 	}
+	_ = s.forwardBatch(s.out, pkts)
+	// Clear both scratches so an idle source pins neither the handed-off
+	// packets nor their frame bytes between polls.
+	clear(pkts)
+	clear(frames)
+	s.pkts = pkts
+	return len(frames), err // ErrClosed here: the batch above was the tail
 }
 
 // mint turns one polled frame into a Packet, or nil for a drop. Arena
@@ -207,9 +155,10 @@ func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
 // Stats implements core.IStats, folding in the wrapped device's stratum-1
 // counters plus the pump's busy-poll telemetry.
 func (s *NICSource) Stats() []core.Stat {
+	st := s.pump.Stats()
 	out := append(s.statList(),
-		core.C("pump_spins", "polls", s.spins.Load()),
-		core.C("pump_parks", "sleeps", s.parks.Load()),
+		core.C("pump_spins", "polls", st.Spins),
+		core.C("pump_parks", "sleeps", st.Parks),
 	)
 	return append(out, s.dev.StatList()...)
 }

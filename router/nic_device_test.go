@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -425,5 +426,46 @@ func TestNICSourceEndsWhenDeviceCloses(t *testing.T) {
 				t.Fatalf("Stop took %v after the pump ended", took)
 			}
 		})
+	}
+}
+
+// TestNICSourceSurvivesRefusedSend: a connected UDP device whose peer is
+// not listening reads its send's ICMP bounce back once, as ECONNREFUSED
+// on the pump's next receive. That is an empty poll, not the end of the
+// pump: frames the peer sends once it listens still arrive.
+func TestNICSourceSurvivesRefusedSend(t *testing.T) {
+	reserve, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := reserve.LocalAddr().(*net.UDPAddr)
+	reserve.Close()
+	dev, err := osabs.NewUDPDevice(osabs.UDPConfig{Listen: "127.0.0.1:0", Peer: peer.String(), Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	out, src := devRig(t, dev, nil, PumpConfig{Batch: 8})
+	if _, err := dev.SendBatch([][]byte{[]byte("to nobody")}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // the idle pump polls the refusal meanwhile
+	sender, err := net.ListenUDP("udp4", peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	to, err := net.ResolveUDPAddr("udp4", dev.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := sender.WriteToUDP([]byte{byte(i)}, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCount(t, out, 4)
+	if !src.pump.Running() {
+		t.Fatal("the pump ended on a refused send")
 	}
 }

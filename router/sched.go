@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netkit/core"
@@ -70,9 +69,6 @@ type LinkScheduler struct {
 	pump     *resources.Task
 	bell     chan struct{} // capacity 1, rung by the inputs
 	fallback time.Duration // longest idle sleep
-
-	doorbellWakes atomic.Uint64
-	timerWakes    atomic.Uint64
 }
 
 // NewLinkScheduler creates a scheduler with the given policy.
@@ -278,45 +274,11 @@ func (s *LinkScheduler) runDRR(budget int) int {
 	return served
 }
 
-// Start implements core.Starter: it starts the service pump as the task "sched".
+// Start implements core.Starter: it runs the service pump as the task "sched".
 func (s *LinkScheduler) Start(context.Context) error {
-	s.pump.Start(s.serve)
+	s.pump.Run(func(context.Context) (int, error) { return s.RunOnce(64), nil },
+		resources.Idle{Bell: s.bell, Arm: s.armBells, Fallback: s.fallback})
 	return nil
-}
-
-// serve runs rounds until ctx ends. When a round finds nothing it offers
-// the doorbell to every input and sleeps until one rings or the fallback
-// timer fires; the timer is reused, so idling allocates nothing.
-func (s *LinkScheduler) serve(ctx context.Context) {
-	quit, fallback := ctx.Done(), s.fallback
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	for {
-		select {
-		case <-quit:
-			return
-		default:
-		}
-		if s.RunOnce(64) > 0 {
-			continue
-		}
-		s.armBells()
-		timer.Reset(fallback)
-		select {
-		case <-quit:
-			return
-		case <-s.bell:
-			s.doorbellWakes.Add(1)
-			if !timer.Stop() {
-				select { // a timer that fired before Stop may have left a tick
-				case <-timer.C:
-				default:
-				}
-			}
-		case <-timer.C:
-			s.timerWakes.Add(1)
-		}
-	}
 }
 
 // armBells registers the doorbell with every bound input source not yet
@@ -352,10 +314,11 @@ func (s *LinkScheduler) Stats() []core.Stat {
 	s.mu.Lock()
 	inputs := len(s.inputs)
 	s.mu.Unlock()
+	st := s.pump.Stats()
 	return append(s.statList(),
 		core.G("sched_inputs", "inputs", float64(inputs)),
-		core.C("sched_doorbell_wakes", "wakes", s.doorbellWakes.Load()),
-		core.C("sched_timer_wakes", "wakes", s.timerWakes.Load()))
+		core.C("sched_doorbell_wakes", "wakes", st.BellWakes),
+		core.C("sched_timer_wakes", "wakes", st.TimerWakes))
 }
 
 var (

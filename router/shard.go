@@ -15,7 +15,7 @@ import (
 // This file is the sharded multi-core data plane (DESIGN.md §4.5): an
 // RSS-style dispatcher that flow-hashes incoming traffic across N
 // independent Router CF pipeline replicas, each serviced by its own
-// goroutine behind an SPSC ring that owns its batch arrays, with a
+// lane task behind an SPSC ring that owns its batch arrays, with a
 // batch-aware merge at egress. The reflective twist over a plain RSS
 // fan-out is that the whole arrangement remains ONE component to the
 // meta-space:
@@ -29,9 +29,9 @@ import (
 //     (HotSwap, Intercept, SetActiveShards, Quiesce) runs as "park,
 //     mutate, resume". Two fences make the cut: the intake fence, which
 //     each dispatch holds shared for its whole batch and park holds
-//     exclusively, and each lane's worker, which park has drain its ring
-//     and wait at that batch boundary. So no packet is in flight anywhere
-//     in any replica while the mutation runs, and none is lost.
+//     exclusively, and resources.Park, which holds each lane task once its
+//     ring is empty. So no packet is in flight anywhere in any replica
+//     while the mutation runs, and none is lost.
 //
 // Correctness contract, proven by the race/fuzz/stress tests in
 // shard_test.go and shard_fuzz_test.go: packets of one flow (same RSS
@@ -83,12 +83,12 @@ type ShardConfig struct {
 // ringDepth bounds each shard's SPSC ring, in batches.
 const ringDepth = 256
 
-// shard is one replica lane: its ring, worker bookkeeping, fence channel,
-// and the ingress/egress endpoints.
+// shard is one replica lane: its ring, the lane's batch in hand, and the
+// ingress/egress endpoints.
 type shard struct {
 	ring    *spscRing
 	prodMu  sync.Mutex // only keeps the ring single-producer under concurrent dispatchers
-	fence   chan *cut  // park requests, taken by the worker between batches
+	batch   []*Packet  // the lane's batch in hand, handed back to the ring on the next dequeue
 	ingress *shardIngress
 	egress  *shardEgress
 	lat     *core.Histogram // per-lane residence histogram (nil unless enabled)
@@ -107,7 +107,7 @@ type ShardedCF struct {
 	elementCounters
 	out    *core.Receptacle[IPacketPush]
 	shards []*shard
-	lanes  []*resources.Task // lanes[i] runs shards[i]'s worker, as "lane<i>"
+	lanes  []*resources.Task // lanes[i] drains shards[i]'s ring, as "lane<i>"
 	stamp  bool              // LatencyHistogram: stamp unstamped packets at intake
 
 	// intake is the plane's one intake fence. Every PushBatch holds it
@@ -152,7 +152,6 @@ func NewShardedCF(outer *core.Capsule, cfg ShardConfig, build ReplicaFactory) (*
 	for i := range s.shards {
 		sh := &shard{
 			ring:    newSPSCRing(ringDepth),
-			fence:   make(chan *cut),
 			ingress: newShardIngress(comp.Inner()),
 		}
 		if cfg.LatencyHistogram {
@@ -260,7 +259,8 @@ func (s *ShardedCF) SetActiveShards(ctx context.Context, n int) error {
 // Lifecycle
 
 // Start implements core.Starter: it starts the inner capsule's components
-// and then each lane's worker as the lane's task.
+// and then each lane's task, which drains its ring and parks on the
+// ring's wake bell.
 func (s *ShardedCF) Start(ctx context.Context) error {
 	s.intake.Lock()
 	defer s.intake.Unlock()
@@ -271,7 +271,7 @@ func (s *ShardedCF) Start(ctx context.Context) error {
 		return err
 	}
 	for i, sh := range s.shards {
-		s.lanes[i].Start(func(ctx context.Context) { s.worker(sh, ctx.Done()) })
+		s.lanes[i].Run(sh.drain, resources.Idle{Bell: sh.ring.wake})
 	}
 	s.started = true
 	return nil
@@ -279,10 +279,9 @@ func (s *ShardedCF) Start(ctx context.Context) error {
 
 // Stop implements core.Stopper: it takes the intake fence, which waits out
 // every in-flight dispatch (a producer blocked on a full ring is let
-// through by its still-running worker), stops each lane task, whose
-// worker drains its ring first (no accepted packet is abandoned), and
-// stops the inner capsule. Dispatches arriving meanwhile wait, then see
-// the CF stopped.
+// through by its still-running lane), parks the lanes, which drains every
+// ring, so no accepted packet is abandoned, and stops them and the inner
+// capsule. Dispatches arriving meanwhile wait, then see the CF stopped.
 func (s *ShardedCF) Stop(ctx context.Context) error {
 	s.intake.Lock()
 	defer s.intake.Unlock()
@@ -290,44 +289,32 @@ func (s *ShardedCF) Stop(ctx context.Context) error {
 		return nil
 	}
 	s.started = false
+	resume, _ := resources.Park(context.Background(), s.lanes...)
 	for _, lane := range s.lanes {
 		lane.Stop()
 	}
+	resume()
 	return s.Composite.Stop(ctx)
 }
 
-// Tasks lists the lane workers' tasks, in shard order, for the control
+// Tasks lists the lane tasks, in shard order, for the control
 // plane. The replicas' own tasks belong to their components in the inner
 // capsule.
 func (s *ShardedCF) Tasks() []*resources.Task { return s.lanes }
 
-// worker services one shard: it runs every ring batch through the
-// replica, and between batches it is the lane's fence — a park request
-// makes it drain the ring and wait at that boundary until resumed.
-func (s *ShardedCF) worker(sh *shard, quit <-chan struct{}) {
-	var b []*Packet // the batch in hand, handed back to the ring on the next dequeue
-	drain := func() {
-		for ok := true; ok; {
-			if b, ok = sh.ring.tryDequeue(b); ok {
-				_ = sh.ingress.fuse.Forward(b)
-				sh.inflight.Add(-int64(len(b)))
-			}
-		}
-	}
+// drain is a lane's step: it runs every batch on the ring through the
+// replica and reports the packets it moved.
+func (sh *shard) drain(context.Context) (int, error) {
+	n := 0
 	for {
-		drain()
-		select {
-		case <-sh.ring.wake:
-		case c := <-sh.fence:
-			drain()
-			c.parked <- struct{}{}
-			<-c.resume
-		case <-quit:
-			// Everything enqueued before quit closed is still delivered,
-			// so Stop loses nothing.
-			drain()
-			return
+		b, ok := sh.ring.tryDequeue(sh.batch)
+		sh.batch = b
+		if !ok {
+			return n, nil
 		}
+		_ = sh.ingress.fuse.Forward(b)
+		sh.inflight.Add(-int64(len(b)))
+		n += len(b)
 	}
 }
 
@@ -393,7 +380,7 @@ func (s *ShardedCF) PushBatch(batch []*Packet) error {
 // dispatch copies one sub-batch into a shard's ring, blocking for space
 // (back-pressure, never loss); the ring keeps none of b, so the caller
 // reuses it. The caller holds the intake fence shared, so the CF stays
-// started and the worker keeps consuming until the enqueue completes.
+// started and its lane keeps draining until the enqueue completes.
 func (s *ShardedCF) dispatch(sh *shard, b []*Packet) {
 	sh.prodMu.Lock()
 	sh.inflight.Add(int64(len(b)))
@@ -401,56 +388,29 @@ func (s *ShardedCF) dispatch(sh *shard, b []*Packet) {
 	sh.prodMu.Unlock()
 }
 
-// cut is one park: every parked worker sends one token on parked
-// (buffered for every lane, so the send never blocks) and waits for
-// resume to close.
-type cut struct {
-	parked chan struct{}
-	resume chan struct{}
-}
-
 // park brings the CF to a consistent cut and returns the function that
 // ends it. It takes the intake fence exclusively (so it never races Start,
 // Stop or a dispatch, and intake back-pressures: nothing is lost), then
-// asks each started worker to drain its ring and wait at that batch
-// boundary, and returns once every worker is parked: no packet is in
-// flight anywhere in any replica until resume is called. A never-started
-// or stopped CF has no workers and empty rings, so it is parked at once.
-// If ctx expires first, every worker is released, the fence is dropped and
-// ctx.Err() is returned. A producer blocked on a full ring holds the fence
-// shared until its worker makes room, so park waits for it before ctx is
-// consulted.
-func (s *ShardedCF) park(ctx context.Context) (resume func(), err error) {
+// parks the lane tasks with resources.Park, each once its ring is empty:
+// no packet is in flight anywhere in any replica until resume. If ctx
+// expires first, the lanes are released, the fence is dropped and
+// ctx.Err() is returned. A producer blocked on a full ring holds the
+// fence shared until its lane makes room, so park waits for it first.
+func (s *ShardedCF) park(ctx context.Context) (func(), error) {
 	s.intake.Lock()
-	c := &cut{parked: make(chan struct{}, len(s.shards)), resume: make(chan struct{})}
-	resume = func() {
-		close(c.resume)
+	resume, err := resources.Park(ctx, s.lanes...)
+	if err != nil {
 		s.intake.Unlock()
+		return nil, err
 	}
-	if !s.started {
-		return resume, nil
-	}
-	for _, sh := range s.shards {
-		select {
-		case sh.fence <- c:
-		case <-ctx.Done():
-			resume()
-			return nil, ctx.Err()
-		}
-	}
-	for range s.shards {
-		select {
-		case <-c.parked:
-		case <-ctx.Done():
-			resume()
-			return nil, ctx.Err()
-		}
-	}
-	return resume, nil
+	return func() {
+		resume()
+		s.intake.Unlock()
+	}, nil
 }
 
 // Quiesce blocks until every packet accepted before the call has been
-// handed INTO its replica (rings empty, workers between batches), or ctx
+// handed INTO its replica (rings empty, lanes parked), or ctx
 // expires. It does not wait for packets buffered inside replica components
 // — a replica containing a queue drained by a scheduler pump may still
 // hold packets when Quiesce returns; wait on downstream counters for full
@@ -533,7 +493,7 @@ func (s *ShardedCF) Unintercept(component, receptacle, name string) error {
 // replica with a fresh instance from mk, without losing a packet: the
 // swaps run under park, so no call is in flight anywhere in any replica;
 // each swap rebinds atomically and migrates Exportable state
-// (router.HotSwap); the workers resume. Traffic arriving during the swap
+// (router.HotSwap); the lanes resume. Traffic arriving during the swap
 // back-pressures at the lanes' intake, never lost. On error some replicas
 // may have been swapped and others not — the error names the failing
 // shard; retrying with the same arguments re-attempts only the unswapped
