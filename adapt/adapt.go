@@ -324,9 +324,6 @@ func (e *Engine) tick(ctx context.Context, v View, now time.Time) {
 // rules to observe an event should let at least one tick pass first.
 func (e *Engine) Ticks() uint64 { return e.task.Stats().Work }
 
-// Firings reports how many rule activations have run.
-func (e *Engine) Firings() uint64 { return e.firings.Load() }
-
 // History returns the retained firing log, oldest first.
 func (e *Engine) History() []Firing {
 	e.histMu.Lock()

@@ -179,14 +179,6 @@ func (s *HistSnapshot) Clone() *HistSnapshot {
 	return out
 }
 
-// Mean returns the exact mean of the recorded values (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s == nil || s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile returns the q-quantile (q in [0,1]) as the midpoint of the
 // bucket holding the ceil(q*Count)-th observation — within half a bucket
 // width of the true value, i.e. <= ~1.6% relative error outside the exact

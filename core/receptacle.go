@@ -180,14 +180,6 @@ func (m *MultiReceptacle[T]) RemoveSlot(name string) error {
 	return nil
 }
 
-// Slot returns the named slot.
-func (m *MultiReceptacle[T]) Slot(name string) (*Receptacle[T], bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	r, ok := m.slots[name]
-	return r, ok
-}
-
 // Slots returns the slot names in creation order.
 func (m *MultiReceptacle[T]) Slots() []string {
 	m.mu.RLock()

@@ -9,7 +9,7 @@ import (
 // representation (Stat), one capability interface (IStats), and one walker
 // (CapsuleStats) that turns a running capsule into a coherent stats tree.
 // Before it existed, observability was scattered across incompatible
-// per-component surfaces (router.ElementStats, queue Len()/AvgLen(),
+// per-component surfaces (router.ElementStats, queue Len(),
 // osabs drop counters, shard ring depths); the reflective loop — an
 // adaptation engine that watches the system and reconfigures it through
 // the meta-space — needs all of them in one shape.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netkit/core"
 	"netkit/internal/filter"
@@ -502,14 +501,6 @@ func (FlowMeter) OnPacket(st *FlowState, p *router.Packet) (Verdict, error) {
 	return VerdictForward, nil
 }
 
-// ReadMeter extracts the FlowMeter counters from a flow state.
-func ReadMeter(st *FlowState) (pkts, bytes uint64) {
-	if raw, ok := st.Get("pkts"); ok && len(raw) == 16 {
-		return binary.BigEndian.Uint64(raw[:8]), binary.BigEndian.Uint64(raw[8:])
-	}
-	return 0, 0
-}
-
 // TTLFloor drops packets whose TTL has fallen below a floor — a trivial
 // security-ish program used in tests and examples.
 type TTLFloor struct {
@@ -526,15 +517,4 @@ func (t TTLFloor) OnPacket(_ *FlowState, p *router.Packet) (Verdict, error) {
 		return VerdictDrop, nil
 	}
 	return VerdictForward, nil
-}
-
-// ---------------------------------------------------------------------------
-// Rate helpers
-
-// PacketsPerSecond converts a count over a window into pps for reporting.
-func PacketsPerSecond(count uint64, window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(count) / window.Seconds()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -506,5 +507,152 @@ func TestCallSlotReuse(t *testing.T) {
 	// amortised allocations stay well under the old floor.
 	if allocs > 40 {
 		t.Fatalf("per-call allocations = %.1f, correlation slots not pooled?", allocs)
+	}
+}
+
+// TestClientUnsolicitedAckEndsReader: an ack with nothing outstanding is a
+// protocol error. The reader ends and closes the conn, and a later push
+// fails with ErrClosed.
+func TestClientUnsolicitedAckEndsReader(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	client := Dial(a)
+	defer client.Close()
+	rc := &RemoteComponent{Base: core.NewBase("test.Stub"), client: client, remote: "stub"}
+	if _, err := b.Write(appendAck(nil, 0, false, "")); err != nil {
+		t.Fatal(err)
+	}
+	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := b.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("peer read %v, want EOF: the reader survived an unsolicited ack", err)
+	}
+	if err := rc.PushBatch([]*router.Packet{seqPkt(1)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("push after the protocol error: %v, want ErrClosed", err)
+	}
+	if d := rc.Dropped(); d != 1 {
+		t.Fatalf("dropped = %d, want 1", d)
+	}
+}
+
+// failConn fails its failAt-th write without writing anything.
+type failConn struct {
+	net.Conn
+	writes atomic.Int64
+	failAt int64
+}
+
+func (c *failConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) == c.failAt {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(b)
+}
+
+// TestClientWriteFailureConserves: a failed batch write ends the
+// transport. Every pushed frame is acked or dropped, Flush returns, and
+// later pushes fail with ErrClosed.
+func TestClientWriteFailureConserves(t *testing.T) {
+	a, b := net.Pipe()
+	host := NewHost(b, batchRegistry(t))
+	go func() { _ = host.Serve() }()
+	client := Dial(&failConn{Conn: a, failAt: 3})
+	defer client.Close()
+	// Writes 1 and 2 are the Counter's instantiate and bindout calls, so
+	// the first batch is the write that fails.
+	rc, err := client.Instantiate("cnt", router.TypeCounter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, per = 10, 4
+	for i := 0; i < batches; i++ {
+		batch := make([]*router.Packet, per)
+		for j := range batch {
+			batch[j] = seqPkt(uint64(i*per + j))
+		}
+		_ = rc.PushBatch(batch)
+	}
+	flushed := make(chan struct{})
+	go func() { _ = rc.Flush(); close(flushed) }()
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flush hung after a failed write")
+	}
+	if acked, dropped := rc.AckedFrames(), rc.Dropped(); acked+dropped != batches*per || dropped == 0 {
+		t.Fatalf("acked %d + dropped %d, want %d with drops", acked, dropped, batches*per)
+	}
+	if err := rc.PushBatch([]*router.Packet{seqPkt(99)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("push after the failed write: %v, want ErrClosed", err)
+	}
+}
+
+// TestCallBehindFullWindow: a control call issued while a gated host
+// holds a full window takes the next free credit and gets its own answer.
+func TestCallBehindFullWindow(t *testing.T) {
+	g := &gate{
+		Base:    core.NewBase("test.Gate"),
+		entered: make(chan struct{}, 4),
+		open:    make(chan struct{}),
+	}
+	g.Provide(router.IPacketPushID, g)
+	reg := batchRegistry(t)
+	reg.MustRegister("test.Gate", func(map[string]string) (core.Component, error) {
+		return g, nil
+	})
+	client, host := hostPairWindow(reg, 2)
+	defer func() { _ = client.Close(); _ = host.Close() }()
+	var opened sync.Once
+	openGate := func() { opened.Do(func() { close(g.open) }) }
+	defer openGate()
+	cls, err := client.Instantiate("cls", router.TypeClassifier, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := client.Instantiate("gate", "test.Gate", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed := make(chan error, 1)
+	go func() {
+		for i := 0; i < 2; i++ {
+			if err := rc.PushBatch([]*router.Packet{seqPkt(uint64(i))}); err != nil {
+				pushed <- err
+				return
+			}
+		}
+		pushed <- nil
+	}()
+	deadline := time.After(5 * time.Second)
+	for client.InFlight() < 2 {
+		select {
+		case <-deadline:
+			t.Fatalf("window never filled: %d in flight", client.InFlight())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	outs := make(chan []string, 1)
+	go func() { outs <- cls.FilterOutputs() }()
+	select {
+	case o := <-outs:
+		t.Fatalf("call answered while the window was full: %v", o)
+	case <-time.After(50 * time.Millisecond):
+	}
+	openGate()
+	select {
+	case o := <-outs:
+		if len(o) != 2 {
+			t.Fatalf("outputs = %v, want the classifier's two", o)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call never answered after the window drained")
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if acked := rc.AckedFrames(); acked != 2 {
+		t.Fatalf("acked = %d, want 2", acked)
 	}
 }

@@ -2,10 +2,10 @@ package ipc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,38 +20,37 @@ import (
 // instantiates components in the remote host and manufactures local
 // stand-ins whose bindings transparently cross the wire. Control calls are
 // synchronous gob round-trips; packets only ever cross as pipelined
-// binary batch frames under a credit window (see frame.go).
+// binary batch frames (see frame.go). Both kinds of request share one
+// credit window and one FIFO of outstanding requests: the host answers
+// requests in arrival order, so each answer retires the FIFO's head.
 type Client struct {
 	w      *wire
-	nextID atomic.Uint64
 	closed atomic.Bool
 	window int
 
 	mu      sync.Mutex
-	pending map[uint64]chan *message
 	remotes map[string]*RemoteComponent
-	readErr error
+	readErr error // set once, when the read loop ends
 
-	// dead flips (before done closes) when the read loop exits; with the
-	// per-slot frames token it makes in-flight drop accounting
-	// exactly-once no matter how a send races the teardown sweep. A
-	// sender parked on credit wakes on done, after the sweep.
-	dead   atomic.Bool
-	done   chan struct{}
 	reader *resources.Task // the read loop
 
-	// callPool recycles the correlation channel a synchronous gob call
-	// parks on, so the control path stops allocating a channel per call.
+	// callPool recycles the channel a synchronous gob call parks on, so
+	// the control path stops allocating a channel per call.
 	callPool sync.Pool
 
-	// slots/credits is the pipeline window: every in-flight batch holds
-	// one txSlot; acquiring a credit IS the backpressure.
-	slots   []*txSlot
-	credits chan *txSlot
-	flushMu sync.Mutex
+	// credits is the pipeline window: every outstanding request holds
+	// one; acquiring a credit IS the backpressure. outstanding holds those
+	// requests in wire order. An entry is filed, under mu, only while
+	// readErr is nil, and exactly one party retires it: the reader on its
+	// answer, the reader's teardown sweep (which runs after readErr is
+	// set, so it sees every entry left), or its sender when the entry was
+	// never filed.
+	credits     chan struct{}
+	outstanding chan pending
+	flushMu     sync.Mutex
 
 	// Completion aggregate: acks (and teardown sweeps) that retire failed
-	// slots fold their packet count and the first error in here; harvest
+	// batches fold their packet count and the first error in here; harvest
 	// turns it into the error the NEXT PushBatch/Flush returns.
 	compMu    sync.Mutex
 	aggFailed uint64
@@ -60,18 +59,12 @@ type Client struct {
 	ackScratch [600]byte
 }
 
-// txSlot is one unit of window credit. frames is the ownership token for
-// teardown accounting: it is set (after owner/bytes) when a batch is
-// committed to the slot, and whichever party — ack handler, teardown
-// sweep, or the failed sender — atomically swaps it back to zero both
-// accounts for those frames and returns the slot to the credit pool.
-// Exactly one swap observes a nonzero value, so drops are counted exactly
-// once and slots are never double-freed.
-type txSlot struct {
-	id     uint32
-	frames atomic.Uint32
-	nbytes atomic.Uint64
-	owner  atomic.Pointer[RemoteComponent]
+// pending is one outstanding request: a batch of frames pushed by rc, or
+// a gob call whose answer goes to call.
+type pending struct {
+	rc     *RemoteComponent
+	frames uint32
+	call   chan *message
 }
 
 // completion is the outcome of one retired batch with failures.
@@ -90,20 +83,16 @@ func Dial(conn net.Conn) *Client { return dial(conn, DefaultWindow) }
 // window full).
 func dial(conn net.Conn, window int) *Client {
 	c := &Client{
-		w:       newWire(conn),
-		window:  window,
-		pending: make(map[uint64]chan *message),
-		remotes: make(map[string]*RemoteComponent),
-		done:    make(chan struct{}),
-		reader:  resources.NewTask("ipc-reader"),
-		credits: make(chan *txSlot, window),
+		w:           newWire(conn),
+		window:      window,
+		remotes:     make(map[string]*RemoteComponent),
+		reader:      resources.NewTask("ipc-reader"),
+		credits:     make(chan struct{}, window),
+		outstanding: make(chan pending, window),
 	}
 	c.callPool.New = func() any { return make(chan *message, 1) }
-	c.slots = make([]*txSlot, window)
-	for i := range c.slots {
-		s := &txSlot{id: uint32(i)}
-		c.slots[i] = s
-		c.credits <- s
+	for i := 0; i < window; i++ {
+		c.credits <- struct{}{}
 	}
 	c.reader.Start(func(context.Context) { c.fail(c.readFrames()) })
 	return c
@@ -124,7 +113,7 @@ func (c *Client) Close() error {
 // Window reports the pipeline depth.
 func (c *Client) Window() int { return c.window }
 
-// InFlight reports how many batches currently hold a window credit.
+// InFlight reports how many requests currently hold a window credit.
 func (c *Client) InFlight() int { return c.window - len(c.credits) }
 
 // readFrames demultiplexes inbound frames until the connection fails;
@@ -141,18 +130,23 @@ func (c *Client) readFrames() error {
 			if err != nil {
 				return err
 			}
-			c.handleResp(m)
+			p, err := c.next(true)
+			if err != nil {
+				return err
+			}
+			p.call <- m
+			c.credits <- struct{}{}
 		case frameAck:
 			payload, slab, err := c.w.readPayload(c.ackScratch[:0])
 			if err != nil {
 				return err
 			}
-			ok := c.handleAck(payload)
+			err = c.handleAck(payload)
 			if slab != nil {
 				_ = slab.Release()
 			}
-			if !ok {
-				return errors.New("ipc: malformed ack frame")
+			if err != nil {
+				return err
 			}
 		case frameEmit:
 			payload, slab, err := c.w.readPayload(nil)
@@ -168,11 +162,10 @@ func (c *Client) readFrames() error {
 	}
 }
 
-// fail is the single teardown path of the read loop: it records the
-// terminal error, wakes every parked control call with a nil sentinel,
-// sweeps in-flight batch slots (accounting their frames as dropped against
-// their owners, exactly once via the frames token), and only then closes
-// done — so a waiter released by done always observes a completed sweep.
+// fail is the single teardown path of the read loop. It records the
+// terminal error, which stops further filing; closes the conn, so the
+// peer sees EOF and a sender blocked writing is freed; and then sweeps
+// every entry still outstanding.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) ||
@@ -181,87 +174,84 @@ func (c *Client) fail(err error) {
 	} else {
 		c.readErr = err
 	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		ch <- nil
-	}
 	c.mu.Unlock()
-	c.dead.Store(true)
-	for _, s := range c.slots {
-		if f := s.frames.Swap(0); f > 0 {
-			rc := s.owner.Swap(nil)
-			s.nbytes.Store(0)
-			if rc != nil {
-				rc.dropped.Add(uint64(f))
-			}
-			c.retire(completion{failed: f, closed: true})
-			select {
-			case c.credits <- s:
-			default:
-			}
+	_ = c.w.conn.Close()
+	for {
+		select {
+		case p := <-c.outstanding:
+			c.drop(p)
+		default:
+			return
 		}
 	}
-	close(c.done)
 }
 
-// handleResp wakes the control call parked on m's correlation ID. The
-// host sends gob only in answer to a request.
-func (c *Client) handleResp(m *message) {
-	c.mu.Lock()
-	ch, ok := c.pending[m.ID]
-	if ok {
-		delete(c.pending, m.ID)
-	}
-	c.mu.Unlock()
-	if ok {
-		ch <- m
+// next pops the FIFO's head for an answer: a gob response when call, else
+// an ack. An answer with nothing outstanding, or of the other kind, is a
+// protocol error; a head popped for the wrong kind is dropped here, since
+// the sweep no longer sees it.
+func (c *Client) next(call bool) (pending, error) {
+	select {
+	case p := <-c.outstanding:
+		if (p.call != nil) == call {
+			return p, nil
+		}
+		c.drop(p)
+		return p, errors.New("ipc: answer does not match the oldest request")
+	default:
+		return pending{}, errors.New("ipc: answer with nothing outstanding")
 	}
 }
 
-// handleAck retires one batch slot. Reports false on a malformed frame.
-func (c *Client) handleAck(payload []byte) bool {
+// drop retires an entry that will get no answer and returns its credit:
+// a batch is accounted as dropped against its sender, a call wakes with a
+// nil answer.
+func (c *Client) drop(p pending) {
+	if p.call != nil {
+		p.call <- nil
+	} else {
+		p.rc.dropped.Add(uint64(p.frames))
+		c.retire(completion{failed: p.frames, closed: true})
+	}
+	c.credits <- struct{}{}
+}
+
+// handleAck retires the batch an 'A' frame answers.
+func (c *Client) handleAck(payload []byte) error {
 	r := binReader{b: payload}
-	slotID := r.u32()
-	r.u32() // delivered: the slot's frames less failed
 	failed := r.u32()
 	flags := r.u8()
 	errMsg := r.str()
-	if r.err || slotID >= uint32(len(c.slots)) {
-		return false
+	if r.err {
+		return errors.New("ipc: malformed ack frame")
 	}
-	s := c.slots[slotID]
-	f := s.frames.Swap(0)
-	if f == 0 {
-		return true // already swept by teardown
+	p, err := c.next(false)
+	if err != nil {
+		return err
 	}
-	rc := s.owner.Swap(nil)
-	s.nbytes.Store(0)
-	if rc != nil {
-		rc.roundtrips.Add(1)
-		rc.ackedFrames.Add(uint64(f))
-		if failed > 0 {
-			rc.remoteFailed.Add(uint64(failed))
-			if flags&ackFlagContained != 0 {
-				rc.contained.Add(uint64(failed))
-			}
-		}
-	}
+	rc := p.rc
+	rc.roundtrips.Add(1)
+	rc.ackedFrames.Add(uint64(p.frames))
 	if failed > 0 {
-		c.retire(completion{
-			failed: failed, contained: flags&ackFlagContained != 0, errMsg: errMsg,
-		})
+		contained := flags&ackFlagContained != 0
+		rc.remoteFailed.Add(uint64(failed))
+		if contained {
+			rc.contained.Add(uint64(failed))
+		}
+		c.retire(completion{failed: failed, contained: contained, errMsg: errMsg})
 	}
-	c.credits <- s
-	return true
+	c.credits <- struct{}{}
+	return nil
 }
 
 // handleEmit delivers one batched emission frame. It takes ownership of
 // slab (nil when payload is heap-owned). Reports false on malformed input.
 func (c *Client) handleEmit(payload []byte, slab *buffers.Buffer) bool {
 	r := binReader{b: payload}
+	count := int(r.u32())
 	name := r.str()
 	port := r.str()
-	batch, _, ok := carve(&r, int(r.u32()), slab)
+	batch, _, ok := carve(&r, count, slab)
 	if !ok {
 		return false
 	}
@@ -315,20 +305,53 @@ func (c *Client) harvest() error {
 	return &router.BatchError{Failed: int(failed), Err: err}
 }
 
-// Flush blocks until every in-flight batch has been acked (or accounted as
-// dropped on teardown) and returns the harvested outcome. It works by
+// Flush blocks until every outstanding request has been answered (or
+// swept on teardown) and returns the harvested outcome. It works by
 // draining the whole credit window, so it also quiesces the pipeline.
 func (c *Client) Flush() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
-	for range c.slots {
+	for i := 0; i < c.window; i++ {
 		<-c.credits
 	}
-	// Holding the whole window means holding every slot.
-	for _, s := range c.slots {
-		c.credits <- s
+	for i := 0; i < c.window; i++ {
+		c.credits <- struct{}{}
 	}
 	return c.harvest()
+}
+
+// post files p at the FIFO's tail and writes its request, frame or the
+// gob encoding of m, under one window credit. Filing and writing happen
+// under the wire's write lock, so the FIFO's order is the wire's. A
+// request that cannot be filed, because the read loop has ended, is
+// dropped here and post returns the loop's error. A filed entry is the
+// reader's to retire: a failed write closes the conn, and the sweep that
+// follows retires it.
+func (c *Client) post(p pending, frame []byte, m *message) error {
+	<-c.credits
+	c.w.wmu.Lock()
+	defer c.w.wmu.Unlock()
+	var err error
+	if m != nil {
+		frame, err = c.w.gobFrame(m)
+	}
+	c.mu.Lock()
+	if err == nil {
+		err = c.readErr
+	}
+	if err == nil {
+		c.outstanding <- p // never blocks: the credit reserved its room
+	}
+	c.mu.Unlock()
+	if err != nil {
+		c.drop(p)
+		return err
+	}
+	if _, err := c.w.conn.Write(frame); err != nil {
+		_ = c.w.conn.Close()
+		return fmt.Errorf("ipc: send: %w", err)
+	}
+	return nil
 }
 
 // call performs one synchronous gob request.
@@ -336,33 +359,13 @@ func (c *Client) call(m *message) (*message, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	id := c.nextID.Add(1)
-	m.ID = id
 	ch := c.callPool.Get().(chan *message)
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		c.callPool.Put(ch)
+	err := c.post(pending{call: ch}, nil, m)
+	resp := <-ch // the answer, or nil from a drop, lands whatever post returned
+	c.callPool.Put(ch)
+	if err != nil {
 		return nil, err
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-	if err := c.w.send(m); err != nil {
-		c.mu.Lock()
-		_, mine := c.pending[id]
-		if mine {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if !mine {
-			<-ch // fail() owned the slot; drain its sentinel before pooling
-		}
-		c.callPool.Put(ch)
-		return nil, fmt.Errorf("ipc: send: %w", err)
-	}
-	resp := <-ch
-	c.callPool.Put(ch)
 	if resp == nil {
 		c.mu.Lock()
 		err := c.readErr
@@ -387,6 +390,9 @@ func (c *Client) call(m *message) (*message, error) {
 // reported by the remote side appear as local receptacles wired through
 // the connection.
 func (c *Client) Instantiate(name, typeName string, cfg map[string]string) (*RemoteComponent, error) {
+	if len(name) > math.MaxUint16 {
+		return nil, fmt.Errorf("ipc: component name of %d bytes exceeds the wire's %d", len(name), math.MaxUint16)
+	}
 	resp, err := c.call(&message{Op: "instantiate", Name: name, Type: typeName, Cfg: cfg})
 	if err != nil {
 		return nil, err
@@ -474,91 +480,35 @@ func (rc *RemoteComponent) PushBatch(batch []*router.Packet) error {
 }
 
 // send commits batch to the wire under one window credit, taking
-// ownership of its packets. A batch that cannot be left in flight is
-// retired as dropped before send returns ErrClosed or the write error, so
-// the next harvest counts it.
+// ownership of its packets. A batch that cannot be filed is retired as
+// dropped before send returns the read loop's error; one whose write
+// fails is retired by the read loop's sweep, so the next Flush counts it.
 func (rc *RemoteComponent) send(batch []*router.Packet) error {
-	c := rc.client
 	n := uint32(len(batch))
 	if n == 0 {
 		return nil
 	}
-	if c.closed.Load() || c.dead.Load() {
-		for _, p := range batch {
-			p.Release()
-		}
-		rc.dropped.Add(uint64(n))
-		c.retire(completion{failed: n, closed: true})
-		return ErrClosed
-	}
-
-	// Serialise first (so packets can be released before blocking on
-	// credit), one frame: slot | name | count | lens | payloads.
+	// Serialise first, so packets are released before blocking on credit:
+	// count | name | count × (len | payload).
 	buf := beginFrame(getFrame(), frameBatch)
-	slotOff := len(buf)
-	buf = appendU32(buf, 0) // slot id, patched below
-	buf = appendStr(buf, rc.remote)
 	buf = appendU32(buf, n)
+	buf = appendStr(buf, rc.remote)
 	total := 0
 	for _, p := range batch {
 		buf = appendU32(buf, uint32(len(p.Data)))
-		total += len(p.Data)
-	}
-	for _, p := range batch {
 		buf = append(buf, p.Data...)
+		total += len(p.Data)
 		p.Release()
 	}
-	buf = finishFrame(buf, 0)
-
-	var slot *txSlot
-	select {
-	case slot = <-c.credits:
-	case <-c.done:
-		putFrame(buf)
-		rc.dropped.Add(uint64(n))
-		c.retire(completion{failed: n, closed: true})
-		return ErrClosed
-	}
-	binary.LittleEndian.PutUint32(buf[slotOff:], slot.id)
-	slot.owner.Store(rc)
-	slot.nbytes.Store(uint64(total))
-	slot.frames.Store(n)
-	// The frames token is now live: if the read loop died between the
-	// dead-check above and here, its sweep may have missed this slot, so
-	// re-check and self-sweep — the Swap guarantees exactly one of the
-	// sweep, the ack handler, and this path accounts the batch.
-	if c.dead.Load() {
-		putFrame(buf)
-		rc.selfSweep(slot)
-		return ErrClosed
-	}
-	err := c.w.sendRaw(buf)
+	err := rc.client.post(pending{rc: rc, frames: n}, finishFrame(buf, 0), nil)
 	putFrame(buf)
 	if err != nil {
-		rc.selfSweep(slot)
-		return fmt.Errorf("ipc: send: %w", err)
+		return err
 	}
 	rc.txBatches.Add(1)
 	rc.txFrames.Add(uint64(n))
 	rc.txBytes.Add(uint64(total))
 	return nil
-}
-
-// selfSweep retires a slot this sender committed but could not (or should
-// not) leave in flight. The frames token makes it a no-op when the ack
-// handler or teardown sweep got there first.
-func (rc *RemoteComponent) selfSweep(slot *txSlot) {
-	c := rc.client
-	if f := slot.frames.Swap(0); f > 0 {
-		owner := slot.owner.Swap(nil)
-		slot.nbytes.Store(0)
-		if owner == nil {
-			owner = rc
-		}
-		owner.dropped.Add(uint64(f))
-		c.retire(completion{failed: f, closed: true})
-		c.credits <- slot
-	}
 }
 
 // Flush quiesces this stand-in's transport: it blocks until every

@@ -23,14 +23,20 @@ import (
 // Every frame starts with a one-byte kind:
 //
 //	'G'  gob message (self-delimiting; no length prefix)
-//	'B'  packet batch:  u32 slot | u16 len+name | u32 count | count×u32 lens | payloads
-//	'E'  emit batch:    u16 len+name | u16 len+port | u32 count | count×u32 lens | payloads
-//	'A'  batch ack:     u32 slot | u32 delivered | u32 failed | u8 flags | u16 len+err
+//	'B'  packet batch:  u32 count | u16 len+name | count×(u32 len | payload)
+//	'E'  emit batch:    u32 count | u16 len+name | u16 len+port | count×(u32 len | payload)
+//	'A'  batch ack:     u32 failed | u8 flags | u16 len+err
 //
 // Binary kinds ('B'/'E'/'A') follow the kind byte with a u32 payload
 // length; all integers are little-endian. The gob decoder reads straight
 // off the shared bufio.Reader (which satisfies io.ByteReader, so gob
 // consumes exactly one message and never over-buffers past its boundary).
+//
+// The client sends 'G' requests and 'B' batches; the host answers each,
+// in arrival order, with a 'G' response or an 'A' ack, and sends 'E'
+// frames whenever a hosted component emits. Answers carry no request id:
+// the stream's order pairs each answer with the oldest request not yet
+// answered.
 const (
 	frameGob   = 'G'
 	frameBatch = 'B'
@@ -110,13 +116,24 @@ func newWire(conn net.Conn) *wire {
 func (w *wire) send(m *message) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
+	frame, err := w.gobFrame(m)
+	if err != nil {
+		return err
+	}
+	_, err = w.conn.Write(frame)
+	return err
+}
+
+// gobFrame encodes m as a 'G' frame in the wire's scratch buffer. The
+// caller holds wmu and writes the frame before releasing it: the gob
+// stream's type definitions must reach the peer in encoding order.
+func (w *wire) gobFrame(m *message) ([]byte, error) {
 	w.gobBuf.Reset()
 	w.gobBuf.WriteByte(frameGob)
 	if err := w.enc.Encode(m); err != nil {
-		return err
+		return nil, err
 	}
-	_, err := w.conn.Write(w.gobBuf.Bytes())
-	return err
+	return w.gobBuf.Bytes(), nil
 }
 
 // sendRaw writes one pre-assembled binary frame (kind + length + payload).
@@ -219,9 +236,9 @@ func (r *binReader) bytes(n int) []byte {
 	return v
 }
 
-// carve decodes the tail every packet frame shares — count lengths, then
-// the payloads — into packets aliasing slab zero-copy (heap-owned when
-// slab is nil), settling slab at one reference per packet. It returns the
+// carve decodes the tail every packet frame shares — count×(u32 len |
+// payload) — into packets aliasing slab zero-copy (heap-owned when slab
+// is nil), settling slab at one reference per packet. It returns the
 // batch and its payload bytes, or ok false on a malformed frame, with
 // slab released.
 func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packet, total int, ok bool) {
@@ -234,20 +251,16 @@ func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packe
 	if r.err || count < 0 || count > (len(r.b)-r.off)/4 {
 		return malformed()
 	}
-	// The count×u32 length table is read in place, once to bound the
-	// payloads and once to carve them.
-	lens := r.bytes(4 * count)
-	for i := 0; i < count; i++ {
-		total += int(binary.LittleEndian.Uint32(lens[4*i:]))
-	}
-	if total > len(r.b)-r.off {
-		return malformed()
-	}
 	batch = router.GetBatch()
 	pkts := make([]router.Packet, count)
 	for i := range pkts {
-		pkts[i] = router.Packet{Data: r.bytes(int(binary.LittleEndian.Uint32(lens[4*i:]))), Buf: slab}
+		pkts[i] = router.Packet{Data: r.bytes(int(r.u32())), Buf: slab}
 		batch = append(batch, &pkts[i])
+		total += len(pkts[i].Data)
+	}
+	if r.err {
+		router.PutBatch(batch)
+		return malformed()
 	}
 	switch {
 	case slab == nil:
@@ -285,11 +298,9 @@ func finishFrame(buf []byte, start int) []byte {
 }
 
 // appendAck appends an 'A' frame to buf.
-func appendAck(buf []byte, slot, delivered, failed uint32, contained bool, errMsg string) []byte {
+func appendAck(buf []byte, failed uint32, contained bool, errMsg string) []byte {
 	start := len(buf)
 	buf = beginFrame(buf, frameAck)
-	buf = appendU32(buf, slot)
-	buf = appendU32(buf, delivered)
 	buf = appendU32(buf, failed)
 	var flags byte
 	if contained {

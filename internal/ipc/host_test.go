@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -201,5 +202,28 @@ func TestHostFlushesIdleEmission(t *testing.T) {
 	}
 	if n := host.rxBatches.Load(); n != 0 {
 		t.Fatalf("host received %d batches, want none", n)
+	}
+}
+
+// TestHostClosesConnOnMalformedFrame: a host whose read loop ends on a
+// malformed frame closes its conn, so the peer reads EOF instead of
+// waiting for an answer forever.
+func TestHostClosesConnOnMalformedFrame(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	host := NewHost(b, testRegistry(t))
+	served := make(chan error, 1)
+	go func() { served <- host.Serve() }()
+	// A 'B' frame claiming 1000 packets in a 4-byte payload.
+	frame := appendU32(beginFrame(nil, frameBatch), 1000)
+	if _, err := a.Write(finishFrame(frame, 0)); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := a.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("peer read %v, want EOF", err)
+	}
+	if err := <-served; err == nil {
+		t.Fatal("Serve returned nil on a malformed frame")
 	}
 }

@@ -9,9 +9,11 @@
 // processes). It runs to completion on the goroutine that reads the conn:
 // each frame is decoded, delivered into the hosted component and answered
 // before the next is read, so back-pressure reaches the client at the
-// transport. gob carries control only — instantiate, bind, filter
-// management. Packets have one protocol in each direction: length-prefixed
-// binary batch frames pipelined under a credit window (frame.go), and the
+// transport, and answers come back in request order, so the client pairs
+// each answer with the oldest request outstanding, with no request ids.
+// gob carries control only — instantiate, bind, filter management.
+// Packets have one protocol in each direction: length-prefixed binary
+// batch frames pipelined under a credit window (frame.go), and the
 // emission frames that stream a hosted component's output back. A
 // synchronous crossing is a one-packet PushBatch plus a Flush (E6);
 // batching amortises the crossing (E18). The parent side holds a
@@ -24,6 +26,7 @@
 package ipc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -47,10 +50,10 @@ var (
 )
 
 // message is the gob control frame: a request from the client, or the
-// host's response carrying the same ID. Packets never pass through it —
-// see frame.go.
+// host's response to it. A response carries no id; it answers the oldest
+// request the host has not yet answered (see frame.go). Packets never
+// pass through it.
 type message struct {
-	ID uint64 // correlation
 	Op string // request: instantiate|bindout|regfilter|unregfilter|outputs
 
 	Name string // component instance name
@@ -123,13 +126,15 @@ type Host struct {
 	targets  map[string]router.IPacketPush
 	lastName string
 
-	// emission accumulator (reflectors append, the serve loop flushes).
+	// emission accumulator (reflectors append, the serve loop flushes):
+	// ebuf holds the host's next write, the pending 'E' frame built in
+	// place, then the ack the serve loop appends to it.
 	emu        sync.Mutex
+	ebuf       []byte
 	ename      string
 	eport      string
 	ecount     int
-	elens      []int
-	edata      []byte
+	ebytes     int
 	processing atomic.Bool
 
 	rxBatches       atomic.Uint64
@@ -156,13 +161,15 @@ func NewHost(conn net.Conn, reg *core.ComponentRegistry) *Host {
 	}
 }
 
-// Serve processes requests until the connection closes. It returns nil on
-// orderly shutdown (EOF / closed pipe). The calling goroutine runs each
-// frame to completion — decode, deliver, answer — before it reads the
-// next, in arrival order, which is what preserves per-flow delivery order
-// across the boundary.
+// Serve processes requests until the connection closes, then closes it so
+// the peer is not left waiting. It returns nil on orderly shutdown (EOF /
+// closed pipe). The calling goroutine runs each frame to completion —
+// decode, deliver, answer — before it reads the next, in arrival order,
+// which is what preserves per-flow delivery order across the boundary and
+// what lets the client pair answers with requests by order alone.
 func (h *Host) Serve() error {
 	err := h.serve()
+	_ = h.w.conn.Close()
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) ||
 		errors.Is(err, net.ErrClosed) || h.closed.Load() {
 		return nil
@@ -187,7 +194,6 @@ func (h *Host) serve() error {
 			h.gobOps.Add(1)
 			h.processing.Store(true)
 			resp := h.handle(m)
-			resp.ID = m.ID
 			h.emu.Lock()
 			h.processing.Store(false)
 			_ = h.flushEmitLocked()
@@ -205,9 +211,9 @@ func (h *Host) serve() error {
 
 // serveBatch decodes one 'B' frame into carved packets, pushes them into
 // the hosted component one packet at a time, containing per-packet panics,
-// then acks with exact delivered/failed counts. The payload lands in a
-// refcounted slab and every packet aliases it zero-copy, holding one slab
-// reference; the slab recycles when the last packet is released.
+// then acks with the exact count of failed packets. The payload lands in
+// a refcounted slab and every packet aliases it zero-copy, holding one
+// slab reference; the slab recycles when the last packet is released.
 // Per-packet delivery (rather than handing the component the whole batch)
 // is what keeps the counts exact under a mid-batch crash: the wire
 // crossing is already amortised, and the hosted component is entered
@@ -220,9 +226,9 @@ func (h *Host) serveBatch() error {
 		return err
 	}
 	r := binReader{b: payload}
-	slot := r.u32()
+	count := int(r.u32())
 	nameB := r.bytes(int(r.u16()))
-	batch, total, ok := carve(&r, int(r.u32()), slab)
+	batch, total, ok := carve(&r, count, slab)
 	if !ok {
 		return errors.New("ipc: malformed batch frame")
 	}
@@ -234,7 +240,7 @@ func (h *Host) serveBatch() error {
 	h.rxFrames.Add(uint64(len(batch)))
 	h.rxBytes.Add(uint64(total))
 	h.processing.Store(true)
-	delivered, failed := 0, 0
+	failed := 0
 	contained := false
 	var firstErr string
 	dst, err := h.pushTarget(h.lastName)
@@ -247,7 +253,6 @@ func (h *Host) serveBatch() error {
 	} else {
 		for rest := batch; len(rest) > 0; {
 			n, perr, panicked := pushContained(dst, rest)
-			delivered += n
 			if n == len(rest) {
 				break
 			}
@@ -265,11 +270,10 @@ func (h *Host) serveBatch() error {
 	router.PutBatch(batch)
 	h.emu.Lock()
 	h.processing.Store(false)
-	buf := h.appendEmitLocked(getFrame())
-	buf = appendAck(buf, slot, uint32(delivered), uint32(failed), contained, firstErr)
+	buf := appendAck(h.takeEmitLocked(), uint32(failed), contained, firstErr)
 	_ = h.w.sendRaw(buf)
+	h.ebuf = buf[:0]
 	h.emu.Unlock()
-	putFrame(buf)
 	return nil
 }
 
@@ -316,9 +320,10 @@ func (h *Host) pushTarget(name string) (router.IPacketPush, error) {
 	return dst, nil
 }
 
-// emitAppend accumulates one emitted packet for (name, port). Same-key
-// emissions coalesce into one 'E' frame; a key change, a full buffer, the
-// ack of the batch being delivered, or an idle host all flush.
+// emitAppend accumulates one emitted packet for (name, port) straight
+// into the pending 'E' frame. Same-key emissions coalesce into one frame;
+// a key change, a full frame, the ack of the batch being delivered, or an
+// idle host all flush.
 func (h *Host) emitAppend(name, port string, data []byte) error {
 	h.emu.Lock()
 	defer h.emu.Unlock()
@@ -327,11 +332,17 @@ func (h *Host) emitAppend(name, port string, data []byte) error {
 			return err
 		}
 	}
-	h.ename, h.eport = name, port
-	h.elens = append(h.elens, len(data))
-	h.edata = append(h.edata, data...)
+	if h.ecount == 0 {
+		h.ename, h.eport = name, port
+		h.ebuf = beginFrame(h.ebuf[:0], frameEmit)
+		h.ebuf = appendU32(h.ebuf, 0) // count, patched by takeEmitLocked
+		h.ebuf = appendStr(appendStr(h.ebuf, name), port)
+	}
+	h.ebuf = appendU32(h.ebuf, uint32(len(data)))
+	h.ebuf = append(h.ebuf, data...)
 	h.ecount++
-	if h.ecount >= emitMaxFrames || len(h.edata) >= emitMaxBytes || !h.processing.Load() {
+	h.ebytes += len(data)
+	if h.ecount >= emitMaxFrames || h.ebytes >= emitMaxBytes || !h.processing.Load() {
 		return h.flushEmitLocked()
 	}
 	return nil
@@ -342,35 +353,26 @@ func (h *Host) flushEmitLocked() error {
 	if h.ecount == 0 {
 		return nil
 	}
-	buf := h.appendEmitLocked(getFrame())
+	buf := h.takeEmitLocked()
 	err := h.w.sendRaw(buf)
-	putFrame(buf)
+	h.ebuf = buf[:0]
 	return err
 }
 
-// appendEmitLocked appends the pending emissions to buf as one 'E' frame,
-// or nothing when none are pending, and empties the accumulator.
-func (h *Host) appendEmitLocked(buf []byte) []byte {
+// takeEmitLocked completes the pending 'E' frame and returns ebuf holding
+// it, or empty when no emission is pending, and empties the accumulator.
+// The caller may append to the result, and stores it back into ebuf once
+// written.
+func (h *Host) takeEmitLocked() []byte {
 	if h.ecount == 0 {
-		return buf
+		return h.ebuf[:0]
 	}
-	start := len(buf)
-	buf = beginFrame(buf, frameEmit)
-	buf = appendStr(buf, h.ename)
-	buf = appendStr(buf, h.eport)
-	buf = appendU32(buf, uint32(h.ecount))
-	for _, n := range h.elens {
-		buf = appendU32(buf, uint32(n))
-	}
-	buf = append(buf, h.edata...)
-	buf = finishFrame(buf, start)
+	binary.LittleEndian.PutUint32(h.ebuf[5:], uint32(h.ecount))
 	h.emitBatchN.Add(1)
 	h.emitFrameN.Add(uint64(h.ecount))
-	h.emitByteN.Add(uint64(len(h.edata)))
-	h.ecount = 0
-	h.elens = h.elens[:0]
-	h.edata = h.edata[:0]
-	return buf
+	h.emitByteN.Add(uint64(h.ebytes))
+	h.ecount, h.ebytes = 0, 0
+	return finishFrame(h.ebuf, 0)
 }
 
 // Close shuts the host down.

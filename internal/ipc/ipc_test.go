@@ -3,6 +3,7 @@ package ipc
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,6 +276,26 @@ func TestConcurrentRemotePushes(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestInstantiateRefusesLongName: a name the wire's u16 length cannot
+// carry is refused before any call, and the transport stays usable.
+func TestInstantiateRefusesLongName(t *testing.T) {
+	client, host, cleanup := HostPair(testRegistry(t))
+	defer cleanup()
+	if _, err := client.Instantiate(strings.Repeat("n", 1<<16), router.TypeCounter, nil); err == nil {
+		t.Fatal("instantiated a component under a 64 KiB name")
+	}
+	if n := host.gobOps.Load(); n != 0 {
+		t.Fatalf("host served %d control calls for a refused name", n)
+	}
+	rc, err := client.Instantiate("cnt", router.TypeCounter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pushSync(rc, udpPkt(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 }

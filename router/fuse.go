@@ -381,10 +381,6 @@ func (f *ChainFuser) FusedHops() int {
 	return len(pl.hops) - 1
 }
 
-// Fusions reports how many plans fusing at least two hops have been
-// published.
-func (f *ChainFuser) Fusions() uint64 { return f.fusions.Load() }
-
 // Invalidations reports how many structural mutations have been observed.
 func (f *ChainFuser) Invalidations() uint64 { return f.invalidations.Load() }
 

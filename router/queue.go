@@ -307,13 +307,6 @@ func (q *REDQueue) PushBatch(batch []*Packet) error {
 	return nil
 }
 
-// AvgLen reports the EWMA queue length RED decides on.
-func (q *REDQueue) AvgLen() float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.avg
-}
-
 // EarlyDrops returns probabilistic drops; ForcedDrops returns over-max
 // drops.
 func (q *REDQueue) EarlyDrops() uint64 { return q.earlyDrops.Load() }
