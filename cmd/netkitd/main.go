@@ -29,6 +29,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -50,33 +51,44 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "netkitd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the daemon over its command-line arguments (without the program
+// name); it returns when the run ends or a flag or setup step fails.
+func run(args []string) error {
+	fs := flag.NewFlagSet("netkitd", flag.ContinueOnError)
 	var (
-		configPath  = flag.String("config", "", "path to .nk configuration (required unless -io udp)")
-		ioMode      = flag.String("io", "config", `packet I/O mode: "config" loads -config, "udp" runs the real UDP forwarding plane`)
-		udpListen   = flag.String("udp-listen", "127.0.0.1:0", "UDP plane receive address")
-		udpPeer     = flag.String("udp-peer", "", "UDP plane forwarding destination (empty = count and drop)")
-		udpQueues   = flag.Int("udp-queues", 1, "SO_REUSEPORT receive queues (Linux; 1 elsewhere)")
-		udpBatch    = flag.Int("udp-batch", osabs.DefaultUDPBatch, "frames per batched syscall")
-		udpSpin     = flag.Int("udp-busypoll", 0, "busy-poll spin budget: empty polls burned before a pump parks")
-		udpShards   = flag.Int("udp-shards", 0, "data-plane lanes (default = receive queues)")
-		listen      = flag.String("listen", "127.0.0.1:7341", "control protocol address")
-		trafficInto = flag.String("traffic-into", "", "component to push synthetic traffic into")
-		pps         = flag.Int("pps", 1000, "synthetic traffic rate (packets/sec)")
-		flows       = flag.Int("flows", 64, "synthetic flow population")
-		seed        = flag.Uint64("seed", 1, "traffic generator seed")
-		duration    = flag.Duration("duration", 0, "run time (0 = until interrupted)")
-		strict      = flag.Bool("strict-trust", false, "enforce out-of-process isolation for untrusted components")
-		adaptLoop   = flag.Bool("adapt", false, "run the reflective adaptation loop (FIFO->RED swap on sustained queue occupancy)")
-		ipcHost     = flag.String("ipc-host", "", "serve isolated component hosting on this TCP address (parents connect with ipc.IsolateAt)")
+		configPath  = fs.String("config", "", "path to .nk configuration (required unless -io udp)")
+		ioMode      = fs.String("io", "config", `packet I/O mode: "config" loads -config, "udp" runs the real UDP forwarding plane`)
+		udpListen   = fs.String("udp-listen", "127.0.0.1:0", "UDP plane receive address")
+		udpPeer     = fs.String("udp-peer", "", "UDP plane forwarding destination (empty = count and drop)")
+		udpQueues   = fs.Int("udp-queues", 1, "SO_REUSEPORT receive queues (Linux; 1 elsewhere)")
+		udpBatch    = fs.Int("udp-batch", osabs.DefaultUDPBatch, "frames per batched syscall")
+		udpSpin     = fs.Int("udp-busypoll", 0, "busy-poll spin budget: empty polls burned before a pump parks")
+		udpShards   = fs.Int("udp-shards", 0, "data-plane lanes (default = receive queues)")
+		listen      = fs.String("listen", "127.0.0.1:7341", "control protocol address")
+		trafficInto = fs.String("traffic-into", "", "component to push synthetic traffic into")
+		pps         = fs.Int("pps", 1000, "synthetic traffic rate (packets/sec)")
+		flows       = fs.Int("flows", 64, "synthetic flow population")
+		seed        = fs.Uint64("seed", 1, "traffic generator seed")
+		duration    = fs.Duration("duration", 0, "run time (0 = until interrupted)")
+		strict      = fs.Bool("strict-trust", false, "enforce out-of-process isolation for untrusted components")
+		adaptLoop   = fs.Bool("adapt", false, "run the reflective adaptation loop (FIFO->RED swap on sustained queue occupancy)")
+		ipcHost     = fs.String("ipc-host", "", "serve isolated component hosting on this TCP address (parents connect with ipc.IsolateAt)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if *trafficInto != "" && *pps <= 0 {
+		return fmt.Errorf("-pps %d: want a rate above 0", *pps)
+	}
 
 	capsule := core.NewCapsule("netkitd")
 	fw, err := router.NewFramework(capsule, *strict)
@@ -202,9 +214,6 @@ func run() error {
 
 	// Optional synthetic traffic pump.
 	if *trafficInto != "" {
-		if *pps <= 0 {
-			return fmt.Errorf("-pps %d: want a rate above 0", *pps)
-		}
 		push, err := netkit.Service[router.IPacketPush](capsule, *trafficInto, router.IPacketPushID)
 		if err != nil {
 			return fmt.Errorf("traffic target: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,5 +78,26 @@ func TestUDPPlaneCountsEveryDatagram(t *testing.T) {
 		} else if time.Now().After(deadline) {
 			t.Fatalf("udp_rx_frames = %v, want %d", got, frames)
 		}
+	}
+}
+
+// TestRunRejectsBadArguments: argument errors end run before it starts a
+// component or binds a socket.
+func TestRunRejectsBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"zero rate", []string{"-io", "udp", "-traffic-into", "cnt", "-pps", "0"}, "-pps 0: want a rate above 0"},
+		{"unknown io mode", []string{"-io", "tap"}, `-io "tap": want "config" or "udp"`},
+		{"config mode without config", []string{"-io", "config"}, "-config is required"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(append(tc.args, "-listen", "127.0.0.1:0", "-duration", "1ms"))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+		})
 	}
 }

@@ -510,6 +510,22 @@ func TestCallSlotReuse(t *testing.T) {
 	}
 }
 
+// TestFramePoolRoundTripAllocs: lending a frame buffer and returning it
+// grown allocates nothing; boxing a fresh pointer on every return cost one
+// allocation per PushBatch.
+func TestFramePoolRoundTripAllocs(t *testing.T) {
+	payload := make([]byte, 512)
+	allocs := testing.AllocsPerRun(1000, func() {
+		fp := getFrame()
+		buf := beginFrame((*fp)[:0], frameBatch)
+		buf = append(buf, payload...)
+		putFrame(fp, finishFrame(buf, 0))
+	})
+	if allocs != 0 {
+		t.Fatalf("frame get/put round trip: %.0f allocs, want 0", allocs)
+	}
+}
+
 // TestClientUnsolicitedAckEndsReader: an ack with nothing outstanding is a
 // protocol error. The reader ends and closes the conn, and a later push
 // fails with ErrClosed.

@@ -490,7 +490,8 @@ func (rc *RemoteComponent) send(batch []*router.Packet) error {
 	}
 	// Serialise first, so packets are released before blocking on credit:
 	// count | name | count × (len | payload).
-	buf := beginFrame(getFrame(), frameBatch)
+	fp := getFrame()
+	buf := beginFrame((*fp)[:0], frameBatch)
 	buf = appendU32(buf, n)
 	buf = appendStr(buf, rc.remote)
 	total := 0
@@ -501,7 +502,7 @@ func (rc *RemoteComponent) send(batch []*router.Packet) error {
 		p.Release()
 	}
 	err := rc.client.post(pending{rc: rc, frames: n}, finishFrame(buf, 0), nil)
-	putFrame(buf)
+	putFrame(fp, buf)
 	if err != nil {
 		return err
 	}

@@ -67,15 +67,18 @@ var framePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-func getFrame() []byte {
-	return (*framePool.Get().(*[]byte))[:0]
+// getFrame lends a frame buffer. putFrame takes back the same pointer
+// with the grown slice, so returning it boxes nothing.
+func getFrame() *[]byte {
+	return framePool.Get().(*[]byte)
 }
 
-func putFrame(b []byte) {
+func putFrame(p *[]byte, b []byte) {
 	if cap(b) > maxFramePayload {
 		return
 	}
-	framePool.Put(&b)
+	*p = b[:0]
+	framePool.Put(p)
 }
 
 func appendU16(b []byte, v uint16) []byte {

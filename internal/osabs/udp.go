@@ -49,7 +49,9 @@ type UDPConfig struct {
 	// Batch caps frames moved per syscall (default DefaultUDPBatch).
 	Batch int
 	// FrameSize is the per-frame RX byte budget (default
-	// DefaultUDPFrameSize); longer datagrams are truncated by the kernel.
+	// DefaultUDPFrameSize). A longer datagram arrives cut: the mmsg
+	// backend drops it and counts udp_rx_truncated; the portable backend
+	// hands up its first FrameSize bytes.
 	FrameSize int
 	// Arena overrides the device-private frame arena (e.g. to share one
 	// slab pool across a queue group). Its FrameSize/Batch must be >= the
@@ -80,12 +82,14 @@ func (c UDPConfig) withDefaults() UDPConfig {
 // recvInto reads up to len(lens) datagrams into slab regions
 // slab[i*fs:(i+1)*fs], recording each length in lens[i]; it returns the
 // datagram count, the syscalls spent, and the kernel-reported socket
-// drop delta (SO_RXQ_OVFL; 0 where unsupported). It must not block
-// beyond a short bounded poll. sendBatch transmits frames in order,
-// returning how many the kernel accepted and the syscalls spent.
+// drop delta (SO_RXQ_OVFL; 0 where unsupported); lens[i] < 0 marks a
+// datagram the kernel cut to fit its region. It must not block beyond a
+// short bounded poll. sendBatch transmits frames in order, returning how
+// many the kernel accepted, the syscalls spent and the GSO trains among
+// the messages sent.
 type udpSocket interface {
 	recvInto(slab []byte, fs int, lens []int) (n, syscalls int, kdrops uint64, err error)
-	sendBatch(frames [][]byte) (sent, syscalls int, err error)
+	sendBatch(frames [][]byte) (sent, syscalls, trains int, err error)
 	localAddr() string
 	close() error
 }
@@ -105,11 +109,13 @@ type UDPDevice struct {
 	txFrames   atomic.Uint64
 	rxBytes    atomic.Uint64
 	txBytes    atomic.Uint64
-	rxSyscalls atomic.Uint64 // syscalls that returned >=1 frame
+	rxSyscalls atomic.Uint64 // syscalls that returned >=1 datagram
 	rxEmpty    atomic.Uint64 // syscalls that returned none
 	txSyscalls atomic.Uint64
+	txTrains   atomic.Uint64 // GSO messages sent (UDP_SEGMENT)
 	txDrops    atomic.Uint64 // frames the kernel refused (full buffers)
 	sockDrops  atomic.Uint64 // kernel-side RX drops (SO_RXQ_OVFL)
+	rxTrunc    atomic.Uint64 // datagrams dropped for exceeding FrameSize
 	arenaFails atomic.Uint64
 
 	lens []int // recv scratch; receiver-goroutine-owned
@@ -178,9 +184,10 @@ func (d *UDPDevice) Batch() int { return d.batch }
 
 // RecvBatchInto implements Device: one slab is drawn from the arena, one
 // recvmmsg (or a bounded portable read loop) fills it, and the filled
-// prefix is carved into frame slices appended to dst. The returned slab
-// carries one reference per appended frame; an empty poll returns the
-// slab to the arena and appends nothing.
+// prefix is carved into frame slices appended to dst, skipping any
+// datagram the kernel truncated. The returned slab carries one reference
+// per appended frame; a poll that carves nothing returns the slab to the
+// arena and appends nothing.
 func (d *UDPDevice) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buffer, error) {
 	if d.closed.Load() {
 		return dst, nil, fmt.Errorf("osabs: udp %q: %w", d.name, ErrClosed)
@@ -215,18 +222,28 @@ func (d *UDPDevice) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buf
 	}
 	raw := slab.Bytes()
 	var bytes uint64
+	carved := 0
 	for i := 0; i < n; i++ {
+		if lens[i] < 0 {
+			d.rxTrunc.Add(1)
+			continue
+		}
 		f := raw[i*d.fs : i*d.fs+lens[i] : (i+1)*d.fs]
 		bytes += uint64(lens[i])
 		dst = append(dst, f)
+		carved++
+	}
+	d.rxSyscalls.Add(uint64(syscalls))
+	if carved == 0 {
+		_ = slab.Release()
+		return dst, nil, nil
 	}
 	// The arena Get supplied one reference; settle the count to one per
 	// carved frame so the last Packet.Release of the batch recycles the
 	// slab.
-	slab.RetainN(n - 1)
-	d.rxFrames.Add(uint64(n))
+	slab.RetainN(carved - 1)
+	d.rxFrames.Add(uint64(carved))
 	d.rxBytes.Add(bytes)
-	d.rxSyscalls.Add(uint64(syscalls))
 	return dst, slab, nil
 }
 
@@ -241,8 +258,9 @@ func (d *UDPDevice) SendBatch(frames [][]byte) (int, error) {
 	if len(frames) == 0 {
 		return 0, nil
 	}
-	sent, syscalls, err := d.sock.sendBatch(frames)
+	sent, syscalls, trains, err := d.sock.sendBatch(frames)
 	d.txSyscalls.Add(uint64(syscalls))
+	d.txTrains.Add(uint64(trains))
 	if sent > 0 {
 		var bytes uint64
 		for _, f := range frames[:sent] {
@@ -277,8 +295,10 @@ type UDPStats struct {
 	RxBytes, TxBytes       uint64
 	RxSyscalls, TxSyscalls uint64 // productive syscalls (>=1 frame)
 	RxEmptyPolls           uint64
+	TxTrains               uint64 // GSO messages (UDP_SEGMENT trains)
 	TxDrops                uint64 // kernel refused (buffer full)
 	SockDrops              uint64 // kernel RX drops (SO_RXQ_OVFL)
+	RxTruncated            uint64 // dropped: longer than FrameSize
 	ArenaFailures          uint64
 }
 
@@ -289,8 +309,10 @@ func (d *UDPDevice) Stats() UDPStats {
 		RxBytes: d.rxBytes.Load(), TxBytes: d.txBytes.Load(),
 		RxSyscalls: d.rxSyscalls.Load(), TxSyscalls: d.txSyscalls.Load(),
 		RxEmptyPolls:  d.rxEmpty.Load(),
+		TxTrains:      d.txTrains.Load(),
 		TxDrops:       d.txDrops.Load(),
 		SockDrops:     d.sockDrops.Load(),
+		RxTruncated:   d.rxTrunc.Load(),
 		ArenaFailures: d.arenaFails.Load(),
 	}
 }
@@ -318,8 +340,10 @@ func (d *UDPDevice) StatList() []core.Stat {
 		core.C("udp_rx_syscalls", "syscalls", st.RxSyscalls),
 		core.C("udp_tx_syscalls", "syscalls", st.TxSyscalls),
 		core.C("udp_rx_empty_polls", "syscalls", st.RxEmptyPolls),
+		core.C("udp_tx_trains", "messages", st.TxTrains),
 		core.C("udp_tx_drops", "frames", st.TxDrops),
 		core.C("udp_sock_drops", "frames", st.SockDrops),
+		core.C("udp_rx_truncated", "frames", st.RxTruncated),
 		core.C("udp_arena_failures", "slabs", st.ArenaFailures),
 		core.GW("udp_rx_frames_per_syscall", "frames", fps, float64(rxCalls)),
 		core.GW("udp_tx_frames_per_syscall", "frames", txFps, float64(st.TxSyscalls)),

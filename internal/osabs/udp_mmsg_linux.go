@@ -6,7 +6,11 @@
 // slab (one iovec per frame region), so bytes travel kernel -> slab ->
 // Packet.Data with no user-space copy; SO_RXQ_OVFL ancillary data carries
 // the kernel's cumulative RX drop counter, which recvInto differentiates
-// into per-poll drop deltas for the stats tree.
+// into per-poll drop deltas for the stats tree, and a datagram the kernel
+// cut to fit its region (MSG_TRUNC) is reported, not handed up. On send,
+// each run of equal-size frames rides one UDP_SEGMENT message (a GSO
+// train): the kernel walks its IP/UDP stack once for the run and splits
+// the skb into datagrams afterwards.
 package osabs
 
 import (
@@ -35,6 +39,17 @@ const rxCtrlSpace = 24
 // soRxqOvfl is SOL_SOCKET/SO_RXQ_OVFL.
 const soRxqOvfl = 40
 
+// GSO train layout: udpSegment is IPPROTO_UDP/UDP_SEGMENT, whose cmsg
+// carries the segment size as a uint16 (txCtrlSpace is CMSG_SPACE(2));
+// a train holds at most gsoMaxSegs segments (the kernel's
+// UDP_MAX_SEGMENTS) and gsoMaxBytes payload bytes (one UDP datagram).
+const (
+	udpSegment  = 103
+	txCtrlSpace = 24
+	gsoMaxSegs  = 64
+	gsoMaxBytes = 65507
+)
+
 type mmsgSocket struct {
 	fd        int
 	local     string
@@ -49,9 +64,15 @@ type mmsgSocket struct {
 	rhdrs []mmsghdr
 	riovs []syscall.Iovec
 	rctrl []byte
-	// Transmitter-goroutine-owned scratch.
-	shdrs []mmsghdr
-	siovs []syscall.Iovec
+	// Transmitter-goroutine-owned scratch: message i carries scount[i]
+	// frames, and a train's UDP_SEGMENT cmsg sits at sctrl[i*txCtrlSpace].
+	shdrs  []mmsghdr
+	siovs  []syscall.Iovec
+	sctrl  []byte
+	scount []int
+	// noGSO is set once the kernel refuses a train (or does not know
+	// UDP_SEGMENT); every later message is plain. Transmitter-owned.
+	noGSO bool
 
 	lastOvfl  uint32
 	ovflSeen  bool
@@ -88,6 +109,9 @@ func newMmsgSocket(cfg UDPConfig) (udpSocket, error, bool) {
 	// Socket-drop visibility is reflective surface, not correctness;
 	// tolerate kernels without SO_RXQ_OVFL.
 	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, soRxqOvfl, 1)
+	// Only a kernel that knows UDP_SEGMENT accepts it as an option; an
+	// older one would ignore the cmsg and send a train as one datagram.
+	noGSO := syscall.SetsockoptInt(fd, syscall.IPPROTO_UDP, udpSegment, 0) != nil
 	// Grow the buffers best-effort: a dataplane socket absorbing bursts
 	// wants more than the 200KB default.
 	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, 1<<21)
@@ -105,6 +129,7 @@ func newMmsgSocket(cfg UDPConfig) (udpSocket, error, bool) {
 	s := &mmsgSocket{
 		fd:    fd,
 		local: fmt.Sprintf("%s:%d", net.IP(b4.Addr[:]).String(), b4.Port),
+		noGSO: noGSO,
 	}
 	if raddr != nil {
 		rsa := &syscall.SockaddrInet4{Port: raddr.Port}
@@ -166,6 +191,9 @@ func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64
 	var kdrops uint64
 	for i := 0; i < got; i++ {
 		lens[i] = int(s.rhdrs[i].n)
+		if s.rhdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
+			lens[i] = -1
+		}
 		if d, ok := s.parseOvfl(i); ok {
 			// The counter is cumulative per socket; successive messages
 			// carry non-decreasing values, so the last one wins and the
@@ -194,22 +222,18 @@ func (s *mmsgSocket) parseOvfl(i int) (uint32, bool) {
 	return *(*uint32)(unsafe.Pointer(&ctrl[syscall.SizeofCmsghdr])), true
 }
 
-func (s *mmsgSocket) sendBatch(frames [][]byte) (int, int, error) {
-	s.opMu.RLock()
-	defer s.opMu.RUnlock()
-	if s.closed {
-		return 0, 0, ErrClosed
-	}
-	if !s.connected {
-		return 0, 0, fmt.Errorf("osabs: udp %s: send without a peer", s.local)
-	}
+// layoutSend lays frames out as messages from shdrs[0]: each run of two
+// or more equal-length, non-empty frames becomes one UDP_SEGMENT train
+// (one iovec per frame, no copy) unless noGSO is set; every other frame
+// is a plain message. It returns the message count.
+func (s *mmsgSocket) layoutSend(frames [][]byte) int {
 	n := len(frames)
 	if cap(s.shdrs) < n {
 		s.shdrs = make([]mmsghdr, n)
 		s.siovs = make([]syscall.Iovec, n)
+		s.sctrl = make([]byte, n*txCtrlSpace)
+		s.scount = make([]int, n)
 	}
-	s.shdrs = s.shdrs[:n]
-	s.siovs = s.siovs[:n]
 	for i, f := range frames {
 		if len(f) > 0 {
 			s.siovs[i].Base = &f[0]
@@ -217,22 +241,65 @@ func (s *mmsgSocket) sendBatch(frames [][]byte) (int, int, error) {
 			s.siovs[i].Base = &s.dummyByte
 		}
 		s.siovs[i].SetLen(len(f))
-		h := &s.shdrs[i].hdr
+	}
+	m := 0
+	for i := 0; i < n; m++ {
+		size, run := len(frames[i]), 1
+		for !s.noGSO && size > 0 && run < gsoMaxSegs && i+run < n &&
+			len(frames[i+run]) == size && (run+1)*size <= gsoMaxBytes {
+			run++
+		}
+		h := &s.shdrs[m].hdr
 		h.Name = nil
 		h.Namelen = 0
 		h.Iov = &s.siovs[i]
-		h.Iovlen = 1
+		h.Iovlen = uint64(run)
 		h.Control = nil
 		h.SetControllen(0)
 		h.Flags = 0
+		if run > 1 {
+			ctrl := s.sctrl[m*txCtrlSpace : (m+1)*txCtrlSpace]
+			cm := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
+			cm.Level = syscall.IPPROTO_UDP
+			cm.Type = udpSegment
+			cm.SetLen(syscall.CmsgLen(2))
+			*(*uint16)(unsafe.Pointer(&ctrl[syscall.SizeofCmsghdr])) = uint16(size)
+			h.Control = &ctrl[0]
+			h.SetControllen(txCtrlSpace)
+		}
+		s.scount[m] = run
+		i += run
 	}
-	sent, syscalls := 0, 0
-	for sent < n {
+	return m
+}
+
+func (s *mmsgSocket) sendBatch(frames [][]byte) (int, int, int, error) {
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
+	if s.closed {
+		return 0, 0, 0, ErrClosed
+	}
+	if !s.connected {
+		return 0, 0, 0, fmt.Errorf("osabs: udp %s: send without a peer", s.local)
+	}
+	defer runtime.KeepAlive(frames)
+	// sent counts frames, done the messages of the current layout.
+	msgs := s.layoutSend(frames)
+	sent, done, syscalls, trains := 0, 0, 0, 0
+	for done < msgs {
 		r, _, errno := syscall.Syscall6(sysSendmmsg,
-			uintptr(s.fd), uintptr(unsafe.Pointer(&s.shdrs[sent])), uintptr(n-sent), 0, 0, 0)
+			uintptr(s.fd), uintptr(unsafe.Pointer(&s.shdrs[done])), uintptr(msgs-done), 0, 0, 0)
 		syscalls++
 		if errno != 0 {
 			if errno == syscall.EINTR {
+				continue
+			}
+			if (errno == syscall.EINVAL || errno == syscall.EIO) && s.scount[done] > 1 {
+				// The kernel will not segment for this socket (no
+				// checksum offload, SO_NO_CHECK, MTU): the refused train
+				// and everything after it go out plain, for good.
+				s.noGSO = true
+				msgs, done = s.layoutSend(frames[sent:]), 0
 				continue
 			}
 			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK ||
@@ -243,19 +310,22 @@ func (s *mmsgSocket) sendBatch(frames [][]byte) (int, int, error) {
 				break
 			}
 			if errno == syscall.EBADF {
-				runtime.KeepAlive(frames)
-				return sent, syscalls, ErrClosed
+				return sent, syscalls, trains, ErrClosed
 			}
-			runtime.KeepAlive(frames)
-			return sent, syscalls, errno
+			return sent, syscalls, trains, errno
 		}
 		if r == 0 {
 			break
 		}
-		sent += int(r)
+		for _, c := range s.scount[done : done+int(r)] {
+			sent += c
+			if c > 1 {
+				trains++
+			}
+		}
+		done += int(r)
 	}
-	runtime.KeepAlive(frames)
-	return sent, syscalls, nil
+	return sent, syscalls, trains, nil
 }
 
 func (s *mmsgSocket) localAddr() string { return s.local }

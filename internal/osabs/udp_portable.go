@@ -5,6 +5,9 @@
 // tests run the two against each other. Non-blocking polling is
 // approximated with short read deadlines: the first read of a poll may
 // wait portablePollWait, drains after it wait at most portableDrainWait.
+// Unlike the batched backend, it cannot see MSG_TRUNC: a datagram longer
+// than the frame region is handed up silently truncated to fs bytes, and
+// it never sends a GSO train.
 package osabs
 
 import (
@@ -80,18 +83,18 @@ func (s *portableSocket) recvInto(slab []byte, fs int, lens []int) (int, int, ui
 	return n, n, 0, nil
 }
 
-func (s *portableSocket) sendBatch(frames [][]byte) (int, int, error) {
+func (s *portableSocket) sendBatch(frames [][]byte) (int, int, int, error) {
 	if s.peer == nil {
-		return 0, 0, fmt.Errorf("osabs: udp %s: send without a peer", s.local)
+		return 0, 0, 0, fmt.Errorf("osabs: udp %s: send without a peer", s.local)
 	}
 	sent := 0
 	for _, f := range frames {
 		if _, err := s.conn.WriteToUDP(f, s.peer); err != nil {
-			return sent, sent + 1, err
+			return sent, sent + 1, 0, err
 		}
 		sent++
 	}
-	return sent, sent, nil
+	return sent, sent, 0, nil
 }
 
 func (s *portableSocket) localAddr() string { return s.local }

@@ -303,3 +303,72 @@ func TestUDPStatListShape(t *testing.T) {
 		}
 	}
 }
+
+// TestUDPRecvDropsTruncated: a datagram longer than FrameSize arrives cut
+// (MSG_TRUNC); the batched backend drops it and counts udp_rx_truncated
+// instead of handing up its first FrameSize bytes as a frame. The slab
+// holds one reference per carved frame, and a poll that carves none
+// returns its slab to the arena.
+func TestUDPRecvDropsTruncated(t *testing.T) {
+	if !mmsgSupported {
+		t.Skip("the portable backend cannot see truncation")
+	}
+	arena, err := NewFrameArena(DefaultUDPFrameSize, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := NewUDPDevice(UDPConfig{Listen: "127.0.0.1:0", Batch: 8, Arena: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := NewUDPDevice(UDPConfig{Listen: "127.0.0.1:0", Peer: rx.LocalAddr(), Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	small := make([]byte, 64)
+	copy(small, "small-frame")
+	// poll drains rx until it has counted truncated cut datagrams,
+	// releasing each carved frame's reference.
+	poll := func(truncated uint64) (got [][]byte) {
+		for stop := time.Now().Add(5 * time.Second); rx.Stats().RxTruncated < truncated && time.Now().Before(stop); {
+			frames, slab, err := rx.RecvBatchInto(nil, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (slab == nil) != (len(frames) == 0) {
+				t.Fatalf("%d frames with slab %v", len(frames), slab)
+			}
+			for _, f := range frames {
+				got = append(got, append([]byte(nil), f...))
+				if err := slab.Release(); err != nil {
+					t.Fatalf("slab release: %v", err)
+				}
+			}
+		}
+		return got
+	}
+	// A 3 000 B datagram, then a 64 B one.
+	if n, err := tx.SendBatch([][]byte{make([]byte, 3000), small}); err != nil || n != 2 {
+		t.Fatalf("send: %d of 2, %v", n, err)
+	}
+	got := poll(1)
+	got = append(got, recvAll(t, rx, 1-len(got), time.Second)...)
+	if len(got) != 1 || string(got[0]) != string(small) {
+		t.Fatalf("delivered %d frames, want only the 64 B one", len(got))
+	}
+	if st := rx.Stats(); st.RxTruncated != 1 || st.RxFrames != 1 {
+		t.Fatalf("rx_truncated %d rx_frames %d, want 1 and 1", st.RxTruncated, st.RxFrames)
+	}
+	// A poll that carves nothing releases its slab.
+	if n, err := tx.SendBatch([][]byte{make([]byte, 3000)}); err != nil || n != 1 {
+		t.Fatalf("send: %d of 1, %v", n, err)
+	}
+	if got := poll(2); len(got) != 0 || rx.Stats().RxTruncated != 2 {
+		t.Fatalf("delivered %d frames, rx_truncated %d; want 0 and 2", len(got), rx.Stats().RxTruncated)
+	}
+	if live := arena.Stats().Live; live != 0 {
+		t.Fatalf("arena has %d live slabs after full release", live)
+	}
+}
