@@ -31,6 +31,10 @@ type Buffer struct {
 	refs atomic.Int32
 	pool *Pool
 	cls  int
+
+	// descs is the packet-descriptor array riding the slab across
+	// recycles (see Descs).
+	descs any
 }
 
 // Bytes returns the live contents. The returned slice aliases the buffer;
@@ -68,6 +72,28 @@ func (b *Buffer) RetainN(n int) {
 	}
 }
 
+// minDescFrame is the smallest frame a descriptor array is sized for:
+// 64 B of payload plus a 4 B length prefix.
+const minDescFrame = 68
+
+// Descs returns the descriptor array kept with KeepDescs, or nil. It
+// stays with the buffer across recycles, the mbuf layout of DPDK's
+// mempools: a slab's packet metadata is allocated with it and freed with
+// it. The package leaves its type to the carver (router.Packet
+// descriptors; osabs cannot import router).
+func (b *Buffer) Descs() any { return b.descs }
+
+// KeepDescs attaches d, an array of n descriptors, for later carves to
+// reuse, unless n exceeds one descriptor per minimum-size frame the slab
+// can hold: retained descriptor memory is bounded by the slab's own
+// bytes, whatever a peer sends. Only the carver may call it, before it
+// hands any packet on.
+func (b *Buffer) KeepDescs(d any, n int) {
+	if n <= cap(b.data)/minDescFrame {
+		b.descs = d
+	}
+}
+
 // Refs returns the current reference count (diagnostic).
 func (b *Buffer) Refs() int32 { return b.refs.Load() }
 
@@ -83,6 +109,7 @@ func (b *Buffer) Release() error {
 		}
 		if b.refs.CompareAndSwap(cur, cur-1) {
 			if cur == 1 {
+				poisonDescs(b)
 				b.pool.put(b)
 			}
 			return nil

@@ -297,3 +297,29 @@ func TestQuickPoolInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKeepDescsBound: a buffer keeps a descriptor array only up to one
+// descriptor per minimum-size frame (68 B) it can hold, and keeps it
+// across recycles.
+func TestKeepDescsBound(t *testing.T) {
+	p := MustNewPool([]int{4096}, 1, 0)
+	b, err := p.Get(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.KeepDescs(make([]int, 61), 61)
+	if b.Descs() != nil {
+		t.Fatal("4 KiB buffer kept 61 descriptors, past its bound of 60")
+	}
+	b.KeepDescs(make([]int, 60), 60)
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := p.Get(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := again.Descs().([]int); again != b || len(d) != 60 {
+		t.Fatal("60 descriptors did not stay with the recycled 4 KiB buffer")
+	}
+}

@@ -142,9 +142,7 @@ func (c *Client) readFrames() error {
 				return err
 			}
 			err = c.handleAck(payload)
-			if slab != nil {
-				_ = slab.Release()
-			}
+			releaseSlab(slab)
 			if err != nil {
 				return err
 			}
@@ -266,6 +264,7 @@ func (c *Client) handleEmit(payload []byte, slab *buffers.Buffer) bool {
 		rc.deliverBatch(port, batch)
 	}
 	router.PutBatch(batch)
+	releaseSlab(slab)
 	return true
 }
 

@@ -241,21 +241,28 @@ func (r *binReader) bytes(n int) []byte {
 
 // carve decodes the tail every packet frame shares — count×(u32 len |
 // payload) — into packets aliasing slab zero-copy (heap-owned when slab
-// is nil), settling slab at one reference per packet. It returns the
-// batch and its payload bytes, or ok false on a malformed frame, with
-// slab released.
+// is nil), their descriptors riding the slab (router.SlabPackets). It
+// settles slab at one reference per packet plus the carver's own, which
+// the caller drops with releaseSlab after PutBatch: until then no
+// packet's Release can recycle the slab, and its descriptors with it,
+// under the caller (the host's contained-panic path releases a packet
+// the component already had). It returns the batch and its payload
+// bytes, or ok false on a malformed frame, with slab released.
 func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packet, total int, ok bool) {
 	malformed := func() ([]*router.Packet, int, bool) {
-		if slab != nil {
-			_ = slab.Release()
-		}
+		releaseSlab(slab)
 		return nil, 0, false
 	}
 	if r.err || count < 0 || count > (len(r.b)-r.off)/4 {
 		return malformed()
 	}
+	var pkts []router.Packet
+	if slab != nil {
+		pkts = router.SlabPackets(slab, count)
+	} else {
+		pkts = make([]router.Packet, count)
+	}
 	batch = router.GetBatch()
-	pkts := make([]router.Packet, count)
 	for i := range pkts {
 		pkts[i] = router.Packet{Data: r.bytes(int(r.u32())), Buf: slab}
 		batch = append(batch, &pkts[i])
@@ -265,14 +272,17 @@ func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packe
 		router.PutBatch(batch)
 		return malformed()
 	}
-	switch {
-	case slab == nil:
-	case count == 0:
-		_ = slab.Release()
-	default:
-		slab.RetainN(count - 1) // Get's reference covers the first packet
+	if slab != nil {
+		slab.RetainN(count) // Get's reference stays the carver's own
 	}
 	return batch, total, true
+}
+
+// releaseSlab drops the carver's own reference on slab (nil: heap-owned).
+func releaseSlab(slab *buffers.Buffer) {
+	if slab != nil {
+		_ = slab.Release()
+	}
 }
 
 // str copies n bytes out as a string (frames are recycled; names outlive

@@ -213,7 +213,8 @@ func (h *Host) serve() error {
 // the hosted component one packet at a time, containing per-packet panics,
 // then acks with the exact count of failed packets. The payload lands in
 // a refcounted slab and every packet aliases it zero-copy, holding one
-// slab reference; the slab recycles when the last packet is released.
+// slab reference; the host holds one more until the batch is settled,
+// so the slab (and the descriptors riding it) recycles only after both.
 // Per-packet delivery (rather than handing the component the whole batch)
 // is what keeps the counts exact under a mid-batch crash: the wire
 // crossing is already amortised, and the hosted component is entered
@@ -268,6 +269,7 @@ func (h *Host) serveBatch() error {
 		}
 	}
 	router.PutBatch(batch)
+	releaseSlab(slab)
 	h.emu.Lock()
 	h.processing.Store(false)
 	buf := appendAck(h.takeEmitLocked(), uint32(failed), contained, firstErr)

@@ -55,6 +55,12 @@ var (
 // released by whichever component terminates the packet's life (sink,
 // dropper, or queue overflow path). The filter view is extracted lazily
 // and cached so a chain of classifiers parses headers once.
+//
+// A packet minted over a slab (the IPC carve, an arena NIC poll,
+// NewPooledPacket) is itself a descriptor riding that slab (SlabPackets):
+// it lives exactly as long as its slab reference, and after Release the
+// *Packet may already describe another batch's frame. A holder that
+// needs a packet past its Release must Clone it first; Clone allocates.
 type Packet struct {
 	Data   []byte
 	Buf    *buffers.Buffer
@@ -95,7 +101,28 @@ func NewPooledPacket(pool *buffers.Pool, data []byte) (*Packet, error) {
 		return nil, err
 	}
 	b.CopyFrom(data)
-	return &Packet{Data: b.Bytes(), Buf: b}, nil
+	p := &SlabPackets(b, 1)[0]
+	*p = Packet{Data: b.Bytes(), Buf: b}
+	return p, nil
+}
+
+// descs is the descriptor array a slab keeps across recycles.
+type descs []Packet
+
+// SlabPackets returns n descriptors for the packets a carver is minting
+// over slab: the slab's own array, allocated on its first carve and
+// reused on every later one, or a fresh heap array when n is beyond what
+// the slab may keep (buffers.Buffer.KeepDescs). The carver rewrites each
+// descriptor in full and settles one slab reference per packet before
+// handing any on; a descriptor is valid exactly as long as that
+// reference.
+func SlabPackets(slab *buffers.Buffer, n int) []Packet {
+	if d, ok := slab.Descs().(descs); ok && len(d) >= n {
+		return d[:n]
+	}
+	d := make(descs, n)
+	slab.KeepDescs(d, n)
+	return d
 }
 
 // View returns the cached filter view, extracting it on first use.
@@ -115,9 +142,11 @@ func (p *Packet) InvalidateView() { p.viewOK = false }
 // Release returns the packet's pooled buffer, if any. Safe on
 // caller-owned packets (no-op).
 func (p *Packet) Release() {
-	if p.Buf != nil {
-		_ = p.Buf.Release()
+	if b := p.Buf; b != nil {
+		// Clear first: the last reference recycles the slab, and with it
+		// this descriptor, which the next carve may already be writing.
 		p.Buf = nil
+		_ = b.Release()
 	}
 }
 

@@ -114,9 +114,20 @@ func (s *NICSource) poll(context.Context) (int, error) {
 	}
 	s.in.Add(uint64(len(frames)))
 	pkts := s.pkts[:0]
-	for _, f := range frames {
-		if p := s.mint(f, slab); p != nil {
-			pkts = append(pkts, p)
+	if slab != nil {
+		// Arena frames already hold one slab reference each: each packet
+		// adopts one zero-copy, in the frame's descriptor riding the slab,
+		// and its Release decrements the slab.
+		slots := SlabPackets(slab, len(frames))
+		for i, f := range frames {
+			slots[i] = Packet{Data: f, Buf: slab, InPort: s.dev.Name()}
+			pkts = append(pkts, &slots[i])
+		}
+	} else {
+		for _, f := range frames {
+			if p := s.mint(f); p != nil {
+				pkts = append(pkts, p)
+			}
 		}
 	}
 	_ = s.forwardBatch(s.out, pkts)
@@ -128,24 +139,19 @@ func (s *NICSource) poll(context.Context) (int, error) {
 	return len(frames), err // ErrClosed here: the batch above was the tail
 }
 
-// mint turns one polled frame into a Packet, or nil for a drop. Arena
-// frames (slab != nil) already hold one slab reference each, so the
-// packet adopts it zero-copy and its Release decrements the slab;
-// otherwise the pool path copies (dropping on pool exhaustion) and the
+// mint turns one polled frame without a slab into a Packet, or nil for a
+// drop: the pool path copies (dropping on pool exhaustion) and the
 // nil-pool path wraps without copying.
-func (s *NICSource) mint(f []byte, slab *buffers.Buffer) *Packet {
+func (s *NICSource) mint(f []byte) *Packet {
 	var p *Packet
-	switch {
-	case slab != nil:
-		p = &Packet{Data: f, Buf: slab}
-	case s.pool != nil:
+	if s.pool != nil {
 		pp, err := NewPooledPacket(s.pool, f)
 		if err != nil {
 			s.dropped.Add(1)
 			return nil
 		}
 		p = pp
-	default:
+	} else {
 		p = NewPacket(f)
 	}
 	p.InPort = s.dev.Name()
