@@ -346,7 +346,8 @@ type pktEnv struct {
 
 // NewPacketEnv builds the VM environment for a packet.
 func NewPacketEnv(p *router.Packet) (*pktEnv, error) {
-	e := &pktEnv{pkt: p, view: filter.Extract(p.Data)}
+	e := &pktEnv{pkt: p}
+	filter.ExtractInto(&e.view, p.Data)
 	switch e.view.Version {
 	case 4:
 		h, err := packet.ParseIPv4(p.Data)

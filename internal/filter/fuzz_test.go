@@ -38,6 +38,11 @@ func FuzzCompiledEquivalence(f *testing.F) {
 				t.Fatalf("%s view %+v: compiled (%q,%v) vs vm (%q,%v); rules %v",
 					what, *v, gotOut, gotOk, wantOut, wantOk, tbl.Rules())
 			}
+			if idx := snap.LookupIndex(v); (idx >= 0) != wantOk ||
+				(idx < 0 && idx != -1) || (idx >= 0 && snap.Outputs()[idx] != wantOut) {
+				t.Fatalf("%s view %+v: index %d into %v vs vm (%q,%v)",
+					what, *v, idx, snap.Outputs(), wantOut, wantOk)
+			}
 		}
 		v := Extract(raw)
 		check(&v, "raw")

@@ -3,6 +3,8 @@ package filter
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -75,19 +77,15 @@ func (t *Table) Add(spec string, priority int, output string) (uint64, error) {
 	t.nextID++
 	r := &Rule{ID: t.nextID, Spec: spec, Priority: priority, Output: output, prog: prog, ast: n}
 	cur := t.rules.Load()
-	next := make([]*Rule, 0, len(cur.rules)+1)
-	inserted := false
-	for _, have := range cur.rules {
-		if !inserted && r.Priority < have.Priority {
-			next = append(next, r)
-			inserted = true
-		}
-		next = append(next, have)
+	rules := cur.rules
+	at := sort.Search(len(rules), func(i int) bool { return rules[i].Priority > r.Priority })
+	if at < len(rules) {
+		rules = slices.Clip(rules) // a mid-list insert copies
 	}
-	if !inserted {
-		next = append(next, r)
-	}
-	t.rules.Store(&ruleSet{rules: next, gen: cur.gen + 1})
+	// A rule that sorts last is appended into the published array: every
+	// published list is the latest under mu, and a snapshot reads only its
+	// own length, so the slots past it are free.
+	t.rules.Store(&ruleSet{rules: slices.Insert(rules, at, r), gen: cur.gen + 1})
 	return r.ID, nil
 }
 

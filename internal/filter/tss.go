@@ -99,13 +99,14 @@ func addrKey(a netip.Addr) uint64 {
 }
 
 // tssEntry is one matchable unit: a rule's program with its global
-// evaluation order and routed output. The program is held by value (it
-// shares the rule's instructions), so verifying a candidate reads them
-// straight from the bucket without first loading the rule's Program.
+// evaluation order and routed output, as an index into the snapshot's
+// Outputs. The program is held by value (it shares the rule's
+// instructions), so verifying a candidate reads them straight from the
+// bucket without first loading the rule's Program.
 type tssEntry struct {
-	order  int // index into the priority-ordered rule list
-	prog   Program
-	output string
+	order int // index into the priority-ordered rule list
+	prog  Program
+	out   int32
 }
 
 // tupleSpace is one mask's hash table. Buckets keep entries in ascending
@@ -149,6 +150,7 @@ func (sp *tupleSpace) keyOf(v *View) uint64 {
 type Snapshot struct {
 	spaces   []*tupleSpace // nil at or under linearCutoff rules
 	residual []tssEntry    // rules no space indexes, ascending order
+	outputs  []string      // the generation's output names, interned
 	flowSafe bool
 	rules    int
 	gen      uint64
@@ -174,12 +176,26 @@ func (s *Snapshot) CacheWorthwhile() bool {
 	return s.flowSafe && s.rules > linearCutoff
 }
 
+// Outputs returns the output names this generation's rules route to,
+// each once, in first-use (priority) order: the list LookupIndex indexes.
+// It is shared and must not be modified.
+func (s *Snapshot) Outputs() []string { return s.outputs }
+
 // Lookup classifies v: the output of the first matching rule in
 // (priority, insertion) order, or "" and false. Behaviourally identical
 // to the linear VM walk (fuzz-proven).
 func (s *Snapshot) Lookup(v *View) (string, bool) {
+	if i := s.LookupIndex(v); i >= 0 {
+		return s.outputs[i], true
+	}
+	return "", false
+}
+
+// LookupIndex is Lookup's data-path form: the first matching rule's
+// output as an index into Outputs, or -1 when no rule matches.
+func (s *Snapshot) LookupIndex(v *View) int32 {
 	best := -1
-	var out string
+	out := int32(-1)
 	for _, sp := range s.spaces {
 		bucket := sp.buckets[sp.keyOf(v)]
 		for i := range bucket {
@@ -188,7 +204,7 @@ func (s *Snapshot) Lookup(v *View) (string, bool) {
 				break
 			}
 			if e.prog.Match(v) {
-				best, out = e.order, e.output
+				best, out = e.order, e.out
 				break
 			}
 		}
@@ -199,11 +215,11 @@ func (s *Snapshot) Lookup(v *View) (string, bool) {
 			break
 		}
 		if e.prog.Match(v) {
-			best, out = e.order, e.output
+			best, out = e.order, e.out
 			break
 		}
 	}
-	return out, best >= 0
+	return out
 }
 
 // compile builds generation gen's snapshot over rules, which must be in
@@ -219,8 +235,15 @@ func compile(rules []*Rule, gen uint64) *Snapshot {
 		}
 	}
 	spaces := make(map[dimMask]*tupleSpace)
+	index := make(map[string]int32)
 	for i, r := range rules {
-		e := tssEntry{order: i, prog: *r.prog, output: r.Output}
+		out, ok := index[r.Output]
+		if !ok {
+			out = int32(len(s.outputs))
+			index[r.Output] = out
+			s.outputs = append(s.outputs, r.Output)
+		}
+		e := tssEntry{order: i, prog: *r.prog, out: out}
 		clauses, ok := [][]Node(nil), false
 		if len(rules) > linearCutoff {
 			clauses, ok = dnf(r.ast, maxClauses)

@@ -21,35 +21,44 @@ type View struct {
 	Len      int   // total packet length in bytes
 }
 
-// Extract builds a View from a raw IP packet. Unparseable packets yield a
-// zero-version View, which matches no test (so filters fail closed).
+// Extract builds a View from a raw IP packet: the by-value form of
+// ExtractInto.
 func Extract(raw []byte) View {
-	v := View{Len: len(raw)}
+	var v View
+	ExtractInto(&v, raw)
+	return v
+}
+
+// ExtractInto parses raw into v in place, overwriting every field, so a
+// View reused across packets keeps nothing of the last one. The header
+// rules are packet's (ValidateIPv4, ValidateIPv6); the fields are read
+// straight from raw, with no header struct between. Unparseable packets
+// yield a zero-version View, which matches no test (so filters fail
+// closed).
+func ExtractInto(v *View, raw []byte) {
+	*v = View{Len: len(raw)}
 	switch packet.Version(raw) {
 	case 4:
-		h, err := packet.ParseIPv4(raw)
+		ihl, total, err := packet.ValidateIPv4(raw)
 		if err != nil {
-			return v
+			return
 		}
 		v.Version = 4
-		v.Src, v.Dst = h.Src, h.Dst
-		v.Proto = h.Protocol
-		v.TTL = h.TTL
-		v.TOS = h.TOS
-		fillViewPorts(&v, raw[h.IHL:h.TotalLen])
+		v.TOS, v.TTL, v.Proto = raw[1], raw[8], raw[9]
+		v.Src = netip.AddrFrom4([4]byte(raw[12:16]))
+		v.Dst = netip.AddrFrom4([4]byte(raw[16:20]))
+		fillViewPorts(v, raw[ihl:total])
 	case 6:
-		h, err := packet.ParseIPv6(raw)
-		if err != nil {
-			return v
+		if _, err := packet.ValidateIPv6(raw); err != nil {
+			return
 		}
 		v.Version = 6
-		v.Src, v.Dst = h.Src, h.Dst
-		v.Proto = h.NextHeader
-		v.TTL = h.HopLimit
-		v.TOS = h.TrafficClass
-		fillViewPorts(&v, raw[packet.IPv6HeaderLen:])
+		v.TOS = raw[0]<<4 | raw[1]>>4
+		v.Proto, v.TTL = raw[6], raw[7]
+		v.Src = netip.AddrFrom16([16]byte(raw[8:24]))
+		v.Dst = netip.AddrFrom16([16]byte(raw[24:40]))
+		fillViewPorts(v, raw[packet.IPv6HeaderLen:])
 	}
-	return v
 }
 
 func fillViewPorts(v *View, payload []byte) {

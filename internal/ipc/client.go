@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -478,11 +479,17 @@ func (rc *RemoteComponent) PushBatch(batch []*router.Packet) error {
 	return err
 }
 
-// send commits batch to the wire under one window credit, taking
-// ownership of its packets. A batch that cannot be filed is retired as
-// dropped before send returns the read loop's error; one whose write
+// send commits batch to the wire under one window credit per frame,
+// taking ownership of its packets. A batch that cannot be filed is retired
+// as dropped before send returns the read loop's error; one whose write
 // fails is retired by the read loop's sweep, so the next Flush counts it.
 func (rc *RemoteComponent) send(batch []*router.Packet) error {
+	if len(batch) > maxFramePackets {
+		// One frame per maxFramePackets; the rest is sent and accounted
+		// however the first frame fared.
+		err := rc.send(batch[:maxFramePackets])
+		return cmp.Or(err, rc.send(batch[maxFramePackets:]))
+	}
 	n := uint32(len(batch))
 	if n == 0 {
 		return nil

@@ -56,6 +56,11 @@ const ackFlagContained = 1
 // protocol error rather than an allocation request.
 const maxFramePayload = 1 << 26 // 64 MiB
 
+// maxFramePackets bounds the packets one 'B' or 'E' frame carries: each
+// costs the reader a descriptor, so a 64 MiB frame of runts would ask for
+// 16.7 M. Writers start a new frame at it; readers refuse more.
+const maxFramePackets = 65535
+
 // frameSlabs backs inbound binary frames with refcounted slabs so decoded
 // packets can alias the receive buffer zero-copy: the slab is released
 // only when the last carved packet is. Oversized frames fall back to a
@@ -253,7 +258,7 @@ func carve(r *binReader, count int, slab *buffers.Buffer) (batch []*router.Packe
 		releaseSlab(slab)
 		return nil, 0, false
 	}
-	if r.err || count < 0 || count > (len(r.b)-r.off)/4 {
+	if r.err || count < 0 || count > maxFramePackets || count > (len(r.b)-r.off)/4 {
 		return malformed()
 	}
 	var pkts []router.Packet

@@ -1,0 +1,80 @@
+package ipc
+
+import (
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"netkit/router"
+)
+
+// TestFramePacketCapRefused: a well-formed 'B' frame announcing one
+// packet past maxFramePackets is malformed, so the host refuses it and
+// closes its conn instead of allocating a descriptor per announced packet.
+func TestFramePacketCapRefused(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	host := NewHost(b, testRegistry(t))
+	served := make(chan error, 1)
+	go func() { served <- host.Serve() }()
+	frame := beginFrame(nil, frameBatch)
+	frame = append(frame, carveFrame(maxFramePackets+1, 0)...)
+	go func() { _, _ = a.Write(finishFrame(frame, 0)) }()
+	_ = a.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := a.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("peer read %v, want EOF", err)
+	}
+	if err := <-served; err == nil {
+		t.Fatal("Serve returned nil on a frame over the packet cap")
+	}
+	if n := host.rxFrames.Load(); n != 0 {
+		t.Fatalf("host took %d packets from a refused frame", n)
+	}
+}
+
+// TestPushBatchSplitsAtFramePacketCap: one PushBatch of more packets than
+// a frame may carry leaves as two frames and arrives whole, conserved and
+// in order.
+func TestPushBatchSplitsAtFramePacketCap(t *testing.T) {
+	client, host, cleanup := HostPair(batchRegistry(t))
+	defer cleanup()
+	rc, err := client.Instantiate("cnt", router.TypeCounter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := bindSeqSink(t, rc)
+	const total = 70000
+	batch := make([]*router.Packet, total)
+	for i := range batch {
+		batch[i] = seqPkt(uint64(i))
+	}
+	if err := rc.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := sink.snapshot()
+	if len(got) != total {
+		t.Fatalf("delivered %d of %d", len(got), total)
+	}
+	for i, s := range got {
+		if s != uint64(i) {
+			t.Fatalf("order broken at %d: got seq %d", i, s)
+		}
+	}
+	if n := rc.txBatches.Load(); n != 2 {
+		t.Fatalf("%d frames sent, want 2", n)
+	}
+	if n := host.rxBatches.Load(); n != 2 {
+		t.Fatalf("host received %d frames, want 2", n)
+	}
+	if tx, acked, d := rc.TxFrames(), rc.AckedFrames(), rc.Dropped(); tx != total || acked != total || d != 0 {
+		t.Fatalf("tx=%d acked=%d dropped=%d, want %d sent and acked", tx, acked, d, total)
+	}
+	if rx := host.rxFrames.Load(); rx != total {
+		t.Fatalf("host rx packets = %d", rx)
+	}
+}

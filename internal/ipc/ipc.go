@@ -116,6 +116,9 @@ const (
 	emitMaxBytes  = 256 << 10
 )
 
+// 'E' frames flush below the per-frame packet cap (or this fails to compile).
+var _ [maxFramePackets - emitMaxFrames]struct{}
+
 // Host serves one isolated capsule over one connection.
 type Host struct {
 	capsule *core.Capsule

@@ -68,27 +68,12 @@ type IPv4 struct {
 // "checksum validator" in-band component).
 func ParseIPv4(b []byte) (IPv4, error) {
 	var h IPv4
-	if len(b) < IPv4HeaderLen {
-		return h, fmt.Errorf("ipv4: %d bytes: %w", len(b), ErrTruncated)
+	ihl, total, err := ValidateIPv4(b)
+	if err != nil {
+		return h, err
 	}
-	if v := b[0] >> 4; v != 4 {
-		return h, fmt.Errorf("ipv4: version %d: %w", v, ErrVersion)
-	}
-	h.IHL = int(b[0]&0x0f) * 4
-	if h.IHL < IPv4HeaderLen {
-		return h, fmt.Errorf("ipv4: ihl %d: %w", h.IHL, ErrHeaderLength)
-	}
-	if len(b) < h.IHL {
-		return h, fmt.Errorf("ipv4: ihl %d > %d bytes: %w", h.IHL, len(b), ErrTruncated)
-	}
+	h.IHL, h.TotalLen = ihl, total
 	h.TOS = b[1]
-	h.TotalLen = int(binary.BigEndian.Uint16(b[2:4]))
-	if h.TotalLen < h.IHL {
-		return h, fmt.Errorf("ipv4: total length %d < ihl %d: %w", h.TotalLen, h.IHL, ErrHeaderLength)
-	}
-	if h.TotalLen > len(b) {
-		return h, fmt.Errorf("ipv4: total length %d > %d bytes: %w", h.TotalLen, len(b), ErrTruncated)
-	}
 	h.ID = binary.BigEndian.Uint16(b[4:6])
 	ff := binary.BigEndian.Uint16(b[6:8])
 	h.Flags = uint8(ff >> 13)
@@ -99,6 +84,33 @@ func ParseIPv4(b []byte) (IPv4, error) {
 	h.Src = netip.AddrFrom4([4]byte(b[12:16]))
 	h.Dst = netip.AddrFrom4([4]byte(b[16:20]))
 	return h, nil
+}
+
+// ValidateIPv4 is ParseIPv4's in-place form and the one statement of its
+// header rules: it checks b's IPv4 header and returns the header and
+// datagram lengths, building no IPv4; fields are then read from b.
+func ValidateIPv4(b []byte) (ihl, totalLen int, err error) {
+	if len(b) < IPv4HeaderLen {
+		return 0, 0, fmt.Errorf("ipv4: %d bytes: %w", len(b), ErrTruncated)
+	}
+	if v := b[0] >> 4; v != 4 {
+		return 0, 0, fmt.Errorf("ipv4: version %d: %w", v, ErrVersion)
+	}
+	ihl = int(b[0]&0x0f) * 4
+	if ihl < IPv4HeaderLen {
+		return 0, 0, fmt.Errorf("ipv4: ihl %d: %w", ihl, ErrHeaderLength)
+	}
+	if len(b) < ihl {
+		return 0, 0, fmt.Errorf("ipv4: ihl %d > %d bytes: %w", ihl, len(b), ErrTruncated)
+	}
+	totalLen = int(binary.BigEndian.Uint16(b[2:4]))
+	if totalLen < ihl {
+		return 0, 0, fmt.Errorf("ipv4: total length %d < ihl %d: %w", totalLen, ihl, ErrHeaderLength)
+	}
+	if totalLen > len(b) {
+		return 0, 0, fmt.Errorf("ipv4: total length %d > %d bytes: %w", totalLen, len(b), ErrTruncated)
+	}
+	return ihl, totalLen, nil
 }
 
 // Marshal writes the header into b, which must be at least IHL bytes
@@ -193,23 +205,34 @@ type IPv6 struct {
 // ParseIPv6 parses the fixed header from b.
 func ParseIPv6(b []byte) (IPv6, error) {
 	var h IPv6
-	if len(b) < IPv6HeaderLen {
-		return h, fmt.Errorf("ipv6: %d bytes: %w", len(b), ErrTruncated)
-	}
-	if v := b[0] >> 4; v != 6 {
-		return h, fmt.Errorf("ipv6: version %d: %w", v, ErrVersion)
+	payloadLen, err := ValidateIPv6(b)
+	if err != nil {
+		return h, err
 	}
 	h.TrafficClass = b[0]<<4 | b[1]>>4
 	h.FlowLabel = uint32(b[1]&0x0f)<<16 | uint32(b[2])<<8 | uint32(b[3])
-	h.PayloadLen = int(binary.BigEndian.Uint16(b[4:6]))
-	if IPv6HeaderLen+h.PayloadLen > len(b) {
-		return h, fmt.Errorf("ipv6: payload %d > %d bytes: %w", h.PayloadLen, len(b)-IPv6HeaderLen, ErrTruncated)
-	}
+	h.PayloadLen = payloadLen
 	h.NextHeader = b[6]
 	h.HopLimit = b[7]
 	h.Src = netip.AddrFrom16([16]byte(b[8:24]))
 	h.Dst = netip.AddrFrom16([16]byte(b[24:40]))
 	return h, nil
+}
+
+// ValidateIPv6 is ParseIPv6's in-place form: it checks b's fixed header
+// and returns its payload length, building no IPv6.
+func ValidateIPv6(b []byte) (payloadLen int, err error) {
+	if len(b) < IPv6HeaderLen {
+		return 0, fmt.Errorf("ipv6: %d bytes: %w", len(b), ErrTruncated)
+	}
+	if v := b[0] >> 4; v != 6 {
+		return 0, fmt.Errorf("ipv6: version %d: %w", v, ErrVersion)
+	}
+	payloadLen = int(binary.BigEndian.Uint16(b[4:6]))
+	if IPv6HeaderLen+payloadLen > len(b) {
+		return 0, fmt.Errorf("ipv6: payload %d > %d bytes: %w", payloadLen, len(b)-IPv6HeaderLen, ErrTruncated)
+	}
+	return payloadLen, nil
 }
 
 // Marshal writes the fixed header into b.

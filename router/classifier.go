@@ -16,6 +16,9 @@ import (
 // in terms of the particular named outgoing IPacketPush ... interface(s)
 // on which each incoming packet should be emitted". Output slots can be
 // added and removed at run time — the CF re-checks its rules afterwards.
+// On the data path a verdict is an index into the rule generation's
+// output list (filter.Snapshot.LookupIndex), which a route table turns
+// into a receptacle; names stay on the control path.
 type Classifier struct {
 	*core.Base
 	elementCounters
@@ -27,6 +30,9 @@ type Classifier struct {
 	// atomic load per packet (or per batch scan), no locks — the same
 	// discipline receptacles use. Mutators republish it under mu.
 	snap atomic.Pointer[clsOutputs]
+	// routes is the route table of the latest rule and output snapshots;
+	// the first batch after either changes rebuilds it.
+	routes atomic.Pointer[routeTable]
 	// cache is the megaflow verdict cache (flowcache.go); nil when
 	// disabled. Swapped whole on resize, so the data path never sees a
 	// half-built cache. It only engages when the compiled table snapshot
@@ -36,8 +42,7 @@ type Classifier struct {
 
 // clsOutputs is an immutable output-set snapshot.
 type clsOutputs struct {
-	outs  map[string]*core.Receptacle[IPacketPush]
-	deflt *core.Receptacle[IPacketPush] // optional "default" output
+	outs map[string]*core.Receptacle[IPacketPush]
 }
 
 // publishLocked rebuilds the data-path snapshot. Caller holds c.mu.
@@ -46,7 +51,7 @@ func (c *Classifier) publishLocked() {
 	for name, r := range c.outs {
 		outs[name] = r
 	}
-	c.snap.Store(&clsOutputs{outs: outs, deflt: outs["default"]})
+	c.snap.Store(&clsOutputs{outs: outs})
 }
 
 // NewClassifier creates a classifier with the named output slots. A slot
@@ -137,14 +142,52 @@ func (c *Classifier) FilterOutputs() []string {
 // Rules returns the installed filter rules (diagnostic).
 func (c *Classifier) Rules() []filter.Rule { return c.table.Rules() }
 
-// pick maps a classification verdict to the output receptacle (nil = drop)
-// against this output-set snapshot. Cached verdicts carry the output NAME,
-// not the receptacle, so output-topology changes need no invalidation.
-func (s *clsOutputs) pick(v flowVerdict) *core.Receptacle[IPacketPush] {
-	if v.matched {
-		return s.outs[v.out]
+// routeTable maps one rule generation's verdicts to receptacles under one
+// output set: verdict v (-1 when no rule matched) reaches recv[id[v+1]].
+// Entry 0 is the unmatched path, to "default" or a drop; entry i+1 is the
+// rules' output i, or a drop while the output set has no such slot.
+// Verdicts that reach one receptacle share one id, and so one scatter
+// slot, which keeps every output in arrival order.
+type routeTable struct {
+	rules *filter.Snapshot
+	outs  *clsOutputs
+	id    []int32
+	recv  []*core.Receptacle[IPacketPush] // distinct; nil = drop
+	// slots is scatter scratch sized to recv, lent to one batch at a
+	// time; a batch that finds it taken builds its own.
+	slots atomic.Pointer[outputSlots]
+}
+
+func newRouteTable(rules *filter.Snapshot, outs *clsOutputs) *routeTable {
+	names := rules.Outputs()
+	rt := &routeTable{rules: rules, outs: outs, id: make([]int32, len(names)+1)}
+	ids := make(map[*core.Receptacle[IPacketPush]]int32, len(names)+1)
+	for v := range rt.id {
+		r := outs.outs["default"]
+		if v > 0 {
+			r = outs.outs[names[v-1]]
+		}
+		id, ok := ids[r]
+		if !ok {
+			id = int32(len(rt.recv))
+			ids[r] = id
+			rt.recv = append(rt.recv, r)
+		}
+		rt.id[v] = id
 	}
-	return s.deflt
+	return rt
+}
+
+// route returns the route table of the current rule and output snapshots,
+// rebuilding it when either has changed since it was built.
+func (c *Classifier) route() *routeTable {
+	outs, rules := c.snap.Load(), c.table.Snapshot()
+	if rt := c.routes.Load(); rt != nil && rt.rules == rules && rt.outs == outs {
+		return rt
+	}
+	rt := newRouteTable(rules, outs)
+	c.routes.Store(rt)
+	return rt
 }
 
 // resolve classifies p with the megaflow fast path: probe the verdict
@@ -152,53 +195,47 @@ func (s *clsOutputs) pick(v flowVerdict) *core.Receptacle[IPacketPush] {
 // flowcache.go), fall back to the compiled table on a miss, and install
 // the computed verdict for the flow's successors. fv is nil when the cache
 // is off for this batch: then this is exactly the uncached compiled lookup.
-func resolve(ts *filter.Snapshot, fv *cacheVisit, p *Packet) flowVerdict {
+func resolve(ts *filter.Snapshot, fv *cacheVisit, p *Packet) int32 {
 	if fv == nil {
-		out, matched := ts.Lookup(p.View())
-		return flowVerdict{out: out, matched: matched}
+		return ts.LookupIndex(p.View())
 	}
 	key := flowKeyOf(p.View())
 	h := FlowHash(p)
 	if v, ok := fv.probe(h, key); ok {
 		return v
 	}
-	out, matched := ts.Lookup(p.View())
-	v := flowVerdict{out: out, matched: matched}
+	v := ts.LookupIndex(p.View())
 	fv.insert(h, key, v)
 	return v
 }
 
-// outputSlots maps one chunk's verdicts to scatter slots. Each distinct
-// verdict is resolved to its receptacle once, and verdicts that reach the
-// same receptacle (a rule routed to "default" and the unmatched path, or
-// two unknown outputs dropping) share a slot, so every output keeps
-// arrival order.
+// outputSlots gives one chunk's receptacle ids scatter slots in order of
+// first arrival: slotOf[id] is id's slot plus one, or 0 before id arrives,
+// and to[s] is slot s's receptacle.
 type outputSlots struct {
-	verdicts [demuxChunk]flowVerdict
-	slots    [demuxChunk]uint8
-	nv       int
-	to       [demuxChunk]*core.Receptacle[IPacketPush]
-	n        int
+	slotOf []uint8 // one per route-table receptacle
+	ids    [demuxChunk]int32
+	to     [demuxChunk]*core.Receptacle[IPacketPush]
+	n      int
 }
 
-func (m *outputSlots) slot(snap *clsOutputs, v flowVerdict) uint8 {
-	for i := 0; i < m.nv; i++ {
-		if m.verdicts[i] == v {
-			return m.slots[i]
-		}
-	}
-	r := snap.pick(v)
-	s := 0
-	for s < m.n && m.to[s] != r {
-		s++
-	}
-	if s == m.n {
-		m.to[s] = r
+func (m *outputSlots) slot(rt *routeTable, id int32) uint8 {
+	s := m.slotOf[id]
+	if s == 0 {
+		m.ids[m.n], m.to[m.n] = id, rt.recv[id]
 		m.n++
+		s = uint8(m.n)
+		m.slotOf[id] = s
 	}
-	m.verdicts[m.nv], m.slots[m.nv] = v, uint8(s)
-	m.nv++
-	return uint8(s)
+	return s - 1
+}
+
+// reset forgets the chunk's slots.
+func (m *outputSlots) reset() {
+	for s, id := range m.ids[:m.n] {
+		m.slotOf[id], m.to[s] = 0, nil
+	}
+	m.n = 0
 }
 
 // PushBatch implements IPacketPush: each packet is classified once,
@@ -206,31 +243,36 @@ func (m *outputSlots) slot(snap *clsOutputs, v flowVerdict) uint8 {
 // arrival order per output; packets of different outputs are no longer
 // interleaved with each other. Unmatched packets with no default output
 // are dropped.
-// The output-set snapshot, compiled-table snapshot, and cache reference
-// are all loaded once for the whole batch, so every packet in the batch
-// is classified against one frozen rule generation; the cache's hit/miss
-// counters and LRU clock are advanced once per batch (cacheVisit).
+// The route table (and with it one compiled-table snapshot and one
+// output-set snapshot) and the cache reference are loaded once for the
+// whole batch, so every packet in the batch is classified against one
+// frozen rule generation; the cache's hit/miss counters and LRU clock are
+// advanced once per batch (cacheVisit).
 func (c *Classifier) PushBatch(batch []*Packet) error {
 	c.in.Add(uint64(len(batch)))
-	snap := c.snap.Load()
-	ts := c.table.Snapshot()
+	rt := c.route()
+	ts := rt.rules
 	var fv *cacheVisit
 	if fc := c.cache.Load(); fc != nil && ts.CacheWorthwhile() {
 		v := fc.visit(ts.Gen(), len(batch))
 		fv = &v
 	}
+	m := rt.slots.Swap(nil)
+	if m == nil {
+		m = &outputSlots{slotOf: make([]uint8, len(rt.recv))}
+	}
 	var agg batchErrAgg
-	var m outputSlots
 	var slot [demuxChunk]uint8
 	for len(batch) > 0 {
 		chunk := batch[:min(len(batch), demuxChunk)]
 		batch = batch[len(chunk):]
-		m.nv, m.n = 0, 0
 		for i, p := range chunk {
-			slot[i] = m.slot(snap, resolve(ts, fv, p))
+			slot[i] = m.slot(rt, rt.id[resolve(ts, fv, p)+1])
 		}
 		c.scatter(chunk, slot[:len(chunk)], m.to[:m.n], &agg)
+		m.reset()
 	}
+	rt.slots.Store(m)
 	if fv != nil {
 		fv.settle()
 	}

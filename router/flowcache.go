@@ -2,6 +2,7 @@ package router
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +11,8 @@ import (
 
 // FlowCache is the megaflow verdict cache fronting a Classifier's compiled
 // rule table: repeat flows skip classification entirely and go straight to
-// the resolved output name. Soundness rests on two fences:
+// the verdict, an index into that generation's Snapshot.Outputs (-1:
+// unmatched). Soundness rests on two fences:
 //
 //   - Entries are keyed on the EXACT flow identity (flowKey, derived from
 //     the parsed View) — FlowHashRaw only selects the set, so 32-bit hash
@@ -20,7 +22,9 @@ import (
 //     current generation. Generations are monotonic (Table.Gen bumps on
 //     every Add/Remove), so a racing insert from a concurrently-retired
 //     snapshot leaves an entry that can only ever miss — invalidation is
-//     the same atomic publication that makes the rule change visible.
+//     the same atomic publication that makes the rule change visible. The
+//     same fence keeps an index from being read against another
+//     generation's output list.
 //
 // The layout is set-associative (flowWays entries per set, pseudo-LRU
 // replacement by access stamp) with one mutex per stripe of sets, so
@@ -36,6 +40,11 @@ type FlowCache struct {
 	misses   atomic.Uint64
 	evicts   atomic.Uint64
 	occupied atomic.Int64
+
+	// names interns the outputs InsertView stores, so its entries carry
+	// an index like the classifier's; ProbeView maps the index back.
+	namesMu sync.Mutex
+	names   atomic.Pointer[[]string]
 }
 
 const (
@@ -49,21 +58,16 @@ type flowSet struct {
 	ways [flowWays]flowEntry
 }
 
+// flowEntry caches one flow's verdict: the matched rule's output index
+// under generation gen, or -1 for the unmatched path. The classifier
+// resolves the index through its route table at forward time, so output
+// topology changes need no cache invalidation.
 type flowEntry struct {
 	key     flowKey
-	verdict flowVerdict
+	verdict int32
 	gen     uint64
 	stamp   uint64
 	live    bool
-}
-
-// flowVerdict is a cached classification result: the matched rule's output
-// name, or matched=false for the default path. Output names are resolved
-// against the output-set snapshot at forward time, so output topology
-// changes need no cache invalidation.
-type flowVerdict struct {
-	out     string
-	matched bool
 }
 
 // flowKey is the exact flow identity a verdict is a pure function of when
@@ -106,12 +110,14 @@ func NewFlowCache(capacity int) *FlowCache {
 	if nstripes > 64 {
 		nstripes = 64
 	}
-	return &FlowCache{
+	fc := &FlowCache{
 		sets:    make([]flowSet, nsets),
 		stripes: make([]sync.Mutex, nstripes),
 		mask:    uint32(nsets - 1),
 		smask:   uint32(nstripes - 1),
 	}
+	fc.names.Store(new([]string))
+	return fc
 }
 
 // Cap returns the entry capacity.
@@ -155,7 +161,7 @@ func (v *cacheVisit) settle() {
 // probe looks up the verdict for key, selecting the set by hash. A
 // generation mismatch is a miss: the entry was computed under retired
 // rules and must not be served.
-func (v *cacheVisit) probe(hash uint32, key flowKey) (flowVerdict, bool) {
+func (v *cacheVisit) probe(hash uint32, key flowKey) (int32, bool) {
 	fc := v.fc
 	si := hash & fc.mask
 	mu := &fc.stripes[si&fc.smask]
@@ -174,13 +180,13 @@ func (v *cacheVisit) probe(hash uint32, key flowKey) (flowVerdict, bool) {
 	}
 	mu.Unlock()
 	v.misses++
-	return flowVerdict{}, false
+	return -1, false
 }
 
 // insert records a verdict computed under the pass's generation.
 // Replacement prefers dead or generation-stale ways, then the
 // least-recently-touched one.
-func (v *cacheVisit) insert(hash uint32, key flowKey, verdict flowVerdict) {
+func (v *cacheVisit) insert(hash uint32, key flowKey, verdict int32) {
 	fc, gen, stamp := v.fc, v.gen, v.stamp
 	v.stamp++
 	si := hash & fc.mask
@@ -218,7 +224,7 @@ func (v *cacheVisit) insert(hash uint32, key flowKey, verdict flowVerdict) {
 }
 
 // probe is a one-lookup pass: visit, probe, settle.
-func (fc *FlowCache) probe(hash uint32, key flowKey, gen uint64) (flowVerdict, bool) {
+func (fc *FlowCache) probe(hash uint32, key flowKey, gen uint64) (int32, bool) {
 	v := fc.visit(gen, 1)
 	verdict, ok := v.probe(hash, key)
 	v.settle()
@@ -226,21 +232,47 @@ func (fc *FlowCache) probe(hash uint32, key flowKey, gen uint64) (flowVerdict, b
 }
 
 // insert is a one-insert pass.
-func (fc *FlowCache) insert(hash uint32, key flowKey, gen uint64, verdict flowVerdict) {
+func (fc *FlowCache) insert(hash uint32, key flowKey, gen uint64, verdict int32) {
 	v := fc.visit(gen, 1)
 	v.insert(hash, key, verdict)
 }
 
 // ProbeView is the exported probe, keyed on an extracted View — the form
-// benchmarks and external drivers use. Returns (output, matched, hit).
+// benchmarks and external drivers use. Returns (output, matched, hit): on
+// a hit, the output and match InsertView stored for the flow.
 func (fc *FlowCache) ProbeView(hash uint32, v *filter.View, gen uint64) (string, bool, bool) {
-	ver, ok := fc.probe(hash, flowKeyOf(v), gen)
-	return ver.out, ver.matched, ok
+	i, ok := fc.probe(hash, flowKeyOf(v), gen)
+	if names := *fc.names.Load(); ok && i >= 0 && int(i) < len(names) {
+		return names[i], true, true
+	}
+	return "", false, ok
 }
 
-// InsertView is the exported insert, keyed on an extracted View.
+// InsertView is the exported insert, keyed on an extracted View. An
+// unmatched verdict stores no output.
 func (fc *FlowCache) InsertView(hash uint32, v *filter.View, gen uint64, out string, matched bool) {
-	fc.insert(hash, flowKeyOf(v), gen, flowVerdict{out: out, matched: matched})
+	i := int32(-1)
+	if matched {
+		i = fc.intern(out)
+	}
+	fc.insert(hash, flowKeyOf(v), gen, i)
+}
+
+// intern returns name's index in fc.names, appending it when new.
+func (fc *FlowCache) intern(name string) int32 {
+	if i := slices.Index(*fc.names.Load(), name); i >= 0 {
+		return int32(i)
+	}
+	fc.namesMu.Lock()
+	defer fc.namesMu.Unlock()
+	names := *fc.names.Load()
+	i := slices.Index(names, name)
+	if i < 0 {
+		i = len(names)
+		names = append(names[:i:i], name)
+		fc.names.Store(&names)
+	}
+	return int32(i)
 }
 
 // Flush drops every entry (counters are preserved; occupancy resets).

@@ -164,7 +164,7 @@ func TestFlowCacheEviction(t *testing.T) {
 	gen := uint64(1)
 	for i := 0; i < flowWays*3; i++ {
 		key := flowKey{srcPort: uint16(i), version: 4}
-		fc.insert(0, key, gen, flowVerdict{out: "x", matched: true})
+		fc.insert(0, key, gen, 0)
 	}
 	if fc.Len() != flowWays {
 		t.Fatalf("occupancy %d, want %d", fc.Len(), flowWays)
@@ -182,7 +182,7 @@ func TestFlowCacheEviction(t *testing.T) {
 			t.Fatalf("flow %d should be resident", i)
 		}
 	}
-	fc.insert(0, flowKey{srcPort: 999, version: 4}, gen, flowVerdict{})
+	fc.insert(0, flowKey{srcPort: 999, version: 4}, gen, -1)
 	if _, ok := fc.probe(0, flowKey{srcPort: uint16(flowWays*2 + 1), version: 4}, gen); ok {
 		t.Fatal("least-recently-used entry survived eviction")
 	}
@@ -200,9 +200,9 @@ func TestFlowCacheRecencyWithinBatch(t *testing.T) {
 	key := func(i int) flowKey { return flowKey{srcPort: uint16(i), version: 4} }
 	v := fc.visit(gen, flowWays)
 	for i := 0; i < flowWays; i++ {
-		v.insert(0, key(i), flowVerdict{})
+		v.insert(0, key(i), -1)
 	}
-	fc.insert(0, key(999), gen, flowVerdict{})
+	fc.insert(0, key(999), gen, -1)
 	if _, ok := fc.probe(0, key(0), gen); ok {
 		t.Fatal("the batch's first flow survived the next eviction")
 	}

@@ -125,10 +125,13 @@ func SlabPackets(slab *buffers.Buffer, n int) []Packet {
 	return d
 }
 
-// View returns the cached filter view, extracting it on first use.
+// View returns the cached filter view, parsing it in place into the
+// packet on first use (filter.ExtractInto): no header struct and no View
+// is copied, and every field is rewritten, so a descriptor reused for
+// another frame keeps nothing of the last one.
 func (p *Packet) View() *filter.View {
 	if !p.viewOK {
-		p.view = filter.Extract(p.Data)
+		filter.ExtractInto(&p.view, p.Data)
 		p.viewOK = true
 	}
 	return &p.view
