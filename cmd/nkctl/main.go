@@ -32,7 +32,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"netkit/core"
 	"netkit/internal/control"
@@ -164,9 +163,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		for _, t := range stats {
-			fmt.Fprintf(out, "%-16s running=%v steps=%d work=%d spins=%d bell_wakes=%d timer_wakes=%d parks=%d jobs=%d busy=%v mem=%d peak=%d rejected=%d\n",
+			fmt.Fprintf(out, "%-16s running=%v steps=%d work=%d spins=%d bell_wakes=%d timer_wakes=%d parks=%d mem=%d peak=%d rejected=%d\n",
 				t.Name, t.Running, t.Steps, t.Work, t.Spins, t.BellWakes, t.TimerWakes, t.Parks,
-				t.Jobs, time.Duration(t.BusyNanos), t.MemUsed, t.MemPeak, t.Rejected)
+				t.MemUsed, t.MemPeak, t.Rejected)
 		}
 		return nil
 	case "stats":

@@ -41,6 +41,7 @@ type Receptacle[T any] struct {
 	cur   atomic.Pointer[T]
 	mu    sync.Mutex // serialises writers (capsule side)
 	bound bool
+	bell  chan<- struct{} // rung after every write; see RingOnChange
 }
 
 // NewReceptacle returns a receptacle requiring the interface identified by
@@ -75,6 +76,25 @@ func (r *Receptacle[T]) MustGet() T {
 // Bound reports whether the receptacle is connected.
 func (r *Receptacle[T]) Bound() bool { return r.cur.Load() != nil }
 
+// RingOnChange registers bell, which the receptacle rings without
+// blocking after every bind, unbind and reroute (interceptor install or
+// removal): how an owner asleep on its sources learns that one changed.
+func (r *Receptacle[T]) RingOnChange(bell chan<- struct{}) {
+	r.mu.Lock()
+	r.bell = bell
+	r.mu.Unlock()
+}
+
+// store publishes the connected value and rings the bell, if any.
+// Caller holds mu.
+func (r *Receptacle[T]) store(t *T) {
+	r.cur.Store(t)
+	select {
+	case r.bell <- struct{}{}:
+	default:
+	}
+}
+
 func (r *Receptacle[T]) bindAny(target any) error {
 	t, ok := target.(T)
 	if !ok {
@@ -86,7 +106,7 @@ func (r *Receptacle[T]) bindAny(target any) error {
 		return fmt.Errorf("core: bind %q: %w", r.iface, ErrAlreadyBound)
 	}
 	r.bound = true
-	r.cur.Store(&t)
+	r.store(&t)
 	return nil
 }
 
@@ -94,7 +114,7 @@ func (r *Receptacle[T]) unbindAny() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bound = false
-	r.cur.Store(nil)
+	r.store(nil)
 }
 
 func (r *Receptacle[T]) targetAny() any {
@@ -114,7 +134,7 @@ func (r *Receptacle[T]) reroute(v any) error {
 	if !r.bound {
 		return fmt.Errorf("core: reroute %q: %w", r.iface, ErrNotBound)
 	}
-	r.cur.Store(&t)
+	r.store(&t)
 	return nil
 }
 

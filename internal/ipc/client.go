@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -480,24 +481,38 @@ func (rc *RemoteComponent) PushBatch(batch []*router.Packet) error {
 }
 
 // send commits batch to the wire under one window credit per frame,
-// taking ownership of its packets. A batch that cannot be filed is retired
-// as dropped before send returns the read loop's error; one whose write
-// fails is retired by the read loop's sweep, so the next Flush counts it.
+// taking ownership of its packets. A frame ends where the next packet
+// would pass maxFramePackets or maxFramePayload; each frame is sent and
+// accounted however the ones before it fared, and send returns the first
+// error. A packet no frame can carry is dropped and counted, not sent,
+// so the host never sees a frame it must refuse.
 func (rc *RemoteComponent) send(batch []*router.Packet) error {
-	if len(batch) > maxFramePackets {
-		// One frame per maxFramePackets; the rest is sent and accounted
-		// however the first frame fared.
-		err := rc.send(batch[:maxFramePackets])
-		return cmp.Or(err, rc.send(batch[maxFramePackets:]))
+	var err error
+	for len(batch) > 0 {
+		// count | name | count × (len | payload)
+		k, room := 0, maxFramePayload-6-len(rc.remote)
+		for k < len(batch) && k < maxFramePackets && 4+len(batch[k].Data) <= room {
+			room -= 4 + len(batch[k].Data)
+			k++
+		}
+		if k == 0 {
+			batch[0].Release()
+			rc.dropped.Add(1)
+			batch = batch[1:]
+			continue
+		}
+		err = cmp.Or(err, rc.sendFrame(batch[:k], maxFramePayload-room))
+		batch = batch[k:]
 	}
+	return err
+}
+
+// sendFrame sends batch as one frame with a size-byte payload; see send.
+func (rc *RemoteComponent) sendFrame(batch []*router.Packet, size int) error {
 	n := uint32(len(batch))
-	if n == 0 {
-		return nil
-	}
-	// Serialise first, so packets are released before blocking on credit:
-	// count | name | count × (len | payload).
+	// Serialise first, so packets are released before blocking on credit.
 	fp := getFrame()
-	buf := beginFrame((*fp)[:0], frameBatch)
+	buf := beginFrame(slices.Grow((*fp)[:0], 5+size), frameBatch)
 	buf = appendU32(buf, n)
 	buf = appendStr(buf, rc.remote)
 	total := 0

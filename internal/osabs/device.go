@@ -9,6 +9,7 @@
 package osabs
 
 import (
+	"context"
 	"fmt"
 
 	"netkit/core"
@@ -37,16 +38,17 @@ import (
 // Every device is done with the caller's frame bytes when SendBatch
 // returns: it has copied them or sent them.
 //
-// A device may also offer a doorbell, Doorbell() <-chan struct{}, rung
-// whenever a frame arrives and on Close (the in-memory NIC and
-// KernelChannel do). A receiver whose poll came back empty may sleep on
-// it instead of on a timer.
+// Wait is how a receiver whose poll came back empty sleeps, with no
+// timer: it returns once RecvBatchInto may find a frame, the device has
+// closed, or ctx has ended. It may return early and reports nothing.
 type Device interface {
 	// Name returns the device name (the stats-tree and InPort label).
 	Name() string
 	// RecvBatchInto appends up to max frames to dst; see the contract
 	// above.
 	RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buffer, error)
+	// Wait sleeps until a receive may find a frame; see above.
+	Wait(ctx context.Context)
 	// SendBatch queues frames in order, returning the accepted count.
 	SendBatch(frames [][]byte) (int, error)
 	// StatList reports device counters in the uniform core.Stat form.

@@ -8,6 +8,7 @@
 package osabs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -122,6 +123,14 @@ func (r *frameRing) drainInto(dst [][]byte, max int) ([][]byte, error) {
 	return dst, nil
 }
 
+// wait returns once the doorbell rings or ctx ends.
+func (r *frameRing) wait(ctx context.Context) {
+	select {
+	case <-r.bell:
+	case <-ctx.Done():
+	}
+}
+
 // ring leaves a token on the doorbell unless one is already waiting.
 func (r *frameRing) ring() {
 	select {
@@ -197,9 +206,8 @@ func (n *NIC) DrainTx() ([]byte, error) {
 	return nil, ErrEmpty
 }
 
-// Doorbell is rung whenever a frame lands on the RX ring and on Close;
-// a receiver whose poll came back empty may sleep on it.
-func (n *NIC) Doorbell() <-chan struct{} { return n.rx.bell }
+// Wait implements Device on the RX ring's doorbell.
+func (n *NIC) Wait(ctx context.Context) { n.rx.wait(ctx) }
 
 // Close shuts the device. Frames already queued on the RX ring remain
 // drainable; subsequent injects, sends and post-drain receives report
@@ -303,9 +311,8 @@ func (k *KernelChannel) GetBatchInto(dst [][]byte, max int) [][]byte {
 	return dst
 }
 
-// Doorbell is rung whenever a frame lands and on Close; a receiver whose
-// poll came back empty may sleep on it.
-func (k *KernelChannel) Doorbell() <-chan struct{} { return k.r.bell }
+// Wait implements Device on the channel's doorbell.
+func (k *KernelChannel) Wait(ctx context.Context) { k.r.wait(ctx) }
 
 // Close shuts the channel; frames already queued remain drainable.
 func (k *KernelChannel) Close() error {

@@ -1,10 +1,12 @@
 package osabs
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNICValidation(t *testing.T) {
@@ -108,9 +110,9 @@ func TestNICClose(t *testing.T) {
 	}
 }
 
-// TestNICDoorbell: a receiver that found the ring empty sleeps on the
-// doorbell and wakes to the injected frame; tokens never pile up beyond
-// one, and Close rings so a sleeper wakes to ErrClosed.
+// TestNICDoorbell: a receiver that found the ring empty sleeps in Wait
+// and wakes to the injected frame; doorbell tokens never pile up beyond
+// one, and Close rings so a waiter wakes to ErrClosed.
 func TestNICDoorbell(t *testing.T) {
 	n, err := NewNIC("eth0", 2, 2)
 	if err != nil {
@@ -128,7 +130,7 @@ func TestNICDoorbell(t *testing.T) {
 				done <- f[0]
 				return
 			}
-			<-n.Doorbell()
+			n.Wait(context.Background())
 		}
 	}()
 	if err := n.Inject([]byte{7}); err != nil {
@@ -142,20 +144,20 @@ func TestNICDoorbell(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(n.Doorbell()); got != 1 {
+	if got := len(n.rx.bell); got != 1 {
 		t.Fatalf("doorbell holds %d tokens, want 1", got)
 	}
-	<-n.Doorbell()
+	n.Wait(context.Background())
 	if err := n.Send([]byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Doorbell()); got != 0 {
+	if got := len(n.rx.bell); got != 0 {
 		t.Fatal("a TX send rang the RX doorbell")
 	}
 	n.Close()
-	select {
-	case <-n.Doorbell():
-	default:
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if n.Wait(ctx); ctx.Err() != nil {
 		t.Fatal("Close did not ring the doorbell")
 	}
 }
@@ -224,7 +226,7 @@ func TestKernelChannelCloseUnderPutters(t *testing.T) {
 				return
 			}
 			if len(got) == 0 {
-				<-k.Doorbell()
+				k.Wait(context.Background())
 			}
 		}
 	}()

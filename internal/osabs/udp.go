@@ -13,6 +13,7 @@
 package osabs
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -32,7 +33,7 @@ const (
 	// maxUDPBatch bounds scratch vector sizes.
 	maxUDPBatch = 512
 	// portablePollWait bounds how long the portable backend's first read
-	// of a poll may wait for a datagram; the mmsg backend never waits.
+	// of a poll may wait for a datagram; the mmsg backend waits in Wait.
 	portablePollWait = 100 * time.Microsecond
 )
 
@@ -86,10 +87,11 @@ func (c UDPConfig) withDefaults() UDPConfig {
 // datagram the kernel cut to fit its region. It must not block beyond a
 // short bounded poll. sendBatch transmits frames in order, returning how
 // many the kernel accepted, the syscalls spent and the GSO trains among
-// the messages sent.
+// the messages sent. wait is Device.Wait.
 type udpSocket interface {
 	recvInto(slab []byte, fs int, lens []int) (n, syscalls int, kdrops uint64, err error)
 	sendBatch(frames [][]byte) (sent, syscalls, trains int, err error)
+	wait(ctx context.Context)
 	localAddr() string
 	close() error
 }
@@ -246,6 +248,10 @@ func (d *UDPDevice) RecvBatchInto(dst [][]byte, max int) ([][]byte, *buffers.Buf
 	d.rxBytes.Add(bytes)
 	return dst, slab, nil
 }
+
+// Wait implements Device: the mmsg backend parks in Go's poller; the
+// portable one returns at once, as its poll already waits.
+func (d *UDPDevice) Wait(ctx context.Context) { d.sock.wait(ctx) }
 
 // SendBatch implements Device: the whole batch is offered to the kernel
 // in as few syscalls as the backend manages; frames the kernel refuses

@@ -10,15 +10,18 @@
 // cut to fit its region (MSG_TRUNC) is reported, not handed up. On send,
 // each run of equal-size frames rides one UDP_SEGMENT message (a GSO
 // train): the kernel walks its IP/UDP stack once for the run and splits
-// the skb into datagrams afterwards.
+// the skb into datagrams afterwards. The fd lives in an *os.File
+// registered with Go's poller, whose fd reference fences Close.
 package osabs
 
 import (
+	"context"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
-	"sync"
 	"syscall"
+	"time"
 	"unsafe"
 )
 
@@ -51,25 +54,24 @@ const (
 )
 
 type mmsgSocket struct {
-	fd        int
+	fd        int // for socket options; syscalls that race Close run under raw
+	file      *os.File
+	raw       syscall.RawConn
 	local     string
 	connected bool
-
-	// opMu fences in-flight syscalls against close so the fd number can
-	// never be recycled under a live recvmmsg/sendmmsg.
-	opMu   sync.RWMutex
-	closed bool
 
 	// Receiver-goroutine-owned scratch.
 	rhdrs []mmsghdr
 	riovs []syscall.Iovec
 	rctrl []byte
+	rx    mmsgCall
 	// Transmitter-goroutine-owned scratch: message i carries scount[i]
 	// frames, and a train's UDP_SEGMENT cmsg sits at sctrl[i*txCtrlSpace].
 	shdrs  []mmsghdr
 	siovs  []syscall.Iovec
 	sctrl  []byte
 	scount []int
+	tx     mmsgCall
 	// noGSO is set once the kernel refuses a train (or does not know
 	// UDP_SEGMENT); every later message is plain. Transmitter-owned.
 	noGSO bool
@@ -126,20 +128,51 @@ func newMmsgSocket(cfg UDPConfig) (udpSocket, error, bool) {
 		return fail(fmt.Errorf("osabs: udp getsockname: %w", err))
 	}
 	b4 := bound.(*syscall.SockaddrInet4)
-	s := &mmsgSocket{
-		fd:    fd,
-		local: fmt.Sprintf("%s:%d", net.IP(b4.Addr[:]).String(), b4.Port),
-		noGSO: noGSO,
-	}
+	local := fmt.Sprintf("%s:%d", net.IP(b4.Addr[:]).String(), b4.Port)
 	if raddr != nil {
 		rsa := &syscall.SockaddrInet4{Port: raddr.Port}
 		copy(rsa.Addr[:], raddr.IP.To4())
 		if err := syscall.Connect(fd, rsa); err != nil {
 			return fail(fmt.Errorf("osabs: udp connect %s: %w", cfg.Peer, err))
 		}
-		s.connected = true
 	}
+	// The fd is non-blocking, so NewFile registers it with the poller.
+	file := os.NewFile(uintptr(fd), "udp:"+local)
+	raw, _ := file.SyscallConn() // fails only on a nil *os.File
+	s := &mmsgSocket{
+		fd: fd, file: file, raw: raw, local: local, connected: raddr != nil, noGSO: noGSO,
+		rx: mmsgCall{trap: sysRecvmmsg, flags: syscall.MSG_DONTWAIT},
+		tx: mmsgCall{trap: sysSendmmsg},
+	}
+	s.rx.do, s.tx.do = s.rx.call, s.tx.call
 	return s, nil, true
+}
+
+// mmsgCall is one recvmmsg or sendmmsg, run under RawConn.Control with
+// its arguments and result kept here, so do (bound once) allocates
+// nothing.
+type mmsgCall struct {
+	trap, flags, n, r uintptr
+	hdrs              *mmsghdr
+	errno             syscall.Errno
+	do                func(fd uintptr)
+}
+
+func (c *mmsgCall) call(fd uintptr) {
+	c.r, _, c.errno = syscall.Syscall6(c.trap, fd, uintptr(unsafe.Pointer(c.hdrs)), c.n, c.flags, 0, 0)
+}
+
+// run makes the call over n messages from hdrs while the poller holds
+// the fd. Control fails only once the file is closed: ErrClosed.
+func (s *mmsgSocket) run(c *mmsgCall, hdrs *mmsghdr, n int) (int, error) {
+	c.hdrs, c.n = hdrs, uintptr(n)
+	if err := s.raw.Control(c.do); err != nil {
+		return 0, ErrClosed
+	}
+	if c.errno != 0 {
+		return 0, c.errno
+	}
+	return int(c.r), nil
 }
 
 // growRecv sizes the receive scratch vectors for n messages.
@@ -154,11 +187,6 @@ func (s *mmsgSocket) growRecv(n int) {
 }
 
 func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64, error) {
-	s.opMu.RLock()
-	defer s.opMu.RUnlock()
-	if s.closed {
-		return 0, 0, 0, ErrClosed
-	}
 	n := len(lens)
 	s.growRecv(n)
 	for i := 0; i < n; i++ {
@@ -174,20 +202,14 @@ func (s *mmsgSocket) recvInto(slab []byte, fs int, lens []int) (int, int, uint64
 		h.Flags = 0
 		s.rhdrs[i].n = 0
 	}
-	r, _, errno := syscall.Syscall6(sysRecvmmsg,
-		uintptr(s.fd), uintptr(unsafe.Pointer(&s.rhdrs[0])), uintptr(n),
-		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	got, err := s.run(&s.rx, &s.rhdrs[0], n)
 	runtime.KeepAlive(slab)
-	if errno != 0 {
-		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK || errno == syscall.EINTR {
-			return 0, 1, 0, nil
-		}
-		if errno == syscall.EBADF {
-			return 0, 1, 0, ErrClosed
-		}
-		return 0, 1, 0, errno
+	if err == syscall.EAGAIN || err == syscall.EINTR {
+		return 0, 1, 0, nil
 	}
-	got := int(r)
+	if err != nil {
+		return 0, 1, 0, err
+	}
 	var kdrops uint64
 	for i := 0; i < got; i++ {
 		lens[i] = int(s.rhdrs[i].n)
@@ -274,11 +296,6 @@ func (s *mmsgSocket) layoutSend(frames [][]byte) int {
 }
 
 func (s *mmsgSocket) sendBatch(frames [][]byte) (int, int, int, error) {
-	s.opMu.RLock()
-	defer s.opMu.RUnlock()
-	if s.closed {
-		return 0, 0, 0, ErrClosed
-	}
 	if !s.connected {
 		return 0, 0, 0, fmt.Errorf("osabs: udp %s: send without a peer", s.local)
 	}
@@ -287,55 +304,65 @@ func (s *mmsgSocket) sendBatch(frames [][]byte) (int, int, int, error) {
 	msgs := s.layoutSend(frames)
 	sent, done, syscalls, trains := 0, 0, 0, 0
 	for done < msgs {
-		r, _, errno := syscall.Syscall6(sysSendmmsg,
-			uintptr(s.fd), uintptr(unsafe.Pointer(&s.shdrs[done])), uintptr(msgs-done), 0, 0, 0)
+		r, err := s.run(&s.tx, &s.shdrs[done], msgs-done)
+		if err == ErrClosed {
+			return sent, syscalls, trains, err
+		}
 		syscalls++
-		if errno != 0 {
-			if errno == syscall.EINTR {
-				continue
-			}
-			if (errno == syscall.EINVAL || errno == syscall.EIO) && s.scount[done] > 1 {
-				// The kernel will not segment for this socket (no
-				// checksum offload, SO_NO_CHECK, MTU): the refused train
-				// and everything after it go out plain, for good.
-				s.noGSO = true
-				msgs, done = s.layoutSend(frames[sent:]), 0
-				continue
-			}
-			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK ||
-				errno == syscall.ENOBUFS || errno == syscall.ECONNREFUSED {
-				// Buffer pressure (or a not-yet-listening peer's ICMP
-				// bounce on a connected socket): the remainder drops,
-				// exactly as a full TX ring drops.
-				break
-			}
-			if errno == syscall.EBADF {
-				return sent, syscalls, trains, ErrClosed
-			}
-			return sent, syscalls, trains, errno
+		if err == syscall.EINTR {
+			continue
+		}
+		if (err == syscall.EINVAL || err == syscall.EIO) && s.scount[done] > 1 {
+			// The kernel will not segment for this socket (no checksum
+			// offload, SO_NO_CHECK, MTU): the refused train and
+			// everything after it go out plain, for good.
+			s.noGSO = true
+			msgs, done = s.layoutSend(frames[sent:]), 0
+			continue
+		}
+		if err == syscall.EAGAIN || err == syscall.ENOBUFS || err == syscall.ECONNREFUSED {
+			// Buffer pressure (or a not-yet-listening peer's ICMP bounce
+			// on a connected socket): the remainder drops, exactly as a
+			// full TX ring drops.
+			break
+		}
+		if err != nil {
+			return sent, syscalls, trains, err
 		}
 		if r == 0 {
 			break
 		}
-		for _, c := range s.scount[done : done+int(r)] {
+		for _, c := range s.scount[done : done+r] {
 			sent += c
 			if c > 1 {
 				trains++
 			}
 		}
-		done += int(r)
+		done += r
 	}
 	return sent, syscalls, trains, nil
 }
 
 func (s *mmsgSocket) localAddr() string { return s.local }
 
-func (s *mmsgSocket) close() error {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return syscall.Close(s.fd)
+// wait parks in the poller until the socket is readable, the file
+// closes or ctx ends. RawConn.Read re-arms readiness, then tries
+// peekQueue before it parks, so a datagram that landed after the last
+// empty poll ends the wait at once. ctx ends it by a read deadline in
+// the past, which recvInto (under Control) never sees.
+func (s *mmsgSocket) wait(ctx context.Context) {
+	_ = s.file.SetReadDeadline(time.Time{})
+	stop := context.AfterFunc(ctx, func() { _ = s.file.SetReadDeadline(time.Unix(1, 0)) })
+	_ = s.raw.Read(peekQueue)
+	stop()
 }
+
+// peekQueue reports whether a receive may find something: a zero-length
+// MSG_PEEK receive answers EAGAIN only on an empty queue.
+func peekQueue(fd uintptr) bool {
+	_, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, 0,
+		syscall.MSG_PEEK|syscall.MSG_DONTWAIT, 0, 0)
+	return errno != syscall.EAGAIN
+}
+
+func (s *mmsgSocket) close() error { return s.file.Close() }

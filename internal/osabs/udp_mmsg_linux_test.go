@@ -4,6 +4,7 @@ package osabs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"syscall"
@@ -198,5 +199,74 @@ func TestUDPSendRacesClose(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestUDPWaitWakesAfterEmptyPoll: a datagram that lands after an empty
+// poll ends the Wait that follows it, whether it landed before the wait
+// began or while it sleeps. Either would be a lost wake if the wait
+// trusted the poller's readiness without trying the socket.
+func TestUDPWaitWakesAfterEmptyPoll(t *testing.T) {
+	tx, rx := udpPair(t, false, false, 8)
+	frame := [][]byte{[]byte("wake")}
+	for i := 0; i < 1000; i++ {
+		if got, _, err := rx.RecvBatchInto(nil, 8); len(got) != 0 || err != nil {
+			t.Fatalf("round %d: poll before the send: %d frames, %v", i, len(got), err)
+		}
+		send := func() {
+			if n, err := tx.SendBatch(frame); n != 1 || err != nil {
+				t.Errorf("round %d: send %d, %v", i, n, err)
+			}
+		}
+		sent := make(chan struct{})
+		if i%2 == 0 {
+			send()
+			close(sent)
+		} else {
+			go func() { send(); close(sent) }()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		rx.Wait(ctx)
+		expired := ctx.Err() != nil
+		cancel()
+		<-sent
+		if expired {
+			t.Fatalf("round %d: a datagram after an empty poll did not end Wait", i)
+		}
+		if got := recvAll(t, rx, 1, time.Second); len(got) != 1 {
+			t.Fatalf("round %d: received %d frames after the wake", i, len(got))
+		}
+	}
+}
+
+// TestUDPWaitEnds: an idle Wait ends when its ctx is cancelled, at once
+// on a ctx already done, and when the device closes. The interrupt does
+// not fail the polls that follow it.
+func TestUDPWaitEnds(t *testing.T) {
+	tx, rx := udpPair(t, false, false, 8)
+	returned := func(name string, wait func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: Wait did not return", name)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	returned("cancelled while waiting", func() { rx.Wait(ctx) })
+	returned("already cancelled", func() { rx.Wait(ctx) })
+	if _, err := tx.SendBatch([][]byte{[]byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvAll(t, rx, 1, time.Second); len(got) != 1 {
+		t.Fatalf("a poll after an interrupted wait received %d frames", len(got))
+	}
+	time.AfterFunc(20*time.Millisecond, func() { _ = rx.Close() })
+	returned("device closed", func() { rx.Wait(context.Background()) })
+	if _, _, err := rx.RecvBatchInto(nil, 8); !errors.Is(err, ErrClosed) {
+		t.Fatalf("recv after close: %v, want ErrClosed", err)
 	}
 }

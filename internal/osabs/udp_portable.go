@@ -83,6 +83,9 @@ func (s *portableSocket) recvInto(slab []byte, fs int, lens []int) (int, int, ui
 	return n, n, 0, nil
 }
 
+// wait returns at once: recvInto's first read does the waiting.
+func (s *portableSocket) wait(context.Context) {}
+
 func (s *portableSocket) sendBatch(frames [][]byte) (int, int, int, error) {
 	if s.peer == nil {
 		return 0, 0, 0, fmt.Errorf("osabs: udp %s: send without a peer", s.local)

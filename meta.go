@@ -58,8 +58,8 @@ func (m *MetaSpace) Interception() *InterceptionMeta {
 	return &InterceptionMeta{capsule: m.capsule}
 }
 
-// Resources returns the capsule's resources meta-model: the task table,
-// worker pools and abstract resource capacities scoped to this capsule.
+// Resources returns the capsule's resources meta-model: the task table
+// and abstract resource capacities scoped to this capsule.
 // The Manager is created on first access and shared by every MetaSpace
 // handle onto the same capsule; the association is dropped when the
 // capsule closes, so closed capsules are not retained by the facade.

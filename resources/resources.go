@@ -5,12 +5,12 @@
 // architecture — a task may account for work spanning many components, and
 // one component may serve many tasks.
 //
-// "Resources" subsume threads (worker pools with pluggable schedulers),
-// memory (byte budgets charged/released around allocations), network
-// bandwidth (token buckets) and abstract application-defined units of
-// allocation (named counted capacities).
+// "Resources" subsume threads (tasks' loops, with pluggable schedulers
+// for work items), memory (byte budgets charged/released around
+// allocations), network bandwidth (token buckets) and abstract
+// application-defined units of allocation (named counted capacities).
 //
-// Tasks also own threads: Task.Start runs a loop on a pprof-labelled
+// Tasks own threads: Task.Start runs a loop on a pprof-labelled
 // goroutine and Task.Stop cancels and joins it. Every long-running
 // data-plane goroutine is such a task, made with NewTask by the component
 // that owns it and listed through its Tasks method. Task.Run drives a
@@ -40,7 +40,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Sentinel errors.
@@ -51,8 +50,6 @@ var (
 	ErrTaskNotFound = errors.New("resources: task not found")
 	// ErrBudgetExceeded indicates a memory/abstract charge above budget.
 	ErrBudgetExceeded = errors.New("resources: budget exceeded")
-	// ErrPoolStopped indicates a submit to a stopped pool.
-	ErrPoolStopped = errors.New("resources: pool stopped")
 	// ErrNoSuchResource indicates an unknown abstract resource name.
 	ErrNoSuchResource = errors.New("resources: no such abstract resource")
 )
@@ -67,8 +64,6 @@ type Task struct {
 	memBudget int64 // bytes; 0 = unlimited
 	memUsed   atomic.Int64
 
-	jobs     atomic.Uint64 // work items completed
-	busy     atomic.Int64  // cumulative execution time, ns
 	memPeak  atomic.Int64
 	rejected atomic.Uint64 // charges refused
 
@@ -80,6 +75,9 @@ type Task struct {
 	done  chan struct{}      // closed as the loop returns
 	fence chan parkReq       // Run's park requests; nil under Start
 	live  atomic.Bool
+
+	epochMu  sync.Mutex
+	endEpoch context.CancelFunc // ends a Wait-form Run task's current Wait
 
 	steps, work, spins, bellWakes, timerWakes, parks atomic.Uint64 // Run's
 }
@@ -184,8 +182,6 @@ func (t *Task) ReleaseMemory(n int64) {
 // Run's counters, cumulative across restarts.
 type TaskStats struct {
 	Name                                             string
-	Jobs                                             uint64
-	BusyNanos                                        int64
 	MemUsed                                          int64
 	MemPeak                                          int64
 	Rejected                                         uint64
@@ -197,8 +193,6 @@ type TaskStats struct {
 func (t *Task) Stats() TaskStats {
 	return TaskStats{
 		Name:       t.name,
-		Jobs:       t.jobs.Load(),
-		BusyNanos:  t.busy.Load(),
 		MemUsed:    t.memUsed.Load(),
 		MemPeak:    t.memPeak.Load(),
 		Rejected:   t.rejected.Load(),
@@ -210,12 +204,6 @@ func (t *Task) Stats() TaskStats {
 		TimerWakes: t.timerWakes.Load(),
 		Parks:      t.parks.Load(),
 	}
-}
-
-// recordRun is called by worker pools after executing an item.
-func (t *Task) recordRun(d time.Duration) {
-	t.jobs.Add(1)
-	t.busy.Add(int64(d))
 }
 
 // TaskSpec configures a new task.

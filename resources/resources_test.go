@@ -353,172 +353,6 @@ func TestQuickSchedulerConservation(t *testing.T) {
 	}
 }
 
-// ---- pool ------------------------------------------------------------------------
-
-func TestPoolExecutesAndAccounts(t *testing.T) {
-	m := NewManager()
-	task := mustTask(t, m, TaskSpec{Name: "t"})
-	p, err := NewPool(4, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	count := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		if err := p.Submit(task, func() {
-			defer wg.Done()
-			mu.Lock()
-			count++
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	p.Stop(false)
-	if count != 100 {
-		t.Fatalf("count = %d", count)
-	}
-	if task.Stats().Jobs != 100 {
-		t.Fatalf("jobs = %d", task.Stats().Jobs)
-	}
-}
-
-func TestPoolStopDrain(t *testing.T) {
-	m := NewManager()
-	task := mustTask(t, m, TaskSpec{Name: "t"})
-	p, err := NewPool(1, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	ran := 0
-	block := make(chan struct{})
-	if err := p.Submit(task, func() { <-block }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := p.Submit(task, func() {
-			mu.Lock()
-			ran++
-			mu.Unlock()
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(block)
-	p.Stop(true)
-	mu.Lock()
-	defer mu.Unlock()
-	if ran != 10 {
-		t.Fatalf("drained %d of 10", ran)
-	}
-}
-
-func TestPoolStopAbandons(t *testing.T) {
-	m := NewManager()
-	task := mustTask(t, m, TaskSpec{Name: "t"})
-	p, err := NewPool(1, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	started := make(chan struct{})
-	if err := p.Submit(task, func() { close(started); <-release }); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	var ran sync.Map
-	for i := 0; i < 5; i++ {
-		if err := p.Submit(task, func() { ran.Store("x", true) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	p.Stop(false)
-	if _, found := ran.Load("x"); found && p.Pending() == 0 {
-		// Some queued work may have raced in before stop; that's acceptable —
-		// the assertion is that Stop returned with all workers exited.
-		return
-	}
-}
-
-func TestPoolSubmitAfterStop(t *testing.T) {
-	m := NewManager()
-	task := mustTask(t, m, TaskSpec{Name: "t"})
-	p, err := NewPool(1, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Stop(false)
-	if err := p.Submit(task, func() {}); !errors.Is(err, ErrPoolStopped) {
-		t.Fatalf("want ErrPoolStopped, got %v", err)
-	}
-	p.Stop(false) // idempotent
-}
-
-func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(0, NewFIFOScheduler()); err == nil {
-		t.Fatal("want error for 0 workers")
-	}
-	if _, err := NewPool(1, nil); err == nil {
-		t.Fatal("want error for nil scheduler")
-	}
-	m := NewManager()
-	task := mustTask(t, m, TaskSpec{Name: "t"})
-	p, err := NewPool(1, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop(false)
-	if err := p.Submit(nil, func() {}); err == nil {
-		t.Fatal("want error for nil task")
-	}
-	if err := p.Submit(task, nil); err == nil {
-		t.Fatal("want error for nil fn")
-	}
-}
-
-func TestPoolSwapSchedulerUnderLoad(t *testing.T) {
-	m := NewManager()
-	task := mustTask(t, m, TaskSpec{Name: "t"})
-	p, err := NewPool(2, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		if err := p.Submit(task, func() { defer wg.Done(); time.Sleep(time.Microsecond) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.SwapScheduler(NewWFQScheduler()); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.SchedulerName(); got != "wfq" {
-		t.Fatalf("scheduler = %q", got)
-	}
-	wg.Wait()
-	p.Stop(false)
-	if task.Stats().Jobs != 200 {
-		t.Fatalf("jobs = %d: items lost across swap", task.Stats().Jobs)
-	}
-}
-
-func TestPoolSwapNil(t *testing.T) {
-	p, err := NewPool(1, NewFIFOScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop(false)
-	if err := p.SwapScheduler(nil); err == nil {
-		t.Fatal("want error")
-	}
-}
-
 // ---- token bucket -------------------------------------------------------------------
 
 func TestTokenBucketConformance(t *testing.T) {

@@ -6,13 +6,12 @@ import "container/heap"
 type WorkItem struct {
 	Task *Task
 	Run  func()
-	seq  uint64 // FIFO tie-break, assigned by the pool
+	seq  uint64 // FIFO tie-break, assigned by Push
 }
 
-// Scheduler orders work items for a worker pool. Implementations are the
-// "pluggable schedulers" of the paper's thread-management CF: the pool is
-// configured with one at construction and it can be swapped while quiesced.
-// Schedulers are NOT safe for concurrent use; the pool serialises access.
+// Scheduler orders work items. Implementations are the "pluggable
+// schedulers" of the paper's thread-management CF. Schedulers are NOT
+// safe for concurrent use; the caller serialises access.
 type Scheduler interface {
 	// Name identifies the policy ("fifo", "priority", "wfq").
 	Name() string
@@ -61,7 +60,8 @@ func (s *FIFOScheduler) Len() int { return len(s.q) }
 // PriorityScheduler serves the highest task priority first; FIFO within a
 // priority level.
 type PriorityScheduler struct {
-	h prioHeap
+	h   prioHeap
+	seq uint64
 }
 
 // NewPriorityScheduler returns an empty priority policy.
@@ -71,7 +71,11 @@ func NewPriorityScheduler() *PriorityScheduler { return &PriorityScheduler{} }
 func (s *PriorityScheduler) Name() string { return "priority" }
 
 // Push implements Scheduler.
-func (s *PriorityScheduler) Push(it *WorkItem) { heap.Push(&s.h, it) }
+func (s *PriorityScheduler) Push(it *WorkItem) {
+	s.seq++
+	it.seq = s.seq
+	heap.Push(&s.h, it)
+}
 
 // Pop implements Scheduler.
 func (s *PriorityScheduler) Pop() *WorkItem {
@@ -120,6 +124,7 @@ type WFQScheduler struct {
 	pass   map[*Task]uint64
 	global uint64 // min pass floor so newly-busy tasks don't starve others
 	n      int
+	seq    uint64
 }
 
 // NewWFQScheduler returns an empty weighted-fair policy.
@@ -135,6 +140,8 @@ func (s *WFQScheduler) Name() string { return "wfq" }
 
 // Push implements Scheduler.
 func (s *WFQScheduler) Push(it *WorkItem) {
+	s.seq++
+	it.seq = s.seq
 	q := s.queues[it.Task]
 	if len(q) == 0 {
 		// Task becomes runnable: charge it at least the global floor so it

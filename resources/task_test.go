@@ -140,11 +140,12 @@ func TestTaskRunSpinsThenParksOnce(t *testing.T) {
 func TestTaskRunArmsBeforeEveryPark(t *testing.T) {
 	task := NewTask("arm")
 	var arms, early atomic.Uint64
-	task.Run(idleStep, Idle{Fallback: time.Millisecond, Arm: func() {
+	task.Run(idleStep, Idle{Fallback: time.Millisecond, Arm: func() bool {
 		if task.Stats().Parks != arms.Load() {
 			early.Add(1)
 		}
 		arms.Add(1)
+		return true
 	}})
 	waitFor(t, "three parks", func() bool { return task.Stats().Parks >= 3 })
 	task.Stop()
@@ -299,4 +300,158 @@ func TestTaskParkNeverStarted(t *testing.T) {
 		t.Fatalf("Park on tasks that are not running: %v", err)
 	}
 	resume()
+}
+
+// waitSource is work a Wait-form task sleeps on: offer adds one unit and
+// wakes the waiter.
+type waitSource struct {
+	bell    chan struct{}
+	backlog atomic.Int64
+}
+
+func newWaitSource() *waitSource { return &waitSource{bell: make(chan struct{}, 1)} }
+
+func (s *waitSource) offer() {
+	s.backlog.Add(1)
+	select {
+	case s.bell <- struct{}{}:
+	default:
+	}
+}
+
+func (s *waitSource) step(context.Context) (int, error) {
+	if s.backlog.Load() > 0 {
+		s.backlog.Add(-1)
+		return 1, nil
+	}
+	return 0, nil
+}
+
+func (s *waitSource) wait(ctx context.Context) {
+	select {
+	case <-s.bell:
+	case <-ctx.Done():
+	}
+}
+
+// returns fails the test unless fn returns within two seconds.
+func returns(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { fn(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestTaskWaitCountsSourceWakes: a Wait that the source ends counts as a
+// bell wake; one that Park ends does not.
+func TestTaskWaitCountsSourceWakes(t *testing.T) {
+	src := newWaitSource()
+	task := NewTask("wait")
+	task.Run(src.step, Idle{Wait: src.wait})
+	defer task.Stop()
+	for i := uint64(1); i <= 5; i++ {
+		waitFor(t, "a park", func() bool { return task.Stats().Parks == i })
+		src.offer()
+		waitFor(t, "the offered work", func() bool { return task.Stats().Work == i })
+	}
+	resume, err := Park(context.Background(), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume()
+	if st := task.Stats(); st.BellWakes != 5 || st.TimerWakes != 0 {
+		t.Fatalf("bell wakes %d, timer wakes %d, want 5 and 0", st.BellWakes, st.TimerWakes)
+	}
+}
+
+// TestTaskWaitEndsOnPark: Park ends the Wait of an idle task, which then
+// runs no step until resume, and Stop ends a waiting task promptly.
+func TestTaskWaitEndsOnPark(t *testing.T) {
+	src := newWaitSource()
+	task := NewTask("wait")
+	task.Run(src.step, Idle{Wait: src.wait})
+	waitFor(t, "an idle wait", func() bool { return task.Stats().Parks == 1 })
+	var resume func()
+	returns(t, "Park of a waiting task", func() {
+		var err error
+		if resume, err = Park(context.Background(), task); err != nil {
+			t.Error(err)
+		}
+	})
+	if resume == nil {
+		t.FailNow()
+	}
+	steps := task.Stats().Steps
+	src.offer()
+	time.Sleep(10 * time.Millisecond)
+	if got := task.Stats().Steps; got != steps {
+		t.Fatalf("a parked task ran %d steps", got-steps)
+	}
+	resume()
+	waitFor(t, "the work offered while parked", func() bool { return task.Stats().Work == 1 })
+	waitFor(t, "the next wait", func() bool { return task.Stats().Parks >= 2 })
+	returns(t, "Stop of a waiting task", task.Stop)
+}
+
+// TestTaskWaitRacesParkAndStop: Park and Stop land while the task is on
+// its way into Wait, and neither is lost.
+func TestTaskWaitRacesParkAndStop(t *testing.T) {
+	wait := func(ctx context.Context) { <-ctx.Done() }
+	for i := 0; i < 50; i++ {
+		task := NewTask("race")
+		task.Run(idleStep, Idle{Wait: wait})
+		returns(t, "Park racing the first Wait", func() {
+			resume, err := Park(context.Background(), task)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resume()
+		})
+		returns(t, "Park racing a Wait after resume", func() {
+			resume, err := Park(context.Background(), task)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resume()
+		})
+		returns(t, "Stop racing a Wait", task.Stop)
+	}
+}
+
+// TestTaskWaitSurvivesExpiredPark: Park requests that expire, before or
+// after the waiting task took them, leave it able to wait, to work and
+// to park again.
+func TestTaskWaitSurvivesExpiredPark(t *testing.T) {
+	src := newWaitSource()
+	task := NewTask("wait")
+	task.Run(src.step, Idle{Wait: src.wait})
+	defer task.Stop()
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		// A task quick enough to park before Park sees ctx wins the race.
+		if resume, err := Park(expired, task); err == nil {
+			resume()
+		} else if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Park on a cancelled ctx: %v", err)
+		}
+	}
+	src.offer()
+	waitFor(t, "work after expired Parks", func() bool { return task.Stats().Work == 1 })
+	returns(t, "Park after expired Parks", func() {
+		resume, err := Park(context.Background(), task)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resume()
+	})
+	src.offer()
+	waitFor(t, "work after the Park", func() bool { return task.Stats().Work == 2 })
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"netkit/core"
 	"netkit/internal/buffers"
@@ -24,20 +23,13 @@ type PumpConfig struct {
 	Spin int
 }
 
-// pumpPark is how long an exhausted pump over a device without a
-// doorbell sleeps before polling again. It is a timer request, not a
-// bound: the OS rounds short sleeps up to its timer slack, and a 50µs
-// park has been measured at about 1ms on a loaded 2-vCPU VM. A pump that
-// must wake faster after an idle period needs a Spin budget.
-const pumpPark = 50 * time.Microsecond
-
 // NICSource is a standard component wrapping a stratum-1 device's receive
 // side (§5: "'standard' components that interface to network cards"). Its
 // pump turns frames into packets — optionally copied into pooled buffers —
 // and pushes them downstream. Any osabs.Device works: one polling pump
-// drains batches with a spin-then-park idle policy, parking on the
-// device's doorbell when it has one (the in-memory devices) and on a
-// timer otherwise (UDP sockets).
+// drains batches with a spin-then-park idle policy, parking in the
+// device's Wait (the in-memory devices' doorbell, a UDP socket's
+// readiness in Go's poller), never on a timer.
 type NICSource struct {
 	*core.Base
 	elementCounters
@@ -79,11 +71,7 @@ func (s *NICSource) Device() osabs.Device { return s.dev }
 
 // Start implements core.Starter: it runs the receive pump as the task "pump".
 func (s *NICSource) Start(context.Context) error {
-	idle := resources.Idle{Spin: s.cfg.Spin, Fallback: pumpPark}
-	if d, ok := s.dev.(interface{ Doorbell() <-chan struct{} }); ok {
-		idle.Bell, idle.Fallback = d.Doorbell(), 0
-	}
-	s.pump.Run(s.poll, idle)
+	s.pump.Run(s.poll, resources.Idle{Spin: s.cfg.Spin, Wait: s.dev.Wait})
 	return nil
 }
 

@@ -361,34 +361,59 @@ func TestNICSinkSendBatchKeepsNoCallerBytes(t *testing.T) {
 // pumpParks reads the source's park counter.
 func pumpParks(src *NICSource) float64 { return statMap(src)["pump_parks"] }
 
-// TestNICSourceParksOnDoorbell: an idle source over an in-memory device
-// sleeps on the doorbell rather than a timer, so it parks once for the
-// whole idle spell and still wakes at once to the next frame.
+// TestNICSourceParksOnDoorbell: an idle source sleeps in its device's
+// Wait rather than on a timer — the in-memory channel's doorbell, the UDP
+// socket's readiness in Go's poller — so it parks once for the whole
+// idle spell, polls no more, and still wakes at once to the next frame.
 func TestNICSourceParksOnDoorbell(t *testing.T) {
 	ch, err := osabs.NewKernelChannel(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, src := devRig(t, ch, nil, PumpConfig{})
-	time.Sleep(100 * time.Millisecond)
-	if parks := pumpParks(src); parks > 2 {
-		t.Fatalf("idle pump parked %.0f times in 100ms, want <= 2", parks)
-	}
-	start := time.Now()
-	if err := ch.Put([]byte{1}); err != nil {
+	udp, err := osabs.NewUDPDevice(osabs.UDPConfig{Name: "udp0", Listen: "127.0.0.1:0", Batch: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for out.count() < 1 && time.Since(start) < time.Second {
-		time.Sleep(100 * time.Microsecond)
+	defer udp.Close()
+	conn, err := net.Dial("udp4", udp.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if took := time.Since(start); out.count() != 1 || took > 50*time.Millisecond {
-		t.Fatalf("frame delivered %d times after %v, want once within 50ms", out.count(), took)
+	defer conn.Close()
+	for _, tc := range []struct {
+		dev  osabs.Device
+		send func() error
+	}{
+		{ch, func() error { return ch.Put([]byte{1}) }},
+		{udp, func() error { _, err := conn.Write([]byte{1}); return err }},
+	} {
+		t.Run(tc.dev.Name(), func(t *testing.T) {
+			out, src := devRig(t, tc.dev, nil, PumpConfig{})
+			time.Sleep(100 * time.Millisecond)
+			if parks := pumpParks(src); parks > 2 {
+				t.Fatalf("idle pump parked %.0f times in 100ms, want <= 2", parks)
+			}
+			if polls := statMap(src)["udp_rx_empty_polls"]; polls > 2 {
+				t.Fatalf("idle pump made %.0f empty polls in 100ms, want <= 2", polls)
+			}
+			start := time.Now()
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+			for out.count() < 1 && time.Since(start) < time.Second {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if took := time.Since(start); out.count() != 1 || took > 50*time.Millisecond {
+				t.Fatalf("frame delivered %d times after %v, want once within 50ms", out.count(), took)
+			}
+		})
 	}
 }
 
-// TestNICSourceEndsWhenDeviceCloses: closing an in-memory device under a
-// parked pump rings the doorbell, the pump ends on ErrClosed, and Stop
-// returns promptly.
+// TestNICSourceEndsWhenDeviceCloses: closing a device under a parked pump
+// ends its Wait (the in-memory devices ring their doorbell, the UDP
+// socket leaves the poller), the pump ends on ErrClosed, and Stop returns
+// promptly.
 func TestNICSourceEndsWhenDeviceCloses(t *testing.T) {
 	nic, err := osabs.NewNIC("eth0", 8, 8)
 	if err != nil {
@@ -398,7 +423,11 @@ func TestNICSourceEndsWhenDeviceCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dev := range []osabs.Device{nic, ch} {
+	udp, err := osabs.NewUDPDevice(osabs.UDPConfig{Name: "udp0", Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []osabs.Device{nic, ch, udp} {
 		t.Run(dev.Name(), func(t *testing.T) {
 			_, src := devRig(t, dev, nil, PumpConfig{})
 			deadline := time.Now().Add(2 * time.Second)

@@ -41,10 +41,7 @@ func (c *queueCore) unlockRing(wasEmpty bool) {
 	rings := wasEmpty && c.size > 0
 	c.mu.Unlock()
 	if rings {
-		select {
-		case bell <- struct{}{}:
-		default:
-		}
+		ringBell(bell)
 	}
 }
 

@@ -88,10 +88,7 @@ func (r *spscRing) enqueue(b []*Packet) {
 		}
 		<-r.space
 	}
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
+	ringBell(r.wake)
 }
 
 // tryDequeue pops the oldest batch, reporting false when empty. Consumer
@@ -108,10 +105,7 @@ func (r *spscRing) tryDequeue(prev []*Packet) ([]*Packet, bool) {
 	b := r.buf[h&r.mask]
 	r.buf[h&r.mask] = prev[:0]
 	r.head.Store(h + 1)
-	select {
-	case r.space <- struct{}{}:
-	default:
-	}
+	ringBell(r.space)
 	return b, true
 }
 

@@ -30,7 +30,7 @@ type schedInput struct {
 	quantum int // bytes per DRR round
 	prio    int // strict-priority rank (higher first)
 	deficit int // DRR running deficit (may go negative: debt carrying)
-	// belled is the source last offered the doorbell, so an idle pump
+	// belled is the source last handed the doorbell, so an idle pump
 	// re-registers only with sources it has not seen.
 	belled IPacketPull
 }
@@ -40,6 +40,15 @@ type schedInput struct {
 // non-empty, and ring at once if they already hold packets.
 type doorbell interface {
 	setBell(bell chan struct{})
+}
+
+// ringBell leaves a token on a capacity-1 bell unless one is already
+// waiting; a nil bell takes the default branch.
+func ringBell(bell chan struct{}) {
+	select {
+	case bell <- struct{}{}:
+	default:
+	}
 }
 
 // LinkScheduler is the active element at the egress of Figure 3: it pulls
@@ -52,9 +61,10 @@ type doorbell interface {
 // egress binding is crossed once per round, not once per packet.
 //
 // An idle pump sleeps on a doorbell its input queues ring when they turn
-// non-empty, so queueing delay is not set by a timer. A timer at the
-// fallback interval still bounds the sleep, for sources that cannot ring
-// (plug-ins without a doorbell, intercepted pull bindings).
+// non-empty, so queueing delay is not set by a timer, and a change to an
+// input's binding rings it too. A timer at the fallback interval bounds
+// the sleep only while some input's source cannot ring (a plug-in
+// without a doorbell, an intercepted pull binding).
 type LinkScheduler struct {
 	*core.Base
 	elementCounters
@@ -125,6 +135,8 @@ func (s *LinkScheduler) AddInput(name string, quantum, prio int) error {
 		}
 	}
 	s.inputs = slices.Insert(s.inputs, at, in)
+	// A binding change wakes the pump, so its next arm sees the source.
+	in.recp.RingOnChange(s.bell)
 	s.AddReceptacle(name, in.recp)
 	return nil
 }
@@ -283,20 +295,25 @@ func (s *LinkScheduler) Start(context.Context) error {
 
 // armBells registers the doorbell with every bound input source not yet
 // offered it. A source that already holds packets rings at once, so the
-// sleep that follows cannot miss them.
-func (s *LinkScheduler) armBells() {
+// sleep that follows cannot miss them. It reports whether some bound
+// source cannot ring, so the sleep needs the fallback timer.
+func (s *LinkScheduler) armBells() (timer bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, in := range s.inputs {
 		src, ok := in.recp.Get()
-		if !ok || src == in.belled {
+		if !ok {
 			continue
 		}
-		if d, ok := src.(doorbell); ok {
+		d, rings := src.(doorbell)
+		if !rings {
+			timer = true
+		} else if src != in.belled {
 			d.setBell(s.bell)
+			in.belled = src
 		}
-		in.belled = src
 	}
+	return timer
 }
 
 // Stop implements core.Stopper: it stops and joins the pump task.

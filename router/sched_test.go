@@ -727,3 +727,79 @@ func TestSchedulerCreditPullEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerNoTimerWhileInputsRing: with every input able to ring, an
+// idle pump arms no fallback timer, so it makes no timer wakes at all,
+// and the doorbell still serves the next packet at once.
+func TestSchedulerNoTimerWhileInputsRing(t *testing.T) {
+	c := newCap()
+	s, err := NewLinkScheduler(PolicyDRR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewFIFOQueue(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := newSink()
+	for name, comp := range map[string]core.Component{"sched": s, "q": q, "out": out} {
+		if err := c.Insert(name, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddInput("in", 1500, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ConnectPull(c, "sched", "in", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ConnectPush(c, "sched", "out", "out"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop(context.Background())
+	time.Sleep(200 * time.Millisecond)
+	if w := schedStat(s, "sched_timer_wakes"); w != 0 {
+		t.Fatalf("idle pump made %v timer wakes in 200ms, want 0", w)
+	}
+	start := time.Now()
+	fillQueue(t, q, 1, 64)
+	waitFor(t, "the packet", func() bool { return out.count() == 1 })
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("packet served after %v, want within 50ms", took)
+	}
+}
+
+// TestSchedulerDoorbellFollowsRebind: an input rebound, while the pump
+// sleeps, to a queue that never held the doorbell wakes the pump, which
+// hands the new queue the bell, so its packets are served.
+func TestSchedulerDoorbellFollowsRebind(t *testing.T) {
+	first, err := NewFIFOQueue(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewFIFOQueue(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, s, out := sleepyScheduler(t, 1500, map[string]core.Component{"q0": first})
+	if err := c.Insert("q1", second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the idle pump to register its doorbell", func() bool { return belled(&first.queueCore) })
+	bs := c.BindingsOf("q0")
+	if len(bs) != 1 {
+		t.Fatalf("q0 has %d bindings, want 1", len(bs))
+	}
+	if err := c.Rebind(bs[0].ID(), "q1"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the rebound queue to get the doorbell", func() bool { return belled(&second.queueCore) })
+	fillQueue(t, second, 3, 64)
+	waitFor(t, "the rebound queue's packets", func() bool { return out.count() == 3 })
+	if w := schedStat(s, "sched_timer_wakes"); w != 0 {
+		t.Fatalf("sched_timer_wakes = %v, want 0", w)
+	}
+}
